@@ -35,13 +35,13 @@ from .linalg import (
 )
 from .means import (
     HpdPair,
+    PairSpectra,
     ProofIntermediates,
     bw_distance_sq,
     geometric_mean,
     heron_mean,
     proof_intermediates,
     wasserstein_mean,
-    wasserstein_mean_via_gmean,
 )
 from .verify import (
     DescentTrace,

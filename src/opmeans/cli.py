@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
-from .matio import MatrixFormatError, load_matrix, save_json, save_matrix, write_csv
+from .matio import MatrixFormatError, load_matrix, matrix_payload, save_json, save_matrix, write_csv
 from .means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
 from .randgen import GenSpec, InvalidSpec, near_commuting_pair, random_commuting_pair, random_hpd
 from .sweep import SweepSpec, run_sweep
@@ -52,13 +52,6 @@ def _config(args) -> ToleranceConfig:
     if getattr(args, "tol", None) is None:
         return DEFAULT_CONFIG
     return ToleranceConfig(identity_tol=args.tol)
-
-
-def _matrix_payload(m) -> dict:
-    return {
-        "n": m.shape[0],
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel(order="C")],
-    }
 
 
 def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dict:
@@ -165,7 +158,7 @@ def _cmd_lemma_ah(args) -> int:
         "triangle_residual": report.triangle_residual,
         "factor_residual_x": report.factor_residuals[0],
         "factor_residual_y": report.factor_residuals[1],
-        "witness": _matrix_payload(report.witness),
+        "witness": matrix_payload(report.witness),
     }
     text = save_json(args.out, payload)
     if args.out is None:

@@ -32,7 +32,6 @@ __all__ = [
     "PolarParts",
     "as_matrix",
     "adjoint",
-    "hermitian_part",
     "require_hermitian",
     "frobenius_norm",
     "commutator",
@@ -111,7 +110,7 @@ def as_matrix(values) -> np.ndarray:
     m = np.asarray(values, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not (np.isfinite(m.real).all() and np.isfinite(m.imag).all()):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -121,16 +120,20 @@ def adjoint(t) -> np.ndarray:
     return as_matrix(t).conj().T
 
 
-def hermitian_part(t) -> np.ndarray:
-    """(T + T*) / 2."""
-    t = as_matrix(t)
-    return (t + t.conj().T) / 2.0
-
-
 def frobenius_norm(t) -> float:
-    """Frobenius norm, sqrt of the sum of squared entry magnitudes."""
+    """Frobenius norm, sqrt of the sum of squared entry magnitudes.
+
+    Where that sum overflows or falls below 2^-900 the entries are first
+    scaled by an exact power of two; elsewhere the plain sum is used.
+    """
     t = np.asarray(t, dtype=np.complex128)
-    return math.sqrt(np.vdot(t, t).real)
+    total = float(np.vdot(t, t).real)
+    if 2.0**-900 <= total < math.inf or not t.any():
+        return math.sqrt(total)
+    # 2^-exp stays finite for subnormal entries
+    exp = max(math.frexp(float(np.max(np.abs(t))))[1], -1021)
+    s = t * math.ldexp(1.0, -exp)
+    return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
 
 
 def commutator(a, b) -> np.ndarray:
@@ -148,14 +151,15 @@ def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     genuine contract violation.
     """
     h = as_matrix(h)
+    h_star = h.conj().T
     scale = frobenius_norm(h)
-    asym = frobenius_norm(h - h.conj().T)
+    asym = frobenius_norm(h - h_star)
     if asym > cfg.identity_tol * scale:
         raise NotHermitian(
             f"asymmetry {asym:.3e} exceeds {cfg.identity_tol:.1e} * ||H||_F = "
             f"{cfg.identity_tol * scale:.3e}"
         )
-    return (h + h.conj().T) / 2.0
+    return (h + h_star) / 2.0
 
 
 @dataclass(frozen=True)
@@ -270,7 +274,7 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
             frame=np.eye(n, dtype=np.complex128),
             eigenvalues=np.diag(hm).real.copy(),
         )
-    a = [list(row) for row in hm.tolist()]
+    a = hm.tolist()
     v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     target = cfg.eig_off_diag_tol * scale
     # rotations on entries this small cannot lift the mass back above target
@@ -403,22 +407,33 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
     """
     t = as_matrix(t)
     eig = _gram_eigen(t, cfg)
-    sing = np.sqrt(np.maximum(eig.eigenvalues, 0.0))
+    sing = _singular_values(eig, cfg)
+    u = _newton_schulz_step(t @ _assemble(eig, 1.0 / sing))
+    return PolarParts(isometry=u, positive=_assemble(eig, sing))
+
+
+def _singular_values(gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """Singular values of T from the spectrum of T*T; raises Singular when
+    the smallest is within the positivity floor of the largest."""
+    sing = np.sqrt(np.maximum(gram.eigenvalues, 0.0))
     largest = float(sing[-1])
     if largest == 0.0 or float(sing[0]) <= cfg.positivity_floor * largest:
         raise Singular(
             f"smallest singular value {float(sing[0]):.3e} within floor of "
             f"{cfg.positivity_floor:.1e} * {largest:.3e}"
         )
-    positive = _assemble(eig, sing)
-    u = t @ _assemble(eig, 1.0 / sing)
-    # one Newton-Schulz step scrubs the O(eps * cond) unitarity defect;
-    # only contractive while the defect is well below 1
-    n = t.shape[0]
+    return sing
+
+
+def _newton_schulz_step(u: np.ndarray) -> np.ndarray:
+    """One Newton-Schulz step, which scrubs the O(eps * cond) unitarity
+    defect of a computed polar factor; only applied while the defect is
+    well below 1, where the step is contractive."""
+    n = u.shape[0]
     gram_defect = u.conj().T @ u - np.eye(n)
     if frobenius_norm(gram_defect) < 0.5:
         u = u @ (np.eye(n) - gram_defect / 2.0)
-    return PolarParts(isometry=u, positive=positive)
+    return u
 
 
 def op_norm(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -430,5 +445,8 @@ def op_norm(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 
 def is_positive_definite(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
     """Whether the smallest eigenvalue clears the relative positivity floor."""
-    eig = hermitian_eigen(h, cfg)
+    return _is_positive(hermitian_eigen(h, cfg), cfg)
+
+
+def _is_positive(eig: HermitianEigen, cfg: ToleranceConfig) -> bool:
     return float(eig.eigenvalues[0]) > cfg.positivity_floor * _spectral_radius(eig)

@@ -23,6 +23,7 @@ from .linalg import as_matrix
 __all__ = [
     "MatrixFormatError",
     "load_matrix",
+    "matrix_payload",
     "save_matrix",
     "format_float",
     "write_csv",
@@ -72,13 +73,19 @@ def load_matrix(path: str) -> np.ndarray:
     return flat.reshape(n, n)
 
 
+def matrix_payload(m) -> dict:
+    """One matrix as the interchange object, ready for json."""
+    m = as_matrix(m)
+    return {
+        "entries": [[float(z.real), float(z.imag)] for z in m.ravel(order="C")],
+        "n": m.shape[0],
+    }
+
+
 def save_matrix(path: str, m) -> None:
     """Write one matrix in the interchange format."""
-    m = as_matrix(m)
-    n = m.shape[0]
-    entries = [[float(z.real), float(z.imag)] for z in m.ravel(order="C")]
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"entries": entries, "n": n}, fh, sort_keys=True)
+        json.dump(matrix_payload(m), fh, sort_keys=True)
         fh.write("\n")
 
 

@@ -7,40 +7,154 @@ Three two-variable means of Hermitian positive-definite matrices:
   wasserstein_mean    (A + B + A (A^{-1} # B) + (A^{-1} # B) A) / 4
 
 plus the intermediates X = (A^{1/2} B A^{1/2})^{1/2} and Y = B^{1/2} A^{1/2}
-that the equality analysis in `verify` is phrased in. The Wasserstein mean
-uses the identity A^{-1} # B = A^{-1/2} X A^{-1/2}, so its primary
-evaluation route is (A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4;
-the literal route through geometric_mean(A^{-1}, B) is kept as an
-independent cross-check.
+that the equality analysis in `verify` is phrased in. Since A^{-1} # B =
+A^{-1/2} X A^{-1/2}, the Wasserstein mean is evaluated as
+(A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4.
+
+All of these come from three spectra, of A, of B and of the core
+A^{1/2} B A^{1/2}, which a pair's `PairSpectra` computes at most once each.
+A full `verify` report costs four eigendecompositions per pair: these three
+and that of (A+Y)*(A+Y) for residual r4.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .linalg import (
     DEFAULT_CONFIG,
+    HermitianEigen,
     NotPositiveDefinite,
     ToleranceConfig,
-    invm,
-    is_positive_definite,
+    as_matrix,
+    frobenius_norm,
+    hermitian_eigen,
     require_hermitian,
-    sqrt_and_inv_sqrt,
     sqrtm,
+    _assemble,
+    _is_positive,
+    _singular_values,
+    _sqrt_values,
 )
 
 __all__ = [
     "HpdPair",
+    "PairSpectra",
     "ProofIntermediates",
     "proof_intermediates",
     "geometric_mean",
     "heron_mean",
     "wasserstein_mean",
-    "wasserstein_mean_via_gmean",
     "bw_distance_sq",
 ]
+
+
+def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
+    """k for which 2^-2k brings the largest entry of A and B into [1, 4).
+
+    An even power of two scales exactly and commutes with square roots, so
+    the scaled pair's results are the unscaled ones times powers of two,
+    bit for bit, wherever those neither overflow nor underflow.
+    """
+    top = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if top == 0.0:
+        return 0
+    # 2^-2k overflows below k = -511, so subnormal pairs are scaled up that far
+    return max((math.frexp(top)[1] - 1) // 2, -511)
+
+
+def _core_root(sqrt_a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> tuple[HermitianEigen, np.ndarray]:
+    """Spectrum of the symmetrized core A^{1/2} B A^{1/2} and its root X."""
+    core = sqrt_a @ b @ sqrt_a
+    eig = hermitian_eigen((core + core.conj().T) / 2.0, cfg)
+    return eig, _assemble(eig, _sqrt_values(eig, cfg))
+
+
+def _heron_form(sqrt_a: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
+    """((A^{1/2} + B^{1/2}) / 2)^2, not yet symmetrized."""
+    avg = (sqrt_a + sqrt_b) / 2.0
+    return avg @ avg
+
+
+def _wasserstein_form(a, b, sqrt_a, inv_sqrt_a, x) -> np.ndarray:
+    """(A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4, not yet symmetrized."""
+    return (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
+
+
+class PairSpectra:
+    """The spectra of A, B and the core of one pair, and what derives from them.
+
+    A's spectrum is taken on construction, since every quantity needs
+    A^{1/2}; B's and the core's on first use. X and X^{-1} both come from
+    the core spectrum. The matrices held belong to the pair divided by
+    `unit`, the even power of two chosen by `_scale_exponent`: a result of
+    degree d in the pair returns to the pair's units times unit^d, while
+    gaps and residuals, ratios of terms of one degree, are unchanged.
+    """
+
+    def __init__(self, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG):
+        a, b = as_matrix(a), as_matrix(b)
+        k = _scale_exponent(a, b)
+        self.cfg, self.unit, self.root_unit = cfg, math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
+        self.a, self.b = a / self.unit, b / self.unit
+        self.eig_a = hermitian_eigen(self.a, cfg)
+        if not _is_positive(self.eig_a, cfg):
+            raise NotPositiveDefinite("matrix a is not positive definite")
+        roots = np.sqrt(self.eig_a.eigenvalues)
+        self.sqrt_a = _assemble(self.eig_a, roots)
+        self.inv_sqrt_a = _assemble(self.eig_a, 1.0 / roots)
+
+    @cached_property
+    def eig_b(self) -> HermitianEigen:
+        return hermitian_eigen(self.b, self.cfg)
+
+    @cached_property
+    def sqrt_b(self) -> np.ndarray:
+        return _assemble(self.eig_b, _sqrt_values(self.eig_b, self.cfg))
+
+    @cached_property
+    def core(self) -> tuple[HermitianEigen, np.ndarray]:
+        """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
+        return _core_root(self.sqrt_a, self.b, self.cfg)
+
+    @property
+    def x(self) -> np.ndarray:
+        return self.core[1]
+
+    @cached_property
+    def inv_x(self) -> np.ndarray:
+        """X^{-1}. The core's eigenvalues are the squared singular values of
+        Y, so this raises Singular exactly when polar(Y) would."""
+        eig = self.core[0]
+        return _assemble(eig, 1.0 / _singular_values(eig, self.cfg))
+
+    @cached_property
+    def heron(self) -> np.ndarray:
+        return require_hermitian(_heron_form(self.sqrt_a, self.sqrt_b), self.cfg)
+
+    @cached_property
+    def wasserstein(self) -> np.ndarray:
+        w = _wasserstein_form(self.a, self.b, self.sqrt_a, self.inv_sqrt_a, self.x)
+        return require_hermitian(w, self.cfg)
+
+    @property
+    def mean_gap(self) -> float:
+        """||heron - wasserstein||_F / (||A||_F + ||B||_F)."""
+        diff = frobenius_norm(self.heron - self.wasserstein)
+        return diff / (frobenius_norm(self.a) + frobenius_norm(self.b))
+
+    @property
+    def trace_x(self) -> float:
+        return float(np.trace(self.x).real)
+
+    @property
+    def trace_gap(self) -> float:
+        """tr X - tr(A^{1/2} B^{1/2}), in units of the scaled pair."""
+        return self.trace_x - float(np.einsum("ij,ji->", self.sqrt_a, self.sqrt_b).real)
 
 
 @dataclass(frozen=True)
@@ -53,21 +167,31 @@ class HpdPair:
 
     a: np.ndarray
     b: np.ndarray
+    _spectra: PairSpectra | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return self.a.shape[0]
 
+    def spectra(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PairSpectra:
+        """The pair's spectral context under cfg, built on first use and kept."""
+        s = self._spectra
+        if s is None or s.cfg != cfg:
+            s = PairSpectra(self.a, self.b, cfg)
+            object.__setattr__(self, "_spectra", s)
+        return s
+
     @classmethod
     def validated(cls, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "HpdPair":
+        """Check both matrices, keeping the spectra the positivity check takes."""
         a = require_hermitian(a, cfg)
         b = require_hermitian(b, cfg)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        for name, m in (("a", a), ("b", b)):
-            if not is_positive_definite(m, cfg):
-                raise NotPositiveDefinite(f"matrix {name} is not positive definite")
-        return cls(a=a, b=b)
+        pair = cls(a=a, b=b)
+        if not _is_positive(pair.spectra(cfg).eig_b, cfg):
+            raise NotPositiveDefinite("matrix b is not positive definite")
+        return pair
 
 
 @dataclass(frozen=True)
@@ -75,7 +199,8 @@ class ProofIntermediates:
     """X, Y and the square-root factors entering the equality analysis.
 
     x = (A^{1/2} B A^{1/2})^{1/2}, positive definite;
-    y = B^{1/2} A^{1/2}, generally non-Hermitian with Y*Y = X^2.
+    y = B^{1/2} A^{1/2}, generally non-Hermitian with Y*Y = X^2;
+    spectra is the context they were taken from.
     """
 
     x: np.ndarray
@@ -83,29 +208,28 @@ class ProofIntermediates:
     sqrt_a: np.ndarray
     sqrt_b: np.ndarray
     inv_sqrt_a: np.ndarray
-
-
-def _core_sqrt(sqrt_a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """(A^{1/2} B A^{1/2})^{1/2} from a precomputed square root of A."""
-    core = sqrt_a @ b @ sqrt_a
-    return sqrtm((core + core.conj().T) / 2.0, cfg)
+    spectra: PairSpectra = field(repr=False, compare=False)
 
 
 def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ProofIntermediates:
-    """Compute X, Y, A^{1/2}, B^{1/2}, A^{-1/2} for a validated pair."""
-    sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(p.a, cfg)
-    sqrt_b = sqrtm(p.b, cfg)
-    x = _core_sqrt(sqrt_a, p.b, cfg)
-    y = sqrt_b @ sqrt_a
-    return ProofIntermediates(x=x, y=y, sqrt_a=sqrt_a, sqrt_b=sqrt_b, inv_sqrt_a=inv_sqrt_a)
+    """X, Y, A^{1/2}, B^{1/2}, A^{-1/2} of a pair, in the pair's units."""
+    s = p.spectra(cfg)
+    return ProofIntermediates(
+        x=s.x * s.unit,
+        y=s.sqrt_b @ s.sqrt_a * s.unit,
+        sqrt_a=s.sqrt_a * s.root_unit,
+        sqrt_b=s.sqrt_b * s.root_unit,
+        inv_sqrt_a=s.inv_sqrt_a / s.root_unit,
+        spectra=s,
+    )
 
 
 def geometric_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
-    sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(p.a, cfg)
-    inner = inv_sqrt_a @ p.b @ inv_sqrt_a
-    g = sqrt_a @ sqrtm((inner + inner.conj().T) / 2.0, cfg) @ sqrt_a
-    return require_hermitian(g, cfg)
+    s = p.spectra(cfg)
+    inner = s.inv_sqrt_a @ s.b @ s.inv_sqrt_a
+    g = s.sqrt_a @ sqrtm((inner + inner.conj().T) / 2.0, cfg) @ s.sqrt_a
+    return require_hermitian(g, cfg) * s.unit
 
 
 def heron_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -113,34 +237,18 @@ def heron_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 
     Equals (A + B + A^{1/2} B^{1/2} + B^{1/2} A^{1/2}) / 4 when expanded.
     """
-    avg = (sqrtm(p.a, cfg) + sqrtm(p.b, cfg)) / 2.0
-    return require_hermitian(avg @ avg, cfg)
+    s = p.spectra(cfg)
+    return s.heron * s.unit
 
 
 def wasserstein_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Wasserstein mean via the X-form.
 
-    Evaluates (A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4 with
-    X = (A^{1/2} B A^{1/2})^{1/2}. Hermitian in exact arithmetic; the
-    result is symmetrized, but unlike the other two means it is not
-    certified positive definite here, only Hermitian.
+    Hermitian in exact arithmetic; the result is symmetrized, but unlike
+    the other two means it is not certified positive definite here.
     """
-    sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(p.a, cfg)
-    x = _core_sqrt(sqrt_a, p.b, cfg)
-    w = (p.a + p.b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
-    return require_hermitian(w, cfg)
-
-
-def wasserstein_mean_via_gmean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Cross-check route: literal (A + B + A G + G A) / 4 with G = A^{-1} # B.
-
-    Independent of the X-form path except for the shared eigensolver, so
-    agreement between the two routes is a meaningful internal oracle.
-    """
-    inv_a = invm(p.a, cfg)
-    g = geometric_mean(HpdPair(a=inv_a, b=p.b), cfg)
-    w = (p.a + p.b + p.a @ g + g @ p.a) / 4.0
-    return require_hermitian(w, cfg)
+    s = p.spectra(cfg)
+    return s.wasserstein * s.unit
 
 
 def bw_distance_sq(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
@@ -148,6 +256,5 @@ def bw_distance_sq(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
 
     Nonnegative up to roundoff, zero exactly when A = B.
     """
-    sqrt_a = sqrtm(p.a, cfg)
-    x = _core_sqrt(sqrt_a, p.b, cfg)
-    return float(np.trace(p.a).real + np.trace(p.b).real - 2.0 * np.trace(x).real)
+    s = p.spectra(cfg)
+    return float(np.trace(s.a).real + np.trace(s.b).real - 2.0 * s.trace_x) * s.unit

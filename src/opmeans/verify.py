@@ -17,6 +17,13 @@ r1-r3 are unconditional algebra and must vanish for every valid pair; r4-r6
 vanish exactly when the means coincide. Each residual is normalized by the
 scale of the terms entering its own left-hand side (never by a difference
 that can itself vanish, so commuting pairs do not divide zero by zero).
+
+Everything in a report derives from the pair's spectral context
+(`HpdPair.spectra`): the spectra of A, B and the core A^{1/2} B A^{1/2}.
+Since |Y| = X, r5 takes the polar factor of Y as U = Y X^{-1} with X^{-1}
+from the core spectrum, followed by one Newton-Schulz step; the only
+eigendecomposition beyond the context is that of (A+Y)*(A+Y) for r4. A
+report on a validated pair thus costs four eigendecompositions in all.
 """
 
 from __future__ import annotations
@@ -41,8 +48,9 @@ from .linalg import (
     require_hermitian,
     sqrt_and_inv_sqrt,
     _assemble,
+    _newton_schulz_step,
 )
-from .means import HpdPair, ProofIntermediates, proof_intermediates
+from .means import HpdPair, ProofIntermediates, _core_root, _heron_form, _wasserstein_form
 
 __all__ = [
     "Verdict",
@@ -146,22 +154,10 @@ def commutator_gap(a, b) -> float:
     return frobenius_norm(a @ b - b @ a) / denom
 
 
-def _gaps_from_parts(a, b, sqrt_a, sqrt_b, x, inv_sqrt_a) -> tuple[float, float, np.ndarray, np.ndarray]:
-    """Mean gap and commutator gap plus the two symmetrized means."""
-    avg = (sqrt_a + sqrt_b) / 2.0
-    heron = avg @ avg
-    heron = (heron + heron.conj().T) / 2.0
-    wass = (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
-    wass = (wass + wass.conj().T) / 2.0
-    mg = frobenius_norm(heron - wass) / (frobenius_norm(a) + frobenius_norm(b))
-    return mg, commutator_gap(a, b), heron, wass
-
-
 def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, float]:
     """(mean_gap, commutator_gap) without the full residual report."""
-    ints = proof_intermediates(p, cfg)
-    mg, cg, _, _ = _gaps_from_parts(p.a, p.b, ints.sqrt_a, ints.sqrt_b, ints.x, ints.inv_sqrt_a)
-    return mg, cg
+    s = p.spectra(cfg)
+    return s.mean_gap, commutator_gap(s.a, s.b)
 
 
 def proof_chain_report(
@@ -171,15 +167,17 @@ def proof_chain_report(
 ) -> GapReport:
     """Evaluate every identity residual for one pair.
 
-    `intermediates` lets batch callers reuse a proof_intermediates result
-    they already computed for the same pair.
+    Everything comes from the pair's spectral context (`HpdPair.spectra`),
+    or from the context a proof_intermediates result was taken from when
+    `intermediates` is given. The residuals are computed on the context's
+    scaled pair, which leaves them unchanged; the trace gap is converted
+    back to the pair's units.
     """
-    a, b = p.a, p.b
-    n = p.dim
-    ints = intermediates if intermediates is not None else proof_intermediates(p, cfg)
-    sqrt_a, sqrt_b, x, y, inv_sqrt_a = ints.sqrt_a, ints.sqrt_b, ints.x, ints.y, ints.inv_sqrt_a
-
-    mg, cg, heron, wass = _gaps_from_parts(a, b, sqrt_a, sqrt_b, x, inv_sqrt_a)
+    s = p.spectra(cfg) if intermediates is None else intermediates.spectra
+    a, b, n = s.a, s.b, p.dim
+    sqrt_a, sqrt_b, x, inv_sqrt_a = s.sqrt_a, s.sqrt_b, s.x, s.inv_sqrt_a
+    y = sqrt_b @ sqrt_a
+    heron, wass = s.heron, s.wasserstein
 
     # r1: cross-term identity for 4(heron - wasserstein)
     sab = sqrt_a @ sqrt_b
@@ -216,10 +214,11 @@ def proof_chain_report(
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
     r4 = frobenius_norm(abs_op(apy, cfg) - apx) / frobenius_norm(apx)
 
-    # r5: polar factor of Y collapses to the identity (conditional)
+    # r5: polar factor U = Y X^{-1} of Y collapses to the identity
+    # (conditional); |Y| = X, so X^{-1} comes from the core spectrum
     polar_singular = False
     try:
-        u = polar(y, cfg).isometry
+        u = _newton_schulz_step(y @ s.inv_x)
         r5 = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
     except Singular:
         polar_singular = True
@@ -228,13 +227,11 @@ def proof_chain_report(
     # r6: self-adjointness of Y, the commutativity conclusion
     r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
 
-    trace_gap = float(np.trace(x).real - np.einsum("ij,ji->", sqrt_a, sqrt_b).real)
-
     return GapReport(
-        mean_gap=mg,
-        commutator_gap=cg,
+        mean_gap=s.mean_gap,
+        commutator_gap=commutator_gap(a, b),
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
-        trace_gap=trace_gap,
+        trace_gap=s.trace_gap * s.unit,
         polar_singular=polar_singular,
     )
 
@@ -273,17 +270,12 @@ def trace_criterion(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[
     equality exactly when Y is positive, i.e. when A and B commute.
 
     Returns (trace_gap, commute_flag) with the flag true when the gap is
-    within identity_tol * tr X of zero.
+    within identity_tol * tr X of zero. Equals the report's trace gap; on
+    a validated pair it costs one eigendecomposition, of the core.
     """
-    sqrt_a, _ = sqrt_and_inv_sqrt(p.a, cfg)
-    eig_b = hermitian_eigen(p.b, cfg)
-    sqrt_b = _assemble(eig_b, np.sqrt(np.maximum(eig_b.eigenvalues, 0.0)))
-    core = sqrt_a @ p.b @ sqrt_a
-    eig_core = hermitian_eigen((core + core.conj().T) / 2.0, cfg)
-    trace_x = float(np.sum(np.sqrt(np.maximum(eig_core.eigenvalues, 0.0))))
-    cross = float(np.einsum("ij,ji->", sqrt_a, sqrt_b).real)
-    gap = trace_x - cross
-    return gap, gap <= cfg.identity_tol * trace_x
+    s = p.spectra(cfg)
+    gap = s.trace_gap
+    return gap * s.unit, gap <= cfg.identity_tol * s.trace_x
 
 
 def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WitnessReport:
@@ -361,17 +353,12 @@ class GapObjective:
     def evaluate(self, s) -> tuple[float, float, np.ndarray]:
         """(objective, mean_gap, exp(S)); exp(S/2) shares the one
         eigendecomposition of S."""
-        cfg = self.cfg
-        eig = hermitian_eigen(s, cfg)
+        eig = hermitian_eigen(s, self.cfg)
         b = _assemble(eig, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig, np.exp(eig.eigenvalues / 2.0))
-        core = self.sqrt_a @ b @ self.sqrt_a
-        eig_core = hermitian_eigen((core + core.conj().T) / 2.0, cfg)
-        x = _assemble(eig_core, np.sqrt(np.maximum(eig_core.eigenvalues, 0.0)))
-        avg = (self.sqrt_a + sqrt_b) / 2.0
-        heron = avg @ avg
-        wass = (self.a + b + self.sqrt_a @ x @ self.inv_sqrt_a
-                + self.inv_sqrt_a @ x @ self.sqrt_a) / 4.0
+        _, x = _core_root(self.sqrt_a, b, self.cfg)
+        heron = _heron_form(self.sqrt_a, sqrt_b)
+        wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
         gap = frobenius_norm(heron - wass) / (self.norm_a + frobenius_norm(b))
         return gap * gap, gap, b
 

@@ -322,3 +322,16 @@ class TestNormsAndPredicates:
 
     def test_negative_definite(self):
         assert not is_positive_definite(-np.eye(2, dtype=complex))
+
+    def test_frobenius_far_ends_of_range(self):
+        # entries whose squares overflow or underflow still get the norm of
+        # the unscaled matrix times the (exact) power-of-two factor
+        m = random_hermitian(5, 3)
+        base = frobenius_norm(m)
+        for e in (600, 330, -330, -600):
+            assert frobenius_norm(m * 2.0**e) == pytest.approx(base * 2.0**e, rel=1e-15)
+
+    def test_frobenius_plain_sum_in_normal_range(self):
+        m = random_hermitian(6, 8, scale=1e3)
+        assert frobenius_norm(m) == math.sqrt(np.vdot(m, m).real)
+        assert frobenius_norm(np.zeros((3, 3))) == 0.0

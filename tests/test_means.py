@@ -1,6 +1,6 @@
 """Mean operations: closed-form cases, symmetry/idempotence, the Riccati
-characterization of the geometric mean, and agreement of the two
-Wasserstein evaluation routes.
+characterization of the geometric mean, and agreement of the X-form
+Wasserstein mean with the literal route through the geometric mean.
 
 The frozen matrix below was computed with an independent LAPACK-backed
 functional calculus (np.linalg.eigh) evaluating the literal
@@ -22,6 +22,7 @@ from opmeans.linalg import (
     frobenius_norm,
     invm,
     is_positive_definite,
+    require_hermitian,
 )
 from opmeans.means import (
     HpdPair,
@@ -30,7 +31,6 @@ from opmeans.means import (
     heron_mean,
     proof_intermediates,
     wasserstein_mean,
-    wasserstein_mean_via_gmean,
 )
 from opmeans.randgen import SplitMix64, mix_seed
 
@@ -42,6 +42,19 @@ WASSERSTEIN_FIXTURE = mat([
     [2.452675588605909, 0.5172612419124243],
     [0.5172612419124243, 1.4181531047810605],
 ])
+
+
+def wasserstein_mean_via_gmean(p):
+    """Cross-check route: literal (A + B + A G + G A) / 4 with G = A^{-1} # B.
+
+    Independent of the X-form path of `wasserstein_mean` except for the
+    shared eigensolver, so agreement between the two routes is a
+    meaningful oracle.
+    """
+    inv_a = invm(p.a)
+    g = geometric_mean(HpdPair(a=inv_a, b=p.b))
+    w = (p.a + p.b + p.a @ g + g @ p.a) / 4.0
+    return require_hermitian(w)
 
 
 def scalar_pair(a, b):

@@ -1,0 +1,202 @@
+"""The per-pair spectral context: eigendecomposition counts, r5 through
+the core spectrum, exact agreement with the primitive-by-primitive route,
+and exact power-of-two scaling of pairs near the ends of the double range.
+"""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conftest import commuting_pair, random_pair
+
+import opmeans
+from opmeans import cli, linalg, matio, means, randgen, sweep, verify
+from opmeans.cli import cli_main
+from opmeans.linalg import abs_op, frobenius_norm, polar, sqrt_and_inv_sqrt, sqrtm
+from opmeans.matio import save_matrix
+from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
+from opmeans.randgen import GenSpec, random_hpd
+from opmeans.verify import GapObjective, commutator_gap, proof_chain_report, trace_criterion
+
+
+@pytest.fixture
+def eigen_calls(monkeypatch):
+    """Record every hermitian_eigen call, in each module that binds it."""
+    calls = []
+    real = linalg.hermitian_eigen
+
+    def counted(h, cfg=linalg.DEFAULT_CONFIG):
+        calls.append(np.shape(h)[0])
+        return real(h, cfg)
+
+    for mod in (opmeans, linalg, means, verify, randgen, sweep, matio, cli):
+        if getattr(mod, "hermitian_eigen", None) is real:
+            monkeypatch.setattr(mod, "hermitian_eigen", counted)
+    return calls
+
+
+def write_pair(tmp_path, p, tag="p"):
+    fa, fb = tmp_path / f"{tag}_a.json", tmp_path / f"{tag}_b.json"
+    save_matrix(str(fa), p.a)
+    save_matrix(str(fb), p.b)
+    return fa, fb
+
+
+def reference_report(p):
+    """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone."""
+    a, b = p.a, p.b
+    sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(a)
+    sqrt_b = sqrtm(b)
+    core = sqrt_a @ b @ sqrt_a
+    x = sqrtm((core + core.conj().T) / 2.0)
+    y = sqrt_b @ sqrt_a
+    avg = (sqrt_a + sqrt_b) / 2.0
+    heron = avg @ avg
+    heron = (heron + heron.conj().T) / 2.0
+    wass = (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
+    wass = (wass + wass.conj().T) / 2.0
+    sab, sba = sqrt_a @ sqrt_b, sqrt_b @ sqrt_a
+    sxs_r, sxs_l = sqrt_a @ x @ inv_sqrt_a, inv_sqrt_a @ x @ sqrt_a
+    r1 = frobenius_norm(4.0 * (heron - wass) - (sab + sba - sxs_r - sxs_l)) / (
+        frobenius_norm(sab) + frobenius_norm(sba) + frobenius_norm(sxs_r) + frobenius_norm(sxs_l))
+    ay, ya, ax, xa = a @ y, y.conj().T @ a, a @ x, x @ a
+    lhs2 = ay + ya - ax - xa
+    r2 = frobenius_norm(lhs2 - 4.0 * (sqrt_a @ (heron - wass) @ sqrt_a)) / (
+        frobenius_norm(ay) + frobenius_norm(ya) + frobenius_norm(ax) + frobenius_norm(xa))
+    apy, apx = a + y, a + x
+    gram = apy.conj().T @ apy
+    r3 = frobenius_norm(gram - apx @ apx - lhs2) / frobenius_norm(gram)
+    r4 = frobenius_norm(abs_op(apy) - apx) / frobenius_norm(apx)
+    r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
+    return {
+        "mean_gap": frobenius_norm(heron - wass) / (frobenius_norm(a) + frobenius_norm(b)),
+        "commutator_gap": commutator_gap(a, b),
+        "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r6": r6,
+        "trace_gap": float(np.trace(x).real - np.einsum("ij,ji->", sqrt_a, sqrt_b).real),
+    }
+
+
+def report_values(rep):
+    values = {"mean_gap": rep.mean_gap, "commutator_gap": rep.commutator_gap,
+              "trace_gap": rep.trace_gap}
+    values.update((k, rep.residuals[k]) for k in ("r1", "r2", "r3", "r4", "r6"))
+    return values
+
+
+def sample_pairs():
+    for seed in range(14):
+        yield random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3))
+    for seed in range(6):
+        yield commuting_pair(2 + seed % 7, seed, cond=1000.0)
+    for seed, eps in enumerate((0.01, 0.1, 1.0)):
+        yield randgen.near_commuting_pair(
+            GenSpec(dim=4, seed=seed, cond_target=30.0, family="near_commuting", epsilon=eps))
+
+
+class TestEigendecompositionCounts:
+    def test_cli_verify_uses_four(self, tmp_path, eigen_calls):
+        fa, fb = write_pair(tmp_path, random_pair(6, 3, cond=100.0))
+        assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
+        assert len(eigen_calls) == 4
+
+    def test_report_on_direct_pair_uses_four(self, eigen_calls):
+        proof_chain_report(random_pair(5, 2, cond=50.0))
+        assert len(eigen_calls) == 4
+
+    def test_trace_criterion_on_validated_pair_uses_one(self, eigen_calls):
+        p = random_pair(4, 6, cond=50.0)
+        q = HpdPair.validated(p.a, p.b)
+        del eigen_calls[:]
+        trace_criterion(q)
+        assert len(eigen_calls) == 1
+
+    def test_gap_objective_evaluate_uses_two(self, eigen_calls):
+        obj = GapObjective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0)))
+        s = linalg.logm(random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0)))
+        del eigen_calls[:]
+        obj.evaluate(s)
+        assert len(eigen_calls) == 2
+
+    def test_intermediates_then_report_share_the_context(self, eigen_calls):
+        p = random_pair(4, 8, cond=20.0)
+        ints = proof_intermediates(p)
+        proof_chain_report(p, intermediates=ints)
+        proof_chain_report(p)
+        assert len(eigen_calls) == 5
+
+
+class TestPolarFromCore:
+    def test_r5_matches_polar_of_y(self):
+        # commuting pairs stop at cond 100: at cond 1e3 r5 itself is core
+        # roundoff (up to ~1e-9), on which the two routes differ by ~2e-12
+        pairs = [random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3)) for seed in range(21)]
+        pairs += [commuting_pair(2 + seed % 7, seed, cond=100.0) for seed in range(14)]
+        for p in pairs:
+            n = p.dim
+            u = polar(proof_intermediates(p).y).isometry
+            expected = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
+            assert abs(proof_chain_report(p).residuals["r5"] - expected) <= 1e-12
+
+    def test_core_below_floor_is_singular(self):
+        # B has an eigenvalue whose root is far below the floor; the core
+        # A^{1/2} B A^{1/2} inherits it exactly since both are diagonal
+        p = HpdPair(a=np.diag([1.0, 2.0, 3.0]).astype(complex),
+                    b=np.diag([4.0, 1e-30, 1.0]).astype(complex))
+        rep = proof_chain_report(p)
+        assert rep.polar_singular
+        assert rep.residuals["r5"] == math.inf
+        assert all(math.isfinite(rep.residuals[k]) for k in ("r1", "r2", "r3", "r4", "r6"))
+
+
+class TestAgreementWithPrimitives:
+    def test_report_equals_reference_exactly(self):
+        for p in sample_pairs():
+            assert report_values(proof_chain_report(p)) == reference_report(p)
+
+    def test_trace_criterion_is_report_trace_gap(self):
+        for p in sample_pairs():
+            gap, flag = trace_criterion(p)
+            assert gap == reference_report(p)["trace_gap"]
+            assert flag == (gap <= 1e-10 * np.trace(proof_intermediates(p).x).real)
+
+    @pytest.mark.parametrize("e", [330, -330, 600, -600])
+    def test_scaled_pair_reproduces_unscaled(self, e):
+        p = random_pair(5, 12, cond=300.0)
+        c = 2.0**e
+        scaled = HpdPair.validated(p.a * c, p.b * c)
+        ref = reference_report(p)
+        got = report_values(proof_chain_report(scaled))
+        assert got.pop("trace_gap") == ref.pop("trace_gap") * c
+        assert got == ref
+        assert np.array_equal(heron_mean(scaled), heron_mean(p) * c)
+        assert np.array_equal(wasserstein_mean(scaled), wasserstein_mean(p) * c)
+
+    def test_matrices_are_exactly_scaled(self):
+        # a pair with large entries is scaled by an even power of two, and
+        # its intermediates come back in the pair's units bit for bit
+        p = random_pair(4, 1, cond=1000.0)
+        ints = proof_intermediates(p)
+        assert p.spectra().unit == 16.0
+        big = proof_intermediates(HpdPair(a=p.a * 2.0**40, b=p.b * 2.0**40))
+        assert np.array_equal(big.x, ints.x * 2.0**40)
+        assert np.array_equal(big.sqrt_a, ints.sqrt_a * 2.0**20)
+        assert np.array_equal(big.inv_sqrt_a, ints.inv_sqrt_a * 2.0**-20)
+
+
+class TestScaledCli:
+    @pytest.mark.parametrize("e", [330, -330, 600, -600])
+    def test_verify_scaled_pair(self, tmp_path, capsys, e):
+        p = random_pair(6, 21, cond=100.0)
+        fa, fb = write_pair(tmp_path, p, "twin")
+        ga, gb = write_pair(tmp_path, HpdPair(a=p.a * 2.0**e, b=p.b * 2.0**e), "scaled")
+        twin, scaled = tmp_path / "twin.json", tmp_path / "scaled.json"
+        assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(twin)]) == 0
+        assert cli_main(["verify", "--a", str(ga), "--b", str(gb), "--out", str(scaled)]) == 0
+        assert capsys.readouterr().err == ""
+        ref, rep = json.loads(twin.read_text()), json.loads(scaled.read_text())
+        assert rep["residuals"] == ref["residuals"]
+        assert (rep["mean_gap"], rep["commutator_gap"]) == (ref["mean_gap"], ref["commutator_gap"])
+        assert rep["trace_gap"] == ref["trace_gap"] * 2.0**e
+        assert rep["verdict"] == ref["verdict"]
