@@ -9,13 +9,14 @@ commutator gap is firmly positive; never expected to occur).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
-from .matio import MatrixFormatError, load_matrix, matrix_payload, save_json, save_matrix, write_csv
+from .matio import load_matrix, matrix_payload, save_json, save_matrix, write_csv
 from .means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
-from .randgen import GenSpec, InvalidSpec, near_commuting_pair, random_commuting_pair, random_hpd
-from .sweep import SweepSpec, run_sweep
+from .randgen import GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
+from .sweep import SweepRow, SweepSpec, run_sweep
 from .verify import (
     Verdict,
     ando_hayashi_witness,
@@ -62,12 +63,7 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
         "trace_gap": report.trace_gap,
         "polar_singular": report.polar_singular,
         "verdict": verdict.value,
-        "tolerances": {
-            "identity_tol": cfg.identity_tol,
-            "positivity_floor": cfg.positivity_floor,
-            "eig_off_diag_tol": cfg.eig_off_diag_tol,
-            "max_jacobi_sweeps": cfg.max_jacobi_sweeps,
-        },
+        "tolerances": dataclasses.asdict(cfg),
         "seed": seed,
     }
 
@@ -125,11 +121,8 @@ def _cmd_sweep(args) -> int:
     base = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family="near_commuting")
     spec = SweepSpec(base=base, epsilons=epsilons, trials_per_epsilon=args.trials)
     rows = run_sweep(spec, cfg)
-    write_csv(
-        args.out,
-        ["epsilon", "seed", "mean_gap", "commutator_gap", "trace_gap", "verdict"],
-        [(r.epsilon, r.seed, r.mean_gap, r.commutator_gap, r.trace_gap, r.verdict) for r in rows],
-    )
+    header = [f.name for f in dataclasses.fields(SweepRow)]
+    write_csv(args.out, header, [dataclasses.astuple(r) for r in rows])
     counterexamples = sum(r.verdict == Verdict.COUNTEREXAMPLE_TO_THEOREM.value for r in rows)
     return 3 if counterexamples else 0
 
@@ -240,9 +233,6 @@ def cli_main(argv=None) -> int:
         return args.handler(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except (MatrixFormatError, InvalidSpec) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -94,8 +94,11 @@ class ToleranceConfig:
 
     def __post_init__(self) -> None:
         for name in ("identity_tol", "positivity_floor", "eig_off_diag_tol"):
-            if not getattr(self, name) > 0.0:
+            value = getattr(self, name)
+            if not value > 0.0:
                 raise ValueError(f"{name} must be strictly positive")
+            if value == math.inf:
+                raise ValueError(f"{name} must be finite")
         if self.max_jacobi_sweeps < 1:
             raise ValueError("max_jacobi_sweeps must be at least 1")
         if not self.identity_tol > self.positivity_floor:
@@ -134,6 +137,21 @@ def frobenius_norm(t) -> float:
     exp = max(math.frexp(float(np.max(np.abs(t))))[1], -1021)
     s = t * math.ldexp(1.0, -exp)
     return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
+
+
+def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
+    """k for which 2^-2k brings the largest entry of A and B into [1, 4).
+
+    An even power of two scales exactly and commutes with square roots, so
+    results computed on the scaled matrices are the unscaled ones times
+    powers of two, bit for bit, wherever those neither overflow nor
+    underflow.
+    """
+    top = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
+    if top == 0.0:
+        return 0
+    # 2^-2k overflows below k = -511, so subnormal pairs are scaled up that far
+    return max((math.frexp(top)[1] - 1) // 2, -511)
 
 
 def commutator(a, b) -> np.ndarray:

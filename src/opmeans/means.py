@@ -37,6 +37,7 @@ from .linalg import (
     sqrtm,
     _assemble,
     _is_positive,
+    _scale_exponent,
     _singular_values,
     _sqrt_values,
 )
@@ -51,20 +52,6 @@ __all__ = [
     "wasserstein_mean",
     "bw_distance_sq",
 ]
-
-
-def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
-    """k for which 2^-2k brings the largest entry of A and B into [1, 4).
-
-    An even power of two scales exactly and commutes with square roots, so
-    the scaled pair's results are the unscaled ones times powers of two,
-    bit for bit, wherever those neither overflow nor underflow.
-    """
-    top = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    if top == 0.0:
-        return 0
-    # 2^-2k overflows below k = -511, so subnormal pairs are scaled up that far
-    return max((math.frexp(top)[1] - 1) // 2, -511)
 
 
 def _core_root(sqrt_a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> tuple[HermitianEigen, np.ndarray]:
@@ -199,8 +186,7 @@ class ProofIntermediates:
     """X, Y and the square-root factors entering the equality analysis.
 
     x = (A^{1/2} B A^{1/2})^{1/2}, positive definite;
-    y = B^{1/2} A^{1/2}, generally non-Hermitian with Y*Y = X^2;
-    spectra is the context they were taken from.
+    y = B^{1/2} A^{1/2}, generally non-Hermitian with Y*Y = X^2.
     """
 
     x: np.ndarray
@@ -208,7 +194,6 @@ class ProofIntermediates:
     sqrt_a: np.ndarray
     sqrt_b: np.ndarray
     inv_sqrt_a: np.ndarray
-    spectra: PairSpectra = field(repr=False, compare=False)
 
 
 def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ProofIntermediates:
@@ -220,7 +205,6 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
         sqrt_a=s.sqrt_a * s.root_unit,
         sqrt_b=s.sqrt_b * s.root_unit,
         inv_sqrt_a=s.inv_sqrt_a / s.root_unit,
-        spectra=s,
     )
 
 

@@ -142,6 +142,9 @@ class GenSpec:
             raise InvalidSpec(f"epsilon must be >= 0, got {self.epsilon!r}")
         if self.family != "near_commuting" and self.epsilon != 0.0:
             raise InvalidSpec("epsilon is only meaningful for the near_commuting family")
+        for name in ("cond_target", "epsilon"):
+            if getattr(self, name) == math.inf:
+                raise InvalidSpec(f"{name} must be finite, got inf")
 
 
 def _orthonormal_frame(g: np.ndarray) -> np.ndarray:

@@ -18,12 +18,15 @@ vanish exactly when the means coincide. Each residual is normalized by the
 scale of the terms entering its own left-hand side (never by a difference
 that can itself vanish, so commuting pairs do not divide zero by zero).
 
-Everything in a report derives from the pair's spectral context
-(`HpdPair.spectra`): the spectra of A, B and the core A^{1/2} B A^{1/2}.
-Since |Y| = X, r5 takes the polar factor of Y as U = Y X^{-1} with X^{-1}
-from the core spectrum, followed by one Newton-Schulz step; the only
-eigendecomposition beyond the context is that of (A+Y)*(A+Y) for r4. A
-report on a validated pair thus costs four eigendecompositions in all.
+Everything about a pair derives from its spectral context
+(`HpdPair.spectra`): the spectra of A, B and the core A^{1/2} B A^{1/2},
+and each caller takes only what it emits. `pair_gaps` and
+`trace_criterion` need nothing beyond the context, three
+eigendecompositions in all. The full report adds one, of (A+Y)*(A+Y) for
+r4; since |Y| = X, r5 takes the polar factor of Y as U = Y X^{-1} with
+X^{-1} from the core spectrum, followed by one Newton-Schulz step. The
+descent decomposes A and the starting B0 once each, then evaluates its
+objective with two eigendecompositions, of S and of the core.
 """
 
 from __future__ import annotations
@@ -49,8 +52,9 @@ from .linalg import (
     sqrt_and_inv_sqrt,
     _assemble,
     _newton_schulz_step,
+    _scale_exponent,
 )
-from .means import HpdPair, ProofIntermediates, _core_root, _heron_form, _wasserstein_form
+from .means import HpdPair, _core_root, _heron_form, _wasserstein_form
 
 __all__ = [
     "Verdict",
@@ -160,20 +164,15 @@ def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float,
     return s.mean_gap, commutator_gap(s.a, s.b)
 
 
-def proof_chain_report(
-    p: HpdPair,
-    cfg: ToleranceConfig = DEFAULT_CONFIG,
-    intermediates: "ProofIntermediates | None" = None,
-) -> GapReport:
+def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
-    or from the context a proof_intermediates result was taken from when
-    `intermediates` is given. The residuals are computed on the context's
-    scaled pair, which leaves them unchanged; the trace gap is converted
-    back to the pair's units.
+    which proof_intermediates and the means of the same pair share. The
+    residuals are computed on the context's scaled pair, which leaves them
+    unchanged; the trace gap is converted back to the pair's units.
     """
-    s = p.spectra(cfg) if intermediates is None else intermediates.spectra
+    s = p.spectra(cfg)
     a, b, n = s.a, s.b, p.dim
     sqrt_a, sqrt_b, x, inv_sqrt_a = s.sqrt_a, s.sqrt_b, s.x, s.inv_sqrt_a
     y = sqrt_b @ sqrt_a
@@ -181,13 +180,12 @@ def proof_chain_report(
 
     # r1: cross-term identity for 4(heron - wasserstein)
     sab = sqrt_a @ sqrt_b
-    sba = sqrt_b @ sqrt_a
     sxs_r = sqrt_a @ x @ inv_sqrt_a
     sxs_l = inv_sqrt_a @ x @ sqrt_a
     lhs1 = 4.0 * (heron - wass)
-    rhs1 = sab + sba - sxs_r - sxs_l
+    rhs1 = sab + y - sxs_r - sxs_l
     scale1 = (
-        frobenius_norm(sab) + frobenius_norm(sba)
+        frobenius_norm(sab) + frobenius_norm(y)
         + frobenius_norm(sxs_r) + frobenius_norm(sxs_l)
     )
     r1 = frobenius_norm(lhs1 - rhs1) / scale1
@@ -283,12 +281,17 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
 
     Raises TriangleEqualityFails when the triangle residual exceeds
     identity_tol (the construction then does not apply) and Singular when
-    X + Y is not invertible within the floor.
+    X + Y is not invertible within the floor. The witness and the
+    residuals are scale-free, so X and Y are first divided by the one
+    common even power of two (exact) that brings their largest entry into
+    [1, 4), which keeps their grams from overflowing or underflowing.
     """
     x = as_matrix(x)
     y = as_matrix(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
+    unit = math.ldexp(1.0, 2 * _scale_exponent(x, y))
+    x, y = x / unit, y / unit
     abs_x = abs_op(x, cfg)
     abs_y = abs_op(y, cfg)
     total = x + y
@@ -412,13 +415,16 @@ def minimize_gap(
     ill-conditioned valley floor within realistic budgets. Stops when the
     objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
     exhausted, or no descent step can be found; the last case sets the
-    no_descent flag instead of raising.
+    no_descent flag instead of raising. B0 must be Hermitian (NotHermitian)
+    and positive definite (DomainError from its logarithm).
     """
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = GapObjective(a, cfg)
-    pair = HpdPair.validated(obj.a, b0, cfg)
-    s = logm(pair.b, cfg)
+    b0 = require_hermitian(b0, cfg)
+    if b0.shape != obj.a.shape:
+        raise ValueError(f"dimension mismatch: {obj.a.shape} vs {b0.shape}")
+    s = logm(b0, cfg)
     f, gap, b = obj.evaluate(s)
     iterates = [(0, gap, commutator_gap(obj.a, b), f)]
     states = [s] if record_states else None

@@ -66,7 +66,7 @@ class PairRecord:
 
 def analyze_pair(pair):
     ints = proof_intermediates(pair)
-    rep = proof_chain_report(pair, intermediates=ints)
+    rep = proof_chain_report(pair)
     abs_res = frobenius_norm(abs_op(ints.y) - ints.x) / frobenius_norm(ints.x)
     trace_x = float(np.trace(ints.x).real)
     verdict = classify_gaps(rep.mean_gap, rep.commutator_gap)

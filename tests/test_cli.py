@@ -3,11 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 import opmeans.cli as cli
 from opmeans.cli import cli_main
 from opmeans.matio import load_matrix, save_matrix
-from opmeans.randgen import GenSpec, random_hpd
+from opmeans.randgen import GenSpec, SplitMix64, random_hpd
 from opmeans.verify import Verdict, commutator_gap
 
 
@@ -130,6 +131,7 @@ class TestVerify:
         fa = tmp_path / "a.json"
         save_matrix(str(fa), np.eye(2, dtype=complex))
         assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", "-1") == 1
+        assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", "inf") == 1
 
 
 class TestSweep:
@@ -177,6 +179,18 @@ class TestMinimize:
         assert run("minimize", "--a", str(fa), "--b0", str(fa), "--budget", "0",
                    "--out", str(tmp_path / "t.csv")) == 1
 
+    @pytest.mark.parametrize("b0, code", [
+        (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2),
+        (np.diag([1.0, -1.0, 2.0]), 2),
+        (np.eye(2), 1),
+    ], ids=["not-hermitian", "not-positive-definite", "wrong-size"])
+    def test_bad_b0(self, tmp_path, b0, code):
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), np.eye(3, dtype=complex))
+        save_matrix(str(fb), b0.astype(complex))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == code
+
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):
@@ -199,6 +213,20 @@ class TestLemmaAh:
         save_matrix(str(fx), np.eye(2, dtype=complex))
         save_matrix(str(fy), np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex))
         assert run("lemma-ah", "--x", str(fx), "--y", str(fy)) == 2
+
+    @pytest.mark.parametrize("e", [330, -330, 600, -600])
+    def test_scaled_triple_matches_twin(self, tmp_path, capsys, e):
+        w = np.linalg.qr(SplitMix64(3).complex_gaussian_matrix(3))[0]
+        x = w @ random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))
+        y = w @ random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
+        reports = []
+        for tag, c in (("twin", 1.0), ("scaled", 2.0**e)):
+            fx, fy = tmp_path / f"{tag}_x.json", tmp_path / f"{tag}_y.json"
+            save_matrix(str(fx), x * c)
+            save_matrix(str(fy), y * c)
+            assert run("lemma-ah", "--x", str(fx), "--y", str(fy)) == 0
+            reports.append(capsys.readouterr().out)
+        assert reports[0] == reports[1]
 
 
 class TestUsage:

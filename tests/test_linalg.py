@@ -85,6 +85,8 @@ class TestToleranceConfig:
             ToleranceConfig(eig_off_diag_tol=-1e-13)
         with pytest.raises(ValueError):
             ToleranceConfig(max_jacobi_sweeps=0)
+        with pytest.raises(ValueError):
+            ToleranceConfig(identity_tol=math.inf)
 
     def test_identity_tol_must_exceed_floor(self):
         with pytest.raises(ValueError):

@@ -70,6 +70,8 @@ class TestGenSpec:
     def test_rejects_cond_below_one(self):
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=1, cond_target=0.5)
+        with pytest.raises(InvalidSpec):
+            GenSpec(dim=2, seed=1, cond_target=math.inf)
 
     def test_rejects_unknown_family(self):
         with pytest.raises(InvalidSpec):
@@ -78,6 +80,8 @@ class TestGenSpec:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=1, family="near_commuting", epsilon=-0.1)
+        with pytest.raises(InvalidSpec):
+            GenSpec(dim=2, seed=1, family="near_commuting", epsilon=math.inf)
 
     def test_rejects_epsilon_outside_near_commuting(self):
         with pytest.raises(InvalidSpec):

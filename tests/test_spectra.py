@@ -119,10 +119,24 @@ class TestEigendecompositionCounts:
         obj.evaluate(s)
         assert len(eigen_calls) == 2
 
+    @pytest.mark.parametrize("eps, count", [(0.0, 3), (0.3, 5)])
+    def test_sweep_row(self, eigen_calls, eps, count):
+        # A, B and the core; a perturbed row adds the generator's log and exp
+        base = GenSpec(dim=4, seed=3, cond_target=10.0, family="near_commuting")
+        sweep.run_sweep(sweep.SweepSpec(base=base, epsilons=(eps,), trials_per_epsilon=1))
+        assert len(eigen_calls) == count
+
+    def test_minimize_converged_at_start_uses_four(self, eigen_calls):
+        # set-up takes A and B0 once each, the one evaluation S and the core
+        b0 = random_hpd(GenSpec(dim=3, seed=2, cond_target=5.0))
+        trace = verify.minimize_gap(np.eye(3, dtype=complex), b0)
+        assert trace.stop_reason == "converged" and len(trace.iterates) == 1
+        assert len(eigen_calls) == 4
+
     def test_intermediates_then_report_share_the_context(self, eigen_calls):
         p = random_pair(4, 8, cond=20.0)
         ints = proof_intermediates(p)
-        proof_chain_report(p, intermediates=ints)
+        proof_chain_report(p)
         proof_chain_report(p)
         assert len(eigen_calls) == 5
 

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from opmeans.randgen import GenSpec, InvalidSpec
+from opmeans.randgen import GenSpec, InvalidSpec, near_commuting_pair
 from opmeans.sweep import SweepRow, SweepSpec, run_sweep
-from opmeans.verify import Verdict
+from opmeans.verify import Verdict, classify_gaps, proof_chain_report
 
 
 def base_spec(n=3, seed=2024, cond=10.0):
@@ -69,3 +69,13 @@ class TestRunSweep:
         row = run_sweep(spec)[0]
         assert isinstance(row, SweepRow)
         assert np.isfinite(row.trace_gap)
+
+    def test_row_gaps_equal_report_gaps(self):
+        spec = SweepSpec(base=base_spec(n=4, seed=17, cond=100.0),
+                         epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=2)
+        for row in run_sweep(spec):
+            rep = proof_chain_report(near_commuting_pair(GenSpec(
+                dim=4, seed=row.seed, cond_target=100.0, family="near_commuting", epsilon=row.epsilon)))
+            assert (row.mean_gap, row.commutator_gap, row.trace_gap) == (
+                rep.mean_gap, rep.commutator_gap, rep.trace_gap)
+            assert row.verdict == classify_gaps(rep.mean_gap, rep.commutator_gap).value

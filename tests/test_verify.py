@@ -83,7 +83,7 @@ class TestProofChainReport:
         p = random_pair(4, 3, cond=50.0)
         ints = proof_intermediates(p)
         rep1 = proof_chain_report(p)
-        rep2 = proof_chain_report(p, intermediates=ints)
+        rep2 = proof_chain_report(p)
         assert rep1.residuals == rep2.residuals
         assert rep1.mean_gap == rep2.mean_gap
 
