@@ -14,6 +14,7 @@ suite relies on (bit-identical reruns for a fixed seed).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -84,12 +85,12 @@ class ToleranceConfig:
                       singular value counts as zero
     eig_off_diag_tol  Jacobi convergence: off-diagonal Frobenius mass must
                       drop below this multiple of ||H||_F
-    max_jacobi_sweeps sweep budget before NoConvergence
+    max_jacobi_sweeps sweep budget before NoConvergence, an integer
     """
 
     identity_tol: float = 1e-10
     positivity_floor: float = 1e-12
-    eig_off_diag_tol: float = 1e-13
+    eig_off_diag_tol: float = 1e-15
     max_jacobi_sweeps: int = 100
 
     def __post_init__(self) -> None:
@@ -99,8 +100,9 @@ class ToleranceConfig:
                 raise ValueError(f"{name} must be strictly positive")
             if value == math.inf:
                 raise ValueError(f"{name} must be finite")
-        if self.max_jacobi_sweeps < 1:
-            raise ValueError("max_jacobi_sweeps must be at least 1")
+        sweeps = self.max_jacobi_sweeps
+        if not isinstance(sweeps, numbers.Integral) or isinstance(sweeps, bool) or sweeps < 1:
+            raise ValueError(f"max_jacobi_sweeps must be an integer of at least 1, got {sweeps!r}")
         if not self.identity_tol > self.positivity_floor:
             raise ValueError("identity_tol must exceed positivity_floor")
 

@@ -26,7 +26,8 @@ eigendecompositions in all. The full report adds one, of (A+Y)*(A+Y) for
 r4; since |Y| = X, r5 takes the polar factor of Y as U = Y X^{-1} with
 X^{-1} from the core spectrum, followed by one Newton-Schulz step. The
 descent decomposes A and the starting B0 once each, then evaluates its
-objective with two eigendecompositions, of S and of the core.
+objective with two eigendecompositions, of S and of the core, and takes its
+exact gradient from those two spectra with none of its own.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ import numpy as np
 
 from .linalg import (
     DEFAULT_CONFIG,
+    HermitianEigen,
     NumericalError,
     Singular,
     ToleranceConfig,
@@ -53,6 +55,7 @@ from .linalg import (
     _assemble,
     _newton_schulz_step,
     _scale_exponent,
+    _sqrt_values,
 )
 from .means import HpdPair, _core_root, _heron_form, _wasserstein_form
 
@@ -76,7 +79,7 @@ __all__ = [
 VIOLATION_BAND = 1e-6
 # descent stops once the squared normalized mean gap falls this low
 OBJECTIVE_FLOOR = 1e-16
-# forward-difference step is FD_STEP_SCALE * (1 + ||S||_F)
+# finite-difference step of the gradient checks is FD_STEP_SCALE * (1 + ||S||_F)
 FD_STEP_SCALE = 1e-6
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 40
@@ -330,14 +333,47 @@ def _hermitian_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
+@dataclass(frozen=True)
+class _ChartPoint:
+    """What one evaluation of the gap objective computes at S, kept so the
+    gradient at that point takes no eigendecomposition of its own."""
+
+    s: np.ndarray
+    eig_s: HermitianEigen
+    b: np.ndarray
+    sqrt_b: np.ndarray
+    eig_core: HermitianEigen
+    diff: np.ndarray
+    norm_b: float
+    gap: float
+
+
+def _sinhc(x: np.ndarray) -> np.ndarray:
+    """sinh(x) / x, with the limit 1 at x = 0."""
+    out = np.ones_like(x)
+    nonzero = x != 0.0
+    out[nonzero] = np.sinh(x[nonzero]) / x[nonzero]
+    return out
+
+
+def _frechet_adjoint(eig: HermitianEigen, divided: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Q (L o Q* G Q) Q*: the Daleckii-Krein derivative of a matrix function
+    with first divided differences L on the spectrum (Q, lambda), which is
+    also its own adjoint since L is real and symmetric."""
+    q = eig.frame
+    qh = q.conj().T
+    return q @ (divided * (qh @ g @ q)) @ qh
+
+
 class GapObjective:
     """Squared normalized mean gap as a function of the log chart of B.
 
     The free variable is a Hermitian matrix S and the objective is
-    mean_gap(A, exp(S))^2, so positivity of B is structural. Gradients are
-    finite differences in the n^2 real coordinates of S: forward
-    differences are what the optimizer uses, central differences are kept
-    for independent spot checks.
+    mean_gap(A, exp(S))^2, so positivity of B is structural. `gradient` is
+    exact, by the Daleckii-Krein formula on the spectra that `evaluate`
+    takes, and is what the optimizer uses; the finite differences in the
+    n^2 real coordinates of S (`gradient_forward`, `gradient_central`) are
+    kept as independent checks.
     """
 
     def __init__(self, a, cfg: ToleranceConfig = DEFAULT_CONFIG):
@@ -347,6 +383,7 @@ class GapObjective:
         self.norm_a = frobenius_norm(self.a)
         self.n = self.a.shape[0]
         self.basis = _hermitian_basis(self.n)
+        self._last: _ChartPoint | None = None
 
     def exp_point(self, s) -> np.ndarray:
         """B = exp(S)."""
@@ -355,24 +392,68 @@ class GapObjective:
 
     def evaluate(self, s) -> tuple[float, float, np.ndarray]:
         """(objective, mean_gap, exp(S)); exp(S/2) shares the one
-        eigendecomposition of S."""
+        eigendecomposition of S. The point is kept for `gradient`."""
+        s = np.array(s, dtype=np.complex128)
         eig = hermitian_eigen(s, self.cfg)
         b = _assemble(eig, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig, np.exp(eig.eigenvalues / 2.0))
-        _, x = _core_root(self.sqrt_a, b, self.cfg)
+        eig_core, x = _core_root(self.sqrt_a, b, self.cfg)
         heron = _heron_form(self.sqrt_a, sqrt_b)
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
-        gap = frobenius_norm(heron - wass) / (self.norm_a + frobenius_norm(b))
+        diff = heron - wass
+        norm_b = frobenius_norm(b)
+        gap = frobenius_norm(diff) / (self.norm_a + norm_b)
+        self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, diff, norm_b, gap)
         return gap * gap, gap, b
 
     def value(self, s) -> float:
         return self.evaluate(s)[0]
 
+    def gradient(self, s) -> np.ndarray:
+        """Exact gradient in the coordinates of `basis`.
+
+        One reverse pass through f = ||D||_F^2 / N^2, D = heron - wasserstein,
+        N = ||A||_F + ||B||_F: the Frechet derivatives of the core's square
+        root and of exp(S) and exp(S/2) come from the Daleckii-Krein formula
+        on the spectra of the core and of S. At the point of the latest
+        `evaluate` they are reused; elsewhere S is evaluated first.
+        """
+        pt = self._last
+        if pt is None or not np.array_equal(pt.s, s):
+            self.evaluate(s)
+            pt = self._last
+        sqrt_a, inv_sqrt_a, n = self.sqrt_a, self.inv_sqrt_a, self.n
+        norm = self.norm_a + pt.norm_b
+        g_d = pt.diff * (2.0 / (norm * norm))
+        avg = (sqrt_a + pt.sqrt_b) / 2.0
+        g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0
+        g_x = -(sqrt_a @ g_d @ inv_sqrt_a + inv_sqrt_a @ g_d @ sqrt_a) / 4.0
+        roots = _sqrt_values(pt.eig_core, self.cfg)
+        g_core = _frechet_adjoint(pt.eig_core, 1.0 / (roots[:, None] + roots), g_x)
+        # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
+        norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
+        g_b = sqrt_a @ g_core @ sqrt_a - g_d / 4.0 - norm_term * pt.b
+        # divided differences of exp and exp(./2), written without cancellation
+        lam = pt.eig_s.eigenvalues
+        mid, half = (lam[:, None] + lam) / 2.0, (lam[:, None] - lam) / 2.0
+        div_b = np.exp(mid) * _sinhc(half)
+        div_sqrt_b = np.exp(mid / 2.0) * _sinhc(half / 2.0) / 2.0
+        eig_s = pt.eig_s
+        g_s = _frechet_adjoint(eig_s, div_b, g_b) + _frechet_adjoint(eig_s, div_sqrt_b, g_sqrt_b)
+        # Re <G, E> for each basis direction E, in `_hermitian_basis` order
+        i, j = np.triu_indices(n, 1)
+        upper, lower = g_s[i, j], g_s[j, i]
+        coords = np.empty(n * n)
+        coords[:n] = np.diag(g_s).real
+        coords[n::2] = upper.real + lower.real
+        coords[n + 1::2] = upper.imag - lower.imag
+        return coords
+
     def step_size(self, s) -> float:
         return FD_STEP_SCALE * (1.0 + frobenius_norm(s))
 
     def gradient_forward(self, s, f0: float | None = None) -> np.ndarray:
-        """Forward-difference gradient, the optimizer's own."""
+        """Forward-difference gradient, an independent check on `gradient`."""
         if f0 is None:
             f0 = self.value(s)
         h = self.step_size(s)
@@ -406,9 +487,11 @@ def minimize_gap(
 ) -> DescentTrace:
     """Drive the squared mean gap toward zero over B with A held fixed.
 
-    Steepest descent in the Hermitian log chart S (B = exp(S)) with a
-    forward-difference gradient and a halving backtracking line search
-    (Armijo slope ARMIJO_SLOPE, at most MAX_BACKTRACKS halvings). The
+    Steepest descent in the Hermitian log chart S (B = exp(S)) with the
+    exact gradient (`GapObjective.gradient`, which reuses the spectra of
+    the evaluation that accepted each iterate, so a step costs about one
+    evaluation) and a halving backtracking line search (Armijo slope
+    ARMIJO_SLOPE, at most MAX_BACKTRACKS halvings). The
     initial trial step of each line search is the Barzilai-Borwein
     estimate from the last accepted move (falling back to twice the last
     accepted step), which is what lets the descent cross the
@@ -437,7 +520,7 @@ def minimize_gap(
         stop_reason = "converged"
         budget = 0
     for step in range(1, budget + 1):
-        g = obj.gradient_forward(s, f)
+        g = obj.gradient(s)
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             no_descent = True

@@ -85,6 +85,9 @@ class TestToleranceConfig:
             ToleranceConfig(eig_off_diag_tol=-1e-13)
         with pytest.raises(ValueError):
             ToleranceConfig(max_jacobi_sweeps=0)
+        for sweeps in (math.inf, 10.0, 2.5, True, "100", None):
+            with pytest.raises(ValueError):
+                ToleranceConfig(max_jacobi_sweeps=sweeps)
         with pytest.raises(ValueError):
             ToleranceConfig(identity_tol=math.inf)
 

@@ -133,6 +133,33 @@ class TestEigendecompositionCounts:
         assert trace.stop_reason == "converged" and len(trace.iterates) == 1
         assert len(eigen_calls) == 4
 
+    def test_gradient_at_evaluated_point_uses_none(self, eigen_calls):
+        obj = GapObjective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)))
+        s = linalg.logm(random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0)))
+        obj.evaluate(s)
+        del eigen_calls[:]
+        obj.gradient(s)
+        assert len(eigen_calls) == 0
+
+    def test_minimize_takes_two_per_evaluation(self, eigen_calls, monkeypatch):
+        # set-up takes A and B0; every evaluation S and the core, and the
+        # gradient reuses the spectra of the evaluation that accepted S
+        evaluations = []
+        real = GapObjective.evaluate
+
+        def counted(obj, s):
+            evaluations.append(s)
+            return real(obj, s)
+
+        monkeypatch.setattr(GapObjective, "evaluate", counted)
+        a = random_hpd(GenSpec(dim=3, seed=6, cond_target=3.0))
+        b0 = random_hpd(GenSpec(dim=3, seed=7, cond_target=3.0))
+        trace = verify.minimize_gap(a, b0, budget=1)
+        assert trace.stop_reason == "budget" and len(trace.iterates) == 2
+        assert len(eigen_calls) == 2 + 2 * len(evaluations)
+        # the start and one accepted trial; forward differences would add 9
+        assert len(evaluations) == 2
+
     def test_intermediates_then_report_share_the_context(self, eigen_calls):
         p = random_pair(4, 8, cond=20.0)
         ints = proof_intermediates(p)

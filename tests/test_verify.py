@@ -8,7 +8,7 @@ import pytest
 
 from conftest import commuting_pair, hpd, mat, random_pair
 
-from opmeans.linalg import Singular, abs_op, frobenius_norm
+from opmeans.linalg import Singular, abs_op, frobenius_norm, logm
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
@@ -31,6 +31,35 @@ EXAMPLE_B = mat([[3.0, 0.0], [0.0, 1.0]])
 
 def random_unitary(seed, n):
     return np.linalg.qr(SplitMix64(seed).complex_gaussian_matrix(n))[0]
+
+
+def near_commutant_point(n, seed, offset):
+    """Diagonal A on a jittered eigenvalue ladder in [1/sqrt(3), sqrt(3)] and
+    a chart point S at Frobenius distance `offset` from the diagonal ones,
+    whose exp(S) commute with A."""
+    rng = SplitMix64(seed)
+    ladder = np.linspace(-0.5, 0.5, n) * math.log(3.0)
+    a = np.diag(np.exp(ladder + [rng.uniform(-0.1, 0.1) for _ in range(n)])).astype(complex)
+    mu = np.diag([rng.uniform(-0.5, 0.5) for _ in range(n)])
+    g = rng.complex_gaussian_matrix(n)
+    k = (g + g.conj().T) / 2.0
+    return a, mu + offset * k / np.linalg.norm(k)
+
+
+def eigh_gap(a, s):
+    """The mean gap at B = exp(S) with every spectrum from np.linalg.eigh."""
+
+    def spectral(h, f):
+        w, v = np.linalg.eigh(h)
+        return (v * f(w)) @ v.conj().T
+
+    b, sqrt_b = spectral(s, np.exp), spectral(s / 2.0, np.exp)
+    sqrt_a, inv_sqrt_a = spectral(a, np.sqrt), spectral(a, lambda w: 1.0 / np.sqrt(w))
+    core = sqrt_a @ b @ sqrt_a
+    x = spectral((core + core.conj().T) / 2.0, np.sqrt)
+    avg = (sqrt_a + sqrt_b) / 2.0
+    diff = avg @ avg - (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
+    return np.linalg.norm(diff) / (np.linalg.norm(a) + np.linalg.norm(b))
 
 
 class TestProofChainReport:
@@ -229,12 +258,47 @@ class TestGapObjective:
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
         obj = GapObjective(a)
         b0 = random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0))
-        from opmeans.linalg import logm
-
         s = logm(b0)
         gf = obj.gradient_forward(s)
         gc = obj.gradient_central(s)
         assert np.linalg.norm(gf - gc) <= 1e-4 * np.linalg.norm(gc)
+
+    def test_gradient_matches_central_on_generic_pairs(self):
+        for seed in range(16):
+            n, cond = 2 + seed % 4, 3.0 + seed % 8
+            obj = GapObjective(hpd(n, mix_seed(seed, 0), cond))
+            s = logm(hpd(n, mix_seed(seed, 1), cond))
+            obj.evaluate(s)
+            g, gc = obj.gradient(s), obj.gradient_central(s)
+            assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
+
+    def test_gradient_matches_central_near_commutant(self):
+        for seed in range(6):
+            a, s = near_commutant_point(3 + seed % 2, seed, offset=0.01)
+            obj = GapObjective(a)
+            g, gc = obj.gradient(s), obj.gradient_central(s)
+            assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
+
+    def test_gradient_does_not_depend_on_the_last_evaluation(self):
+        a = hpd(3, 11, cond=5.0)
+        s = logm(hpd(3, 12, cond=5.0))
+        obj = GapObjective(a)
+        obj.evaluate(s)
+        at_s = obj.gradient(s)
+        obj.evaluate(s + 0.1 * np.eye(3))
+        assert np.array_equal(obj.gradient(s), at_s)
+        assert np.array_equal(GapObjective(a).gradient(s), at_s)
+
+    def test_gap_near_commutant_matches_eigh_reference(self):
+        # gaps near 1e-9 are differences of O(1) terms, so the core's
+        # eigensolver must stop well below 1e-13 * ||C||_F for the gap to
+        # keep its leading digits; 5e-7 leaves room for the reference's own
+        # roundoff of about 1e-16 / 1e-9
+        for seed in range(40):
+            a, s = near_commutant_point(3 + seed % 2, seed, offset=1e-6)
+            gap = GapObjective(a).evaluate(s)[1]
+            ref = eigh_gap(a, s)
+            assert abs(gap - ref) <= 5e-7 * ref, seed
 
 
 class TestMinimizeGap:
@@ -282,9 +346,10 @@ class TestMinimizeGap:
         assert len(tr.iterates) <= 4
 
     def test_line_search_stall_sets_flag(self):
-        # this start is known to bottom out at the forward-difference bias
-        # floor before reaching the objective floor; the run must end with
-        # the flag set rather than an exception
+        # a start whose run may end where the line search finds no descent
+        # step above the objective floor, the gradient having reached the
+        # roundoff of the objective; the run must end with the flag set
+        # rather than an exception
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
         b0 = random_hpd(GenSpec(dim=3, seed=5, cond_target=4.0))
         tr = minimize_gap(a, b0, budget=300)
