@@ -284,7 +284,9 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
 
     Raises NotHermitian when the input asymmetry exceeds identity_tol and
     NoConvergence when the off-diagonal mass has not dropped below
-    eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps.
+    eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
+    runs on 2^-e H, with ||2^-e H||_F in [1/2, 1), whose mass neither
+    underflows nor overflows; the scaling is exact and changes no bit.
     """
     hm = require_hermitian(h, cfg)
     n = hm.shape[0]
@@ -294,20 +296,21 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
             frame=np.eye(n, dtype=np.complex128),
             eigenvalues=np.diag(hm).real.copy(),
         )
-    a = hm.tolist()
+    e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
+    a = (hm * math.ldexp(1.0, -e)).tolist()
     v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
-    target = cfg.eig_off_diag_tol * scale
+    target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
     # rotations on entries this small cannot lift the mass back above target
     skip = target / (4.0 * n)
     if not _jacobi(a, v, n, target, skip, cfg.max_jacobi_sweeps):
         raise NoConvergence(
-            f"off-diagonal mass {_off_diagonal_mass(a, n):.3e} above "
-            f"{target:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
+            f"off-diagonal mass {math.ldexp(_off_diagonal_mass(a, n), e):.3e} above "
+            f"{cfg.eig_off_diag_tol * scale:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
         )
     lam = np.array([a[i][i].real for i in range(n)])
     order = np.argsort(lam, kind="stable")
     frame = np.array(v, dtype=np.complex128)[:, order]
-    return HermitianEigen(frame=frame, eigenvalues=lam[order])
+    return HermitianEigen(frame=frame, eigenvalues=np.ldexp(lam[order], e))
 
 
 def _assemble(eig: HermitianEigen, values: np.ndarray) -> np.ndarray:
@@ -413,9 +416,12 @@ def abs_op(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     Negative roundoff eigenvalues of T*T are clamped to zero, so the result
     is defined for singular T as well.
     """
-    t = as_matrix(t)
-    eig = _gram_eigen(t, cfg)
-    return _assemble(eig, np.sqrt(np.maximum(eig.eigenvalues, 0.0)))
+    return _abs_from_gram(_gram_eigen(as_matrix(t), cfg))
+
+
+def _abs_from_gram(gram: HermitianEigen) -> np.ndarray:
+    """|T| from the spectrum of T*T, negative roundoff clamped to zero."""
+    return _assemble(gram, np.sqrt(np.maximum(gram.eigenvalues, 0.0)))
 
 
 def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
@@ -427,9 +433,13 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
     """
     t = as_matrix(t)
     eig = _gram_eigen(t, cfg)
-    sing = _singular_values(eig, cfg)
-    u = _newton_schulz_step(t @ _assemble(eig, 1.0 / sing))
-    return PolarParts(isometry=u, positive=_assemble(eig, sing))
+    return PolarParts(isometry=_isometry(t, eig, cfg), positive=_abs_from_gram(eig))
+
+
+def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """The polar factor U = T |T|^{-1}, from the spectrum of T*T."""
+    sing = _singular_values(gram, cfg)
+    return _newton_schulz_step(t @ _assemble(gram, 1.0 / sing))
 
 
 def _singular_values(gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:

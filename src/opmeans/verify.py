@@ -49,10 +49,12 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigen,
     logm,
-    polar,
     require_hermitian,
     sqrt_and_inv_sqrt,
+    _abs_from_gram,
     _assemble,
+    _gram_eigen,
+    _isometry,
     _newton_schulz_step,
     _scale_exponent,
     _sqrt_values,
@@ -138,7 +140,6 @@ class DescentTrace:
     iterates     (step, mean_gap, commutator_gap, objective) per accepted
                  step, starting with the initial point at step 0
     final_b      the matrix exp(S) at the last accepted iterate
-    no_descent   the line search failed MAX_BACKTRACKS times in a row
     stop_reason  "converged", "budget", or "no_descent"
     states       the Hermitian chart points S per iterate when recording
                  was requested, else None
@@ -146,9 +147,13 @@ class DescentTrace:
 
     iterates: list[tuple[int, float, float, float]]
     final_b: np.ndarray
-    no_descent: bool
     stop_reason: str
     states: list[np.ndarray] | None = None
+
+    @property
+    def no_descent(self) -> bool:
+        """A zero gradient, or MAX_BACKTRACKS failed halvings in a row."""
+        return self.stop_reason == "no_descent"
 
 
 def commutator_gap(a, b) -> float:
@@ -165,6 +170,13 @@ def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float,
     """(mean_gap, commutator_gap) without the full residual report."""
     s = p.spectra(cfg)
     return s.mean_gap, commutator_gap(s.a, s.b)
+
+
+def _relative(diff: np.ndarray, scale: float, name: str) -> float:
+    """||diff||_F / scale, or NumericalError for a scale out of (0, inf)."""
+    if not 0.0 < scale < math.inf:
+        raise NumericalError(f"residual {name} has normalizing scale {scale!r}, out of range")
+    return frobenius_norm(diff) / scale
 
 
 def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> GapReport:
@@ -191,7 +203,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
         frobenius_norm(sab) + frobenius_norm(y)
         + frobenius_norm(sxs_r) + frobenius_norm(sxs_l)
     )
-    r1 = frobenius_norm(lhs1 - rhs1) / scale1
+    r1 = _relative(lhs1 - rhs1, scale1, "r1")
 
     # r2: the same identity conjugated by A^{1/2}
     ay = a @ y
@@ -204,16 +216,16 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
         frobenius_norm(ay) + frobenius_norm(ya)
         + frobenius_norm(ax) + frobenius_norm(xa)
     )
-    r2 = frobenius_norm(lhs2 - rhs2) / scale2
+    r2 = _relative(lhs2 - rhs2, scale2, "r2")
 
     # r3: expansion of (A+Y)*(A+Y) - (A+X)^2 using Y*Y = X^2
     apy = a + y
     apx = a + x
     gram = apy.conj().T @ apy
-    r3 = frobenius_norm(gram - apx @ apx - lhs2) / frobenius_norm(gram)
+    r3 = _relative(gram - apx @ apx - lhs2, frobenius_norm(gram), "r3")
 
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
-    r4 = frobenius_norm(abs_op(apy, cfg) - apx) / frobenius_norm(apx)
+    r4 = _relative(abs_op(apy, cfg) - apx, frobenius_norm(apx), "r4")
 
     # r5: polar factor U = Y X^{-1} of Y collapses to the identity
     # (conditional); |Y| = X, so X^{-1} comes from the core spectrum
@@ -226,7 +238,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
         r5 = math.inf
 
     # r6: self-adjointness of Y, the commutativity conclusion
-    r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
+    r6 = _relative(y - y.conj().T, frobenius_norm(y), "r6")
 
     return GapReport(
         mean_gap=s.mean_gap,
@@ -298,12 +310,13 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     abs_x = abs_op(x, cfg)
     abs_y = abs_op(y, cfg)
     total = x + y
-    abs_total = abs_op(total, cfg)
+    gram = _gram_eigen(total, cfg)  # for both |X+Y| and its polar factor
+    abs_total = _abs_from_gram(gram)
     denom = frobenius_norm(abs_total)
     residual = frobenius_norm(abs_total - abs_x - abs_y) / denom if denom > 0.0 else 0.0
     if residual > cfg.identity_tol:
         raise TriangleEqualityFails(residual)
-    u = polar(total, cfg).isometry
+    u = _isometry(total, gram, cfg)
     nx = frobenius_norm(x)
     ny = frobenius_norm(y)
     rx = frobenius_norm(x - u @ abs_x) / nx if nx > 0.0 else 0.0
@@ -311,26 +324,30 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     return WitnessReport(triangle_residual=residual, witness=u, factor_residuals=(rx, ry))
 
 
-def _hermitian_basis(n: int) -> list[np.ndarray]:
-    """Coordinate directions spanning the n^2-dimensional real space of
-    Hermitian matrices: diagonal units, then (E_ij + E_ji) and
+def _coords(g: np.ndarray) -> np.ndarray:
+    """Re <G, E> for each coordinate direction E of the n^2-dimensional real
+    space of Hermitian matrices: diagonal units, then (E_ij + E_ji) and
     i (E_ij - E_ji) for i < j."""
-    basis = []
-    for i in range(n):
-        e = np.zeros((n, n), dtype=np.complex128)
-        e[i, i] = 1.0
-        basis.append(e)
-    for i in range(n):
-        for j in range(i + 1, n):
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0
-            e[j, i] = 1.0
-            basis.append(e)
-            e = np.zeros((n, n), dtype=np.complex128)
-            e[i, j] = 1.0j
-            e[j, i] = -1.0j
-            basis.append(e)
-    return basis
+    n = g.shape[0]
+    i, j = np.triu_indices(n, 1)
+    upper, lower = g[i, j], g[j, i]
+    coords = np.empty(n * n)
+    coords[:n] = np.diag(g).real
+    coords[n::2] = upper.real + lower.real
+    coords[n + 1::2] = upper.imag - lower.imag
+    return coords
+
+
+def _hermitian(coords: np.ndarray) -> np.ndarray:
+    """sum_k c_k E_k over the directions of `_coords`: Re <G, H(c)> = coords(G) . c."""
+    n = math.isqrt(len(coords))
+    i, j = np.triu_indices(n, 1)
+    c = coords + 0.0  # -0.0 -> +0.0, the zeros that sum has
+    h = np.diag(c[:n]).astype(np.complex128)
+    sym, anti = c[n::2], 1j * c[n + 1::2]
+    h[i, j] = sym + anti
+    h[j, i] = sym - anti
+    return h
 
 
 @dataclass(frozen=True)
@@ -382,13 +399,7 @@ class GapObjective:
         self.sqrt_a, self.inv_sqrt_a = sqrt_and_inv_sqrt(self.a, cfg)
         self.norm_a = frobenius_norm(self.a)
         self.n = self.a.shape[0]
-        self.basis = _hermitian_basis(self.n)
         self._last: _ChartPoint | None = None
-
-    def exp_point(self, s) -> np.ndarray:
-        """B = exp(S)."""
-        eig = hermitian_eigen(s, self.cfg)
-        return _assemble(eig, np.exp(eig.eigenvalues))
 
     def evaluate(self, s) -> tuple[float, float, np.ndarray]:
         """(objective, mean_gap, exp(S)); exp(S/2) shares the one
@@ -406,11 +417,8 @@ class GapObjective:
         self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, diff, norm_b, gap)
         return gap * gap, gap, b
 
-    def value(self, s) -> float:
-        return self.evaluate(s)[0]
-
     def gradient(self, s) -> np.ndarray:
-        """Exact gradient in the coordinates of `basis`.
+        """Exact gradient in the coordinates of `_coords`.
 
         One reverse pass through f = ||D||_F^2 / N^2, D = heron - wasserstein,
         N = ||A||_F + ||B||_F: the Frechet derivatives of the core's square
@@ -422,7 +430,7 @@ class GapObjective:
         if pt is None or not np.array_equal(pt.s, s):
             self.evaluate(s)
             pt = self._last
-        sqrt_a, inv_sqrt_a, n = self.sqrt_a, self.inv_sqrt_a, self.n
+        sqrt_a, inv_sqrt_a = self.sqrt_a, self.inv_sqrt_a
         norm = self.norm_a + pt.norm_b
         g_d = pt.diff * (2.0 / (norm * norm))
         avg = (sqrt_a + pt.sqrt_b) / 2.0
@@ -440,42 +448,27 @@ class GapObjective:
         div_sqrt_b = np.exp(mid / 2.0) * _sinhc(half / 2.0) / 2.0
         eig_s = pt.eig_s
         g_s = _frechet_adjoint(eig_s, div_b, g_b) + _frechet_adjoint(eig_s, div_sqrt_b, g_sqrt_b)
-        # Re <G, E> for each basis direction E, in `_hermitian_basis` order
-        i, j = np.triu_indices(n, 1)
-        upper, lower = g_s[i, j], g_s[j, i]
-        coords = np.empty(n * n)
-        coords[:n] = np.diag(g_s).real
-        coords[n::2] = upper.real + lower.real
-        coords[n + 1::2] = upper.imag - lower.imag
-        return coords
+        return _coords(g_s)
 
     def step_size(self, s) -> float:
         return FD_STEP_SCALE * (1.0 + frobenius_norm(s))
 
-    def gradient_forward(self, s, f0: float | None = None) -> np.ndarray:
+    def gradient_forward(self, s) -> np.ndarray:
         """Forward-difference gradient, an independent check on `gradient`."""
-        if f0 is None:
-            f0 = self.value(s)
-        h = self.step_size(s)
-        g = np.empty(len(self.basis))
-        for k, e in enumerate(self.basis):
-            g[k] = (self.value(s + h * e) - f0) / h
+        f0, h = self.evaluate(s)[0], self.step_size(s)
+        g = np.empty(self.n * self.n)
+        for k, e in enumerate(np.eye(self.n * self.n)):
+            g[k] = (self.evaluate(s + h * _hermitian(e))[0] - f0) / h
         return g
 
     def gradient_central(self, s) -> np.ndarray:
         """Central-difference gradient, kept independent for spot checks."""
         h = self.step_size(s)
-        g = np.empty(len(self.basis))
-        for k, e in enumerate(self.basis):
-            g[k] = (self.value(s + h * e) - self.value(s - h * e)) / (2.0 * h)
+        g = np.empty(self.n * self.n)
+        for k, e in enumerate(np.eye(self.n * self.n)):
+            step = h * _hermitian(e)
+            g[k] = (self.evaluate(s + step)[0] - self.evaluate(s - step)[0]) / (2.0 * h)
         return g
-
-    def direction(self, coords: np.ndarray) -> np.ndarray:
-        """Hermitian matrix with the given coordinates in the basis."""
-        d = np.zeros((self.n, self.n), dtype=np.complex128)
-        for c, e in zip(coords, self.basis):
-            d += c * e
-        return d
 
 
 def minimize_gap(
@@ -497,8 +490,8 @@ def minimize_gap(
     accepted step), which is what lets the descent cross the
     ill-conditioned valley floor within realistic budgets. Stops when the
     objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
-    exhausted, or no descent step can be found; the last case sets the
-    no_descent flag instead of raising. B0 must be Hermitian (NotHermitian)
+    exhausted, or no descent step can be found; the last case stops with
+    reason "no_descent" instead of raising. B0 must be Hermitian (NotHermitian)
     and positive definite (DomainError from its logarithm).
     """
     if budget < 1:
@@ -511,7 +504,6 @@ def minimize_gap(
     f, gap, b = obj.evaluate(s)
     iterates = [(0, gap, commutator_gap(obj.a, b), f)]
     states = [s] if record_states else None
-    no_descent = False
     stop_reason = "budget"
     trial_scale = 1.0
     prev_g: np.ndarray | None = None
@@ -523,7 +515,6 @@ def minimize_gap(
         g = obj.gradient(s)
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
-            no_descent = True
             stop_reason = "no_descent"
             break
         t = trial_scale
@@ -534,7 +525,7 @@ def minimize_gap(
                 bb = float(prev_move @ dg) / dgg
                 if bb > 0.0:
                     t = min(max(bb, 1e-12), 1e6)
-        delta = -obj.direction(g)
+        delta = -_hermitian(g)
         accepted = False
         for _ in range(MAX_BACKTRACKS):
             s_try = s + t * delta
@@ -544,7 +535,6 @@ def minimize_gap(
                 break
             t /= 2.0
         if not accepted:
-            no_descent = True
             stop_reason = "no_descent"
             break
         prev_g = g
@@ -560,7 +550,6 @@ def minimize_gap(
     return DescentTrace(
         iterates=iterates,
         final_b=b,
-        no_descent=no_descent,
         stop_reason=stop_reason,
         states=states,
     )

@@ -127,6 +127,13 @@ class TestVerify:
         payload = json.loads((tmp_path / "r.json").read_text())
         assert payload["tolerances"]["identity_tol"] == 1e-8
 
+    def test_underflowed_residual_scale_exits_2(self, tmp_path, capsys):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e300)
+        assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
+        assert "residual r2" in capsys.readouterr().err
+
     def test_bad_tol_is_usage_error(self, tmp_path):
         fa = tmp_path / "a.json"
         save_matrix(str(fa), np.eye(2, dtype=complex))

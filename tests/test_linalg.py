@@ -157,6 +157,26 @@ class TestHermitianEigen:
         with pytest.raises(NoConvergence):
             hermitian_eigen(random_hermitian(8, 5), cfg)
 
+    @pytest.mark.parametrize("e", [560, -560])
+    def test_power_of_two_scaling_is_exact(self, e):
+        # squared entries near 2^+-1120 leave the double range, but Jacobi
+        # runs on the matrix scaled back to unit norm
+        h = hpd(4, 3, cond=10.0)
+        ref, got = hermitian_eigen(h), hermitian_eigen(h * 2.0**e)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues * 2.0**e)
+        assert np.array_equal(got.frame, ref.frame)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e200])
+    def test_extreme_scale_matches_lapack(self, c):
+        h = hpd(4, 3, cond=10.0) * c
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(hermitian_eigen(h).eigenvalues - ref)) <= 1e-13 * ref[-1]
+
+    def test_no_convergence_reports_input_units(self):
+        h = random_hermitian(8, 5) * 2.0**-600
+        with pytest.raises(NoConvergence, match=f"above {1e-15 * frobenius_norm(h):.3e} "):
+            hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
+
     def test_zero_matrix(self):
         e = hermitian_eigen(np.zeros((3, 3), dtype=complex))
         assert np.allclose(e.eigenvalues, 0.0)

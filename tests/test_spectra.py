@@ -160,6 +160,12 @@ class TestEigendecompositionCounts:
         # the start and one accepted trial; forward differences would add 9
         assert len(evaluations) == 2
 
+    def test_witness_uses_three(self, eigen_calls):
+        # |X|, |Y|, and one gram of X+Y for both |X+Y| and its polar factor
+        p = random_pair(4, 9, cond=20.0)
+        verify.ando_hayashi_witness(p.a, p.b)
+        assert len(eigen_calls) == 3
+
     def test_intermediates_then_report_share_the_context(self, eigen_calls):
         p = random_pair(4, 8, cond=20.0)
         ints = proof_intermediates(p)

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import commuting_pair, hpd, mat, random_pair
 
-from opmeans.linalg import Singular, abs_op, frobenius_norm, logm
+from opmeans.linalg import NumericalError, Singular, abs_op, frobenius_norm, logm
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
@@ -23,6 +23,8 @@ from opmeans.verify import (
     proof_chain_report,
     theorem_check,
     trace_criterion,
+    _coords,
+    _hermitian,
 )
 
 EXAMPLE_A = mat([[2.0, 1.0], [1.0, 2.0]])
@@ -122,6 +124,15 @@ class TestProofChainReport:
         direct = frobenius_norm(heron_mean(p) - wasserstein_mean(p))
         direct /= frobenius_norm(p.a) + frobenius_norm(p.b)
         assert rep.mean_gap == pytest.approx(direct, rel=1e-10)
+
+    @pytest.mark.parametrize("ca, cb", [(1.0, 1e300), (1e-150, 1e150)])
+    def test_underflowed_scale_is_numerical_error(self, ca, cb):
+        # the pair is scaled so that B's entries are near 1, and A Y then
+        # underflows to zero: r2 has nothing to normalize by
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        with pytest.raises(NumericalError, match="residual r2"):
+            proof_chain_report(HpdPair.validated(a * ca, b * cb))
 
 
 class TestVerdicts:
@@ -252,7 +263,7 @@ class TestGapObjective:
     def test_exp_point_positive(self):
         obj = GapObjective(hpd(3, 7, cond=10.0))
         s = np.zeros((3, 3), dtype=complex)
-        assert np.allclose(obj.exp_point(s), np.eye(3), atol=1e-13)
+        assert np.allclose(obj.evaluate(s)[2], np.eye(3), atol=1e-13)
 
     def test_forward_close_to_central_away_from_minimum(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
@@ -301,7 +312,36 @@ class TestGapObjective:
             assert abs(gap - ref) <= 5e-7 * ref, seed
 
 
+class TestCoordinateMap:
+    def test_coords_are_the_adjoint_of_hermitian(self):
+        # Re <G, H(c)> = coords(G) . c, so the gradient read out by
+        # `_coords` and the step built by `_hermitian` agree
+        rng = np.random.default_rng(7)
+        for n in range(1, 7):
+            for _ in range(5):
+                g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                c = rng.standard_normal(n * n)
+                lhs = np.vdot(g, _hermitian(c)).real
+                rhs = _coords(g) @ c
+                assert abs(lhs - rhs) <= 1e-12 * (abs(rhs) + np.linalg.norm(g) * np.linalg.norm(c))
+
+    def test_hermitian_is_exactly_hermitian(self):
+        rng = np.random.default_rng(8)
+        for n in range(1, 7):
+            h = _hermitian(rng.standard_normal(n * n))
+            assert np.array_equal(h, h.conj().T)
+
+
 class TestMinimizeGap:
+    def test_step_zero_gap_at_tiny_scale(self):
+        # at 2^-300 the core's entries are near 2^-600; the eigensolver
+        # scales them back, so the gap matches the unscaled twin
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        ref = minimize_gap(a, b0, budget=1).iterates[0][1]
+        tiny = minimize_gap(a * 2.0**-300, b0 * 2.0**-300, budget=1).iterates[0][1]
+        assert abs(tiny - ref) <= 1e-10 * ref
+
     def test_identity_a_converges_immediately(self):
         b0 = hpd(3, 9, cond=10.0)
         tr = minimize_gap(np.eye(3, dtype=complex), b0, budget=10)
@@ -336,7 +376,7 @@ class TestMinimizeGap:
         assert tr.final_b.shape == (2, 2)
         # final_b is exp of the last recorded state
         obj = GapObjective(a)
-        assert frobenius_norm(obj.exp_point(tr.states[-1]) - tr.final_b) <= 1e-12
+        assert frobenius_norm(obj.evaluate(tr.states[-1])[2] - tr.final_b) <= 1e-12
 
     def test_budget_exhaustion_reported(self):
         a = np.diag([1.0, 2.0, 4.0]).astype(complex)
