@@ -2,8 +2,10 @@
 
 Everything downstream (operator means, identity residuals, the descent
 experiment) is built on the handful of primitives in this module: adjoint,
-a cyclic Jacobi eigensolver for Hermitian matrices, functional calculus,
-operator absolute value, polar decomposition, and norms.
+a Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
+small matrices, round-robin order on numpy arrays for larger ones),
+functional calculus, operator absolute value, polar decomposition, and
+norms.
 
 Matrices are plain numpy arrays with complex128 entries. No LAPACK-backed
 eigen/SVD routines are used in library code; the Jacobi solver keeps the
@@ -217,20 +219,26 @@ def _off_diagonal_mass(a: list, n: int) -> float:
     return math.sqrt(2.0 * total)
 
 
-def _jacobi(a: list, v: list, n: int, target: float, skip: float, max_sweeps: int) -> bool:
-    """Cyclic Jacobi sweeps with complex Givens rotations, in place.
+_Solution = tuple[np.ndarray, np.ndarray, float]
 
-    Each rotation zeroes one off-diagonal pair of the working matrix `a`
-    while accumulating the same rotation into the column frame `v`. Both
-    are lists of row lists holding Python complex scalars, which is faster
-    than numpy element access at the sizes this library targets (n <= 64).
-    Returns True once the off-diagonal mass is at or below `target`.
+
+def _jacobi(m: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
+    """Cyclic Jacobi sweeps with complex Givens rotations.
+
+    Each rotation zeroes one off-diagonal pair of the working matrix while
+    accumulating the same rotation into the column frame. Both are lists
+    of row lists holding Python complex scalars, which beats numpy element
+    access below `_ROUNDS_MIN_N`. Returns the diagonal, the frame and the
+    final off-diagonal mass, which is above `target` only when the sweep
+    budget ran out.
     """
+    n = m.shape[0]
+    a = m.tolist()
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     for sweep in range(max_sweeps + 1):
-        if _off_diagonal_mass(a, n) <= target:
-            return True
-        if sweep == max_sweeps:
-            return False
+        mass = _off_diagonal_mass(a, n)
+        if mass <= target or sweep == max_sweeps:
+            break
         for p in range(n - 1):
             ap = a[p]
             for q in range(p + 1, n):
@@ -276,13 +284,90 @@ def _jacobi(a: list, v: list, n: int, target: float, skip: float, max_sweeps: in
                     y = vi[q]
                     vi[p] = x * cu - y * s
                     vi[q] = x * su + y * c
-    return False
+    return np.array([a[i][i].real for i in range(n)]), np.array(v, dtype=np.complex128), mass
+
+
+# From this size on, one numpy update per round of disjoint rotations
+# beats the scalar loop's per-rotation interpreter steps.
+_ROUNDS_MIN_N = 12
+
+
+def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The rounds of the circle-method tournament on n indices, as (p, q).
+
+    Index 0 stays put and the others rotate one place per round, so in
+    the n - 1 rounds (n for odd n) every pair p < q meets exactly once
+    and no index appears twice in a round. Odd n gets a dummy index n
+    whose pairs are dropped.
+    """
+    m = n + n % 2
+    ring = list(range(m))
+    rounds = []
+    for _ in range(m - 1):
+        pairs = [(min(x, y), max(x, y)) for x, y in zip(ring[: m // 2], ring[::-1]) if max(x, y) < n]
+        p, q = np.array(pairs).T
+        rounds.append((p, q))
+        ring = [ring[0], ring[-1], *ring[1:-1]]
+    return rounds
+
+
+# tau * tau overflows to inf, and t to 0 as in the scalar loop, only for an
+# eig_off_diag_tol below about 1e-150
+@np.errstate(over="ignore")
+def _jacobi_rounds(m: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
+    """Round-robin Jacobi (Brent & Luk 1985): the rotations of one round
+    touch disjoint index pairs, so they form one unitary J, and a round is
+    A <- J* A J and V <- V J as matrix products.
+
+    Rotation angles and the `skip` rule are the scalar loop's, pair for
+    pair; a skipped pair's entries, at most `skip`, are set to zero with
+    the rest. Same contract as `_jacobi`.
+    """
+    n = m.shape[0]
+    plan = []
+    for p, q in _round_robin(n):
+        # flat positions of (q, p), (p, q), (p, p) and (q, q), pair by pair,
+        # where J's entries go; a round gathers the last three, zeroes the
+        # first two and makes the last two real
+        k, place = len(p), np.concatenate((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))
+        plan.append((k, place, place[k:], place[: 2 * k], place[2 * k :]))
+    upper = np.triu_indices(n, 1)
+    eye = np.eye(n, dtype=np.complex128)
+    a, v = m, eye
+    for sweep in range(max_sweeps + 1):
+        off = a[upper]
+        mass = math.sqrt(2.0 * np.vdot(off, off).real)
+        if mass <= target or sweep == max_sweeps:
+            break
+        for k, place, gather, off_diag, diag in plan:
+            g = a.take(gather)
+            h = g[:k]
+            r = np.abs(h)
+            live = r > skip
+            # skipped pairs divide by 1 and take the identity: both arms of
+            # np.where are evaluated, so neither may divide by zero
+            r = np.where(live, r, 1.0)
+            u = np.where(live, h / r, 1.0)
+            tau = (g[2 * k :].real - g[k : 2 * k].real) / (2.0 * r)
+            sign = np.where(tau >= 0.0, 1.0, -1.0)
+            t = np.where(live, sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            s = t * c
+            j = eye.copy()
+            np.put(j, place, np.concatenate((-s, s * u, c * u, c)))
+            a = j.conj().T @ (a @ j)
+            v = v @ j
+            np.put(a, off_diag, 0.0)
+            np.put(a, diag, a.take(diag).real)
+    return a.diagonal().real.copy(), v, mass
 
 
 def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix by cyclic Jacobi rotations.
+    """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
-    Raises NotHermitian when the input asymmetry exceeds identity_tol and
+    Below `_ROUNDS_MIN_N` the rotations run in cyclic order, from that
+    size on in round-robin order; both stop at the same target. Raises
+    NotHermitian when the input asymmetry exceeds identity_tol and
     NoConvergence when the off-diagonal mass has not dropped below
     eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
     runs on 2^-e H, with ||2^-e H||_F in [1/2, 1), whose mass neither
@@ -297,20 +382,18 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
             eigenvalues=np.diag(hm).real.copy(),
         )
     e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
-    a = (hm * math.ldexp(1.0, -e)).tolist()
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
     # rotations on entries this small cannot lift the mass back above target
     skip = target / (4.0 * n)
-    if not _jacobi(a, v, n, target, skip, cfg.max_jacobi_sweeps):
+    solve = _jacobi_rounds if n >= _ROUNDS_MIN_N else _jacobi
+    lam, frame, mass = solve(hm * math.ldexp(1.0, -e), target, skip, cfg.max_jacobi_sweeps)
+    if not mass <= target:
         raise NoConvergence(
-            f"off-diagonal mass {math.ldexp(_off_diagonal_mass(a, n), e):.3e} above "
+            f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
             f"{cfg.eig_off_diag_tol * scale:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
         )
-    lam = np.array([a[i][i].real for i in range(n)])
     order = np.argsort(lam, kind="stable")
-    frame = np.array(v, dtype=np.complex128)[:, order]
-    return HermitianEigen(frame=frame, eigenvalues=np.ldexp(lam[order], e))
+    return HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e))
 
 
 def _assemble(eig: HermitianEigen, values: np.ndarray) -> np.ndarray:

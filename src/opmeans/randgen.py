@@ -18,7 +18,11 @@ bit for bit, across machines and reruns:
   * HPD matrices: frame @ diag(eigenvalues) @ frame*. Eigenvalues sit in
     [1/sqrt(c), sqrt(c)] for condition target c: the endpoints are placed
     deterministically (so the realized condition number is c) and the
-    remaining n - 2 values are drawn log-uniformly in between.
+    remaining n - 2 values are drawn log-uniformly in between;
+  * near-commuting pairs: B = exp(log B0 + epsilon K), with log B0 =
+    Q diag(log lambda_B) Q* built from B0's own frame and eigenvalues.
+    Taking log B0 by an eigendecomposition of B0 instead gives B in other
+    last bits.
 
 Per-trial seeds for batch runs come from `mix_seed`, the splitmix64
 finalizer applied to master XOR ((index + 1) * golden ratio increment).
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig, expm, logm
+from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig, expm
 from .means import HpdPair
 
 __all__ = [
@@ -197,20 +201,22 @@ def random_hpd(spec: GenSpec) -> np.ndarray:
     return _hpd_from(rng, spec.dim, spec.cond_target)
 
 
-def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple[np.ndarray, np.ndarray]:
-    """Shared-frame pair: eigenvalues of A, then of B, then one frame."""
+def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shared-frame pair: eigenvalues of A, then of B, then one frame.
+
+    Returns A, B and log B, each Q diag(values) Q* symmetrized.
+    """
     lam_a = _eigenvalue_draw(rng, n, cond)
     lam_b = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    a = (q * lam_a) @ q.conj().T
-    b = (q * lam_b) @ q.conj().T
-    return (a + a.conj().T) / 2.0, (b + b.conj().T) / 2.0
+    parts = [(q * lam) @ q.conj().T for lam in (lam_a, lam_b, np.log(lam_b))]
+    return tuple((m + m.conj().T) / 2.0 for m in parts)
 
 
 def random_commuting_pair(spec: GenSpec) -> HpdPair:
     """Pair with a shared random eigenframe and independent eigenvalues."""
     rng = SplitMix64(spec.seed)
-    a, b = _commuting_parts(rng, spec.dim, spec.cond_target)
+    a, b, _ = _commuting_parts(rng, spec.dim, spec.cond_target)
     return HpdPair(a=a, b=b)
 
 
@@ -218,17 +224,18 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     """Commuting pair with B perturbed by epsilon in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
-    direction K, so positivity is structural. epsilon = 0 returns the
-    commuting pair itself (no log/exp round trip), and the draw of K
-    happens regardless of epsilon so that sweeps over epsilon at a fixed
-    seed perturb one and the same triple (A, B0, K).
+    direction K, so positivity is structural. log(B0) is built from B0's
+    drawn frame and eigenvalues, not from an eigendecomposition of B0.
+    epsilon = 0 returns the commuting pair itself (no log/exp round trip),
+    and the draw of K happens regardless of epsilon so that sweeps over
+    epsilon at a fixed seed perturb one and the same triple (A, B0, K).
     """
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
     rng = SplitMix64(spec.seed)
-    a, b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
+    a, b0, log_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
     k = _hermitian_unit(rng, spec.dim)
     if spec.epsilon == 0.0:
         return HpdPair(a=a, b=b0)
-    b = expm(logm(b0, cfg) + spec.epsilon * k, cfg)
+    b = expm(log_b0 + spec.epsilon * k, cfg)
     return HpdPair(a=a, b=b)

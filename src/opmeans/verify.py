@@ -432,6 +432,12 @@ class GapObjective:
             pt = self._last
         sqrt_a, inv_sqrt_a = self.sqrt_a, self.inv_sqrt_a
         norm = self.norm_a + pt.norm_b
+        # N ||B||_F <= N^2: the one underflows first, the other overflows first
+        if not (0.0 < norm * pt.norm_b and norm * norm < math.inf):
+            raise NumericalError(
+                f"gradient normalization N = ||A||_F + ||B||_F = {norm!r} with ||B||_F = "
+                f"{pt.norm_b!r}: N^2 or N ||B||_F leaves the double range; scale the pair"
+            )
         g_d = pt.diff * (2.0 / (norm * norm))
         avg = (sqrt_a + pt.sqrt_b) / 2.0
         g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0

@@ -198,6 +198,14 @@ class TestMinimize:
         assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
                    "--out", str(tmp_path / "t.csv")) == code
 
+    def test_underflowed_gradient_normalization_exits_2(self, tmp_path, capsys):
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)) * 1e-170)
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e-170)
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert "gradient normalization" in capsys.readouterr().err
+
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ functional calculus; np.linalg.eigh acts as an independent cross-check on
 random inputs (it is never used by library code).
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -35,6 +36,7 @@ from opmeans.linalg import (
     polar,
     sqrtm,
 )
+from opmeans.linalg import _round_robin
 from opmeans.randgen import SplitMix64, mix_seed
 
 SQ3 = math.sqrt(3.0)
@@ -160,11 +162,13 @@ class TestHermitianEigen:
     @pytest.mark.parametrize("e", [560, -560])
     def test_power_of_two_scaling_is_exact(self, e):
         # squared entries near 2^+-1120 leave the double range, but Jacobi
-        # runs on the matrix scaled back to unit norm
-        h = hpd(4, 3, cond=10.0)
-        ref, got = hermitian_eigen(h), hermitian_eigen(h * 2.0**e)
-        assert np.array_equal(got.eigenvalues, ref.eigenvalues * 2.0**e)
-        assert np.array_equal(got.frame, ref.frame)
+        # runs on the matrix scaled back to unit norm; n = 4 takes the
+        # cyclic order and n = 24 the round-robin order
+        for n in (4, 24):
+            h = hpd(n, 3, cond=10.0)
+            ref, got = hermitian_eigen(h), hermitian_eigen(h * 2.0**e)
+            assert np.array_equal(got.eigenvalues, ref.eigenvalues * 2.0**e)
+            assert np.array_equal(got.frame, ref.frame)
 
     @pytest.mark.parametrize("c", [1e-170, 1e200])
     def test_extreme_scale_matches_lapack(self, c):
@@ -173,14 +177,77 @@ class TestHermitianEigen:
         assert np.max(np.abs(hermitian_eigen(h).eigenvalues - ref)) <= 1e-13 * ref[-1]
 
     def test_no_convergence_reports_input_units(self):
-        h = random_hermitian(8, 5) * 2.0**-600
-        with pytest.raises(NoConvergence, match=f"above {1e-15 * frobenius_norm(h):.3e} "):
-            hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
+        for n in (8, 24):
+            h = random_hermitian(n, 5) * 2.0**-600
+            with pytest.raises(NoConvergence, match=f"above {1e-15 * frobenius_norm(h):.3e} "):
+                hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
+
+    @pytest.mark.parametrize("n", [4, 24])
+    def test_tolerance_far_below_roundoff(self, n):
+        # off-diagonal entries keep shrinking past 1e-154, where tau * tau
+        # overflows to inf and t becomes 0 on both paths, with no
+        # floating-point warning from the vectorized one
+        h = hpd(n, 3, cond=10.0)
+        lam = hermitian_eigen(h, ToleranceConfig(eig_off_diag_tol=1e-200)).eigenvalues
+        ref = np.linalg.eigvalsh(h)
+        assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[-1]
 
     def test_zero_matrix(self):
         e = hermitian_eigen(np.zeros((3, 3), dtype=complex))
         assert np.allclose(e.eigenvalues, 0.0)
         assert np.array_equal(e.frame, np.eye(3, dtype=complex))
+
+
+# sha256 of the eigenvalues and frames below, as the cyclic solver gave them
+# before the round-robin order existed; sizes under 12 must keep every bit
+SMALL_N_DIGEST = "d5fac8abd68b2a4ffd037b1931c5db69df7306929f9eb0641b7cd5c1d72f7d44"
+
+
+class TestRoundRobinJacobi:
+    """n >= _ROUNDS_MIN_N takes the round-robin order, smaller n the cyclic one."""
+
+    @pytest.mark.parametrize("n", range(12, 34))
+    def test_schedule_meets_each_pair_once_in_disjoint_rounds(self, n):
+        rounds = _round_robin(n)
+        assert len(rounds) == n - 1 + n % 2
+        seen = []
+        for p, q in rounds:
+            assert np.all(p < q) and np.all(q < n)
+            assert len(set(p) | set(q)) == 2 * len(p)
+            seen += zip(p.tolist(), q.tolist())
+        assert sorted(seen) == [(p, q) for p in range(n) for q in range(p + 1, n)]
+
+    @pytest.mark.parametrize("n", [11, 12, 13, 24, 32])
+    def test_matches_lapack_spectrum(self, n):
+        for h in (random_hermitian(n, 7), hpd(n, 7, cond=1e3)):
+            ref = np.linalg.eigvalsh(h)
+            got = hermitian_eigen(h).eigenvalues
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n", [12, 13, 24, 32])
+    def test_reconstruction_and_unitarity(self, n):
+        h = random_hermitian(n, 9)
+        e = hermitian_eigen(h)
+        recon = (e.frame * e.eigenvalues) @ e.frame.conj().T
+        assert frobenius_norm(recon - h) <= 1e-12 * frobenius_norm(h)
+        assert frobenius_norm(e.frame.conj().T @ e.frame - np.eye(n)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [12, 25])
+    def test_reruns_are_bit_identical(self, n):
+        h = hpd(n, 4, cond=100.0)
+        first, second = hermitian_eigen(h), hermitian_eigen(h)
+        assert np.array_equal(first.eigenvalues, second.eigenvalues)
+        assert np.array_equal(first.frame, second.frame)
+
+    def test_small_sizes_keep_cyclic_bits(self):
+        digest = hashlib.sha256()
+        for n in range(2, 12):
+            for seed in range(3):
+                for h in (random_hermitian(n, seed), hpd(n, seed, cond=1e3)):
+                    e = hermitian_eigen(h)
+                    digest.update(e.eigenvalues.tobytes())
+                    digest.update(e.frame.tobytes())
+        assert digest.hexdigest() == SMALL_N_DIGEST
 
 
 class TestMatrixFunction:

@@ -342,6 +342,13 @@ class TestMinimizeGap:
         tiny = minimize_gap(a * 2.0**-300, b0 * 2.0**-300, budget=1).iterates[0][1]
         assert abs(tiny - ref) <= 1e-10 * ref
 
+    def test_underflowed_gradient_normalization_is_numerical_error(self):
+        # at 1e-170 the evaluation holds, but (||A||_F + ||B||_F)^2 underflows
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        with pytest.raises(NumericalError, match="gradient normalization"):
+            minimize_gap(a * 1e-170, b0 * 1e-170)
+
     def test_identity_a_converges_immediately(self):
         b0 = hpd(3, 9, cond=10.0)
         tr = minimize_gap(np.eye(3, dtype=complex), b0, budget=10)
