@@ -3,7 +3,8 @@
 Everything downstream (operator means, identity residuals, the descent
 experiment) is built on the handful of primitives in this module: adjoint,
 a Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
-small matrices, round-robin order on numpy arrays for larger ones),
+small matrices, round-robin order on numpy arrays for larger ones, where a
+stack of independent matrices shares each round's numpy calls),
 functional calculus, operator absolute value, polar decomposition, and
 norms.
 
@@ -15,6 +16,7 @@ suite relies on (bit-identical reruns for a fixed seed).
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -311,35 +313,71 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     return rounds
 
 
+@functools.lru_cache(maxsize=64)
+def _rounds_plan(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Flat positions of each round of `_round_robin(n)` in a stack of k
+    n x n matrices: where J's entries go, those a round gathers, and, in
+    the stack's float view, those it sets to zero.
+
+    J's entries go to (q, p), (p, q), (p, p) and (q, q), one segment of all
+    members' pairs per kind of entry, so a round's scalar work runs on flat
+    vectors whatever the stack size. A round gathers the last three kinds,
+    zeroes both parts of the first two and the imaginary part of the last
+    two. The arrays are shared between calls and read-only.
+    """
+    offsets = np.arange(k)[:, None] * (n * n)
+    plan = []
+    for p, q in _round_robin(n):
+        place = (np.stack((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))[:, None, :] + offsets).ravel()
+        zero = np.concatenate((2 * place[: len(place) // 2], 2 * place + 1))
+        place.setflags(write=False)
+        zero.setflags(write=False)
+        plan.append((place, place[len(place) // 4 :], zero))
+    return plan
+
+
 # tau * tau overflows to inf, and t to 0 as in the scalar loop, only for an
 # eig_off_diag_tol below about 1e-150
 @np.errstate(over="ignore")
-def _jacobi_rounds(m: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
-    """Round-robin Jacobi (Brent & Luk 1985): the rotations of one round
-    touch disjoint index pairs, so they form one unitary J, and a round is
-    A <- J* A J and V <- V J as matrix products.
+def _jacobi_rounds(
+    m: np.ndarray, targets: list[float], skips: list[float], max_sweeps: int
+) -> list[_Solution]:
+    """Round-robin Jacobi (Brent & Luk 1985) on a (k, n, n) stack: the
+    rotations of one round touch disjoint index pairs, so they form one
+    unitary J per member, and a round is A <- J* A J and V <- V J as
+    batched matrix products.
 
     Rotation angles and the `skip` rule are the scalar loop's, pair for
     pair; a skipped pair's entries, at most `skip`, are set to zero with
-    the rest. Same contract as `_jacobi`.
+    the rest. A member leaves the stack at the start of the sweep where it
+    would stop alone, so its sweeps and bits are those of a lone run.
+    Returns one `_jacobi` result per member.
     """
-    n = m.shape[0]
-    plan = []
-    for p, q in _round_robin(n):
-        # flat positions of (q, p), (p, q), (p, p) and (q, q), pair by pair,
-        # where J's entries go; a round gathers the last three, zeroes the
-        # first two and makes the last two real
-        k, place = len(p), np.concatenate((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))
-        plan.append((k, place, place[k:], place[: 2 * k], place[2 * k :]))
+    n = m.shape[1]
     upper = np.triu_indices(n, 1)
-    eye = np.eye(n, dtype=np.complex128)
-    a, v = m, eye
+    a, v = m, np.broadcast_to(np.eye(n, dtype=np.complex128), m.shape).copy()
+    members, solutions = list(range(len(m))), [None] * len(m)
     for sweep in range(max_sweeps + 1):
-        off = a[upper]
-        mass = math.sqrt(2.0 * np.vdot(off, off).real)
-        if mass <= target or sweep == max_sweeps:
+        stack_a, stack_v, stay = a.reshape(-1, n, n), v.reshape(-1, n, n), []
+        for i, member in enumerate(members):
+            off = stack_a[i][upper]
+            mass = math.sqrt(2.0 * np.vdot(off, off).real)
+            if mass <= targets[member] or sweep == max_sweeps:
+                solutions[member] = stack_a[i].diagonal().real.copy(), stack_v[i], mass
+            else:
+                stay.append(i)
+        if not stay:
             break
-        for k, place, gather, off_diag, diag in plan:
+        if sweep == 0 or len(stay) < len(members):
+            # a lone member runs as a plain matrix, without the overhead of
+            # batched calls
+            pick = stay[0] if len(stay) == 1 else stay
+            a, v, members = stack_a[pick], stack_v[pick], [members[i] for i in stay]
+            plan = _rounds_plan(n, len(members))
+            k = len(members) * (n // 2)  # pairs per round in the stack
+            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
+            skip = skips[members[0]] if len(members) == 1 else np.repeat([skips[i] for i in members], n // 2)
+        for place, gather, zero in plan:
             g = a.take(gather)
             h = g[:k]
             r = np.abs(h)
@@ -355,14 +393,13 @@ def _jacobi_rounds(m: np.ndarray, target: float, skip: float, max_sweeps: int) -
             s = t * c
             j = eye.copy()
             np.put(j, place, np.concatenate((-s, s * u, c * u, c)))
-            a = j.conj().T @ (a @ j)
+            a = j.conj().swapaxes(-1, -2) @ (a @ j)
             v = v @ j
-            np.put(a, off_diag, 0.0)
-            np.put(a, diag, a.take(diag).real)
-    return a.diagonal().real.copy(), v, mass
+            np.put(a.view(np.float64), zero, 0.0)
+    return solutions
 
 
-def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
+def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen | list[HermitianEigen]:
     """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
     Below `_ROUNDS_MIN_N` the rotations run in cyclic order, from that
@@ -372,28 +409,49 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen:
     eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
     runs on 2^-e H, with ||2^-e H||_F in [1/2, 1), whose mass neither
     underflows nor overflows; the scaling is exact and changes no bit.
+
+    A stack of k matrices of one size, a (k, n, n) array or a sequence of
+    matrices, gives the list of their k decompositions, each bit for bit
+    what the member alone gives. Every member is checked before any runs,
+    so the error raised is the NotHermitian of the first member that is
+    not Hermitian, else the NoConvergence of the first that does not
+    converge, each with a single call's message. From `_ROUNDS_MIN_N` on
+    the members share each round's numpy calls; below, the cyclic loop
+    runs once per member.
     """
-    hm = require_hermitian(h, cfg)
-    n = hm.shape[0]
-    scale = frobenius_norm(hm)
-    if n == 1 or scale == 0.0:
-        return HermitianEigen(
-            frame=np.eye(n, dtype=np.complex128),
-            eigenvalues=np.diag(hm).real.copy(),
-        )
-    e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
-    target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
-    # rotations on entries this small cannot lift the mass back above target
-    skip = target / (4.0 * n)
-    solve = _jacobi_rounds if n >= _ROUNDS_MIN_N else _jacobi
-    lam, frame, mass = solve(hm * math.ldexp(1.0, -e), target, skip, cfg.max_jacobi_sweeps)
-    if not mass <= target:
-        raise NoConvergence(
-            f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
-            f"{cfg.eig_off_diag_tol * scale:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
-        )
-    order = np.argsort(lam, kind="stable")
-    return HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e))
+    stack = np.ndim(h) == 3
+    # runs: (member, e, ||H||_F, 2^-e H, target) of each member Jacobi runs on
+    out, runs, n = [], [], 0
+    for m in h if stack else (h,):
+        hm = require_hermitian(m, cfg)
+        n = hm.shape[0]
+        scale = frobenius_norm(hm)
+        if n == 1 or scale == 0.0:
+            out.append(HermitianEigen(np.eye(n, dtype=np.complex128), np.diag(hm).real.copy()))
+            continue
+        e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
+        target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
+        runs.append((len(out), e, scale, hm * math.ldexp(1.0, -e), target))
+        out.append(None)
+    # rotations on entries below target / 4n cannot lift the mass back above target
+    solutions = None
+    if n >= _ROUNDS_MIN_N and runs:
+        targets = [run[4] for run in runs]
+        solutions = _jacobi_rounds(np.stack([run[3] for run in runs]), targets,
+                                   [target / (4.0 * n) for target in targets], cfg.max_jacobi_sweeps)
+    for k, (i, e, scale, m, target) in enumerate(runs):
+        if solutions:
+            lam, frame, mass = solutions[k]
+        else:
+            lam, frame, mass = _jacobi(m, target, target / (4.0 * n), cfg.max_jacobi_sweeps)
+        if not mass <= target:
+            raise NoConvergence(
+                f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
+                f"{cfg.eig_off_diag_tol * scale:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
+            )
+        order = np.argsort(lam, kind="stable")
+        out[i] = HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e))
+    return out if stack else out[0]
 
 
 def _assemble(eig: HermitianEigen, values: np.ndarray) -> np.ndarray:
@@ -487,10 +545,10 @@ def logm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     return _assemble(eig, np.log(lam))
 
 
-def _gram_eigen(t: np.ndarray, cfg: ToleranceConfig) -> HermitianEigen:
-    """Eigendecomposition of T*T (Hermitian PSD up to roundoff)."""
+def _gram(t: np.ndarray) -> np.ndarray:
+    """T*T, Hermitian positive semidefinite up to roundoff, symmetrized."""
     gram = t.conj().T @ t
-    return hermitian_eigen((gram + gram.conj().T) / 2.0, cfg)
+    return (gram + gram.conj().T) / 2.0
 
 
 def abs_op(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -499,7 +557,7 @@ def abs_op(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     Negative roundoff eigenvalues of T*T are clamped to zero, so the result
     is defined for singular T as well.
     """
-    return _abs_from_gram(_gram_eigen(as_matrix(t), cfg))
+    return _abs_from_gram(hermitian_eigen(_gram(as_matrix(t)), cfg))
 
 
 def _abs_from_gram(gram: HermitianEigen) -> np.ndarray:
@@ -515,7 +573,7 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
     input is intentionally not provided.
     """
     t = as_matrix(t)
-    eig = _gram_eigen(t, cfg)
+    eig = hermitian_eigen(_gram(t), cfg)
     return PolarParts(isometry=_isometry(t, eig, cfg), positive=_abs_from_gram(eig))
 
 
@@ -552,7 +610,7 @@ def _newton_schulz_step(u: np.ndarray) -> np.ndarray:
 def op_norm(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
     """Operator (spectral) norm, the largest singular value."""
     t = as_matrix(t)
-    eig = _gram_eigen(t, cfg)
+    eig = hermitian_eigen(_gram(t), cfg)
     return math.sqrt(max(float(eig.eigenvalues[-1]), 0.0))
 
 

@@ -12,9 +12,10 @@ A^{-1/2} X A^{-1/2}, the Wasserstein mean is evaluated as
 (A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4.
 
 All of these come from three spectra, of A, of B and of the core
-A^{1/2} B A^{1/2}, which a pair's `PairSpectra` computes at most once each.
-A full `verify` report costs four eigendecompositions per pair: these three
-and that of (A+Y)*(A+Y) for residual r4.
+A^{1/2} B A^{1/2}, which a pair's `PairSpectra` computes at most once each,
+in two passes of the eigensolver: A and B as one stack, then the core. A
+full `verify` report decomposes four matrices in those two passes, since
+(A+Y)*(A+Y), for residual r4, joins the core's.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .linalg import (
     DEFAULT_CONFIG,
     HermitianEigen,
     NotPositiveDefinite,
+    NumericalError,
     ToleranceConfig,
     as_matrix,
     frobenius_norm,
@@ -54,11 +56,20 @@ __all__ = [
 ]
 
 
-def _core_root(sqrt_a: np.ndarray, b: np.ndarray, cfg: ToleranceConfig) -> tuple[HermitianEigen, np.ndarray]:
-    """Spectrum of the symmetrized core A^{1/2} B A^{1/2} and its root X."""
-    core = sqrt_a @ b @ sqrt_a
-    eig = hermitian_eigen((core + core.conj().T) / 2.0, cfg)
-    return eig, _assemble(eig, _sqrt_values(eig, cfg))
+def _core(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The symmetrized core A^{1/2} B A^{1/2}, or NumericalError where it
+    leaves the double range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        core = sqrt_a @ b @ sqrt_a
+        core = (core + core.conj().T) / 2.0
+    if not np.isfinite(core).all():
+        raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range; scale the pair")
+    return core
+
+
+def _root(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """X, the square root of the core, from the core's spectrum."""
+    return _assemble(eig, _sqrt_values(eig, cfg))
 
 
 def _heron_form(sqrt_a: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
@@ -75,9 +86,10 @@ def _wasserstein_form(a, b, sqrt_a, inv_sqrt_a, x) -> np.ndarray:
 class PairSpectra:
     """The spectra of A, B and the core of one pair, and what derives from them.
 
-    A's spectrum is taken on construction, since every quantity needs
-    A^{1/2}; B's and the core's on first use. X and X^{-1} both come from
-    the core spectrum. The matrices held belong to the pair divided by
+    A's and B's spectra are taken on construction, in one pass, and the
+    core's on first use, alone or beside another matrix
+    (`spectrum_beside_core`). X and X^{-1} both come from the core
+    spectrum. The matrices held belong to the pair divided by
     `unit`, the even power of two chosen by `_scale_exponent`: a result of
     degree d in the pair returns to the pair's units times unit^d, while
     gaps and residuals, ratios of terms of one degree, are unchanged.
@@ -88,16 +100,12 @@ class PairSpectra:
         k = _scale_exponent(a, b)
         self.cfg, self.unit, self.root_unit = cfg, math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
         self.a, self.b = a / self.unit, b / self.unit
-        self.eig_a = hermitian_eigen(self.a, cfg)
+        self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
         if not _is_positive(self.eig_a, cfg):
             raise NotPositiveDefinite("matrix a is not positive definite")
         roots = np.sqrt(self.eig_a.eigenvalues)
         self.sqrt_a = _assemble(self.eig_a, roots)
         self.inv_sqrt_a = _assemble(self.eig_a, 1.0 / roots)
-
-    @cached_property
-    def eig_b(self) -> HermitianEigen:
-        return hermitian_eigen(self.b, self.cfg)
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
@@ -106,7 +114,17 @@ class PairSpectra:
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
-        return _core_root(self.sqrt_a, self.b, self.cfg)
+        eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg)
+        return eig, _root(eig, self.cfg)
+
+    def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
+        """Spectrum of h, taken in one pass with the core's unless that is
+        already known."""
+        if "core" in self.__dict__:
+            return hermitian_eigen(h, self.cfg)
+        eig_core, eig = hermitian_eigen((_core(self.sqrt_a, self.b), h), self.cfg)
+        self.core = eig_core, _root(eig_core, self.cfg)  # fills the cached property
+        return eig
 
     @property
     def x(self) -> np.ndarray:

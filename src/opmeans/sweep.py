@@ -1,9 +1,10 @@
 """Batch sweeps over the near-commuting perturbation size.
 
 A row carries the two gaps and the trace gap of one generated pair, all
-taken from the pair's spectral context: three eigendecompositions (A, B
-and the core), plus the log and exp of the generator when epsilon > 0.
-The residual report is not built, since a row does not print it.
+taken from the pair's spectral context: two passes of the eigensolver, A
+and B as one stack and then the core, plus the generator's exp when
+epsilon > 0. The residual report is not built, since a row does not print
+it.
 """
 
 from __future__ import annotations

@@ -21,13 +21,15 @@ that can itself vanish, so commuting pairs do not divide zero by zero).
 Everything about a pair derives from its spectral context
 (`HpdPair.spectra`): the spectra of A, B and the core A^{1/2} B A^{1/2},
 and each caller takes only what it emits. `pair_gaps` and
-`trace_criterion` need nothing beyond the context, three
-eigendecompositions in all. The full report adds one, of (A+Y)*(A+Y) for
-r4; since |Y| = X, r5 takes the polar factor of Y as U = Y X^{-1} with
-X^{-1} from the core spectrum, followed by one Newton-Schulz step. The
-descent decomposes A and the starting B0 once each, then evaluates its
-objective with two eigendecompositions, of S and of the core, and takes its
-exact gradient from those two spectra with none of its own.
+`trace_criterion` need nothing beyond the context: two passes of the
+eigensolver, over A and B as one stack and then the core. The full report
+adds (A+Y)*(A+Y), for r4, to the core's pass, since it needs no X: two
+passes over four matrices. Since |Y| = X, r5 takes the polar factor of Y as
+U = Y X^{-1} with X^{-1} from the core spectrum, followed by one
+Newton-Schulz step. The descent decomposes A and the starting B0 once
+each, then evaluates its objective with two eigendecompositions, of S and
+of the core, and takes its exact gradient from those two spectra with none
+of its own.
 """
 
 from __future__ import annotations
@@ -44,7 +46,6 @@ from .linalg import (
     NumericalError,
     Singular,
     ToleranceConfig,
-    abs_op,
     as_matrix,
     frobenius_norm,
     hermitian_eigen,
@@ -53,13 +54,13 @@ from .linalg import (
     sqrt_and_inv_sqrt,
     _abs_from_gram,
     _assemble,
-    _gram_eigen,
+    _gram,
     _isometry,
     _newton_schulz_step,
     _scale_exponent,
     _sqrt_values,
 )
-from .means import HpdPair, _core_root, _heron_form, _wasserstein_form
+from .means import HpdPair, _core, _heron_form, _root, _wasserstein_form
 
 __all__ = [
     "Verdict",
@@ -183,14 +184,21 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
-    which proof_intermediates and the means of the same pair share. The
-    residuals are computed on the context's scaled pair, which leaves them
-    unchanged; the trace gap is converted back to the pair's units.
+    which proof_intermediates and the means of the same pair share; the
+    gram of A+Y, for r4, is decomposed in the pass that takes the core, or
+    alone when the context already holds the core. The residuals are
+    computed on the context's scaled pair, which leaves them unchanged;
+    the trace gap is converted back to the pair's units.
     """
     s = p.spectra(cfg)
     a, b, n = s.a, s.b, p.dim
-    sqrt_a, sqrt_b, x, inv_sqrt_a = s.sqrt_a, s.sqrt_b, s.x, s.inv_sqrt_a
+    sqrt_a, sqrt_b, inv_sqrt_a = s.sqrt_a, s.sqrt_b, s.inv_sqrt_a
     y = sqrt_b @ sqrt_a
+    apy = a + y
+    # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
+    gram = apy.conj().T @ apy
+    eig_gram = s.spectrum_beside_core((gram + gram.conj().T) / 2.0)
+    x = s.x
     heron, wass = s.heron, s.wasserstein
 
     # r1: cross-term identity for 4(heron - wasserstein)
@@ -219,13 +227,11 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     r2 = _relative(lhs2 - rhs2, scale2, "r2")
 
     # r3: expansion of (A+Y)*(A+Y) - (A+X)^2 using Y*Y = X^2
-    apy = a + y
     apx = a + x
-    gram = apy.conj().T @ apy
     r3 = _relative(gram - apx @ apx - lhs2, frobenius_norm(gram), "r3")
 
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
-    r4 = _relative(abs_op(apy, cfg) - apx, frobenius_norm(apx), "r4")
+    r4 = _relative(_abs_from_gram(eig_gram) - apx, frobenius_norm(apx), "r4")
 
     # r5: polar factor U = Y X^{-1} of Y collapses to the identity
     # (conditional); |Y| = X, so X^{-1} comes from the core spectrum
@@ -307,11 +313,11 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
     unit = math.ldexp(1.0, 2 * _scale_exponent(x, y))
     x, y = x / unit, y / unit
-    abs_x = abs_op(x, cfg)
-    abs_y = abs_op(y, cfg)
     total = x + y
-    gram = _gram_eigen(total, cfg)  # for both |X+Y| and its polar factor
-    abs_total = _abs_from_gram(gram)
+    # one pass: the grams of X and Y, and that of X+Y for both |X+Y| and
+    # its polar factor
+    eig_x, eig_y, gram = hermitian_eigen((_gram(x), _gram(y), _gram(total)), cfg)
+    abs_x, abs_y, abs_total = _abs_from_gram(eig_x), _abs_from_gram(eig_y), _abs_from_gram(gram)
     denom = frobenius_norm(abs_total)
     residual = frobenius_norm(abs_total - abs_x - abs_y) / denom if denom > 0.0 else 0.0
     if residual > cfg.identity_tol:
@@ -408,7 +414,8 @@ class GapObjective:
         eig = hermitian_eigen(s, self.cfg)
         b = _assemble(eig, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig, np.exp(eig.eigenvalues / 2.0))
-        eig_core, x = _core_root(self.sqrt_a, b, self.cfg)
+        eig_core = hermitian_eigen(_core(self.sqrt_a, b), self.cfg)
+        x = _root(eig_core, self.cfg)
         heron = _heron_form(self.sqrt_a, sqrt_b)
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
         diff = heron - wass

@@ -206,6 +206,17 @@ class TestMinimize:
                    "--out", str(tmp_path / "t.csv")) == 2
         assert "gradient normalization" in capsys.readouterr().err
 
+    def test_overflowing_core_exits_2(self, tmp_path, capsys):
+        # A^{1/2} B A^{1/2} reaches 1e400: a numerical error before the
+        # eigensolver, not the malformed-input exit 1 that its inf entries
+        # would give, and no floating-point warning (an error under pytest)
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)) * 1e200)
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e200)
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert "core A^{1/2} B A^{1/2} leaves the double range" in capsys.readouterr().err
+
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):

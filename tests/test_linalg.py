@@ -250,6 +250,64 @@ class TestRoundRobinJacobi:
         assert digest.hexdigest() == SMALL_N_DIGEST
 
 
+def stack_members(n, seed):
+    """Members that stop after different numbers of sweeps: diagonal (none),
+    a zero matrix (never run), indefinite Hermitian, cond 1e3 HPD and one
+    far below unit scale."""
+    return [np.diag(np.arange(1.0, n + 1)).astype(complex), np.zeros((n, n), dtype=complex),
+            random_hermitian(n, seed), hpd(n, seed, cond=1e3), random_hermitian(n, seed + 1) * 2.0**-600]
+
+
+class TestStackedEigen:
+    """A stack gives each member the bits of a single call, on both orders."""
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13, 16, 24, 32])
+    def test_members_match_single_calls(self, n):
+        mats = stack_members(n, n)
+        for cfg in (ToleranceConfig(), ToleranceConfig(eig_off_diag_tol=1e-200)):
+            singles = [hermitian_eigen(m, cfg) for m in mats]
+            for order in (mats, mats[::-1]):
+                expected = singles if order is mats else singles[::-1]
+                for stack in (np.stack(order), order):
+                    got = hermitian_eigen(stack, cfg)
+                    assert len(got) == len(order)
+                    for e, ref in zip(got, expected):
+                        assert np.array_equal(e.eigenvalues, ref.eigenvalues)
+                        assert np.array_equal(e.frame, ref.frame)
+
+    def test_one_member_stack(self):
+        h = hpd(24, 2, cond=100.0)
+        (got,), ref = hermitian_eigen(h[None]), hermitian_eigen(h)
+        assert np.array_equal(got.eigenvalues, ref.eigenvalues)
+        assert np.array_equal(got.frame, ref.frame)
+
+    @pytest.mark.parametrize("n", [5, 24])
+    def test_failing_member_raises_its_single_call_error(self, n):
+        good = hpd(n, 1)
+        skew = random_hermitian(n, 2)
+        skew[0, 1] += 1.0
+        with pytest.raises(NotHermitian) as single:
+            hermitian_eigen(skew)
+        with pytest.raises(NotHermitian) as stacked:
+            hermitian_eigen(np.stack((good, skew)))
+        assert str(stacked.value) == str(single.value)
+        # the diagonal member is done before its first sweep, the others
+        # need more than one; the first of them that fails is reported
+        cfg = ToleranceConfig(max_jacobi_sweeps=1)
+        first, second = random_hermitian(n, 3), random_hermitian(n, 4) * 2.0**-600
+        with pytest.raises(NoConvergence) as single:
+            hermitian_eigen(first, cfg)
+        with pytest.raises(NoConvergence) as stacked:
+            hermitian_eigen(np.stack((np.diag(np.arange(1.0, n + 1)).astype(complex), first, second)), cfg)
+        assert str(stacked.value) == str(single.value)
+        with pytest.raises(NoConvergence) as single:
+            hermitian_eigen(second, cfg)
+        with pytest.raises(NoConvergence) as stacked:
+            hermitian_eigen(np.stack((second, first)), cfg)
+        assert str(stacked.value) == str(single.value)
+        assert "above" in str(single.value) and f"(n = {n})" in str(single.value)
+
+
 class TestMatrixFunction:
     def test_sqrt_diagonal(self):
         out = matrix_function(mat([[4.0, 0.0], [0.0, 9.0]]), math.sqrt)

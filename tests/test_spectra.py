@@ -21,14 +21,26 @@ from opmeans.randgen import GenSpec, random_hpd
 from opmeans.verify import GapObjective, commutator_gap, proof_chain_report, trace_criterion
 
 
+class EigenCalls(list):
+    """The size of every matrix decomposed, one entry per matrix, so a
+    stack of k counts k; `passes` holds the stack size of each call."""
+
+    def __init__(self):
+        super().__init__()
+        self.passes = []
+
+
 @pytest.fixture
 def eigen_calls(monkeypatch):
     """Record every hermitian_eigen call, in each module that binds it."""
-    calls = []
+    calls = EigenCalls()
     real = linalg.hermitian_eigen
 
     def counted(h, cfg=linalg.DEFAULT_CONFIG):
-        calls.append(np.shape(h)[0])
+        shape = np.shape(h)
+        members = shape[0] if len(shape) == 3 else 1
+        calls.extend([shape[-1]] * members)
+        calls.passes.append(members)
         return real(h, cfg)
 
     for mod in (opmeans, linalg, means, verify, randgen, sweep, matio, cli):
@@ -101,9 +113,17 @@ class TestEigendecompositionCounts:
         assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
         assert len(eigen_calls) == 4
 
+    def test_cli_verify_at_24_takes_two_passes_of_two(self, tmp_path, eigen_calls):
+        # A and B, then the core and the gram of A+Y
+        fa, fb = write_pair(tmp_path, random_pair(24, 3, cond=100.0))
+        assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
+        assert eigen_calls.passes == [2, 2]
+        assert eigen_calls == [24] * 4
+
     def test_report_on_direct_pair_uses_four(self, eigen_calls):
         proof_chain_report(random_pair(5, 2, cond=50.0))
         assert len(eigen_calls) == 4
+        assert eigen_calls.passes == [2, 2]
 
     def test_trace_criterion_on_validated_pair_uses_one(self, eigen_calls):
         p = random_pair(4, 6, cond=50.0)
@@ -119,13 +139,15 @@ class TestEigendecompositionCounts:
         obj.evaluate(s)
         assert len(eigen_calls) == 2
 
-    @pytest.mark.parametrize("eps, count", [(0.0, 3), (0.3, 4)])
-    def test_sweep_row(self, eigen_calls, eps, count):
-        # A, B and the core; a perturbed row adds the generator's exp, which
-        # takes log B0 from B0's drawn spectrum
+    @pytest.mark.parametrize("eps, count, passes", [(0.0, 3, [2, 1]), (0.3, 4, [1, 2, 1])],
+                             ids=["0.0-3", "0.3-4"])
+    def test_sweep_row(self, eigen_calls, eps, count, passes):
+        # A and B, then the core; a perturbed row first takes the
+        # generator's exp, which takes log B0 from B0's drawn spectrum
         base = GenSpec(dim=4, seed=3, cond_target=10.0, family="near_commuting")
         sweep.run_sweep(sweep.SweepSpec(base=base, epsilons=(eps,), trials_per_epsilon=1))
         assert len(eigen_calls) == count
+        assert eigen_calls.passes == passes
 
     def test_minimize_converged_at_start_uses_four(self, eigen_calls):
         # set-up takes A and B0 once each, the one evaluation S and the core
@@ -162,10 +184,12 @@ class TestEigendecompositionCounts:
         assert len(evaluations) == 2
 
     def test_witness_uses_three(self, eigen_calls):
-        # |X|, |Y|, and one gram of X+Y for both |X+Y| and its polar factor
+        # |X|, |Y|, and one gram of X+Y for both |X+Y| and its polar
+        # factor, all in one pass
         p = random_pair(4, 9, cond=20.0)
         verify.ando_hayashi_witness(p.a, p.b)
         assert len(eigen_calls) == 3
+        assert eigen_calls.passes == [3]
 
     def test_intermediates_then_report_share_the_context(self, eigen_calls):
         p = random_pair(4, 8, cond=20.0)
@@ -173,6 +197,9 @@ class TestEigendecompositionCounts:
         proof_chain_report(p)
         proof_chain_report(p)
         assert len(eigen_calls) == 5
+        # the core is cached by the intermediates, so each report's gram
+        # takes a pass of its own
+        assert eigen_calls.passes == [2, 1, 1, 1]
 
 
 class TestPolarFromCore:
