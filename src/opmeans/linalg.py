@@ -473,6 +473,11 @@ def matrix_function(h, f: Callable[[float], float], cfg: ToleranceConfig = DEFAU
     eigenvalue.
     """
     eig = hermitian_eigen(h, cfg)
+    return _assemble(eig, _function_values(eig, f))
+
+
+def _function_values(eig: HermitianEigen, f: Callable[[float], float]) -> np.ndarray:
+    """f at each eigenvalue, or DomainError where f is undefined there."""
     values = np.empty(eig.eigenvalues.shape[0])
     for i, lam in enumerate(eig.eigenvalues):
         try:
@@ -482,7 +487,7 @@ def matrix_function(h, f: Callable[[float], float], cfg: ToleranceConfig = DEFAU
         if not math.isfinite(y):
             raise DomainError(f"scalar map returned non-finite value at eigenvalue {lam!r}")
         values[i] = y
-    return _assemble(eig, values)
+    return values
 
 
 def _sqrt_values(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:

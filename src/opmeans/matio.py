@@ -44,7 +44,7 @@ def load_matrix(path: str) -> np.ndarray:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer literal past 4300 digits
         raise MatrixFormatError(f"{path}: invalid JSON: {exc}") from exc
     except OSError as exc:
         raise MatrixFormatError(f"{path}: {exc}") from exc
@@ -67,7 +67,11 @@ def load_matrix(path: str) -> np.ndarray:
         re, im = pair
         if not (_is_number(re) and _is_number(im)):
             raise MatrixFormatError(f"{path}: entries[{idx}] must hold two numbers")
-        if not (math.isfinite(re) and math.isfinite(im)):
+        try:
+            finite = math.isfinite(re) and math.isfinite(im)
+        except OverflowError:  # an integer literal beyond the double range
+            finite = False
+        if not finite:
             raise MatrixFormatError(f"{path}: entries[{idx}] must be finite")
         flat[idx] = complex(re, im)
     return flat.reshape(n, n)

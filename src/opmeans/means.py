@@ -15,7 +15,9 @@ All of these come from three spectra, of A, of B and of the core
 A^{1/2} B A^{1/2}, which a pair's `PairSpectra` computes at most once each,
 in two passes of the eigensolver: A and B as one stack, then the core. A
 full `verify` report decomposes four matrices in those two passes, since
-(A+Y)*(A+Y), for residual r4, joins the core's.
+(A+Y)*(A+Y), for residual r4, joins the core's. A pair from the random
+generators carries the spectra of A and B it was built from, and its
+context takes the core's pass alone.
 """
 
 from __future__ import annotations
@@ -86,21 +88,26 @@ def _wasserstein_form(a, b, sqrt_a, inv_sqrt_a, x) -> np.ndarray:
 class PairSpectra:
     """The spectra of A, B and the core of one pair, and what derives from them.
 
-    A's and B's spectra are taken on construction, in one pass, and the
-    core's on first use, alone or beside another matrix
-    (`spectrum_beside_core`). X and X^{-1} both come from the core
-    spectrum. The matrices held belong to the pair divided by
+    A's and B's spectra are taken on construction, in one pass, unless
+    they are `known` (in the pair's units), and the core's on first use,
+    alone or beside another matrix (`spectrum_beside_core`). Either way
+    A's spectrum must clear the positivity floor. X and X^{-1} both come
+    from the core spectrum. The matrices held belong to the pair divided by
     `unit`, the even power of two chosen by `_scale_exponent`: a result of
     degree d in the pair returns to the pair's units times unit^d, while
     gaps and residuals, ratios of terms of one degree, are unchanged.
     """
 
-    def __init__(self, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG):
+    def __init__(self, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG,
+                 known: tuple[HermitianEigen, HermitianEigen] | None = None):
         a, b = as_matrix(a), as_matrix(b)
         k = _scale_exponent(a, b)
         self.cfg, self.unit, self.root_unit = cfg, math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
         self.a, self.b = a / self.unit, b / self.unit
-        self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
+        if known is None:
+            self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
+        else:
+            self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
         if not _is_positive(self.eig_a, cfg):
             raise NotPositiveDefinite("matrix a is not positive definite")
         roots = np.sqrt(self.eig_a.eigenvalues)
@@ -167,12 +174,25 @@ class HpdPair:
     """A pair of Hermitian positive-definite matrices of equal size.
 
     Construct through `HpdPair.validated` unless positivity is already
-    guaranteed structurally (the random generators build pairs directly).
+    guaranteed structurally. The random generators build pairs through
+    `_from_spectra`, which keeps the spectra of A and B they were drawn
+    from; the context takes those under every cfg instead of decomposing A
+    and B, so its results can differ from those of the same matrices read
+    back from files in the last digits.
     """
 
     a: np.ndarray
     b: np.ndarray
     _spectra: PairSpectra | None = field(default=None, init=False, repr=False, compare=False)
+    _drawn: tuple[HermitianEigen, HermitianEigen] | None = field(
+        default=None, init=False, repr=False, compare=False)
+
+    @classmethod
+    def _from_spectra(cls, a, b, eig_a: HermitianEigen, eig_b: HermitianEigen) -> "HpdPair":
+        """A pair that keeps the spectra it was assembled from."""
+        pair = cls(a=a, b=b)
+        object.__setattr__(pair, "_drawn", (eig_a, eig_b))
+        return pair
 
     @property
     def dim(self) -> int:
@@ -182,7 +202,7 @@ class HpdPair:
         """The pair's spectral context under cfg, built on first use and kept."""
         s = self._spectra
         if s is None or s.cfg != cfg:
-            s = PairSpectra(self.a, self.b, cfg)
+            s = PairSpectra(self.a, self.b, cfg, self._drawn)
             object.__setattr__(self, "_spectra", s)
         return s
 

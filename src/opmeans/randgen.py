@@ -22,7 +22,10 @@ bit for bit, across machines and reruns:
   * near-commuting pairs: B = exp(log B0 + epsilon K), with log B0 =
     Q diag(log lambda_B) Q* built from B0's own frame and eigenvalues.
     Taking log B0 by an eigendecomposition of B0 instead gives B in other
-    last bits.
+    last bits;
+  * a generated pair carries the spectra it was built from, sorted
+    ascending, so its `HpdPair.spectra` decomposes neither A nor B. The
+    matrices are assembled in the drawn order, so the sort moves no bit.
 
 Per-trial seeds for batch runs come from `mix_seed`, the splitmix64
 finalizer applied to master XOR ((index + 1) * golden ratio increment).
@@ -35,7 +38,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig, expm
+from .linalg import (
+    DEFAULT_CONFIG,
+    HermitianEigen,
+    NumericalError,
+    ToleranceConfig,
+    hermitian_eigen,
+    _assemble,
+    _function_values,
+)
 from .means import HpdPair
 
 __all__ = [
@@ -201,23 +212,32 @@ def random_hpd(spec: GenSpec) -> np.ndarray:
     return _hpd_from(rng, spec.dim, spec.cond_target)
 
 
-def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
+    """The drawn values sorted ascending, with Q's columns permuted to match."""
+    order = np.argsort(lam, kind="stable")
+    return HermitianEigen(frame=q[:, order], eigenvalues=lam[order])
+
+
+def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple:
     """Shared-frame pair: eigenvalues of A, then of B, then one frame.
 
-    Returns A, B and log B, each Q diag(values) Q* symmetrized.
+    Returns A, B and log B, each Q diag(values) Q* symmetrized in the
+    drawn order, then the spectra of A and of B as drawn.
     """
     lam_a = _eigenvalue_draw(rng, n, cond)
     lam_b = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
     parts = [(q * lam) @ q.conj().T for lam in (lam_a, lam_b, np.log(lam_b))]
-    return tuple((m + m.conj().T) / 2.0 for m in parts)
+    a, b, log_b = ((m + m.conj().T) / 2.0 for m in parts)
+    return a, b, log_b, _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
 
 
 def random_commuting_pair(spec: GenSpec) -> HpdPair:
-    """Pair with a shared random eigenframe and independent eigenvalues."""
+    """Pair with a shared random eigenframe and independent eigenvalues,
+    carrying the spectra it was drawn from."""
     rng = SplitMix64(spec.seed)
-    a, b, _ = _commuting_parts(rng, spec.dim, spec.cond_target)
-    return HpdPair(a=a, b=b)
+    a, b, _, eig_a, eig_b = _commuting_parts(rng, spec.dim, spec.cond_target)
+    return HpdPair._from_spectra(a, b, eig_a, eig_b)
 
 
 def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HpdPair:
@@ -229,13 +249,18 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     epsilon = 0 returns the commuting pair itself (no log/exp round trip),
     and the draw of K happens regardless of epsilon so that sweeps over
     epsilon at a fixed seed perturb one and the same triple (A, B0, K).
+    The pair carries A's spectrum as drawn and B's as drawn at epsilon =
+    0, else (P, e^mu) from the one eigendecomposition P diag(mu) P* of
+    log B0 + epsilon K, from which B is assembled exactly as `expm` would.
     """
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
     rng = SplitMix64(spec.seed)
-    a, b0, log_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
+    a, b0, log_b0, eig_a, eig_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
     k = _hermitian_unit(rng, spec.dim)
     if spec.epsilon == 0.0:
-        return HpdPair(a=a, b=b0)
-    b = expm(log_b0 + spec.epsilon * k, cfg)
-    return HpdPair(a=a, b=b)
+        return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
+    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg)
+    values = _function_values(eig_log, math.exp)
+    b = _assemble(eig_log, values)
+    return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))

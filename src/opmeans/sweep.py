@@ -1,10 +1,12 @@
 """Batch sweeps over the near-commuting perturbation size.
 
 A row carries the two gaps and the trace gap of one generated pair, all
-taken from the pair's spectral context: two passes of the eigensolver, A
-and B as one stack and then the core, plus the generator's exp when
-epsilon > 0. The residual report is not built, since a row does not print
-it.
+taken from the pair's spectral context. The pair carries the spectra of A
+and B it was drawn from, so a row decomposes the core alone at epsilon =
+0, and the generator's perturbed logarithm and then the core at epsilon >
+0. `verify` on the same matrices read back from `gen` files decomposes A
+and B itself, so its gaps can differ from the row's in the last digits.
+The residual report is not built, since a row does not print it.
 """
 
 from __future__ import annotations

@@ -24,9 +24,11 @@ and each caller takes only what it emits. `pair_gaps` and
 `trace_criterion` need nothing beyond the context: two passes of the
 eigensolver, over A and B as one stack and then the core. The full report
 adds (A+Y)*(A+Y), for r4, to the core's pass, since it needs no X: two
-passes over four matrices. Since |Y| = X, r5 takes the polar factor of Y as
-U = Y X^{-1} with X^{-1} from the core spectrum, followed by one
-Newton-Schulz step. The descent decomposes A and the starting B0 once
+passes over four matrices. A generated pair carries the spectra of A and
+B it was drawn from and skips the first pass; a pair read from files, as
+`opmeans verify` reads it, takes both. Since |Y| = X, r5 takes the polar
+factor of Y as U = Y X^{-1} with X^{-1} from the core spectrum, followed
+by one Newton-Schulz step. The descent decomposes A and the starting B0 once
 each, then evaluates its objective with two eigendecompositions, of S and
 of the core, and takes its exact gradient from those two spectra with none
 of its own.

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import hashlib
 import json
 
 import numpy as np
@@ -35,6 +36,34 @@ class TestGen:
                    "--out-a", str(fa), "--out-b", str(fb))
         assert code == 0
         assert commutator_gap(load_matrix(str(fa)), load_matrix(str(fb))) <= 1e-10
+
+    @pytest.mark.parametrize("args, digests", [
+        (["--family", "generic", "--n", "5", "--seed", "11", "--cond", "50"],
+         ["dc20f11bacf5c0c67c8a0571794e06ee9b3109394accc9894ad1a19dc7655cd4"]),
+        (["--family", "commuting", "--n", "4", "--seed", "7", "--cond", "100"],
+         ["2b15381327b34c17b65006f29e3589c0e6c53a716e993b86c610d826aedce734",
+          "56ac2209c05e119a88adb6811648395e03ab6e478b149534716fe4f4a9aa88ff"]),
+        (["--family", "near-commuting", "--n", "4", "--seed", "3", "--cond", "10", "--epsilon", "0"],
+         ["d8e0e74a26f0fba61c089900f622db24193e3198120e02ab3a08385605f85078",
+          "514e856e0072233c12302d277eb68c1a988e48954188caae59bacf4d8213b62c"]),
+        (["--family", "near-commuting", "--n", "4", "--seed", "3", "--cond", "10", "--epsilon", "0.3"],
+         ["d8e0e74a26f0fba61c089900f622db24193e3198120e02ab3a08385605f85078",
+          "3f6752731709f74c3c6ad5de7d6d3ba5e5cf2bcb925ce707a2c2b6f2ee62ac25"]),
+        (["--family", "near-commuting", "--n", "6", "--seed", "99", "--cond", "1000", "--epsilon", "0.01"],
+         ["47780f3a771951ba36fee8960720c6acdf6de2f1eab91233f0da3af60dcba4e8",
+          "c6de60adee25e98059582ca16490cc88ccdc7d119cf573e5c7c6da1787b0fd76"]),
+    ], ids=["generic", "commuting", "near-0", "near-0.3", "near-0.01"])
+    def test_output_bytes_pinned(self, tmp_path, args, digests):
+        # a generated pair keeps the spectra it was drawn from, but its
+        # matrices are assembled in the drawn order, so their bytes hold
+        if len(digests) == 1:
+            files = [tmp_path / "m.json"]
+            outs = ["--out", str(files[0])]
+        else:
+            files = [tmp_path / "a.json", tmp_path / "b.json"]
+            outs = ["--out-a", str(files[0]), "--out-b", str(files[1])]
+        assert run("gen", *args, *outs) == 0
+        assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == digests
 
     def test_near_commuting_pair(self, tmp_path):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
@@ -110,6 +139,13 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fb)) == 1
         err = capsys.readouterr().err
         assert "entries" in err
+
+    def test_integer_beyond_double_range_exit_1(self, tmp_path, capsys):
+        fa, fb = tmp_path / "big.json", tmp_path / "one.json"
+        fa.write_text('{"n": 1, "entries": [[1%s, 0]]}' % ("0" * 400))
+        save_matrix(str(fb), np.eye(1, dtype=complex))
+        assert run("verify", "--a", str(fa), "--b", str(fb)) == 1
+        assert "entries[0] must be finite" in capsys.readouterr().err
 
     def test_counterexample_exit_code(self, tmp_path, monkeypatch):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"

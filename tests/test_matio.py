@@ -94,6 +94,21 @@ class TestRejection:
         with pytest.raises(MatrixFormatError, match="finite"):
             load_matrix(str(f))
 
+    @pytest.mark.parametrize("entry", ["[1%s, 0]", "[0, -1%s]"], ids=["re", "im"])
+    def test_integer_beyond_double_range_rejected(self, tmp_path, entry):
+        # a 401-digit integer literal parses as a Python int that no float holds
+        f = tmp_path / "bad.json"
+        f.write_text('{"n": 2, "entries": [[1, 0], %s, [0, 0], [1, 0]]}' % (entry % ("0" * 400)))
+        with pytest.raises(MatrixFormatError, match=r"entries\[1\] must be finite"):
+            load_matrix(str(f))
+
+    def test_integer_past_the_digit_limit_rejected(self, tmp_path):
+        # Python refuses to convert an integer literal of more than 4300 digits
+        f = tmp_path / "bad.json"
+        f.write_text('{"n": 1, "entries": [[1%s, 0]]}' % ("0" * 5000))
+        with pytest.raises(MatrixFormatError, match="bad.json: invalid JSON"):
+            load_matrix(str(f))
+
 
 class TestCsv:
     def test_float_format_17_digits(self):

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from opmeans.linalg import frobenius_norm, is_positive_definite
+from opmeans.linalg import _assemble, frobenius_norm, is_positive_definite
 from opmeans.randgen import (
     GenSpec,
     InvalidSpec,
@@ -185,3 +185,40 @@ class TestNearCommutingPair:
         ]
         assert np.array_equal(ps[0].a, ps[1].a)
         assert np.array_equal(ps[1].a, ps[2].a)
+
+
+def drawn_pairs():
+    """Generated pairs of every family that carries spectra, n = 1..12."""
+    for n in range(1, 13):
+        for cond in (10.0, 1e3, 1e6):
+            yield random_commuting_pair(GenSpec(dim=n, seed=n, cond_target=cond, family="commuting"))
+            for eps in (0.0, 1e-2, 1.0):
+                yield near_commuting_pair(
+                    GenSpec(dim=n, seed=n, cond_target=cond, family="near_commuting", epsilon=eps))
+
+
+class TestDrawnSpectra:
+    def test_spectra_reconstruct_the_pair(self):
+        for p in drawn_pairs():
+            s = p.spectra()
+            for eig, m in ((s.eig_a, p.a), (s.eig_b, p.b)):
+                frame, lam = eig.frame, eig.eigenvalues * s.unit
+                assert np.all(np.diff(lam) >= 0.0)
+                rebuilt = (frame * lam) @ frame.conj().T
+                assert frobenius_norm(rebuilt - m) <= 1e-14 * frobenius_norm(m)
+                defect = frame.conj().T @ frame - np.eye(p.dim)
+                assert frobenius_norm(defect) <= 1e-14
+                oracle = np.linalg.eigvalsh(m)
+                assert np.max(np.abs(lam - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    def test_perturbed_b_is_exp_of_the_perturbed_log(self):
+        # B's carried spectrum is (P, e^mu) for the one decomposition
+        # P diag(mu) P* the generator takes of log B0 + eps K
+        p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, family="near_commuting", epsilon=0.3))
+        s = p.spectra()
+        frame, values = s.eig_b.frame, s.eig_b.eigenvalues * s.unit
+        assert np.array_equal(p.b, _assemble(s.eig_b, values))
+        w, v = np.linalg.eigh(p.b)
+        log_b = (v * np.log(w)) @ v.conj().T
+        mu = np.log(values)
+        assert frobenius_norm((frame * mu) @ frame.conj().T - log_b) <= 1e-14 * frobenius_norm(log_b)

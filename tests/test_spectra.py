@@ -56,8 +56,9 @@ def write_pair(tmp_path, p, tag="p"):
     return fa, fb
 
 
-def reference_report(p):
-    """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone."""
+def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm, abs_op=abs_op):
+    """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone, or
+    from the spectral functions given."""
     a, b = p.a, p.b
     sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(a)
     sqrt_b = sqrtm(b)
@@ -98,13 +99,15 @@ def report_values(rep):
 
 
 def sample_pairs():
-    for seed in range(14):
-        yield random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3))
-    for seed in range(6):
-        yield commuting_pair(2 + seed % 7, seed, cond=1000.0)
-    for seed, eps in enumerate((0.01, 0.1, 1.0)):
-        yield randgen.near_commuting_pair(
-            GenSpec(dim=4, seed=seed, cond_target=30.0, family="near_commuting", epsilon=eps))
+    """23 pairs, each built from its bare matrices, so that its context
+    decomposes A and B as the reference does (a generated pair would
+    take the spectra it was drawn from)."""
+    pairs = [random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3)) for seed in range(14)]
+    pairs += [commuting_pair(2 + seed % 7, seed, cond=1000.0) for seed in range(6)]
+    pairs += [randgen.near_commuting_pair(
+        GenSpec(dim=4, seed=seed, cond_target=30.0, family="near_commuting", epsilon=eps))
+        for seed, eps in enumerate((0.01, 0.1, 1.0))]
+    return [HpdPair(a=p.a, b=p.b) for p in pairs]
 
 
 class TestEigendecompositionCounts:
@@ -139,11 +142,12 @@ class TestEigendecompositionCounts:
         obj.evaluate(s)
         assert len(eigen_calls) == 2
 
-    @pytest.mark.parametrize("eps, count, passes", [(0.0, 3, [2, 1]), (0.3, 4, [1, 2, 1])],
-                             ids=["0.0-3", "0.3-4"])
+    @pytest.mark.parametrize("eps, count, passes", [(0.0, 1, [1]), (0.3, 2, [1, 1])],
+                             ids=["0.0-1", "0.3-2"])
     def test_sweep_row(self, eigen_calls, eps, count, passes):
-        # A and B, then the core; a perturbed row first takes the
-        # generator's exp, which takes log B0 from B0's drawn spectrum
+        # the core alone: the pair carries the spectra of A and B it was
+        # drawn from; a perturbed row first takes the generator's exp,
+        # whose one spectrum, of log B0 + eps K, also gives B's
         base = GenSpec(dim=4, seed=3, cond_target=10.0, family="near_commuting")
         sweep.run_sweep(sweep.SweepSpec(base=base, epsilons=(eps,), trials_per_epsilon=1))
         assert len(eigen_calls) == count
@@ -200,6 +204,58 @@ class TestEigendecompositionCounts:
         # the core is cached by the intermediates, so each report's gram
         # takes a pass of its own
         assert eigen_calls.passes == [2, 1, 1, 1]
+
+
+def eigh_function(h, f):
+    """f of a Hermitian matrix through np.linalg.eigh, the test oracle."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (v * f(w)) @ v.conj().T
+
+
+def eigh_report(p):
+    """`reference_report` and r5 with every spectrum from eigh."""
+    def root(h):
+        return eigh_function(h, lambda w: np.sqrt(np.maximum(w, 0.0)))
+
+    values = reference_report(
+        p, sqrt_and_inv_sqrt=lambda a: (root(a), eigh_function(a, lambda w: 1.0 / np.sqrt(w))),
+        sqrtm=root, abs_op=lambda t: root(t.conj().T @ t))
+    y = root(p.b) @ root(p.a)
+    u = y @ eigh_function(y.conj().T @ y, lambda w: 1.0 / np.sqrt(w))
+    values["r5"] = frobenius_norm(u - np.eye(p.dim)) / math.sqrt(p.dim)
+    return values
+
+
+class TestDrawnRoute:
+    """A generated pair's context takes the spectra the pair was drawn from."""
+
+    def test_report_agrees_with_validated_pair_and_eigh(self):
+        # r5 of a commuting pair is roundoff amplified by cond: at cond 100
+        # the eigh oracle's own r5 moves by 7e-13, so the pairs stop at 30
+        for n in range(1, 7):
+            for cond in (10.0, 30.0):
+                for seed in range(3):
+                    pairs = [commuting_pair(n, seed, cond)] + [randgen.near_commuting_pair(GenSpec(
+                        dim=n, seed=seed, cond_target=cond, family="near_commuting", epsilon=eps))
+                        for eps in (0.0, 1e-2, 1.0)]
+                    for p in pairs:
+                        got = proof_chain_report(p)
+                        values = report_values(got) | {"r5": got.residuals["r5"]}
+                        validated = proof_chain_report(HpdPair.validated(p.a, p.b))
+                        for ref in (report_values(validated) | {"r5": validated.residuals["r5"]},
+                                    eigh_report(p)):
+                            assert all(abs(values[k] - ref[k]) <= 1e-13 for k in ref), (n, cond, seed)
+
+    def test_second_config_takes_no_pair_pass(self, eigen_calls):
+        p = randgen.near_commuting_pair(
+            GenSpec(dim=4, seed=5, cond_target=10.0, family="near_commuting", epsilon=0.3))
+        assert eigen_calls.passes == [1]  # the generator's log B0 + eps K
+        first = p.spectra()
+        second = p.spectra(linalg.ToleranceConfig(identity_tol=1e-8))
+        assert second is not first and eigen_calls.passes == [1]
+        assert np.array_equal(second.eig_b.frame, first.eig_b.frame)
+        verify.pair_gaps(p, second.cfg)
+        assert eigen_calls.passes == [1, 1]  # the core
 
 
 class TestPolarFromCore:
