@@ -1,9 +1,11 @@
 """Command-line surface.
 
 Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
-0 success, 1 usage or input-format error, 2 numerical error, 3 the
-theorem-violation sentinel (a verified pair whose means coincide while the
-commutator gap is firmly positive; never expected to occur).
+0 success, 1 usage or input-format error or an output file that cannot be
+opened, 2 numerical error, 3 the theorem-violation sentinel (a verified
+pair whose means coincide while the commutator gap is firmly positive;
+never expected to occur). A command line that names its subcommand first
+and asks for no help builds that subcommand's parser alone.
 """
 
 from __future__ import annotations
@@ -159,75 +161,78 @@ def _cmd_lemma_ah(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser, or, given a subcommand's name, one that knows only
+    that subcommand and parses its command lines as the full one does."""
     parser = _Parser(prog="opmeans", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
+    built = []
 
-    def add_tol(p):
+    def add(name, handler, help):  # None for a subcommand not built
+        if command not in (None, name):
+            return None
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
+        built.append(p)
+        return p
+
+    if p := add("gen", _cmd_gen, "generate matrices from a seeded spec"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cond", type=float, default=10.0,
+                       help="target ratio of largest to smallest eigenvalue")
+        p.add_argument("--family", choices=sorted(_CLI_FAMILIES), default="generic")
+        p.add_argument("--epsilon", type=float, default=0.0,
+                       help="perturbation size for --family near-commuting")
+        p.add_argument("--out", default=None, help="output file (generic family)")
+        p.add_argument("--out-a", dest="out_a", default=None, help="output for A (pair families)")
+        p.add_argument("--out-b", dest="out_b", default=None, help="output for B (pair families)")
+
+    if p := add("mean", _cmd_mean, "compute a mean of two matrices"):
+        p.add_argument("--kind", choices=sorted(_MEAN_KINDS), required=True)
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--out", required=True)
+
+    if p := add("verify", _cmd_verify, "full gap report and verdict for a pair"):
+        p.add_argument("--a", required=True)
+        p.add_argument("--b", required=True)
+        p.add_argument("--out", default=None, help="report file (default: stdout)")
+        p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
+
+    if p := add("sweep", _cmd_sweep, "near-commuting sweep over epsilon, CSV output"):
+        p.add_argument("--n", type=int, required=True)
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--cond", type=float, default=10.0)
+        p.add_argument("--epsilons", required=True, help="comma-separated, strictly increasing")
+        p.add_argument("--trials", type=int, required=True)
+        p.add_argument("--out", required=True)
+
+    if p := add("minimize", _cmd_minimize, "descend the squared mean gap over B"):
+        p.add_argument("--a", required=True)
+        p.add_argument("--b0", required=True)
+        p.add_argument("--budget", type=int, required=True)
+        p.add_argument("--out", required=True, help="trajectory CSV")
+        p.add_argument("--out-b", dest="out_b", default=None, help="final B matrix file")
+
+    if p := add("lemma-ah", _cmd_lemma_ah, "common polar factor from a triangle equality"):
+        p.add_argument("--x", required=True)
+        p.add_argument("--y", required=True)
+        p.add_argument("--out", default=None, help="report file (default: stdout)")
+
+    if not built:  # not a subcommand's name
+        return build_parser()
+    for p in built:  # every subcommand's last option
         p.add_argument("--tol", type=float, default=None,
                        help="override the identity tolerance (default 1e-10)")
-
-    p = sub.add_parser("gen", help="generate matrices from a seeded spec")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cond", type=float, default=10.0,
-                   help="target ratio of largest to smallest eigenvalue")
-    p.add_argument("--family", choices=sorted(_CLI_FAMILIES), default="generic")
-    p.add_argument("--epsilon", type=float, default=0.0,
-                   help="perturbation size for --family near-commuting")
-    p.add_argument("--out", default=None, help="output file (generic family)")
-    p.add_argument("--out-a", dest="out_a", default=None, help="output for A (pair families)")
-    p.add_argument("--out-b", dest="out_b", default=None, help="output for B (pair families)")
-    add_tol(p)
-    p.set_defaults(handler=_cmd_gen)
-
-    p = sub.add_parser("mean", help="compute a mean of two matrices")
-    p.add_argument("--kind", choices=sorted(_MEAN_KINDS), required=True)
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", required=True)
-    add_tol(p)
-    p.set_defaults(handler=_cmd_mean)
-
-    p = sub.add_parser("verify", help="full gap report and verdict for a pair")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.add_argument("--out", default=None, help="report file (default: stdout)")
-    p.add_argument("--seed", type=int, default=None, help="seed recorded in the report")
-    add_tol(p)
-    p.set_defaults(handler=_cmd_verify)
-
-    p = sub.add_parser("sweep", help="near-commuting sweep over epsilon, CSV output")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--cond", type=float, default=10.0)
-    p.add_argument("--epsilons", required=True, help="comma-separated, strictly increasing")
-    p.add_argument("--trials", type=int, required=True)
-    p.add_argument("--out", required=True)
-    add_tol(p)
-    p.set_defaults(handler=_cmd_sweep)
-
-    p = sub.add_parser("minimize", help="descend the squared mean gap over B")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b0", required=True)
-    p.add_argument("--budget", type=int, required=True)
-    p.add_argument("--out", required=True, help="trajectory CSV")
-    p.add_argument("--out-b", dest="out_b", default=None, help="final B matrix file")
-    add_tol(p)
-    p.set_defaults(handler=_cmd_minimize)
-
-    p = sub.add_parser("lemma-ah", help="common polar factor from a triangle equality")
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-    p.add_argument("--out", default=None, help="report file (default: stdout)")
-    add_tol(p)
-    p.set_defaults(handler=_cmd_lemma_ah)
-
     return parser
 
 
 def cli_main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # help (-h, or a prefix of --help) is always printed by the full parser
+    asks_help = any(arg.startswith(("-h", "--h")) for arg in argv)
+    parser = build_parser(None if asks_help or not argv else argv[0])
     try:
         args = parser.parse_args(argv)
         return args.handler(args)
@@ -236,6 +241,9 @@ def cli_main(argv=None) -> int:
         return 1
     except ValueError as exc:
         print(f"input error: {exc}", file=sys.stderr)
+        return 1
+    except OSError as exc:  # an output that cannot be opened; inputs raise ValueError
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

@@ -171,11 +171,13 @@ def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Symmetrize a nearly-Hermitian matrix, or raise NotHermitian.
 
     Asymmetry below identity_tol (relative to ||H||_F) is treated as
-    roundoff and absorbed by returning (H + H*)/2; anything larger is a
-    genuine contract violation.
+    roundoff and absorbed by returning (H + H*)/2, without either norm when
+    H = H* exactly; anything larger is a genuine contract violation.
     """
     h = as_matrix(h)
     h_star = h.conj().T
+    if (h == h_star).all():
+        return (h + h_star) / 2.0
     scale = frobenius_norm(h)
     asym = frobenius_norm(h - h_star)
     if asym > cfg.identity_tol * scale:
@@ -208,6 +210,15 @@ class PolarParts:
 
     isometry: np.ndarray
     positive: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _upper_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`np.triu_indices(n, 1)`, shared between calls and read-only."""
+    plan = np.triu_indices(n, 1)
+    for index in plan:
+        index.setflags(write=False)
+    return plan
 
 
 def _off_diagonal_mass(a: list, n: int) -> float:
@@ -348,13 +359,14 @@ def _jacobi_rounds(
     batched matrix products.
 
     Rotation angles and the `skip` rule are the scalar loop's, pair for
-    pair; a skipped pair's entries, at most `skip`, are set to zero with
-    the rest. A member leaves the stack at the start of the sweep where it
-    would stop alone, so its sweeps and bits are those of a lone run.
+    pair; a skipped pair takes the identity (u = 1, t = 0), and its
+    entries, at most `skip`, are set to zero with the rest. A member
+    leaves the stack at the start of the sweep where it would stop alone,
+    so its sweeps and bits are those of a lone run.
     Returns one `_jacobi` result per member.
     """
     n = m.shape[1]
-    upper = np.triu_indices(n, 1)
+    upper = _upper_plan(n)
     a, v = m, np.broadcast_to(np.eye(n, dtype=np.complex128), m.shape).copy()
     members, solutions = list(range(len(m))), [None] * len(m)
     for sweep in range(max_sweeps + 1):
@@ -381,14 +393,16 @@ def _jacobi_rounds(
             g = a.take(gather)
             h = g[:k]
             r = np.abs(h)
-            live = r > skip
-            # skipped pairs divide by 1 and take the identity: both arms of
-            # np.where are evaluated, so neither may divide by zero
-            r = np.where(live, r, 1.0)
-            u = np.where(live, h / r, 1.0)
-            tau = (g[2 * k :].real - g[k : 2 * k].real) / (2.0 * r)
-            sign = np.where(tau >= 0.0, 1.0, -1.0)
-            t = np.where(live, sign / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), 0.0)
+            dead = r <= skip
+            # skipped pairs take the identity and divide by 1, never by an
+            # entry of 0, which is skipped when skip underflows to 0
+            r[dead] = 1.0
+            u = h / r
+            u[dead] = 1.0
+            tau = (g[2 * k :].real - g[k : 2 * k].real) / (r + r)
+            # tau = -0.0 takes +1, as tau >= 0 does in the scalar loop
+            t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+            t[dead] = 0.0
             c = 1.0 / np.sqrt(1.0 + t * t)
             s = t * c
             j = eye.copy()

@@ -61,8 +61,9 @@ from .linalg import (
     _newton_schulz_step,
     _scale_exponent,
     _sqrt_values,
+    _upper_plan,
 )
-from .means import HpdPair, _core, _heron_form, _root, _wasserstein_form
+from .means import HpdPair, _core, _heron_form, _wasserstein_form
 
 __all__ = [
     "Verdict",
@@ -163,10 +164,12 @@ def commutator_gap(a, b) -> float:
     """||AB - BA||_F / (||A||_F ||B||_F)."""
     a = as_matrix(a)
     b = as_matrix(b)
-    denom = frobenius_norm(a) * frobenius_norm(b)
-    if denom == 0.0:
-        return 0.0
-    return frobenius_norm(a @ b - b @ a) / denom
+    return _commutator_gap(a, b, frobenius_norm(a) * frobenius_norm(b))
+
+
+def _commutator_gap(a: np.ndarray, b: np.ndarray, denom: float) -> float:
+    """`commutator_gap` with the product of the Frobenius norms given."""
+    return frobenius_norm(a @ b - b @ a) / denom if denom != 0.0 else 0.0
 
 
 def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -337,7 +340,7 @@ def _coords(g: np.ndarray) -> np.ndarray:
     space of Hermitian matrices: diagonal units, then (E_ij + E_ji) and
     i (E_ij - E_ji) for i < j."""
     n = g.shape[0]
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_plan(n)
     upper, lower = g[i, j], g[j, i]
     coords = np.empty(n * n)
     coords[:n] = np.diag(g).real
@@ -349,7 +352,7 @@ def _coords(g: np.ndarray) -> np.ndarray:
 def _hermitian(coords: np.ndarray) -> np.ndarray:
     """sum_k c_k E_k over the directions of `_coords`: Re <G, H(c)> = coords(G) . c."""
     n = math.isqrt(len(coords))
-    i, j = np.triu_indices(n, 1)
+    i, j = _upper_plan(n)
     c = coords + 0.0  # -0.0 -> +0.0, the zeros that sum has
     h = np.diag(c[:n]).astype(np.complex128)
     sym, anti = c[n::2], 1j * c[n + 1::2]
@@ -368,6 +371,7 @@ class _ChartPoint:
     b: np.ndarray
     sqrt_b: np.ndarray
     eig_core: HermitianEigen
+    roots: np.ndarray
     diff: np.ndarray
     norm_b: float
     gap: float
@@ -375,10 +379,7 @@ class _ChartPoint:
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
     """sinh(x) / x, with the limit 1 at x = 0."""
-    out = np.ones_like(x)
-    nonzero = x != 0.0
-    out[nonzero] = np.sinh(x[nonzero]) / x[nonzero]
-    return out
+    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
 
 
 def _frechet_adjoint(eig: HermitianEigen, divided: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -417,13 +418,14 @@ class GapObjective:
         b = _assemble(eig, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig, np.exp(eig.eigenvalues / 2.0))
         eig_core = hermitian_eigen(_core(self.sqrt_a, b), self.cfg)
-        x = _root(eig_core, self.cfg)
+        roots = _sqrt_values(eig_core, self.cfg)
+        x = _assemble(eig_core, roots)
         heron = _heron_form(self.sqrt_a, sqrt_b)
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
         diff = heron - wass
         norm_b = frobenius_norm(b)
         gap = frobenius_norm(diff) / (self.norm_a + norm_b)
-        self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, diff, norm_b, gap)
+        self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap)
         return gap * gap, gap, b
 
     def gradient(self, s) -> np.ndarray:
@@ -451,8 +453,7 @@ class GapObjective:
         avg = (sqrt_a + pt.sqrt_b) / 2.0
         g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0
         g_x = -(sqrt_a @ g_d @ inv_sqrt_a + inv_sqrt_a @ g_d @ sqrt_a) / 4.0
-        roots = _sqrt_values(pt.eig_core, self.cfg)
-        g_core = _frechet_adjoint(pt.eig_core, 1.0 / (roots[:, None] + roots), g_x)
+        g_core = _frechet_adjoint(pt.eig_core, 1.0 / (pt.roots[:, None] + pt.roots), g_x)
         # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
         g_b = sqrt_a @ g_core @ sqrt_a - g_d / 4.0 - norm_term * pt.b
@@ -517,7 +518,8 @@ def minimize_gap(
         raise ValueError(f"dimension mismatch: {obj.a.shape} vs {b0.shape}")
     s = logm(b0, cfg)
     f, gap, b = obj.evaluate(s)
-    iterates = [(0, gap, commutator_gap(obj.a, b), f)]
+    # obj holds ||A||_F, and ||B||_F of the B its latest evaluation returned
+    iterates = [(0, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f)]
     states = [s] if record_states else None
     stop_reason = "budget"
     trial_scale = 1.0
@@ -555,7 +557,7 @@ def minimize_gap(
         prev_g = g
         prev_move = -t * g
         s, f, gap, b = s_try, f_try, gap_try, b_try
-        iterates.append((step, gap, commutator_gap(obj.a, b), f))
+        iterates.append((step, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f))
         if states is not None:
             states.append(s)
         trial_scale = min(t * 2.0, 1e6)

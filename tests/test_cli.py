@@ -300,3 +300,128 @@ class TestUsage:
 
     def test_missing_required_flag(self):
         assert run("mean", "--kind", "heron") == 1
+
+    def test_subcommand_parser_parses_as_full_parser(self):
+        argv = ["minimize", "--a", "a.json", "--b0", "b.json", "--budget", "4", "--out", "t.csv", "--tol", "1e-9"]
+        alone, full = cli.build_parser("minimize"), cli.build_parser()
+        assert vars(alone.parse_args(argv)) == vars(full.parse_args(argv))
+        with pytest.raises(cli._UsageError, match="invalid choice: 'gen'"):
+            alone.parse_args(["gen", "--n", "2"])
+        # any other name gets the full parser, whose error lists every subcommand
+        with pytest.raises(cli._UsageError, match="'minimize', 'lemma-ah'"):
+            cli.build_parser("frobnicate").parse_args(["frobnicate"])
+
+
+class TestUnwritableOutput:
+    """An output that cannot be opened exits 1 with one line naming it."""
+
+    COMMANDS = {
+        "gen": ["gen", "--n", "3", "--out", "{bad}"],
+        "gen-out-a": ["gen", "--n", "3", "--family", "commuting", "--out-a", "{bad}", "--out-b", "{ok}"],
+        "gen-out-b": ["gen", "--n", "3", "--family", "commuting", "--out-a", "{ok}", "--out-b", "{bad}"],
+        "mean": ["mean", "--kind", "heron", "--a", "{a}", "--b", "{b}", "--out", "{bad}"],
+        "verify": ["verify", "--a", "{a}", "--b", "{b}", "--out", "{bad}"],
+        "sweep": ["sweep", "--n", "2", "--epsilons", "0", "--trials", "1", "--out", "{bad}"],
+        "minimize": ["minimize", "--a", "{a}", "--b0", "{b}", "--budget", "2", "--out", "{bad}"],
+        "minimize-out-b": ["minimize", "--a", "{a}", "--b0", "{b}", "--budget", "2", "--out", "{ok}",
+                           "--out-b", "{bad}"],
+        "lemma-ah": ["lemma-ah", "--x", "{a}", "--y", "{a}", "--out", "{bad}"],
+    }
+
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_exit_1_naming_the_path(self, tmp_path, capsys, command, where):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
+        bad = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+        paths = {"a": fa, "b": fb, "ok": tmp_path / "ok.out", "bad": bad}
+        assert run(*(arg.format(**paths) for arg in self.COMMANDS[command])) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and err.count("\n") == 1
+        assert str(bad) in err
+
+
+class TestBytesPinned:
+    """sha256 of outputs and texts, taken before the eigensolver's fixed
+    costs and the parser's build were cut: that work changed no byte."""
+
+    MINIMIZE = {
+        ("generic", 2): ("ab2937b906cc1e6288c681729c5b76b7725e10aed49cc259acfb4e556f8dc056",
+                         "85013a295c61d55d8165b6094d8305add49f779d5ad64c732fc508ce756a991f"),
+        ("generic", 3): ("e3b024ba244fbc6bb0905b453a8245b19cd6df003ec202fada98b1e3e22b3536",
+                         "faee513a71404484aeaaa497a6e1653e0cce1e72c3e52ae7f2cd0c514b01e714"),
+        ("generic", 4): ("1c0720d4c1c73ad756a6b515fb733aabc8ad7a9ab5b11ba6cef0853cd4dc66d5",
+                         "db5216512ae266dd1a7dfeaa3364c606f5d30e841d13223af3f80d901686c6d2"),
+        ("generic", 5): ("06fed65a979f505ab6ca7a6384b840672f3ab7ec9815735b0f7385f28e93e129",
+                         "2934442c7f1b4a2ef443111986afdfdebab1ae94e52be20f712dae25cd4ff9ef"),
+        ("diagonal", 2): ("31e786220c4003d5fc5ffa927d6642d6f072cc012c9b06eae633361bcfc21174",
+                          "f09656a3ecf5cc5518986e120165410c7ea30393fd7f72b95c24820cea130da0"),
+        ("diagonal", 3): ("0382df16cba564b3b1210282bc5eb270d917dfdd1dc32c57414275f478082b5f",
+                          "d0a7a7b2963dc982751b408af6ebad0f997e92c2caaf279e9cc720bf9cec2dd1"),
+        ("diagonal", 4): ("7a86e6da965bbaa684db83971edaa3ac8d7ba98992fb2f78724af8eb405062e7",
+                          "a79ab6d15e69936eb7774ed37cc2856515497c489e5ca4f7f137b0b2ec7f9ab3"),
+        ("diagonal", 5): ("e66b76517c095dac36a3a4fdf444ca41348f009e8a887f530712b3cf1733e848",
+                          "c3dfaf7e3cecd2e755789145f36bcca802b246108f7c1f0f14ee46fd0fc6d1d2"),
+    }
+
+    # (argv, exit code, sha256 of stdout, sha256 of stderr) at 80 columns;
+    # a code of None is the SystemExit(0) that help ends with
+    TEXTS = [
+        (["--help"], None, "4485ecde84e8e4fa0dd5358680b44518305b73e7dc2c7311abcb947861f38754", ""),
+        (["gen", "--help"], None, "8cea48705cd8cbb6e20e5944f0680f3d316fdf520a47a2e555b900c041770c87", ""),
+        (["mean", "--help"], None, "c29f146ffc0fae350a29c5473f4fa03b451d85b95f059abc1f123662e2819ecf", ""),
+        (["verify", "--help"], None, "e1b67fe5d7c9776e3f4289af55d0262c46490f0c20c04b4cfcd33657747e6a7c", ""),
+        (["sweep", "--help"], None, "1aa0b06aaedd78824c25fa7586d91fe1ba4821e0c23c32d33e35996100d47baf", ""),
+        (["minimize", "--help"], None, "a32ab424552832e246fc51519778104d7bb37c9b6bb72025ebfaf5ed35c828de", ""),
+        (["lemma-ah", "--help"], None, "07210119b60b904aa9d1ee7a610447ec9b534c4c5d8bae00e1a15f4762c25bce", ""),
+        ([], 1, "", "6bdc5a66b95e3b0c4829c2f44b10d4eaf68d213ca65b661fc3e0205c4f18f72a"),
+        (["frobnicate"], 1, "", "c20ea480ccb05fa6892c4f414269514d533b159d73657fed33f5b2607b89575b"),
+        (["mean", "--kind", "heron"], 1, "", "9cc30384c28d138d15c3ee7f7b6f6beb6b2b054d3b7ad46d2bd5d0c1919fa03b"),
+        (["mean", "--kind", "arith", "--a", "x", "--b", "y", "--out", "z"], 1, "",
+         "23392f05511a11c95da453e1eff190cf2fd90a228657a20b37c3cb568b5e317e"),
+    ]
+    EMPTY = hashlib.sha256(b"").hexdigest()
+
+    @staticmethod
+    def digest(path):
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+
+    @pytest.mark.parametrize("kind, n", sorted(MINIMIZE), ids=[f"{k}-{n}" for k, n in sorted(MINIMIZE)])
+    def test_minimize_trajectory_and_final_b(self, tmp_path, kind, n):
+        fa, fb, fo, ff = (tmp_path / x for x in ("a.json", "b0.json", "t.csv", "bf.json"))
+        if kind == "generic":
+            a = random_hpd(GenSpec(dim=n, seed=10 + n, cond_target=10.0))
+        else:
+            a = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
+        save_matrix(str(fa), a)
+        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=20 + n, cond_target=10.0)))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "40",
+                   "--out", str(fo), "--out-b", str(ff)) == 0
+        assert (self.digest(fo), self.digest(ff)) == self.MINIMIZE[kind, n]
+
+    def test_verify_report_n24(self, tmp_path):
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=24, seed=5, cond_target=100.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=24, seed=6, cond_target=100.0)))
+        assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
+        assert self.digest(fo) == "fae76adbe1b00dcd617dcab1680246de2a9cbcec150ab72306d8f765f0dc986c"
+
+    def test_sweep_csv(self, tmp_path):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--n", "4", "--seed", "3", "--cond", "10", "--epsilons", "0,0.01,0.1,1",
+                   "--trials", "3", "--out", str(out)) == 0
+        assert self.digest(out) == "42bb2642577a3c698888e88b05335b76e08bce6385bc3297b7d7db22f2e36566"
+
+    @pytest.mark.parametrize("argv, code, out, err", TEXTS, ids=[" ".join(t[0]) or "none" for t in TEXTS])
+    def test_help_and_usage_texts(self, capsys, monkeypatch, argv, code, out, err):
+        monkeypatch.setenv("COLUMNS", "80")
+        if code is None:
+            with pytest.raises(SystemExit) as exc:
+                run(*argv)
+            assert exc.value.code == 0
+        else:
+            assert run(*argv) == code
+        got = capsys.readouterr()
+        assert hashlib.sha256(got.out.encode()).hexdigest() == (out or self.EMPTY)
+        assert hashlib.sha256(got.err.encode()).hexdigest() == (err or self.EMPTY)

@@ -34,8 +34,10 @@ from opmeans.linalg import (
     matrix_function,
     op_norm,
     polar,
+    require_hermitian,
     sqrtm,
 )
+import opmeans.linalg as linalg
 from opmeans.linalg import _round_robin
 from opmeans.randgen import SplitMix64, mix_seed
 
@@ -72,6 +74,43 @@ class TestAsMatrix:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             as_matrix(np.zeros((0, 0)))
+
+
+class TestRequireHermitian:
+    def symmetrized(self, h):
+        return (h + h.conj().T) / 2.0
+
+    @pytest.mark.parametrize("h", [
+        random_hermitian(5, 1),
+        hpd(4, 2, cond=1e6) * 2.0**-600,
+        # -0.0 equals 0.0: signed zeros on the diagonal, in imaginary parts
+        # and in mirrored entries
+        mat([[-0.0, complex(1.0, -0.0), 0.0], [1.0, complex(2.0, -0.0), -0.0], [-0.0, 0.0, -0.0]]),
+    ], ids=["random", "scaled-hpd", "signed-zeros"])
+    def test_exact_input_takes_no_norm_and_keeps_bits(self, h, monkeypatch):
+        expected = self.symmetrized(h)
+        monkeypatch.setattr(linalg, "frobenius_norm", lambda t: pytest.fail("norm taken"))
+        assert require_hermitian(h).tobytes() == expected.tobytes()
+
+    def test_one_ulp_asymmetry_is_symmetrized(self, monkeypatch):
+        h = random_hermitian(4, 3)
+        h[0, 2] = complex(np.nextafter(h[0, 2].real, math.inf), h[0, 2].imag)
+        norms = []
+        monkeypatch.setattr(linalg, "frobenius_norm", lambda t: norms.append(t) or frobenius_norm(t))
+        got = require_hermitian(h)
+        assert len(norms) == 2  # the tolerance path: ||H||_F and ||H - H*||_F
+        assert got.tobytes() == self.symmetrized(h).tobytes()
+        assert np.array_equal(got, got.conj().T)
+
+    def test_large_asymmetry_message(self):
+        with pytest.raises(NotHermitian) as exc:
+            require_hermitian(mat([[0.0, 1.0], [0.0, 0.0]]))
+        assert str(exc.value) == "asymmetry 1.414e+00 exceeds 1.0e-10 * ||H||_F = 1.000e-10"
+
+    def test_non_finite_is_value_error(self):
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                require_hermitian(mat([[1.0, bad], [bad, 1.0]]))
 
 
 class TestToleranceConfig:
@@ -238,6 +277,15 @@ class TestRoundRobinJacobi:
         first, second = hermitian_eigen(h), hermitian_eigen(h)
         assert np.array_equal(first.eigenvalues, second.eigenvalues)
         assert np.array_equal(first.frame, second.frame)
+
+    def test_skip_underflowing_to_zero_divides_by_one(self):
+        # the smallest target makes skip = target / 4n round to 0: pairs
+        # whose entry is exactly 0 are skipped without dividing by it
+        h = np.diag(np.arange(1.0, 13.0)).astype(complex)
+        h[0, 1] = h[1, 0] = 0.5
+        h[3, 7], h[7, 3] = 0.25j, -0.25j
+        e = hermitian_eigen(h, ToleranceConfig(eig_off_diag_tol=5e-324, max_jacobi_sweeps=5))
+        assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-14 * 12.0
 
     def test_small_sizes_keep_cyclic_bits(self):
         digest = hashlib.sha256()
