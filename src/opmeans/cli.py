@@ -2,30 +2,27 @@
 
 Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
 0 success, 1 usage or input-format error or an output file that cannot be
-opened, 2 numerical error, 3 the theorem-violation sentinel (a verified
-pair whose means coincide while the commutator gap is firmly positive;
-never expected to occur). A command line that names its subcommand first
-and asks for no help builds that subcommand's parser alone.
+opened (checked before any work), 2 numerical error, 3 the
+theorem-violation sentinel (a verified pair whose means coincide while
+the commutator gap is firmly positive; never expected to occur). A
+command line that names its subcommand first and asks for no help builds
+that subcommand's parser alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
+import os
 import sys
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .matio import load_matrix, matrix_payload, save_json, save_matrix, write_csv
 from .means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
-from .randgen import GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
+from .randgen import FAMILIES, GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
 from .sweep import SweepRow, SweepSpec, run_sweep
-from .verify import (
-    Verdict,
-    ando_hayashi_witness,
-    classify_gaps,
-    minimize_gap,
-    proof_chain_report,
-)
+from .verify import Verdict, ando_hayashi_witness, classify_gaps, minimize_gap, proof_chain_report
 
 __all__ = ["cli_main", "main"]
 
@@ -34,13 +31,6 @@ _MEAN_KINDS = {
     "wasserstein": wasserstein_mean,
     "geometric": geometric_mean,
 }
-
-_CLI_FAMILIES = {
-    "generic": "generic",
-    "commuting": "commuting",
-    "near-commuting": "near_commuting",
-}
-
 
 class _UsageError(Exception):
     pass
@@ -57,6 +47,16 @@ def _config(args) -> ToleranceConfig:
     return ToleranceConfig(identity_tol=args.tol)
 
 
+def _check_outputs(*paths) -> None:
+    """Before any work, raise the error `open` would raise on an output
+    that is a directory or lies in a missing one, creating nothing."""
+    for path in filter(None, paths):
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.path.isdir(os.path.dirname(path) or "."):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dict:
     return {
         "mean_gap": report.mean_gap,
@@ -71,31 +71,28 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
 
 
 def _cmd_gen(args) -> int:
-    family = _CLI_FAMILIES[args.family]
-    spec = GenSpec(
-        dim=args.n,
-        seed=args.seed,
-        cond_target=args.cond,
-        family=family,
-        epsilon=args.epsilon if family == "near_commuting" else 0.0,
-    )
-    if family == "generic":
-        if args.out is None:
-            raise _UsageError("gen --family generic needs --out")
-        save_matrix(args.out, random_hpd(spec))
-        return 0
-    if args.out_a is None or args.out_b is None:
-        raise _UsageError(f"gen --family {args.family} needs --out-a and --out-b")
-    if family == "commuting":
-        pair = random_commuting_pair(spec)
+    family = args.family.replace("-", "_")
+    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family=family,
+                   epsilon=args.epsilon if family == "near_commuting" else 0.0)
+    generic = family == "generic"
+    outs, needs = (([args.out], "--out") if generic
+                   else ([args.out_a, args.out_b], "--out-a and --out-b"))
+    if None in outs:
+        raise _UsageError(f"gen --family {args.family} needs {needs}")
+    _check_outputs(*outs)
+    if generic:
+        mats = [random_hpd(spec)]
     else:
-        pair = near_commuting_pair(spec, _config(args))
-    save_matrix(args.out_a, pair.a)
-    save_matrix(args.out_b, pair.b)
+        pair = (random_commuting_pair(spec) if family == "commuting"
+                else near_commuting_pair(spec, _config(args)))
+        mats = [pair.a, pair.b]
+    for path, m in zip(outs, mats):
+        save_matrix(path, m)
     return 0
 
 
 def _cmd_mean(args) -> int:
+    _check_outputs(args.out)
     cfg = _config(args)
     pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
     result = _MEAN_KINDS[args.kind](pair, cfg)
@@ -104,6 +101,7 @@ def _cmd_mean(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_outputs(args.out)
     cfg = _config(args)
     pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
     report = proof_chain_report(pair, cfg)
@@ -115,6 +113,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _check_outputs(args.out)
     cfg = _config(args)
     try:
         epsilons = tuple(float(tok) for tok in args.epsilons.split(","))
@@ -130,6 +129,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_minimize(args) -> int:
+    _check_outputs(args.out, args.out_b)
     cfg = _config(args)
     a = load_matrix(args.a)
     b0 = load_matrix(args.b0)
@@ -147,6 +147,7 @@ def _cmd_minimize(args) -> int:
 
 
 def _cmd_lemma_ah(args) -> int:
+    _check_outputs(args.out)
     cfg = _config(args)
     report = ando_hayashi_witness(load_matrix(args.x), load_matrix(args.y), cfg)
     payload = {
@@ -181,7 +182,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cond", type=float, default=10.0,
                        help="target ratio of largest to smallest eigenvalue")
-        p.add_argument("--family", choices=sorted(_CLI_FAMILIES), default="generic")
+        p.add_argument("--family", choices=sorted(f.replace("_", "-") for f in FAMILIES), default="generic")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="perturbation size for --family near-commuting")
         p.add_argument("--out", default=None, help="output file (generic family)")

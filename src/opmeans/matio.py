@@ -7,13 +7,15 @@ Matrix interchange format is a JSON object
 with exactly n^2 [re, im] pairs in row-major order. Parsers reject
 wrong-length arrays and non-finite numbers. All writers are deterministic
 (sorted keys, fixed float formatting), so identical inputs produce
-byte-identical files.
+byte-identical files. A matrix goes through json's C encoder, which
+writes the bytes of its pure-Python one.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
@@ -33,10 +35,6 @@ __all__ = [
 
 class MatrixFormatError(ValueError):
     """Matrix JSON file violates the interchange schema."""
-
-
-def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 def load_matrix(path: str) -> np.ndarray:
@@ -60,37 +58,38 @@ def load_matrix(path: str) -> np.ndarray:
         raise MatrixFormatError(
             f"{path}: field 'entries' must hold n^2 = {n * n} pairs, got {len(entries)}"
         )
-    flat = np.empty(n * n, dtype=np.complex128)
-    for idx, pair in enumerate(entries):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise MatrixFormatError(f"{path}: entries[{idx}] must be a [re, im] pair")
-        re, im = pair
-        if not (_is_number(re) and _is_number(im)):
-            raise MatrixFormatError(f"{path}: entries[{idx}] must hold two numbers")
-        try:
-            finite = math.isfinite(re) and math.isfinite(im)
-        except OverflowError:  # an integer literal beyond the double range
-            finite = False
-        if not finite:
-            raise MatrixFormatError(f"{path}: entries[{idx}] must be finite")
-        flat[idx] = complex(re, im)
-    return flat.reshape(n, n)
+    flat = None
+    try:  # a well-formed file converts in one step
+        if set(map(type, chain.from_iterable(entries))) <= {int, float}:
+            flat = np.array(entries, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):  # OverflowError: an int no float holds
+        pass
+    if flat is None or flat.shape != (n * n, 2) or not np.isfinite(flat).all():
+        for idx, pair in enumerate(entries):  # name the first entry refused
+            if not isinstance(pair, list) or len(pair) != 2:
+                raise MatrixFormatError(f"{path}: entries[{idx}] must be a [re, im] pair")
+            if not {type(pair[0]), type(pair[1])} <= {int, float}:
+                raise MatrixFormatError(f"{path}: entries[{idx}] must hold two numbers")
+            try:
+                finite = math.isfinite(pair[0]) and math.isfinite(pair[1])
+            except OverflowError:  # an integer literal beyond the double range
+                finite = False
+            if not finite:
+                raise MatrixFormatError(f"{path}: entries[{idx}] must be finite")
+    return flat.view(np.complex128).reshape(n, n)
 
 
 def matrix_payload(m) -> dict:
     """One matrix as the interchange object, ready for json."""
-    m = as_matrix(m)
-    return {
-        "entries": [[float(z.real), float(z.imag)] for z in m.ravel(order="C")],
-        "n": m.shape[0],
-    }
+    m = np.ascontiguousarray(as_matrix(m))
+    return {"entries": m.view(np.float64).reshape(-1, 2).tolist(), "n": m.shape[0]}
 
 
 def save_matrix(path: str, m) -> None:
     """Write one matrix in the interchange format."""
+    text = json.dumps(matrix_payload(m), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(matrix_payload(m), fh, sort_keys=True)
-        fh.write("\n")
+        fh.write(text)
 
 
 def format_float(x: float) -> str:

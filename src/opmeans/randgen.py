@@ -3,18 +3,22 @@
 The whole pipeline is pinned down so that a fixed seed reproduces matrices
 bit for bit, across machines and reruns:
 
-  * stream: splitmix64 (64-bit additive state walk plus finalizer);
+  * stream: splitmix64 (64-bit additive state walk plus finalizer). A
+    request for many words draws them in one numpy uint64 pass, whose
+    wrap modulo 2^64 is the scalar walk's mask;
   * uniforms: top 53 bits of each 64-bit word, so u = (word >> 11) * 2^-53
     lies in [0, 1);
   * gaussians: Box-Muller pairs, cosine value first, sine value second;
     the radius uses ((word >> 11) + 1) * 2^-53 in (0, 1] so the log is
-    finite. A request for an odd count discards the trailing sine value;
-    nothing is buffered across calls;
+    finite. log, cos and sin are `math`'s per element, since numpy's
+    SIMD transcendentals are not libm's. A request for an odd count
+    discards the trailing sine value; nothing is buffered across calls;
   * complex gaussians: one Box-Muller pair per entry, real part first,
     entries in row-major order;
   * unitary frames: modified Gram-Schmidt (two passes) applied to a
     complex gaussian matrix. The triangular factor's diagonal comes out
-    real and positive, which pins the phase of every column;
+    real and positive, which pins the phase of every column. Columns stay
+    strided views: np.vdot on Fortran-ordered columns moves last bits;
   * HPD matrices: frame @ diag(eigenvalues) @ frame*. Eigenvalues sit in
     [1/sqrt(c), sqrt(c)] for condition target c: the endpoints are placed
     deterministically (so the realized condition number is c) and the
@@ -90,30 +94,29 @@ class SplitMix64:
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.next_double()
 
-    def gauss_pair(self) -> tuple[float, float]:
-        """One Box-Muller pair of standard normals."""
-        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
-        u2 = self.next_double()
-        rad = math.sqrt(-2.0 * math.log(u1))
-        ang = 2.0 * math.pi * u2
-        return rad * math.cos(ang), rad * math.sin(ang)
+    def words(self, count: int) -> np.ndarray:
+        """The next `count` words in one uint64 pass, which wraps as next_u64 masks."""
+        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN) + np.uint64(self._state)
+        self._state = (self._state + count * GOLDEN) & MASK64
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+    def _gauss_pairs(self, pairs: int) -> np.ndarray:
+        """`pairs` Box-Muller pairs as rows (cosine, sine), with math's log, cos and sin."""
+        top = (self.words(2 * pairs) >> np.uint64(11)).astype(np.float64)
+        u1 = (top[0::2] + 1.0) * 2.0**-53
+        ang = (2.0 * math.pi) * (top[1::2] * 2.0**-53)
+        rad = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
+        cos, sin = (np.fromiter(map(f, ang.tolist()), np.float64, pairs) for f in (math.cos, math.sin))
+        return np.column_stack((rad * cos, rad * sin))
 
     def gaussians(self, count: int) -> list[float]:
-        out = []
-        while len(out) < count:
-            z0, z1 = self.gauss_pair()
-            out.append(z0)
-            out.append(z1)
-        return out[:count]
+        return self._gauss_pairs(max(count + 1, 0) // 2).ravel()[:count].tolist()
 
     def complex_gaussian_matrix(self, n: int) -> np.ndarray:
         """n x n matrix of z0 + i z1 entries, one pair per entry, row-major."""
-        m = np.empty((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                z0, z1 = self.gauss_pair()
-                m[i, j] = complex(z0, z1)
-        return m
+        return self._gauss_pairs(n * n).view(np.complex128).reshape(n, n)
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -181,12 +184,9 @@ def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
 def _eigenvalue_draw(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
     """Eigenvalues in [1/sqrt(cond), sqrt(cond)], endpoints pinned for n >= 2."""
     half = 0.5 * math.log(cond)
-    if n == 1:
-        return np.array([math.exp(rng.uniform(-half, half))])
-    vals = [math.exp(-half), math.exp(half)]
-    for _ in range(n - 2):
-        vals.append(math.exp(rng.uniform(-half, half)))
-    return np.array(vals)
+    logs = [-half, half] if n > 1 else []
+    logs += [rng.uniform(-half, half) for _ in range(n - len(logs))]
+    return np.array([math.exp(x) for x in logs])
 
 
 def _hpd_from(rng: SplitMix64, n: int, cond: float) -> np.ndarray:

@@ -52,7 +52,12 @@ class TestGen:
         (["--family", "near-commuting", "--n", "6", "--seed", "99", "--cond", "1000", "--epsilon", "0.01"],
          ["47780f3a771951ba36fee8960720c6acdf6de2f1eab91233f0da3af60dcba4e8",
           "c6de60adee25e98059582ca16490cc88ccdc7d119cf573e5c7c6da1787b0fd76"]),
-    ], ids=["generic", "commuting", "near-0", "near-0.3", "near-0.01"])
+        (["--family", "generic", "--n", "24", "--seed", "5", "--cond", "100"],
+         ["f48ed96a91b9c70f3a4628203a3d3ed722b98b4543c450678b0bcbe8cd8f1de6"]),
+        (["--family", "near-commuting", "--n", "24", "--seed", "8", "--cond", "100", "--epsilon", "0.1"],
+         ["a110dd7af6c45635124908b6a37f9cb3f01138adb286f5898a489f4bfb7647d7",
+          "2d03ef39baca232d1460fc4784f87617c78c02382805f556afb7f561f199899c"]),
+    ], ids=["generic", "commuting", "near-0", "near-0.3", "near-0.01", "generic-24", "near-0.1-24"])
     def test_output_bytes_pinned(self, tmp_path, args, digests):
         # a generated pair keeps the spectra it was drawn from, but its
         # matrices are assembled in the drawn order, so their bytes hold
@@ -340,6 +345,59 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
         assert str(bad) in err
+
+
+class TestOutputsCheckedFirst:
+    """A bad output path exits 1 before any work and leaves no other output."""
+
+    @pytest.fixture
+    def pair(self, tmp_path):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
+        return str(fa), str(fb)
+
+    @staticmethod
+    def refuse(monkeypatch, name):
+        def work(*args, **kwargs):
+            raise AssertionError(f"{name} ran before the output check")
+        monkeypatch.setattr(cli, name, work)
+
+    def test_verify_skips_the_report(self, tmp_path, monkeypatch, capsys, pair):
+        self.refuse(monkeypatch, "proof_chain_report")
+        bad = tmp_path / "missing" / "r.json"
+        assert run("verify", "--a", pair[0], "--b", pair[1], "--out", str(bad)) == 1
+        assert capsys.readouterr().err == f"output error: [Errno 2] No such file or directory: '{bad}'\n"
+
+    def test_minimize_skips_the_descent(self, tmp_path, monkeypatch, capsys, pair):
+        self.refuse(monkeypatch, "minimize_gap")
+        bad = tmp_path / "missing" / "t.csv"
+        assert run("minimize", "--a", pair[0], "--b0", pair[1], "--budget", "5", "--out", str(bad)) == 1
+        assert capsys.readouterr().err == f"output error: [Errno 2] No such file or directory: '{bad}'\n"
+
+    def test_gen_pair_leaves_no_first_file(self, tmp_path, monkeypatch, capsys):
+        self.refuse(monkeypatch, "random_commuting_pair")
+        fa, bad = tmp_path / "a.json", tmp_path / "missing" / "b.json"
+        assert run("gen", "--n", "3", "--family", "commuting", "--out-a", str(fa), "--out-b", str(bad)) == 1
+        assert not fa.exists()
+        assert capsys.readouterr().err == f"output error: [Errno 2] No such file or directory: '{bad}'\n"
+
+    def test_minimize_leaves_no_trajectory(self, tmp_path, monkeypatch, capsys, pair):
+        self.refuse(monkeypatch, "minimize_gap")
+        fo = tmp_path / "t.csv"
+        assert run("minimize", "--a", pair[0], "--b0", pair[1], "--budget", "5", "--out", str(fo),
+                   "--out-b", str(tmp_path)) == 1
+        assert not fo.exists()
+        assert capsys.readouterr().err == f"output error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_good_outputs_are_not_created_by_the_check(self, tmp_path, monkeypatch, pair):
+        # the check opens nothing: a run that fails after it leaves no file
+        fo = tmp_path / "r.json"
+        def fail(*args, **kwargs):
+            raise ValueError("the report failed")
+        monkeypatch.setattr(cli, "proof_chain_report", fail)
+        assert run("verify", "--a", pair[0], "--b", pair[1], "--out", str(fo)) == 1
+        assert not fo.exists()
 
 
 class TestBytesPinned:

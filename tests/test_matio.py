@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,30 @@ from opmeans.randgen import GenSpec, random_hpd
 
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
+
+
+def reference_load(path):
+    """The per-entry conversion that the one-step reader reproduces."""
+    with open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
+    flat = np.empty(data["n"] ** 2, dtype=np.complex128)
+    for idx, (re, im) in enumerate(data["entries"]):
+        flat[idx] = complex(re, im)
+    return flat.reshape(data["n"], data["n"])
+
+
+def reference_save(path, m):
+    """The entry-by-entry payload through json.dump's pure-Python encoder."""
+    entries = [[float(z.real), float(z.imag)] for z in np.asarray(m).ravel(order="C")]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump({"entries": entries, "n": m.shape[0]}, fh, sort_keys=True)
+        fh.write("\n")
+
+
+SUBNORMAL = 5e-324
+EDGE_MATRIX = np.array([[-0.0 + 1j * SUBNORMAL, 1e308 - 0.0j, 2.5e-310 - 1e-300j],
+                        [0.1 + 0.2j, -(2.0**53 + 2), 1 / 3 - 0.0j],
+                        [complex(-0.0, -0.0), 7.0, -1e-320 + 3e300j]])
 
 
 class TestRoundTrip:
@@ -39,6 +64,66 @@ class TestRoundTrip:
         save_matrix(str(f1), m)
         save_matrix(str(f2), m)
         assert f1.read_bytes() == f2.read_bytes()
+
+
+class TestOneStepFormat:
+    """The C encoder and the one-step reader keep the per-entry bytes and bits."""
+
+    @pytest.mark.parametrize("m", [EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=3, cond_target=100.0)),
+                                   random_hpd(GenSpec(dim=5, seed=4, cond_target=10.0)).T],
+                             ids=["edges", "n24", "transposed"])
+    def test_writer_matches_pure_python_encoder(self, tmp_path, m):
+        f, ref = tmp_path / "m.json", tmp_path / "ref.json"
+        save_matrix(str(f), m)
+        reference_save(str(ref), m)
+        assert f.read_bytes() == ref.read_bytes()
+
+    def test_save_load_round_trip_byte_stable(self, tmp_path):
+        for m in (EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=9, cond_target=1e6))):
+            f1, f2 = tmp_path / "1.json", tmp_path / "2.json"
+            save_matrix(str(f1), m)
+            back = load_matrix(str(f1))
+            assert back.tobytes() == np.ascontiguousarray(m).tobytes()
+            save_matrix(str(f2), back)
+            assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize("entries", [
+        [[0, 0], [2**53 + 1, -(2**53 + 1)], [2**63 + 1, 10**300], [-(10**300), 2**64 + 1]],
+        [[-0.0, 0.0], [SUBNORMAL, -SUBNORMAL], [2.2250738585072e-308, -1e-310], [0, -0.0]],
+        [[1, 0.5], [-3, 2**1023 * 3 // 2 + 1], [1e308, -1e308], [7, 2**62 - 1]],
+    ], ids=["ints", "zeros-subnormals", "mixed"])
+    def test_reader_matches_reference_loop(self, tmp_path, entries):
+        f = tmp_path / "m.json"
+        write_json(f, {"n": 2, "entries": entries})
+        got = load_matrix(str(f))
+        assert got.shape == (2, 2) and got.dtype == np.complex128
+        assert got.tobytes() == reference_load(str(f)).tobytes()
+
+    @pytest.mark.parametrize("entry, message", [
+        ("[true, 0]", "must hold two numbers"),
+        ("[0, false]", "must hold two numbers"),
+        ('["1.5", 0]', "must hold two numbers"),
+        ("[null, 0]", "must hold two numbers"),
+        ("[[1, 2], 0]", "must hold two numbers"),
+        ("[[1, 2], [3, 4]]", "must hold two numbers"),
+        ("[1]", "must be a \\[re, im\\] pair"),
+        ("[1, 0, 0]", "must be a \\[re, im\\] pair"),
+        ("3", "must be a \\[re, im\\] pair"),
+        ('{"re": 1, "im": 0}', "must be a \\[re, im\\] pair"),
+        ("[NaN, 0]", "must be finite"),
+        ("[0, Infinity]", "must be finite"),
+        ("[-Infinity, 0]", "must be finite"),
+        ("[1e400, 0]", "must be finite"),
+        ("[1%s, 0]" % ("0" * 400), "must be finite"),
+        ("[0, -1%s]" % ("0" * 400), "must be finite"),
+    ], ids=["true", "false", "string", "null", "nested", "two-lists", "one", "three", "number",
+            "object", "nan", "inf", "minus-inf", "1e400", "int-re", "int-im"])
+    def test_rejects_with_message_and_index(self, tmp_path, entry, message):
+        # the first bad entry is named, though a later one is bad too
+        f = tmp_path / "bad.json"
+        f.write_text('{"n": 2, "entries": [[1, 0], [0.5, -2], %s, [NaN, true]]}' % entry)
+        with pytest.raises(MatrixFormatError, match=r"^%s: entries\[2\] %s$" % (re.escape(str(f)), message)):
+            load_matrix(str(f))
 
 
 class TestRejection:

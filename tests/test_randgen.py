@@ -18,6 +18,34 @@ from opmeans.randgen import (
 )
 from opmeans.verify import commutator_gap
 
+MASK64 = (1 << 64) - 1
+# 0, and seeds whose state wraps modulo 2^64 within the first words
+WRAP_SEEDS = [0, 1 << 63, MASK64]
+
+
+def gauss_pair(rng):
+    """The scalar Box-Muller pair that the vectorized draws reproduce."""
+    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
+    u2 = rng.next_double()
+    rad = math.sqrt(-2.0 * math.log(u1))
+    ang = 2.0 * math.pi * u2
+    return rad * math.cos(ang), rad * math.sin(ang)
+
+
+def reference_gaussians(rng, count):
+    out = []
+    while len(out) < count:
+        out.extend(gauss_pair(rng))
+    return out[:count]
+
+
+def reference_complex_gaussian_matrix(rng, n):
+    m = np.empty((n, n), dtype=np.complex128)
+    for i in range(n):
+        for j in range(n):
+            m[i, j] = complex(*gauss_pair(rng))
+    return m
+
 
 class TestSplitMix64:
     def test_deterministic_stream(self):
@@ -51,6 +79,43 @@ class TestSplitMix64:
     def test_mix_seed_spread(self):
         seeds = {mix_seed(42, i) for i in range(100)}
         assert len(seeds) == 100
+
+
+class TestVectorizedStream:
+    """One uint64 pass per request gives the scalar stream's bits, and
+    leaves the state where the scalar draws would."""
+
+    def test_published_vectors(self):
+        rng = SplitMix64(1234567)
+        assert [rng.next_u64() for _ in range(5)] == [
+            6457827717110365317, 3203168211198807973, 9817491932198370423,
+            4593380528125082431, 16408922859458223821]
+        assert SplitMix64(0).next_u64() == 0xE220A8397B1DCDAF
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    def test_words_match_scalar(self, seed):
+        for count in (0, 1, 2, 7, 100):
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            assert vec.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+            assert vec.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    def test_gaussians_match_scalar(self, seed):
+        for count in (0, 1, 2, 5, 6, 101):
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            got = vec.gaussians(count)
+            assert [x.hex() for x in got] == [x.hex() for x in reference_gaussians(ref, count)]
+            assert all(type(x) is float for x in got)
+            assert vec.next_u64() == ref.next_u64()
+
+    @pytest.mark.parametrize("seed", WRAP_SEEDS)
+    def test_complex_gaussian_matrix_matches_scalar(self, seed):
+        for n in range(1, 33):
+            vec, ref = SplitMix64(seed), SplitMix64(seed)
+            got = vec.complex_gaussian_matrix(n)
+            assert got.shape == (n, n) and got.dtype == np.complex128
+            assert got.tobytes() == reference_complex_gaussian_matrix(ref, n).tobytes()
+            assert vec.next_u64() == ref.next_u64()
 
 
 class TestGenSpec:
