@@ -29,7 +29,6 @@ from .linalg import (
     is_positive_definite,
     logm,
     matrix_function,
-    op_norm,
     polar,
     sqrtm,
 )

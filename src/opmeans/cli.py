@@ -2,8 +2,8 @@
 
 Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
 0 success, 1 usage or input-format error or an output file that cannot be
-opened (checked before any work), 2 numerical error, 3 the
-theorem-violation sentinel (a verified pair whose means coincide while
+opened or is named twice (checked before any work), 2 numerical error, 3
+the theorem-violation sentinel (a verified pair whose means coincide while
 the commutator gap is firmly positive; never expected to occur). A
 command line that names its subcommand first and asks for no help builds
 that subcommand's parser alone.
@@ -49,19 +49,26 @@ def _config(args) -> ToleranceConfig:
 
 def _check_outputs(*paths) -> None:
     """Before any work, raise the error `open` would raise on an output
-    that is a directory or lies in a missing one, creating nothing."""
-    for path in filter(None, paths):
+    that is a directory or lies in a missing one, and a usage error on two
+    outputs that name one file, creating nothing."""
+    named = [path for path in paths if path]
+    for path in named:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+    if len({os.path.realpath(path) for path in named}) < len(named):
+        raise _UsageError(f"outputs {' and '.join(named)} name one file")
 
 
 def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dict:
+    residuals = dict(report.residuals)
+    if report.polar_singular:  # r5 is inf, which JSON has no literal for
+        residuals["r5"] = None
     return {
         "mean_gap": report.mean_gap,
         "commutator_gap": report.commutator_gap,
-        "residuals": dict(report.residuals),
+        "residuals": residuals,
         "trace_gap": report.trace_gap,
         "polar_singular": report.polar_singular,
         "verdict": verdict.value,

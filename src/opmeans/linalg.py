@@ -50,7 +50,6 @@ __all__ = [
     "sqrt_and_inv_sqrt",
     "abs_op",
     "polar",
-    "op_norm",
     "is_positive_definite",
 ]
 
@@ -142,7 +141,8 @@ def frobenius_norm(t) -> float:
     # 2^-exp stays finite for subnormal entries
     exp = max(math.frexp(float(np.max(np.abs(t))))[1], -1021)
     s = t * math.ldexp(1.0, -exp)
-    return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
+    with np.errstate(over="ignore"):  # a norm past DBL_MAX is inf
+        return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
 
 
 def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
@@ -172,20 +172,25 @@ def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 
     Asymmetry below identity_tol (relative to ||H||_F) is treated as
     roundoff and absorbed by returning (H + H*)/2, without either norm when
-    H = H* exactly; anything larger is a genuine contract violation.
+    H = H* exactly; anything larger is a genuine contract violation. Where
+    H + H* overflows, for entries past DBL_MAX / 2, H/2 + H*/2 is returned.
     """
     h = as_matrix(h)
     h_star = h.conj().T
-    if (h == h_star).all():
-        return (h + h_star) / 2.0
-    scale = frobenius_norm(h)
-    asym = frobenius_norm(h - h_star)
-    if asym > cfg.identity_tol * scale:
-        raise NotHermitian(
-            f"asymmetry {asym:.3e} exceeds {cfg.identity_tol:.1e} * ||H||_F = "
-            f"{cfg.identity_tol * scale:.3e}"
-        )
-    return (h + h_star) / 2.0
+    if not (h == h_star).all():
+        scale = frobenius_norm(h)
+        with np.errstate(over="ignore"):  # an asymmetry past DBL_MAX is inf
+            asym = frobenius_norm(h - h_star)
+        if asym > cfg.identity_tol * scale:
+            raise NotHermitian(
+                f"asymmetry {asym:.3e} exceeds {cfg.identity_tol:.1e} * ||H||_F = "
+                f"{cfg.identity_tol * scale:.3e}"
+            )
+    try:
+        with np.errstate(over="raise"):
+            return (h + h_star) / 2.0
+    except FloatingPointError:
+        return h / 2.0 + h_star / 2.0
 
 
 @dataclass(frozen=True)
@@ -423,6 +428,8 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
     runs on 2^-e H, with ||2^-e H||_F in [1/2, 1), whose mass neither
     underflows nor overflows; the scaling is exact and changes no bit.
+    Where ||H||_F itself overflows, e is read from a smaller power of two
+    times H, and an eigenvalue past the double range raises NumericalError.
 
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
     matrices, gives the list of their k decompositions, each bit for bit
@@ -434,26 +441,28 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     runs once per member.
     """
     stack = np.ndim(h) == 3
-    # runs: (member, e, ||H||_F, 2^-e H, target) of each member Jacobi runs on
-    out, runs, n = [], [], 0
+    # runs: (e, 2^-e H, target) of each member
+    runs, n = [], 0
     for m in h if stack else (h,):
         hm = require_hermitian(m, cfg)
         n = hm.shape[0]
         scale = frobenius_norm(hm)
-        if n == 1 or scale == 0.0:
-            out.append(HermitianEigen(np.eye(n, dtype=np.complex128), np.diag(hm).real.copy()))
-            continue
-        e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
-        target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
-        runs.append((len(out), e, scale, hm * math.ldexp(1.0, -e), target))
-        out.append(None)
+        if scale < math.inf:
+            e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
+            target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
+        else:  # ||H||_F <= n max|h_ij| < 2^k DBL_MAX, so 2^-k H has a finite norm
+            k = n.bit_length()
+            norm, e = math.frexp(frobenius_norm(hm * math.ldexp(1.0, -k)))
+            e, target = e + k, cfg.eig_off_diag_tol * norm
+        runs.append((e, hm * math.ldexp(1.0, -e), target))
     # rotations on entries below target / 4n cannot lift the mass back above target
     solutions = None
-    if n >= _ROUNDS_MIN_N and runs:
-        targets = [run[4] for run in runs]
-        solutions = _jacobi_rounds(np.stack([run[3] for run in runs]), targets,
+    if n >= _ROUNDS_MIN_N:
+        targets = [run[2] for run in runs]
+        solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), targets,
                                    [target / (4.0 * n) for target in targets], cfg.max_jacobi_sweeps)
-    for k, (i, e, scale, m, target) in enumerate(runs):
+    out = []
+    for k, (e, m, target) in enumerate(runs):
         if solutions:
             lam, frame, mass = solutions[k]
         else:
@@ -461,10 +470,13 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
         if not mass <= target:
             raise NoConvergence(
                 f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
-                f"{cfg.eig_off_diag_tol * scale:.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
+                f"{math.ldexp(target, e):.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
             )
         order = np.argsort(lam, kind="stable")
-        out[i] = HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e))
+        # |lam| < 1, so 2^e lam can overflow only from e = 1024 on
+        if e >= 1024 and float(np.max(np.abs(lam))) >= math.ldexp(1.0, 1024 - e):
+            raise NumericalError(f"an eigenvalue leaves the double range (n = {n})")
+        out.append(HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e)))
     return out if stack else out[0]
 
 
@@ -526,7 +538,11 @@ def sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     Eigenvalues within the positivity floor of zero are clamped to zero;
     anything further negative raises DomainError.
     """
-    eig = hermitian_eigen(h, cfg)
+    return _sqrt_from(hermitian_eigen(h, cfg), cfg)
+
+
+def _sqrt_from(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """`sqrtm` of the matrix with spectrum eig."""
     return _assemble(eig, _sqrt_values(eig, cfg))
 
 
@@ -597,14 +613,10 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
 
 
 def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
-    """The polar factor U = T |T|^{-1}, from the spectrum of T*T."""
-    sing = _singular_values(gram, cfg)
-    return _newton_schulz_step(t @ _assemble(gram, 1.0 / sing))
-
-
-def _singular_values(gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
-    """Singular values of T from the spectrum of T*T; raises Singular when
-    the smallest is within the positivity floor of the largest."""
+    """The polar factor U = T |T|^{-1} from the spectrum of T*T, or Singular
+    when T's smallest singular value is within the positivity floor of its
+    largest. One Newton-Schulz step scrubs U's O(eps * cond) unitarity
+    defect, taken only while that is well below 1, where the step contracts."""
     sing = np.sqrt(np.maximum(gram.eigenvalues, 0.0))
     largest = float(sing[-1])
     if largest == 0.0 or float(sing[0]) <= cfg.positivity_floor * largest:
@@ -612,25 +624,11 @@ def _singular_values(gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
             f"smallest singular value {float(sing[0]):.3e} within floor of "
             f"{cfg.positivity_floor:.1e} * {largest:.3e}"
         )
-    return sing
-
-
-def _newton_schulz_step(u: np.ndarray) -> np.ndarray:
-    """One Newton-Schulz step, which scrubs the O(eps * cond) unitarity
-    defect of a computed polar factor; only applied while the defect is
-    well below 1, where the step is contractive."""
-    n = u.shape[0]
-    gram_defect = u.conj().T @ u - np.eye(n)
-    if frobenius_norm(gram_defect) < 0.5:
-        u = u @ (np.eye(n) - gram_defect / 2.0)
+    u = t @ _assemble(gram, 1.0 / sing)
+    defect = u.conj().T @ u - np.eye(t.shape[0])
+    if frobenius_norm(defect) < 0.5:
+        u = u @ (np.eye(t.shape[0]) - defect / 2.0)
     return u
-
-
-def op_norm(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Operator (spectral) norm, the largest singular value."""
-    t = as_matrix(t)
-    eig = hermitian_eigen(_gram(t), cfg)
-    return math.sqrt(max(float(eig.eigenvalues[-1]), 0.0))
 
 
 def is_positive_definite(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:

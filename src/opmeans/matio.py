@@ -100,8 +100,6 @@ def format_float(x: float) -> str:
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write rows of floats/ints/strings; floats via format_float."""
     def cell(x) -> str:
-        if isinstance(x, bool):
-            return str(x).lower()
         if isinstance(x, float):
             return format_float(x)
         return str(x)
@@ -113,8 +111,9 @@ def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> Non
 
 
 def save_json(path: str | None, obj) -> str:
-    """Serialize deterministically; write to path when given. Returns the text."""
-    text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """Serialize deterministically, raising ValueError on a NaN or infinity,
+    which JSON has no literal for; write to path when given. Returns the text."""
+    text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if path is not None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -42,8 +42,7 @@ from .linalg import (
     _assemble,
     _is_positive,
     _scale_exponent,
-    _singular_values,
-    _sqrt_values,
+    _sqrt_from,
 )
 
 __all__ = [
@@ -69,11 +68,6 @@ def _core(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return core
 
 
-def _root(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
-    """X, the square root of the core, from the core's spectrum."""
-    return _assemble(eig, _sqrt_values(eig, cfg))
-
-
 def _heron_form(sqrt_a: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
     """((A^{1/2} + B^{1/2}) / 2)^2, not yet symmetrized."""
     avg = (sqrt_a + sqrt_b) / 2.0
@@ -91,9 +85,9 @@ class PairSpectra:
     A's and B's spectra are taken on construction, in one pass, unless
     they are `known` (in the pair's units), and the core's on first use,
     alone or beside another matrix (`spectrum_beside_core`). Either way
-    A's spectrum must clear the positivity floor. X and X^{-1} both come
-    from the core spectrum. The matrices held belong to the pair divided by
-    `unit`, the even power of two chosen by `_scale_exponent`: a result of
+    A's spectrum must clear the positivity floor. X comes from the core
+    spectrum. The matrices held belong to the pair divided by `unit`, the
+    even power of two chosen by `_scale_exponent`: a result of
     degree d in the pair returns to the pair's units times unit^d, while
     gaps and residuals, ratios of terms of one degree, are unchanged.
     """
@@ -116,13 +110,13 @@ class PairSpectra:
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
-        return _assemble(self.eig_b, _sqrt_values(self.eig_b, self.cfg))
+        return _sqrt_from(self.eig_b, self.cfg)
 
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
         eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg)
-        return eig, _root(eig, self.cfg)
+        return eig, _sqrt_from(eig, self.cfg)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
         """Spectrum of h, taken in one pass with the core's unless that is
@@ -130,7 +124,7 @@ class PairSpectra:
         if "core" in self.__dict__:
             return hermitian_eigen(h, self.cfg)
         eig_core, eig = hermitian_eigen((_core(self.sqrt_a, self.b), h), self.cfg)
-        self.core = eig_core, _root(eig_core, self.cfg)  # fills the cached property
+        self.core = eig_core, _sqrt_from(eig_core, self.cfg)  # fills the cached property
         return eig
 
     @property
@@ -138,11 +132,9 @@ class PairSpectra:
         return self.core[1]
 
     @cached_property
-    def inv_x(self) -> np.ndarray:
-        """X^{-1}. The core's eigenvalues are the squared singular values of
-        Y, so this raises Singular exactly when polar(Y) would."""
-        eig = self.core[0]
-        return _assemble(eig, 1.0 / _singular_values(eig, self.cfg))
+    def y(self) -> np.ndarray:
+        """Y = B^{1/2} A^{1/2}, whose |Y| is X: Y*Y is the core."""
+        return self.sqrt_b @ self.sqrt_a
 
     @cached_property
     def heron(self) -> np.ndarray:
@@ -239,7 +231,7 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
     s = p.spectra(cfg)
     return ProofIntermediates(
         x=s.x * s.unit,
-        y=s.sqrt_b @ s.sqrt_a * s.unit,
+        y=s.y * s.unit,
         sqrt_a=s.sqrt_a * s.root_unit,
         sqrt_b=s.sqrt_b * s.root_unit,
         inv_sqrt_a=s.inv_sqrt_a / s.root_unit,

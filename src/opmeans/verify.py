@@ -26,12 +26,12 @@ eigensolver, over A and B as one stack and then the core. The full report
 adds (A+Y)*(A+Y), for r4, to the core's pass, since it needs no X: two
 passes over four matrices. A generated pair carries the spectra of A and
 B it was drawn from and skips the first pass; a pair read from files, as
-`opmeans verify` reads it, takes both. Since |Y| = X, r5 takes the polar
-factor of Y as U = Y X^{-1} with X^{-1} from the core spectrum, followed
-by one Newton-Schulz step. The descent decomposes A and the starting B0 once
-each, then evaluates its objective with two eigendecompositions, of S and
-of the core, and takes its exact gradient from those two spectra with none
-of its own.
+`opmeans verify` reads it, takes both. Since Y*Y is the core, r5 takes
+the polar factor of Y from the core's spectrum, by the one route that
+`polar` and `ando_hayashi_witness` take too. The descent decomposes A and
+the starting B0 once each, then evaluates its objective with two
+eigendecompositions, of S and of the core, and takes its exact gradient
+from those two spectra with none of its own.
 """
 
 from __future__ import annotations
@@ -58,7 +58,6 @@ from .linalg import (
     _assemble,
     _gram,
     _isometry,
-    _newton_schulz_step,
     _scale_exponent,
     _sqrt_values,
     _upper_plan,
@@ -197,20 +196,19 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     """
     s = p.spectra(cfg)
     a, b, n = s.a, s.b, p.dim
-    sqrt_a, sqrt_b, inv_sqrt_a = s.sqrt_a, s.sqrt_b, s.inv_sqrt_a
-    y = sqrt_b @ sqrt_a
+    sqrt_a, sqrt_b, inv_sqrt_a, y = s.sqrt_a, s.sqrt_b, s.inv_sqrt_a, s.y
     apy = a + y
     # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
     gram = apy.conj().T @ apy
     eig_gram = s.spectrum_beside_core((gram + gram.conj().T) / 2.0)
     x = s.x
-    heron, wass = s.heron, s.wasserstein
+    diff = s.heron - s.wasserstein
 
     # r1: cross-term identity for 4(heron - wasserstein)
     sab = sqrt_a @ sqrt_b
     sxs_r = sqrt_a @ x @ inv_sqrt_a
     sxs_l = inv_sqrt_a @ x @ sqrt_a
-    lhs1 = 4.0 * (heron - wass)
+    lhs1 = 4.0 * diff
     rhs1 = sab + y - sxs_r - sxs_l
     scale1 = (
         frobenius_norm(sab) + frobenius_norm(y)
@@ -224,7 +222,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     ax = a @ x
     xa = x @ a
     lhs2 = ay + ya - ax - xa
-    rhs2 = 4.0 * (sqrt_a @ (heron - wass) @ sqrt_a)
+    rhs2 = 4.0 * (sqrt_a @ diff @ sqrt_a)
     scale2 = (
         frobenius_norm(ay) + frobenius_norm(ya)
         + frobenius_norm(ax) + frobenius_norm(xa)
@@ -238,11 +236,11 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
     r4 = _relative(_abs_from_gram(eig_gram) - apx, frobenius_norm(apx), "r4")
 
-    # r5: polar factor U = Y X^{-1} of Y collapses to the identity
-    # (conditional); |Y| = X, so X^{-1} comes from the core spectrum
+    # r5: polar factor of Y collapses to the identity (conditional); Y*Y
+    # is the core, so it comes from the core's spectrum
     polar_singular = False
     try:
-        u = _newton_schulz_step(y @ s.inv_x)
+        u = _isometry(y, s.core[0], cfg)
         r5 = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
     except Singular:
         polar_singular = True
@@ -424,6 +422,10 @@ class GapObjective:
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
         diff = heron - wass
         norm_b = frobenius_norm(b)
+        if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
+            raise NumericalError(
+                f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range; scale the pair"
+            )
         gap = frobenius_norm(diff) / (self.norm_a + norm_b)
         self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap)
         return gap * gap, gap, b

@@ -175,6 +175,21 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
         assert "residual r2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_singular_y_report_is_json(self, tmp_path, seed):
+        # Y is singular within the floor: r5 is null, which polar_singular
+        # explains, not an Infinity literal, which JSON does not have
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        assert run("gen", "--n", "8", "--seed", str(seed), "--cond", "1e10", "--family", "commuting",
+                   "--out-a", str(fa), "--out-b", str(fb)) == 0
+        assert run("verify", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+
+        def refuse(literal):
+            raise AssertionError(f"{literal} is not JSON")
+        payload = json.loads(fo.read_text(), parse_constant=refuse)
+        assert payload["polar_singular"] is True
+        assert payload["residuals"]["r5"] is None
+
     def test_bad_tol_is_usage_error(self, tmp_path):
         fa = tmp_path / "a.json"
         save_matrix(str(fa), np.eye(2, dtype=complex))
@@ -258,6 +273,29 @@ class TestMinimize:
                    "--out", str(tmp_path / "t.csv")) == 2
         assert "core A^{1/2} B A^{1/2} leaves the double range" in capsys.readouterr().err
 
+
+    def test_indefinite_a_past_half_max_exits_2(self, tmp_path, capsys):
+        # eigenvalues -7e307 (twice) and 1.7e308: not the converged step 0
+        # that a norm overflowing to inf gave
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), np.array([[1e307, 8e307, 8e307], [8e307, 1e307, 8e307],
+                                       [8e307, 8e307, 1e307]], dtype=complex))
+        save_matrix(str(fb), np.eye(3, dtype=complex))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert "square root undefined" in capsys.readouterr().err
+
+    def test_overflowing_norm_product_exits_2(self, tmp_path, capsys):
+        # ||A||_F ||B||_F is past DBL_MAX while the core stays in range: not a
+        # commutator gap of 0
+        a = random_hpd(GenSpec(dim=8, seed=3, cond_target=3.0))
+        b = random_hpd(GenSpec(dim=8, seed=4, cond_target=3.0))
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), a / np.max(np.linalg.eigvalsh(a)) * 1e308)
+        save_matrix(str(fb), b / np.max(np.linalg.eigvalsh(b)))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert "||A||_F ||B||_F = " in capsys.readouterr().err
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):
@@ -390,6 +428,26 @@ class TestOutputsCheckedFirst:
         assert not fo.exists()
         assert capsys.readouterr().err == f"output error: [Errno 21] Is a directory: '{tmp_path}'\n"
 
+    def test_gen_pair_into_one_file(self, tmp_path, capsys):
+        fo = tmp_path / "x.json"
+        assert run("gen", "--n", "3", "--family", "commuting", "--out-a", str(fo), "--out-b", str(fo)) == 1
+        assert not fo.exists()
+        assert capsys.readouterr().err == f"usage error: outputs {fo} and {fo} name one file\n"
+
+    def test_minimize_trajectory_into_final_b(self, tmp_path, monkeypatch, capsys, pair):
+        self.refuse(monkeypatch, "minimize_gap")
+        fo = tmp_path / "t"
+        assert run("minimize", "--a", pair[0], "--b0", pair[1], "--budget", "5", "--out", str(fo),
+                   "--out-b", str(fo)) == 1
+        assert not fo.exists()
+        assert capsys.readouterr().err == f"usage error: outputs {fo} and {fo} name one file\n"
+
+    def test_one_file_spelled_two_ways(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run("gen", "--n", "3", "--family", "commuting", "--out-a", "x.json", "--out-b", "./x.json") == 1
+        assert not (tmp_path / "x.json").exists()
+        assert capsys.readouterr().err == "usage error: outputs x.json and ./x.json name one file\n"
+
     def test_good_outputs_are_not_created_by_the_check(self, tmp_path, monkeypatch, pair):
         # the check opens nothing: a run that fails after it leaves no file
         fo = tmp_path / "r.json"
@@ -464,6 +522,50 @@ class TestBytesPinned:
         save_matrix(str(fb), random_hpd(GenSpec(dim=24, seed=6, cond_target=100.0)))
         assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
         assert self.digest(fo) == "fae76adbe1b00dcd617dcab1680246de2a9cbcec150ab72306d8f765f0dc986c"
+
+    # sha256 of `mean --kind k` and of `lemma-ah` on the pair A, B of `pd_pair`,
+    # taken before r5, `polar` and `lemma-ah` came to share one polar factor
+    MEANS = {
+        ("geometric", 4): "afe75e4a73e239bd5e8b6f32c37bc603c9d33548285bc2978a61109c73ba191d",
+        ("heron", 4): "3cd0e7cd9e4a55b7710fcd6b759f65ac1bdbc7174735c18ec19d0f6d2621b2f2",
+        ("wasserstein", 4): "e6e654b0132ac6f56fa163c8da4b0362d433de329eef6fb78aeac4efbc9b302e",
+        ("geometric", 24): "4a46cd53d848e87424d8f1d728e1e33f3b0987443569499fe7903c1cf3791410",
+        ("heron", 24): "fb332d3ba9a8f10815d0ec557c574fa3dbf8db5121f3dd2aa7590f0880d52edd",
+        ("wasserstein", 24): "8c57cbe2e127333e6058792537c892c0169989fac97f6bf78015548e88b16a5a",
+    }
+    LEMMA_AH = {
+        4: "ac78550fbd55163042e575f1db27e22117c4b3032389ccac53d33b8a25d1e803",
+        24: "5a3428537bd2c2476ca93fc3ea505706341e70d46464e539bae2a077d4a7e2c7",
+    }
+
+    @staticmethod
+    def pd_pair(tmp_path, n):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=n, seed=30 + n, cond_target=10.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=40 + n, cond_target=10.0)))
+        return str(fa), str(fb)
+
+    @pytest.mark.parametrize("kind, n", sorted(MEANS), ids=[f"{k}-{n}" for k, n in sorted(MEANS)])
+    def test_mean(self, tmp_path, kind, n):
+        fa, fb = self.pd_pair(tmp_path, n)
+        fo = tmp_path / "m.json"
+        assert run("mean", "--kind", kind, "--a", fa, "--b", fb, "--out", str(fo)) == 0
+        assert self.digest(fo) == self.MEANS[kind, n]
+
+    @pytest.mark.parametrize("n", sorted(LEMMA_AH))
+    def test_lemma_ah_on_positive_pair(self, tmp_path, n):
+        fx, fy = self.pd_pair(tmp_path, n)
+        fo = tmp_path / "l.json"
+        assert run("lemma-ah", "--x", fx, "--y", fy, "--out", str(fo)) == 0
+        assert self.digest(fo) == self.LEMMA_AH[n]
+
+    def test_verify_report_n6(self, tmp_path):
+        # below the round-robin size: the scalar Jacobi loop
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        save_matrix(str(fa), random_hpd(GenSpec(dim=6, seed=5, cond_target=100.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=6, seed=6, cond_target=100.0)))
+        assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
+        assert self.digest(fo) == "0b83b6b68ed9d71c8f0a3f627c58286a11b02b0c3b1fcc51718cafdc54485149"
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"

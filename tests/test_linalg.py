@@ -8,6 +8,7 @@ random inputs (it is never used by library code).
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from opmeans.linalg import (
     DomainError,
     NoConvergence,
     NotHermitian,
+    NumericalError,
     Singular,
     ToleranceConfig,
     abs_op,
@@ -32,7 +34,6 @@ from opmeans.linalg import (
     is_positive_definite,
     logm,
     matrix_function,
-    op_norm,
     polar,
     require_hermitian,
     sqrtm,
@@ -235,6 +236,57 @@ class TestHermitianEigen:
         e = hermitian_eigen(np.zeros((3, 3), dtype=complex))
         assert np.allclose(e.eigenvalues, 0.0)
         assert np.array_equal(e.frame, np.eye(3, dtype=complex))
+
+
+class TestTopOfRange:
+    """Finite input whose sums or norms pass DBL_MAX: right answers or a
+    NumericalError, and no floating-point warning (an error under pytest)."""
+
+    # a = 1e307, b = 8e307: eigenvalues -7e307 (twice) and 1.7e308
+    INDEFINITE = mat([[1e307, 8e307, 8e307], [8e307, 1e307, 8e307], [8e307, 8e307, 1e307]])
+
+    @staticmethod
+    def assert_near_lapack(h):
+        ref = np.linalg.eigvalsh(h)
+        assert np.isfinite(ref).all()
+        top = np.max(np.abs(ref))
+        assert np.max(np.abs(hermitian_eigen(h).eigenvalues - ref)) <= 1e-14 * top
+
+    def test_one_by_one(self):
+        assert hermitian_eigen(mat([[1e308]])).eigenvalues.tolist() == [1e308]
+
+    def test_entries_past_half_max_are_symmetrized(self):
+        h = mat([[1.7e308, 1e306, 0.0], [1e306, -1.7e308, 5e307], [0.0, 5e307, 1e308]])
+        assert require_hermitian(h).tobytes() == h.tobytes()
+        self.assert_near_lapack(h)
+
+    @staticmethod
+    def overflowing(n):
+        """A Hermitian matrix with spectral radius 1.5e308 and ||H||_F = inf."""
+        h = random_hermitian(n, 5)
+        h = h / np.max(np.abs(np.linalg.eigvalsh(h))) * 1.5e308
+        assert frobenius_norm(h) == math.inf
+        return h
+
+    @pytest.mark.parametrize("n", [8, 24])
+    def test_overflowing_norm(self, n):
+        # the cyclic order at n = 8, the round-robin order at n = 24
+        self.assert_near_lapack(self.overflowing(n))
+
+    def test_no_convergence_names_a_finite_target(self):
+        h = self.overflowing(8)
+        with pytest.raises(NoConvergence, match=re.escape(f"above {1e-15 * frobenius_norm(h / 16) * 16:.3e} ")):
+            hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
+
+    def test_indefinite(self):
+        self.assert_near_lapack(self.INDEFINITE)
+        assert not is_positive_definite(self.INDEFINITE)
+        with pytest.raises(DomainError):
+            sqrtm(self.INDEFINITE)
+
+    def test_eigenvalue_past_range(self):
+        with pytest.raises(NumericalError, match="eigenvalue leaves the double range"):
+            hermitian_eigen(mat([[1e308, 1e308], [1e308, 1e308]]))
 
 
 # sha256 of the eigenvalues and frames below, as the cyclic solver gave them
@@ -501,9 +553,6 @@ class TestPolar:
 class TestNormsAndPredicates:
     def test_frobenius_identity(self):
         assert frobenius_norm(np.eye(4, dtype=complex)) == pytest.approx(2.0)
-
-    def test_op_norm_hand_value(self):
-        assert op_norm(mat([[2.0, 1.0], [1.0, 2.0]])) == pytest.approx(3.0, abs=1e-12)
 
     def test_commutator_of_diagonals_vanishes(self):
         c = commutator(np.diag([1.0, 2.0]).astype(complex), np.diag([3.0, 4.0]).astype(complex))
