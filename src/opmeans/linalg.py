@@ -128,36 +128,38 @@ def adjoint(t) -> np.ndarray:
     return as_matrix(t).conj().T
 
 
+def _exponent(t: np.ndarray) -> int:
+    """e for which the largest |entry| of 2^-e T lies in [1/2, 1), at
+    least -1021, so that 2^-e stays finite for subnormal T; 0 for T = 0."""
+    return max(math.frexp(np.abs(t).max())[1], -1021)
+
+
 def frobenius_norm(t) -> float:
     """Frobenius norm, sqrt of the sum of squared entry magnitudes.
 
     Where that sum overflows or falls below 2^-900 the entries are first
-    scaled by an exact power of two; elsewhere the plain sum is used.
+    scaled by 2^-e, e = `_exponent(T)`; elsewhere the plain sum is used.
     """
     t = np.asarray(t, dtype=np.complex128)
     total = float(np.vdot(t, t).real)
     if 2.0**-900 <= total < math.inf or not t.any():
         return math.sqrt(total)
-    # 2^-exp stays finite for subnormal entries
-    exp = max(math.frexp(float(np.max(np.abs(t))))[1], -1021)
+    exp = _exponent(t)
     s = t * math.ldexp(1.0, -exp)
     with np.errstate(over="ignore"):  # a norm past DBL_MAX is inf
         return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
 
 
 def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
-    """k for which 2^-2k brings the largest entry of A and B into [1, 4).
+    """k for which 2^-2k brings the largest entry of A and B into [1, 4), from
+    their larger `_exponent` (2^1022 at most for subnormal, k = -1 for zero).
 
     An even power of two scales exactly and commutes with square roots, so
     results computed on the scaled matrices are the unscaled ones times
     powers of two, bit for bit, wherever those neither overflow nor
     underflow.
     """
-    top = max(float(np.max(np.abs(a))), float(np.max(np.abs(b))))
-    if top == 0.0:
-        return 0
-    # 2^-2k overflows below k = -511, so subnormal pairs are scaled up that far
-    return max((math.frexp(top)[1] - 1) // 2, -511)
+    return (max(_exponent(a), _exponent(b)) - 1) // 2
 
 
 def commutator(a, b) -> np.ndarray:
@@ -426,10 +428,10 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     NotHermitian when the input asymmetry exceeds identity_tol and
     NoConvergence when the off-diagonal mass has not dropped below
     eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
-    runs on 2^-e H, with ||2^-e H||_F in [1/2, 1), whose mass neither
-    underflows nor overflows; the scaling is exact and changes no bit.
-    Where ||H||_F itself overflows, e is read from a smaller power of two
-    times H, and an eigenvalue past the double range raises NumericalError.
+    runs on 2^-e H, e = `_exponent(H)`, with entries below 1 and eigenvalues
+    below n, whose mass neither underflows nor overflows, even where ||H||_F
+    does; the scaling is exact and changes no bit. An eigenvalue that
+    leaves the double range when scaled back raises NumericalError.
 
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
     matrices, gives the list of their k decompositions, each bit for bit
@@ -445,16 +447,9 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     runs, n = [], 0
     for m in h if stack else (h,):
         hm = require_hermitian(m, cfg)
-        n = hm.shape[0]
-        scale = frobenius_norm(hm)
-        if scale < math.inf:
-            e = max(math.frexp(scale)[1], -1021)  # 2^-e stays finite for subnormal H
-            target = cfg.eig_off_diag_tol * math.ldexp(scale, -e)
-        else:  # ||H||_F <= n max|h_ij| < 2^k DBL_MAX, so 2^-k H has a finite norm
-            k = n.bit_length()
-            norm, e = math.frexp(frobenius_norm(hm * math.ldexp(1.0, -k)))
-            e, target = e + k, cfg.eig_off_diag_tol * norm
-        runs.append((e, hm * math.ldexp(1.0, -e), target))
+        n, e = hm.shape[0], _exponent(hm)
+        scaled = hm * math.ldexp(1.0, -e)
+        runs.append((e, scaled, cfg.eig_off_diag_tol * frobenius_norm(scaled)))
     # rotations on entries below target / 4n cannot lift the mass back above target
     solutions = None
     if n >= _ROUNDS_MIN_N:
@@ -473,8 +468,8 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
                 f"{math.ldexp(target, e):.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
             )
         order = np.argsort(lam, kind="stable")
-        # |lam| < 1, so 2^e lam can overflow only from e = 1024 on
-        if e >= 1024 and float(np.max(np.abs(lam))) >= math.ldexp(1.0, 1024 - e):
+        # |lam| < n < 2^bit_length(n), so 2^e lam can overflow only from here on
+        if e + n.bit_length() > 1024 and float(np.max(np.abs(lam))) >= math.ldexp(1.0, 1024 - e):
             raise NumericalError(f"an eigenvalue leaves the double range (n = {n})")
         out.append(HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e)))
     return out if stack else out[0]
@@ -556,8 +551,13 @@ def inv_sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root from a single eigendecomposition."""
     eig = hermitian_eigen(h, cfg)
-    lam = _positive_values(eig, cfg, "inverse square root")
-    roots = np.sqrt(lam)
+    _positive_values(eig, cfg, "inverse square root")
+    return _roots(eig)
+
+
+def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
+    """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
+    roots = np.sqrt(eig.eigenvalues)
     return _assemble(eig, roots), _assemble(eig, 1.0 / roots)
 
 

@@ -39,8 +39,8 @@ from .linalg import (
     hermitian_eigen,
     require_hermitian,
     sqrtm,
-    _assemble,
     _is_positive,
+    _roots,
     _scale_exponent,
     _sqrt_from,
 )
@@ -57,11 +57,12 @@ __all__ = [
 ]
 
 
-def _core(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The symmetrized core A^{1/2} B A^{1/2}, or NumericalError where it
-    leaves the double range."""
+def _core(t: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The symmetrized congruence T B T: the core A^{1/2} B A^{1/2} for
+    T = A^{1/2}, the geometric mean's inner matrix for T = A^{-1/2}; or
+    NumericalError where it leaves the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        core = sqrt_a @ b @ sqrt_a
+        core = t @ b @ t
         core = (core + core.conj().T) / 2.0
     if not np.isfinite(core).all():
         raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range; scale the pair")
@@ -104,9 +105,7 @@ class PairSpectra:
             self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
         if not _is_positive(self.eig_a, cfg):
             raise NotPositiveDefinite("matrix a is not positive definite")
-        roots = np.sqrt(self.eig_a.eigenvalues)
-        self.sqrt_a = _assemble(self.eig_a, roots)
-        self.inv_sqrt_a = _assemble(self.eig_a, 1.0 / roots)
+        self.sqrt_a, self.inv_sqrt_a = _roots(self.eig_a)
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
@@ -241,8 +240,7 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
 def geometric_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
     s = p.spectra(cfg)
-    inner = s.inv_sqrt_a @ s.b @ s.inv_sqrt_a
-    g = s.sqrt_a @ sqrtm((inner + inner.conj().T) / 2.0, cfg) @ s.sqrt_a
+    g = s.sqrt_a @ sqrtm(_core(s.inv_sqrt_a, s.b), cfg) @ s.sqrt_a
     return require_hermitian(g, cfg) * s.unit
 
 

@@ -192,8 +192,7 @@ def _eigenvalue_draw(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
 def _hpd_from(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
     lam = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    m = (q * lam) @ q.conj().T
-    return (m + m.conj().T) / 2.0
+    return _assemble(HermitianEigen(frame=q, eigenvalues=lam), lam)
 
 
 def _hermitian_unit(rng: SplitMix64, n: int) -> np.ndarray:
@@ -227,8 +226,8 @@ def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple:
     lam_a = _eigenvalue_draw(rng, n, cond)
     lam_b = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    parts = [(q * lam) @ q.conj().T for lam in (lam_a, lam_b, np.log(lam_b))]
-    a, b, log_b = ((m + m.conj().T) / 2.0 for m in parts)
+    drawn = HermitianEigen(frame=q, eigenvalues=lam_a)
+    a, b, log_b = (_assemble(drawn, lam) for lam in (lam_a, lam_b, np.log(lam_b)))
     return a, b, log_b, _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
 
 

@@ -36,8 +36,10 @@ class SweepSpec:
     def __post_init__(self) -> None:
         if len(self.epsilons) == 0:
             raise InvalidSpec("epsilons must be non-empty")
-        if any(e < 0.0 for e in self.epsilons):
+        if any(not e >= 0.0 for e in self.epsilons):  # NaN fails too
             raise InvalidSpec("epsilons must be >= 0")
+        if math.inf in self.epsilons:
+            raise InvalidSpec("epsilons must be finite")
         if any(b <= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise InvalidSpec("epsilons must be strictly increasing")
         if self.trials_per_epsilon < 1:

@@ -177,8 +177,10 @@ def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float,
     return s.mean_gap, commutator_gap(s.a, s.b)
 
 
-def _relative(diff: np.ndarray, scale: float, name: str) -> float:
-    """||diff||_F / scale, or NumericalError for a scale out of (0, inf)."""
+def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
+    """||diff||_F over the sum of the terms' Frobenius norms, summed left to
+    right, or NumericalError for a sum out of (0, inf)."""
+    scale = sum(frobenius_norm(t) for t in terms)
     if not 0.0 < scale < math.inf:
         raise NumericalError(f"residual {name} has normalizing scale {scale!r}, out of range")
     return frobenius_norm(diff) / scale
@@ -208,13 +210,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     sab = sqrt_a @ sqrt_b
     sxs_r = sqrt_a @ x @ inv_sqrt_a
     sxs_l = inv_sqrt_a @ x @ sqrt_a
-    lhs1 = 4.0 * diff
-    rhs1 = sab + y - sxs_r - sxs_l
-    scale1 = (
-        frobenius_norm(sab) + frobenius_norm(y)
-        + frobenius_norm(sxs_r) + frobenius_norm(sxs_l)
-    )
-    r1 = _relative(lhs1 - rhs1, scale1, "r1")
+    r1 = _relative(4.0 * diff - (sab + y - sxs_r - sxs_l), "r1", sab, y, sxs_r, sxs_l)
 
     # r2: the same identity conjugated by A^{1/2}
     ay = a @ y
@@ -222,19 +218,14 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     ax = a @ x
     xa = x @ a
     lhs2 = ay + ya - ax - xa
-    rhs2 = 4.0 * (sqrt_a @ diff @ sqrt_a)
-    scale2 = (
-        frobenius_norm(ay) + frobenius_norm(ya)
-        + frobenius_norm(ax) + frobenius_norm(xa)
-    )
-    r2 = _relative(lhs2 - rhs2, scale2, "r2")
+    r2 = _relative(lhs2 - 4.0 * (sqrt_a @ diff @ sqrt_a), "r2", ay, ya, ax, xa)
 
     # r3: expansion of (A+Y)*(A+Y) - (A+X)^2 using Y*Y = X^2
     apx = a + x
-    r3 = _relative(gram - apx @ apx - lhs2, frobenius_norm(gram), "r3")
+    r3 = _relative(gram - apx @ apx - lhs2, "r3", gram)
 
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
-    r4 = _relative(_abs_from_gram(eig_gram) - apx, frobenius_norm(apx), "r4")
+    r4 = _relative(_abs_from_gram(eig_gram) - apx, "r4", apx)
 
     # r5: polar factor of Y collapses to the identity (conditional); Y*Y
     # is the core, so it comes from the core's spectrum
@@ -247,7 +238,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
         r5 = math.inf
 
     # r6: self-adjointness of Y, the commutativity conclusion
-    r6 = _relative(y - y.conj().T, frobenius_norm(y), "r6")
+    r6 = _relative(y - y.conj().T, "r6", y)
 
     return GapReport(
         mean_gap=s.mean_gap,

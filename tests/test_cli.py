@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ import opmeans.cli as cli
 from opmeans.cli import cli_main
 from opmeans.matio import load_matrix, save_matrix
 from opmeans.randgen import GenSpec, SplitMix64, random_hpd
-from opmeans.verify import Verdict, commutator_gap
+from opmeans.verify import GapObjective, Verdict, commutator_gap
 
 
 def run(*argv):
@@ -152,6 +155,20 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fb)) == 1
         assert "entries[0] must be finite" in capsys.readouterr().err
 
+    def test_entries_not_an_array_exit_1(self, tmp_path, capsys):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        fa.write_text('{"n": 1, "entries": {"0": [1, 0]}}')
+        save_matrix(str(fb), np.eye(1, dtype=complex))
+        assert run("verify", "--a", str(fa), "--b", str(fb)) == 1
+        assert capsys.readouterr().err == f"input error: {fa}: field 'entries' must be an array\n"
+
+    def test_indefinite_b_exit_2(self, tmp_path, capsys):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        save_matrix(str(fa), np.eye(3, dtype=complex))
+        save_matrix(str(fb), np.diag([1.0, 2.0, -1.0]).astype(complex))
+        assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
+        assert capsys.readouterr().err == "numerical error: matrix b is not positive definite\n"
+
     def test_counterexample_exit_code(self, tmp_path, monkeypatch):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
         save_matrix(str(fa), np.eye(2, dtype=complex))
@@ -235,6 +252,17 @@ class TestMinimize:
         assert lines[0] == "step,mean_gap,commutator_gap,objective"
         final_b = load_matrix(str(ff))
         assert commutator_gap(np.diag([1.0, 2.0]).astype(complex), final_b) <= 1e-4
+
+    def test_stalled_line_search_warns(self, tmp_path, monkeypatch, capsys):
+        # an ascent direction: every trial step fails the Armijo test
+        gradient = GapObjective.gradient
+        monkeypatch.setattr(GapObjective, "gradient", lambda self, s: -gradient(self, s))
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b0.json", tmp_path / "t.csv"
+        save_matrix(str(fa), np.diag([1.0, 10.0]).astype(complex))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0)))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "5", "--out", str(fo)) == 0
+        assert len(fo.read_text().splitlines()) == 2  # the header and step 0
+        assert capsys.readouterr().err == "warning: line search stalled before the budget was used\n"
 
     def test_budget_zero_usage_error(self, tmp_path):
         fa = tmp_path / "a.json"
@@ -353,6 +381,36 @@ class TestUsage:
         # any other name gets the full parser, whose error lists every subcommand
         with pytest.raises(cli._UsageError, match="'minimize', 'lemma-ah'"):
             cli.build_parser("frobnicate").parse_args(["frobnicate"])
+
+
+class TestModuleEntryPoint:
+    """`python -m opmeans` and `python -m opmeans.cli` run the CLI from a
+    checkout that is not installed."""
+
+    @staticmethod
+    def python_m(module, *argv, cwd):
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        return subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    @pytest.mark.parametrize("module", ["opmeans", "opmeans.cli"])
+    def test_gen_writes_its_file(self, tmp_path, module):
+        done = self.python_m(module, "gen", "--n", "3", "--seed", "42", "--out", "m.json", cwd=tmp_path)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
+        assert np.array_equal(load_matrix(str(tmp_path / "m.json")), random_hpd(GenSpec(dim=3, seed=42)))
+
+    @pytest.mark.parametrize("module", ["opmeans", "opmeans.cli"])
+    def test_missing_option_is_usage_error(self, tmp_path, module):
+        done = self.python_m(module, "verify", "--b", "b.json", cwd=tmp_path)
+        assert done.returncode == 1
+        assert done.stderr == "usage error: the following arguments are required: --a\n"
+
+    def test_main_exits_with_the_code(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["opmeans", "verify"])
+        with pytest.raises(SystemExit) as exc:
+            cli.main()
+        assert exc.value.code == 1
 
 
 class TestUnwritableOutput:

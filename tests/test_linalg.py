@@ -278,6 +278,12 @@ class TestTopOfRange:
         with pytest.raises(NoConvergence, match=re.escape(f"above {1e-15 * frobenius_norm(h / 16) * 16:.3e} ")):
             hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
 
+    @pytest.mark.parametrize("n, power", [(24, 1020), (3, 1023)])
+    def test_rank_one_past_range(self, n, power):
+        # every entry is finite, the one nonzero eigenvalue n 2^power is not
+        with pytest.raises(NumericalError, match="eigenvalue leaves the double range"):
+            hermitian_eigen(np.full((n, n), 2.0**power, dtype=complex))
+
     def test_indefinite(self):
         self.assert_near_lapack(self.INDEFINITE)
         assert not is_positive_definite(self.INDEFINITE)
@@ -287,6 +293,42 @@ class TestTopOfRange:
     def test_eigenvalue_past_range(self):
         with pytest.raises(NumericalError, match="eigenvalue leaves the double range"):
             hermitian_eigen(mat([[1e308, 1e308], [1e308, 1e308]]))
+
+
+def range_edges():
+    """Zero matrices, matrices scaled by 2^+-1000, mixes with subnormal
+    entries, and entries near 1e308 whose ||H||_F overflows."""
+    for n in (1, 3, 12):
+        yield np.zeros((n, n), dtype=complex)
+    for n in (2, 5, 12, 16):
+        for power in (1000, -1000):
+            yield random_hermitian(n, n, 2.0**power)
+            yield hpd(n, n + 1, cond=1e3) * 2.0**power
+    for n in (3, 12):
+        yield random_hermitian(n, 3 * n, 2.0**-1060)  # every entry subnormal
+        h = np.diag(np.arange(1.0, n + 1)).astype(complex) * 1e-300
+        yield h + random_hermitian(n, 3 * n + 1, 2.0**-1070)  # subnormal off the diagonal
+        h = random_hermitian(n, 3 * n + 2)
+        h[0, -1], h[-1, 0] = 5e-324j, -5e-324j
+        yield h * 2.0**-1000
+    for n in (3, 8, 12, 24):
+        h = random_hermitian(n, n + 2)
+        h = h / np.max(np.abs(np.linalg.eigvalsh(h))) * 1.7e308
+        assert frobenius_norm(h) == math.inf
+        yield h
+
+
+# sha256 of the eigenvalues and frames of `range_edges()` at the default config
+RANGE_EDGES_DIGEST = "6901347a3f528165dc064b4857d5b370ad02f757dc80ecb5604b985febbdbeac"
+
+
+def test_range_edges_keep_their_bits():
+    digest = hashlib.sha256()
+    for h in range_edges():
+        e = hermitian_eigen(h)
+        digest.update(e.eigenvalues.tobytes())
+        digest.update(e.frame.tobytes())
+    assert digest.hexdigest() == RANGE_EDGES_DIGEST
 
 
 # sha256 of the eigenvalues and frames below, as the cyclic solver gave them

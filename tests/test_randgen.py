@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from opmeans.linalg import _assemble, frobenius_norm, is_positive_definite
+from opmeans.linalg import NumericalError, _assemble, frobenius_norm, is_positive_definite
 from opmeans.randgen import (
     GenSpec,
     InvalidSpec,
@@ -15,6 +15,7 @@ from opmeans.randgen import (
     near_commuting_pair,
     random_commuting_pair,
     random_hpd,
+    _hermitian_unit,
 )
 from opmeans.verify import commutator_gap
 
@@ -185,6 +186,16 @@ class TestRandomHpd:
         m = random_hpd(GenSpec(dim=1, seed=3, cond_target=9.0))
         assert m.shape == (1, 1)
         assert m[0, 0].real > 0
+
+    @pytest.mark.parametrize("draw, message", [
+        (lambda: random_hpd(GenSpec(dim=3, seed=1)), "frame column collapsed"),
+        (lambda: _hermitian_unit(SplitMix64(1), 3), "hermitian direction collapsed"),
+    ])
+    def test_collapsed_draw_is_numerical_error(self, monkeypatch, draw, message):
+        # no seed is known to draw a zero gaussian matrix, so one is patched in
+        monkeypatch.setattr(SplitMix64, "complex_gaussian_matrix", lambda self, n: np.zeros((n, n), complex))
+        with pytest.raises(NumericalError, match=message):
+            draw()
 
 
 class TestCommutingPair:

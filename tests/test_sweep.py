@@ -1,8 +1,12 @@
 """Sweep spec validation, row structure, and determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
+import opmeans.sweep as sweep
+from opmeans.cli import cli_main
 from opmeans.randgen import GenSpec, InvalidSpec, near_commuting_pair
 from opmeans.sweep import SweepRow, SweepSpec, run_sweep
 from opmeans.verify import Verdict, classify_gaps, proof_chain_report
@@ -29,6 +33,21 @@ class TestSweepSpec:
     def test_rejects_negative_epsilon(self):
         with pytest.raises(InvalidSpec):
             SweepSpec(base=base_spec(), epsilons=(-0.1, 0.1), trials_per_epsilon=1)
+
+    @pytest.mark.parametrize("epsilons, message", [
+        ((0.0, math.nan), ">= 0"), ((math.nan,), ">= 0"), ((0.0, math.inf), "finite")])
+    def test_rejects_nan_and_inf(self, epsilons, message):
+        with pytest.raises(InvalidSpec, match=message):
+            SweepSpec(base=base_spec(), epsilons=epsilons, trials_per_epsilon=1)
+
+    @pytest.mark.parametrize("epsilons", ["0,nan", "nan", "0,inf"])
+    def test_cli_draws_nothing_for_nan_or_inf(self, tmp_path, monkeypatch, capsys, epsilons):
+        calls = []
+        monkeypatch.setattr(sweep, "near_commuting_pair", lambda *args: calls.append(args))
+        out = tmp_path / "s.csv"
+        code = cli_main(["sweep", "--n", "2", "--epsilons", epsilons, "--trials", "2", "--out", str(out)])
+        assert code == 1 and calls == [] and not out.exists()
+        assert capsys.readouterr().err.startswith("input error: epsilons must be")
 
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidSpec):
@@ -63,6 +82,15 @@ class TestRunSweep:
         # just check the coarse ordering of scales
         assert rows[0].mean_gap < rows[1].mean_gap
         assert rows[0].commutator_gap < rows[1].commutator_gap
+
+    def test_failed_rows_carry_the_error(self, tmp_path):
+        # at cond 1e13 A's smallest eigenvalue is below the positivity floor
+        out = tmp_path / "s.csv"
+        code = cli_main(["sweep", "--n", "3", "--cond", "1e13", "--epsilons", "0,0.1",
+                         "--trials", "2", "--out", str(out)])
+        rows = out.read_text().splitlines()[1:]
+        assert code == 0 and len(rows) == 4
+        assert all(row.endswith(",nan,nan,nan,error:NotPositiveDefinite") for row in rows)
 
     def test_row_is_plain_record(self):
         spec = SweepSpec(base=base_spec(), epsilons=(0.1,), trials_per_epsilon=1)

@@ -12,6 +12,7 @@ from opmeans.linalg import NumericalError, Singular, abs_op, frobenius_norm, log
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
+    MAX_BACKTRACKS,
     GapObjective,
     TriangleEqualityFails,
     Verdict,
@@ -405,3 +406,26 @@ class TestMinimizeGap:
             assert tr.iterates[-1][3] > 1e-16
         else:
             assert not tr.no_descent
+
+    @staticmethod
+    def run_counting_evaluations(monkeypatch, gradient):
+        """minimize_gap with `gradient` in place of the exact one on a pair
+        whose gap is large enough that no ascent step passes by roundoff,
+        and the number of evaluations it took."""
+        calls = []
+        evaluate = GapObjective.evaluate
+        monkeypatch.setattr(GapObjective, "evaluate", lambda self, s: calls.append(s) or evaluate(self, s))
+        monkeypatch.setattr(GapObjective, "gradient", gradient)
+        b0 = random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0))
+        return minimize_gap(np.diag([1.0, 10.0]).astype(complex), b0, budget=5), len(calls)
+
+    # no seeded run was found to stop without descent (generic and diagonal
+    # A, n = 2..4), so both stops are reached through a patched gradient
+    def test_zero_gradient_stops_at_step_zero(self, monkeypatch):
+        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, s: np.zeros(self.n * self.n))
+        assert tr.no_descent and len(tr.iterates) == 1 and calls == 1
+
+    def test_ascent_direction_stops_after_the_backtracks(self, monkeypatch):
+        gradient = GapObjective.gradient
+        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, s: -gradient(self, s))
+        assert tr.no_descent and len(tr.iterates) == 1 and calls == 1 + MAX_BACKTRACKS
