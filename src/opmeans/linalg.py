@@ -130,8 +130,9 @@ def adjoint(t) -> np.ndarray:
 
 def _exponent(t: np.ndarray) -> int:
     """e for which the largest |entry| of 2^-e T lies in [1/2, 1), at
-    least -1021, so that 2^-e stays finite for subnormal T; 0 for T = 0."""
-    return max(math.frexp(np.abs(t).max())[1], -1021)
+    least -1021, so that 2^-e stays finite for subnormal T. T = 0 counts as
+    the least subnormal, so a zero matrix never raises a larger exponent."""
+    return max(math.frexp(np.abs(t).max() or math.ulp(0.0))[1], -1021)
 
 
 def frobenius_norm(t) -> float:
@@ -152,7 +153,7 @@ def frobenius_norm(t) -> float:
 
 def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
     """k for which 2^-2k brings the largest entry of A and B into [1, 4), from
-    their larger `_exponent` (2^1022 at most for subnormal, k = -1 for zero).
+    their larger `_exponent`: a zero matrix has no say, and k >= -511.
 
     An even power of two scales exactly and commutes with square roots, so
     results computed on the scaled matrices are the unscaled ones times
@@ -475,9 +476,9 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     return out if stack else out[0]
 
 
-def _assemble(eig: HermitianEigen, values: np.ndarray) -> np.ndarray:
+def _assemble(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
     """frame @ diag(values) @ frame*, symmetrized against roundoff."""
-    m = (eig.frame * values) @ eig.frame.conj().T
+    m = (frame * values) @ frame.conj().T
     return (m + m.conj().T) / 2.0
 
 
@@ -494,7 +495,7 @@ def matrix_function(h, f: Callable[[float], float], cfg: ToleranceConfig = DEFAU
     eigenvalue.
     """
     eig = hermitian_eigen(h, cfg)
-    return _assemble(eig, _function_values(eig, f))
+    return _assemble(eig.frame, _function_values(eig, f))
 
 
 def _function_values(eig: HermitianEigen, f: Callable[[float], float]) -> np.ndarray:
@@ -538,14 +539,14 @@ def sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def _sqrt_from(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
     """`sqrtm` of the matrix with spectrum eig."""
-    return _assemble(eig, _sqrt_values(eig, cfg))
+    return _assemble(eig.frame, _sqrt_values(eig, cfg))
 
 
 def inv_sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Inverse square root of a positive definite Hermitian matrix."""
     eig = hermitian_eigen(h, cfg)
     lam = _positive_values(eig, cfg, "inverse square root")
-    return _assemble(eig, 1.0 / np.sqrt(lam))
+    return _assemble(eig.frame, 1.0 / np.sqrt(lam))
 
 
 def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
@@ -558,14 +559,14 @@ def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndar
 def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
     roots = np.sqrt(eig.eigenvalues)
-    return _assemble(eig, roots), _assemble(eig, 1.0 / roots)
+    return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
 
 
 def invm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Inverse of a positive definite Hermitian matrix."""
     eig = hermitian_eigen(h, cfg)
     lam = _positive_values(eig, cfg, "inverse")
-    return _assemble(eig, 1.0 / lam)
+    return _assemble(eig.frame, 1.0 / lam)
 
 
 def expm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -577,7 +578,7 @@ def logm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Logarithm of a positive definite Hermitian matrix."""
     eig = hermitian_eigen(h, cfg)
     lam = _positive_values(eig, cfg, "logarithm")
-    return _assemble(eig, np.log(lam))
+    return _assemble(eig.frame, np.log(lam))
 
 
 def _gram(t: np.ndarray) -> np.ndarray:
@@ -597,7 +598,7 @@ def abs_op(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
 
 def _abs_from_gram(gram: HermitianEigen) -> np.ndarray:
     """|T| from the spectrum of T*T, negative roundoff clamped to zero."""
-    return _assemble(gram, np.sqrt(np.maximum(gram.eigenvalues, 0.0)))
+    return _assemble(gram.frame, np.sqrt(np.maximum(gram.eigenvalues, 0.0)))
 
 
 def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
@@ -624,7 +625,7 @@ def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.n
             f"smallest singular value {float(sing[0]):.3e} within floor of "
             f"{cfg.positivity_floor:.1e} * {largest:.3e}"
         )
-    u = t @ _assemble(gram, 1.0 / sing)
+    u = t @ _assemble(gram.frame, 1.0 / sing)
     defect = u.conj().T @ u - np.eye(t.shape[0])
     if frobenius_norm(defect) < 0.5:
         u = u @ (np.eye(t.shape[0]) - defect / 2.0)

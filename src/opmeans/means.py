@@ -57,12 +57,11 @@ __all__ = [
 ]
 
 
-def _core(t: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The symmetrized congruence T B T: the core A^{1/2} B A^{1/2} for
-    T = A^{1/2}, the geometric mean's inner matrix for T = A^{-1/2}; or
-    NumericalError where it leaves the double range."""
+def _core(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The symmetrized core A^{1/2} B A^{1/2}, or NumericalError where it
+    leaves the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        core = t @ b @ t
+        core = sqrt_a @ b @ sqrt_a
         core = (core + core.conj().T) / 2.0
     if not np.isfinite(core).all():
         raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range; scale the pair")
@@ -240,7 +239,8 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
 def geometric_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
     s = p.spectra(cfg)
-    g = s.sqrt_a @ sqrtm(_core(s.inv_sqrt_a, s.b), cfg) @ s.sqrt_a
+    inner = s.inv_sqrt_a @ s.b @ s.inv_sqrt_a
+    g = s.sqrt_a @ sqrtm((inner + inner.conj().T) / 2.0, cfg) @ s.sqrt_a
     return require_hermitian(g, cfg) * s.unit
 
 

@@ -192,7 +192,7 @@ def _eigenvalue_draw(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
 def _hpd_from(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
     lam = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    return _assemble(HermitianEigen(frame=q, eigenvalues=lam), lam)
+    return _assemble(q, lam)
 
 
 def _hermitian_unit(rng: SplitMix64, n: int) -> np.ndarray:
@@ -226,8 +226,7 @@ def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple:
     lam_a = _eigenvalue_draw(rng, n, cond)
     lam_b = _eigenvalue_draw(rng, n, cond)
     q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    drawn = HermitianEigen(frame=q, eigenvalues=lam_a)
-    a, b, log_b = (_assemble(drawn, lam) for lam in (lam_a, lam_b, np.log(lam_b)))
+    a, b, log_b = (_assemble(q, lam) for lam in (lam_a, lam_b, np.log(lam_b)))
     return a, b, log_b, _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
 
 
@@ -261,5 +260,5 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
         return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
     eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg)
     values = _function_values(eig_log, math.exp)
-    b = _assemble(eig_log, values)
+    b = _assemble(eig_log.frame, values)
     return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))

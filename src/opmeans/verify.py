@@ -404,11 +404,11 @@ class GapObjective:
         eigendecomposition of S. The point is kept for `gradient`."""
         s = np.array(s, dtype=np.complex128)
         eig = hermitian_eigen(s, self.cfg)
-        b = _assemble(eig, np.exp(eig.eigenvalues))
-        sqrt_b = _assemble(eig, np.exp(eig.eigenvalues / 2.0))
+        b = _assemble(eig.frame, np.exp(eig.eigenvalues))
+        sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
         eig_core = hermitian_eigen(_core(self.sqrt_a, b), self.cfg)
         roots = _sqrt_values(eig_core, self.cfg)
-        x = _assemble(eig_core, roots)
+        x = _assemble(eig_core.frame, roots)
         heron = _heron_form(self.sqrt_a, sqrt_b)
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
         diff = heron - wass

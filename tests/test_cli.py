@@ -347,6 +347,21 @@ class TestLemmaAh:
         save_matrix(str(fy), np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex))
         assert run("lemma-ah", "--x", str(fx), "--y", str(fy)) == 2
 
+    # sha256 of the report on a zero matrix beside 1e-200 I or 1e-310 I, in
+    # either order, taken before a zero matrix's exponent was read alone
+    ZERO_BESIDE_TINY = "0a37a62958bbb950e6a767cb1d1c74c40151ce87ffc4c2808079cb538946aba5"
+
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-310])
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_beside_tiny(self, tmp_path, capsys, tiny, zero_first):
+        fz, ft = tmp_path / "z.json", tmp_path / "t.json"
+        save_matrix(str(fz), np.zeros((2, 2), dtype=complex))
+        save_matrix(str(ft), tiny * np.eye(2, dtype=complex))
+        fx, fy = (fz, ft) if zero_first else (ft, fz)
+        assert run("lemma-ah", "--x", str(fx), "--y", str(fy)) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.ZERO_BESIDE_TINY
+
     @pytest.mark.parametrize("e", [330, -330, 600, -600])
     def test_scaled_triple_matches_twin(self, tmp_path, capsys, e):
         w = np.linalg.qr(SplitMix64(3).complex_gaussian_matrix(3))[0]

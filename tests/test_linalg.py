@@ -284,6 +284,14 @@ class TestTopOfRange:
         with pytest.raises(NumericalError, match="eigenvalue leaves the double range"):
             hermitian_eigen(np.full((n, n), 2.0**power, dtype=complex))
 
+    def test_entries_spread_over_the_range(self):
+        # 2^-e H has its largest entry in [1/2, 1) (e = 600), not its norm
+        # (e = 601), so the eigenvalue 3 * 2^-474 is not rounded to 2^-472
+        # on the way through the subnormal 3 * 2^-1074
+        h = np.diag([0.0, 0.0, 3 * 2.0**-474]).astype(complex)
+        h[:2, :2] = mat([[0.75, 0.25], [0.25, 0.75]]) * 2.0**600
+        assert hermitian_eigen(h).eigenvalues[0] == 3 * 2.0**-474
+
     def test_indefinite(self):
         self.assert_near_lapack(self.INDEFINITE)
         assert not is_positive_definite(self.INDEFINITE)

@@ -293,7 +293,7 @@ class TestDrawnSpectra:
         p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, family="near_commuting", epsilon=0.3))
         s = p.spectra()
         frame, values = s.eig_b.frame, s.eig_b.eigenvalues * s.unit
-        assert np.array_equal(p.b, _assemble(s.eig_b, values))
+        assert np.array_equal(p.b, _assemble(s.eig_b.frame, values))
         w, v = np.linalg.eigh(p.b)
         log_b = (v * np.log(w)) @ v.conj().T
         mu = np.log(values)

@@ -228,6 +228,16 @@ class TestAndoHayashiWitness:
         with pytest.raises(TriangleEqualityFails):
             ando_hayashi_witness(x, y)
 
+    @pytest.mark.parametrize("tiny", [1e-200, 1e-310])
+    @pytest.mark.parametrize("zero_first", [True, False])
+    def test_zero_beside_tiny_is_scaled_by_the_tiny(self, tiny, zero_first):
+        # a zero matrix has no say in the common scale, so the tiny one is
+        # brought into [1, 4) and its gram does not underflow to Singular
+        pair = (np.zeros((2, 2), dtype=complex), tiny * np.eye(2, dtype=complex))
+        rep = ando_hayashi_witness(*(pair if zero_first else pair[::-1]))
+        assert rep.witness.tobytes() == np.eye(2, dtype=complex).tobytes()
+        assert (rep.triangle_residual, rep.factor_residuals) == (0.0, (0.0, 0.0))
+
     def test_singular_sum_raises(self):
         x = mat([[1.0, 0.0], [0.0, 0.0]])
         with pytest.raises(Singular):
