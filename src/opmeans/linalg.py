@@ -1,12 +1,12 @@
 """Dense complex Hermitian linear algebra substrate.
 
 Everything downstream (operator means, identity residuals, the descent
-experiment) is built on the handful of primitives in this module: adjoint,
-a Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
+experiment) is built on the handful of primitives in this module: a
+Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
 small matrices, round-robin order on numpy arrays for larger ones, where a
-stack of independent matrices shares each round's numpy calls),
-functional calculus, operator absolute value, polar decomposition, and
-norms.
+stack of independent matrices shares each round's numpy calls), square
+roots, logarithms and the exponential through the spectrum, polar
+decomposition, and norms.
 
 Matrices are plain numpy arrays with complex128 entries. No LAPACK-backed
 eigen/SVD routines are used in library code; the Jacobi solver keeps the
@@ -20,7 +20,6 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,21 +35,13 @@ __all__ = [
     "HermitianEigen",
     "PolarParts",
     "as_matrix",
-    "adjoint",
     "require_hermitian",
     "frobenius_norm",
-    "commutator",
     "hermitian_eigen",
-    "matrix_function",
     "sqrtm",
-    "inv_sqrtm",
-    "invm",
-    "expm",
     "logm",
     "sqrt_and_inv_sqrt",
-    "abs_op",
     "polar",
-    "is_positive_definite",
 ]
 
 
@@ -123,11 +114,6 @@ def as_matrix(values) -> np.ndarray:
     return m
 
 
-def adjoint(t) -> np.ndarray:
-    """Conjugate transpose."""
-    return as_matrix(t).conj().T
-
-
 def _exponent(t: np.ndarray) -> int:
     """e for which the largest |entry| of 2^-e T lies in [1/2, 1), at
     least -1021, so that 2^-e stays finite for subnormal T. T = 0 counts as
@@ -161,13 +147,6 @@ def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
     underflow.
     """
     return (max(_exponent(a), _exponent(b)) - 1) // 2
-
-
-def commutator(a, b) -> np.ndarray:
-    """AB - BA."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    return a @ b - b @ a
 
 
 def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -213,7 +192,7 @@ class PolarParts:
     """Polar factorization T = isometry @ positive.
 
     For invertible T the isometry factor is unitary and the positive
-    factor equals abs_op(T).
+    factor is |T| = (T*T)^{1/2}.
     """
 
     isometry: np.ndarray
@@ -487,29 +466,16 @@ def _spectral_radius(eig: HermitianEigen) -> float:
     return max(abs(float(lam[0])), abs(float(lam[-1])))
 
 
-def matrix_function(h, f: Callable[[float], float], cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Apply a scalar map to a Hermitian matrix through its spectrum.
-
-    The result is frame @ diag(f(lambda_i)) @ frame*. Raises DomainError
-    when f is undefined (raises, or returns a non-finite value) at any
-    eigenvalue.
-    """
-    eig = hermitian_eigen(h, cfg)
-    return _assemble(eig.frame, _function_values(eig, f))
-
-
-def _function_values(eig: HermitianEigen, f: Callable[[float], float]) -> np.ndarray:
-    """f at each eigenvalue, or DomainError where f is undefined there."""
-    values = np.empty(eig.eigenvalues.shape[0])
-    for i, lam in enumerate(eig.eigenvalues):
+def _exp_values(eig: HermitianEigen) -> np.ndarray:
+    """`math.exp` at each eigenvalue (numpy's SIMD exp is not libm's), or
+    DomainError at the first where it overflows."""
+    values = []
+    for lam in eig.eigenvalues.tolist():
         try:
-            y = float(f(float(lam)))
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
-            raise DomainError(f"scalar map undefined at eigenvalue {lam!r}: {exc}") from exc
-        if not math.isfinite(y):
-            raise DomainError(f"scalar map returned non-finite value at eigenvalue {lam!r}")
-        values[i] = y
-    return values
+            values.append(math.exp(lam))
+        except OverflowError as exc:
+            raise DomainError(f"exponential overflows at eigenvalue {lam!r}") from exc
+    return np.array(values)
 
 
 def _sqrt_values(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
@@ -542,13 +508,6 @@ def _sqrt_from(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
     return _assemble(eig.frame, _sqrt_values(eig, cfg))
 
 
-def inv_sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse square root of a positive definite Hermitian matrix."""
-    eig = hermitian_eigen(h, cfg)
-    lam = _positive_values(eig, cfg, "inverse square root")
-    return _assemble(eig.frame, 1.0 / np.sqrt(lam))
-
-
 def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root from a single eigendecomposition."""
     eig = hermitian_eigen(h, cfg)
@@ -562,18 +521,6 @@ def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
 
 
-def invm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Inverse of a positive definite Hermitian matrix."""
-    eig = hermitian_eigen(h, cfg)
-    lam = _positive_values(eig, cfg, "inverse")
-    return _assemble(eig.frame, 1.0 / lam)
-
-
-def expm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Exponential of a Hermitian matrix."""
-    return matrix_function(h, math.exp, cfg)
-
-
 def logm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Logarithm of a positive definite Hermitian matrix."""
     eig = hermitian_eigen(h, cfg)
@@ -585,15 +532,6 @@ def _gram(t: np.ndarray) -> np.ndarray:
     """T*T, Hermitian positive semidefinite up to roundoff, symmetrized."""
     gram = t.conj().T @ t
     return (gram + gram.conj().T) / 2.0
-
-
-def abs_op(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
-    """Operator absolute value |T| = (T*T)^{1/2}.
-
-    Negative roundoff eigenvalues of T*T are clamped to zero, so the result
-    is defined for singular T as well.
-    """
-    return _abs_from_gram(hermitian_eigen(_gram(as_matrix(t)), cfg))
 
 
 def _abs_from_gram(gram: HermitianEigen) -> np.ndarray:
@@ -630,11 +568,6 @@ def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.n
     if frobenius_norm(defect) < 0.5:
         u = u @ (np.eye(t.shape[0]) - defect / 2.0)
     return u
-
-
-def is_positive_definite(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> bool:
-    """Whether the smallest eigenvalue clears the relative positivity floor."""
-    return _is_positive(hermitian_eigen(h, cfg), cfg)
 
 
 def _is_positive(eig: HermitianEigen, cfg: ToleranceConfig) -> bool:

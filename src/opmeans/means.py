@@ -53,18 +53,18 @@ __all__ = [
     "geometric_mean",
     "heron_mean",
     "wasserstein_mean",
-    "bw_distance_sq",
 ]
 
 
-def _core(sqrt_a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The symmetrized core A^{1/2} B A^{1/2}, or NumericalError where it
-    leaves the double range."""
+def _core(root: np.ndarray, b: np.ndarray, name: str = "core A^{1/2} B A^{1/2}") -> np.ndarray:
+    """The symmetrized congruence root @ B @ root, by default the core
+    A^{1/2} B A^{1/2}, or NumericalError, naming it, where it leaves the
+    double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        core = sqrt_a @ b @ sqrt_a
+        core = root @ b @ root
         core = (core + core.conj().T) / 2.0
     if not np.isfinite(core).all():
-        raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range; scale the pair")
+        raise NumericalError(f"{name} leaves the double range; scale the pair")
     return core
 
 
@@ -239,8 +239,8 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
 def geometric_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
     s = p.spectra(cfg)
-    inner = s.inv_sqrt_a @ s.b @ s.inv_sqrt_a
-    g = s.sqrt_a @ sqrtm((inner + inner.conj().T) / 2.0, cfg) @ s.sqrt_a
+    inner = _core(s.inv_sqrt_a, s.b, "congruence A^{-1/2} B A^{-1/2}")
+    g = s.sqrt_a @ sqrtm(inner, cfg) @ s.sqrt_a
     return require_hermitian(g, cfg) * s.unit
 
 
@@ -262,11 +262,3 @@ def wasserstein_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.nd
     s = p.spectra(cfg)
     return s.wasserstein * s.unit
 
-
-def bw_distance_sq(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> float:
-    """Squared Bures-Wasserstein distance, tr A + tr B - 2 tr X.
-
-    Nonnegative up to roundoff, zero exactly when A = B.
-    """
-    s = p.spectra(cfg)
-    return float(np.trace(s.a).real + np.trace(s.b).real - 2.0 * s.trace_x) * s.unit

@@ -49,7 +49,7 @@ from .linalg import (
     ToleranceConfig,
     hermitian_eigen,
     _assemble,
-    _function_values,
+    _exp_values,
 )
 from .means import HpdPair
 
@@ -249,7 +249,8 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     epsilon at a fixed seed perturb one and the same triple (A, B0, K).
     The pair carries A's spectrum as drawn and B's as drawn at epsilon =
     0, else (P, e^mu) from the one eigendecomposition P diag(mu) P* of
-    log B0 + epsilon K, from which B is assembled exactly as `expm` would.
+    log B0 + epsilon K, from which B is assembled; an eigenvalue whose
+    exponential overflows raises DomainError.
     """
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
@@ -259,6 +260,6 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     if spec.epsilon == 0.0:
         return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
     eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg)
-    values = _function_values(eig_log, math.exp)
+    values = _exp_values(eig_log)
     b = _assemble(eig_log.frame, values)
     return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))

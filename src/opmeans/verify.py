@@ -73,7 +73,6 @@ __all__ = [
     "commutator_gap",
     "pair_gaps",
     "proof_chain_report",
-    "theorem_check",
     "trace_criterion",
     "ando_hayashi_witness",
     "GapObjective",
@@ -266,12 +265,6 @@ def classify_gaps(mean_gap: float, comm_gap: float, cfg: ToleranceConfig = DEFAU
     if mean_gap > 10.0 * tol and comm_gap > 10.0 * tol:
         return Verdict.BOTH_GAPS_POSITIVE
     return Verdict.INDETERMINATE
-
-
-def theorem_check(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Verdict:
-    """Classify one pair by its mean gap and commutator gap."""
-    mg, cg = pair_gaps(p, cfg)
-    return classify_gaps(mg, cg, cfg)
 
 
 def trace_criterion(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, bool]:

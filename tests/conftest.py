@@ -46,3 +46,16 @@ def random_invertible(n, seed, cond=50.0):
     rng = SplitMix64(mix_seed(seed, 2))
     s = np.array([math.exp(rng.uniform(-half, half)) for _ in range(n)])
     return q1 @ np.diag(s).astype(complex) @ q2.conj().T
+
+
+def svd_abs(t):
+    """|T| = V diag(s) V* from np.linalg.svd, the test oracle."""
+    _, s, vh = np.linalg.svd(t)
+    return (vh.conj().T * s) @ vh
+
+
+def eigh_positive_definite(h):
+    """Whether the smallest eigenvalue from np.linalg.eigvalsh clears the
+    library's relative positivity floor."""
+    w = np.linalg.eigvalsh(h)
+    return w[0] > DEFAULT_CONFIG.positivity_floor * np.abs(w).max()

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_invertible
+from conftest import random_hermitian, random_invertible, svd_abs
 
-from opmeans.linalg import abs_op, frobenius_norm, hermitian_eigen, polar
+from opmeans.linalg import frobenius_norm, hermitian_eigen, polar
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, near_commuting_pair, random_commuting_pair, random_hpd
 from opmeans.verify import (
@@ -67,7 +67,7 @@ class PairRecord:
 def analyze_pair(pair):
     ints = proof_intermediates(pair)
     rep = proof_chain_report(pair)
-    abs_res = frobenius_norm(abs_op(ints.y) - ints.x) / frobenius_norm(ints.x)
+    abs_res = frobenius_norm(svd_abs(ints.y) - ints.x) / frobenius_norm(ints.x)
     trace_x = float(np.trace(ints.x).real)
     verdict = classify_gaps(rep.mean_gap, rep.commutator_gap)
     return PairRecord(
@@ -354,7 +354,7 @@ def test_criterion_8_substrate_accuracy():
                 worst_polar,
                 frobenius_norm(parts.isometry @ parts.positive - t) / scale,
                 frobenius_norm(parts.isometry.conj().T @ parts.isometry - np.eye(n)) / math.sqrt(n),
-                frobenius_norm(parts.positive - abs_op(t)) / scale,
+                frobenius_norm(parts.positive - svd_abs(t)) / scale,
             )
     elapsed = time.perf_counter() - t0
     ok = worst_recon <= 1e-11 and worst_unitary <= 1e-11 and worst_polar <= 1e-11 and elapsed < 30.0

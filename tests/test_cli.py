@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -80,6 +81,18 @@ class TestGen:
         assert code == 0
         assert commutator_gap(load_matrix(str(fa)), load_matrix(str(fb))) > 1e-4
 
+    def test_exponential_overflow_is_domain_error(self, tmp_path, capsys):
+        # log B0 + epsilon K has an eigenvalue whose exponential overflows
+        fa, fb, fs = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.csv"
+        code = run("gen", "--n", "3", "--family", "near-commuting", "--epsilon", "1e300",
+                   "--out-a", str(fa), "--out-b", str(fb))
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "numerical error: exponential overflows at eigenvalue 3.2602711627054817e+299\n")
+        # a sweep records the failure in its row and goes on
+        assert run("sweep", "--n", "3", "--epsilons", "1e300", "--trials", "1", "--out", str(fs)) == 0
+        assert fs.read_text().splitlines()[1].endswith(",error:DomainError")
+
     def test_missing_out_is_usage_error(self, tmp_path):
         assert run("gen", "--n", "2") == 1
 
@@ -114,6 +127,22 @@ class TestMean:
         save_matrix(str(fa), np.diag([1.0, -1.0]).astype(complex))
         save_matrix(str(fb), np.eye(2, dtype=complex))
         assert run("mean", "--kind", "heron", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 2
+
+    @pytest.mark.parametrize("a, b", [([1e-310, 1e-310], [1.0, 2.0]), ([1e-11, 1.0], [1e300, 1e300])],
+                             ids=["subnormal-a", "mixed-scale"])
+    def test_geometric_congruence_out_of_range_exits_2(self, tmp_path, capsys, a, b):
+        # the other two means are defined on these pairs, while the geometric
+        # mean's A^{-1/2} B A^{-1/2} leaves the double range
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        save_matrix(str(fa), np.diag(a).astype(complex))
+        save_matrix(str(fb), np.diag(b).astype(complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for kind in ("heron", "wasserstein"):
+                assert run("mean", "--kind", kind, "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+            assert run("mean", "--kind", "geometric", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: congruence A^{-1/2} B A^{-1/2} leaves the double range; scale the pair\n")
 
     def test_unknown_kind_is_usage_error(self, tmp_path):
         assert run("mean", "--kind", "arith", "--a", "x", "--b", "y", "--out", "z") == 1

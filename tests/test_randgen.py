@@ -6,7 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from opmeans.linalg import NumericalError, _assemble, frobenius_norm, is_positive_definite
+from conftest import eigh_positive_definite
+
+from opmeans.linalg import NumericalError, _assemble, frobenius_norm
 from opmeans.randgen import (
     GenSpec,
     InvalidSpec,
@@ -162,7 +164,7 @@ class TestRandomHpd:
     def test_positive_definite(self):
         for seed in range(10):
             m = random_hpd(GenSpec(dim=2 + seed % 6, seed=seed, cond_target=1000.0))
-            assert is_positive_definite(m)
+            assert eigh_positive_definite(m)
 
     def test_condition_number_hits_target(self):
         m = random_hpd(GenSpec(dim=4, seed=42, cond_target=100.0))
@@ -206,8 +208,8 @@ class TestCommutingPair:
 
     def test_both_positive(self):
         p = random_commuting_pair(GenSpec(dim=4, seed=5, cond_target=100.0, family="commuting"))
-        assert is_positive_definite(p.a)
-        assert is_positive_definite(p.b)
+        assert eigh_positive_definite(p.a)
+        assert eigh_positive_definite(p.b)
 
     def test_deterministic(self):
         spec = GenSpec(dim=3, seed=21, cond_target=10.0, family="commuting")
@@ -239,7 +241,7 @@ class TestNearCommutingPair:
         for eps in (0.0, 1e-3, 1e-1):
             spec = GenSpec(dim=3, seed=15, cond_target=20.0, family="near_commuting", epsilon=eps)
             p = near_commuting_pair(spec)
-            assert is_positive_definite(p.b)
+            assert eigh_positive_definite(p.b)
             gaps.append(commutator_gap(p.a, p.b))
         assert gaps[0] <= 1e-12
         assert gaps[0] < gaps[1] < gaps[2]

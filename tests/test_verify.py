@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, hpd, mat, random_pair
+from conftest import commuting_pair, hpd, mat, random_pair, svd_abs
 
-from opmeans.linalg import NumericalError, Singular, abs_op, frobenius_norm, logm
+from opmeans.linalg import NumericalError, Singular, frobenius_norm, logm
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
@@ -22,7 +22,6 @@ from opmeans.verify import (
     minimize_gap,
     pair_gaps,
     proof_chain_report,
-    theorem_check,
     trace_criterion,
     _coords,
     _hermitian,
@@ -30,6 +29,12 @@ from opmeans.verify import (
 
 EXAMPLE_A = mat([[2.0, 1.0], [1.0, 2.0]])
 EXAMPLE_B = mat([[3.0, 0.0], [0.0, 1.0]])
+
+
+def report_verdict(p):
+    """The verdict `opmeans verify` gives a pair, from its report's gaps."""
+    rep = proof_chain_report(p)
+    return classify_gaps(rep.mean_gap, rep.commutator_gap)
 
 
 def random_unitary(seed, n):
@@ -139,15 +144,15 @@ class TestProofChainReport:
 class TestVerdicts:
     def test_commuting_pair_verdict(self):
         p = commuting_pair(4, 17, cond=100.0)
-        assert theorem_check(p) is Verdict.MEANS_EQUAL_AND_COMMUTE
+        assert report_verdict(p) is Verdict.MEANS_EQUAL_AND_COMMUTE
 
     def test_equal_pair_verdict(self):
         c = hpd(3, 23, cond=20.0)
-        assert theorem_check(HpdPair.validated(c, c)) is Verdict.MEANS_EQUAL_AND_COMMUTE
+        assert report_verdict(HpdPair.validated(c, c)) is Verdict.MEANS_EQUAL_AND_COMMUTE
 
     def test_example_pair_verdict(self):
         p = HpdPair.validated(EXAMPLE_A, EXAMPLE_B)
-        assert theorem_check(p) is Verdict.BOTH_GAPS_POSITIVE
+        assert report_verdict(p) is Verdict.BOTH_GAPS_POSITIVE
 
     def test_classification_bands(self):
         # the counterexample branch exists but must never fire on real pairs
@@ -223,8 +228,8 @@ class TestAndoHayashiWitness:
         # I + R has singular values sqrt(2), while I + |R| = 2I
         x = np.eye(2, dtype=complex)
         y = mat([[0.0, -1.0], [1.0, 0.0]])
-        abs_sum = abs_op(x + y)
-        assert frobenius_norm(abs_sum - (abs_op(x) + abs_op(y))) > 0.5
+        abs_sum = svd_abs(x + y)
+        assert frobenius_norm(abs_sum - (svd_abs(x) + svd_abs(y))) > 0.5
         with pytest.raises(TriangleEqualityFails):
             ando_hayashi_witness(x, y)
 
