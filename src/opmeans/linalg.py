@@ -222,19 +222,19 @@ def _off_diagonal_mass(a: list, n: int) -> float:
 _Solution = tuple[np.ndarray, np.ndarray, float]
 
 
-def _jacobi(m: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
+def _jacobi(m: np.ndarray, v0: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
     """Cyclic Jacobi sweeps with complex Givens rotations.
 
     Each rotation zeroes one off-diagonal pair of the working matrix while
-    accumulating the same rotation into the column frame. Both are lists
-    of row lists holding Python complex scalars, which beats numpy element
-    access below `_ROUNDS_MIN_N`. Returns the diagonal, the frame and the
-    final off-diagonal mass, which is above `target` only when the sweep
-    budget ran out.
+    accumulating the same rotation into the column frame, which starts at
+    v0. Both are lists of row lists holding Python complex scalars, which
+    beats numpy element access below `_ROUNDS_MIN_N`. Returns the
+    diagonal, the frame and the final off-diagonal mass, which is above
+    `target` only when the sweep budget ran out.
     """
     n = m.shape[0]
     a = m.tolist()
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    v = v0.tolist()
     for sweep in range(max_sweeps + 1):
         mass = _off_diagonal_mass(a, n)
         if mass <= target or sweep == max_sweeps:
@@ -338,12 +338,12 @@ def _rounds_plan(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
 # eig_off_diag_tol below about 1e-150
 @np.errstate(over="ignore")
 def _jacobi_rounds(
-    m: np.ndarray, targets: list[float], skips: list[float], max_sweeps: int
+    m: np.ndarray, v: np.ndarray, targets: list[float], skips: list[float], max_sweeps: int
 ) -> list[_Solution]:
     """Round-robin Jacobi (Brent & Luk 1985) on a (k, n, n) stack: the
     rotations of one round touch disjoint index pairs, so they form one
     unitary J per member, and a round is A <- J* A J and V <- V J as
-    batched matrix products.
+    batched matrix products, V starting at the stack of frames v.
 
     Rotation angles and the `skip` rule are the scalar loop's, pair for
     pair; a skipped pair takes the identity (u = 1, t = 0), and its
@@ -354,7 +354,7 @@ def _jacobi_rounds(
     """
     n = m.shape[1]
     upper = _upper_plan(n)
-    a, v = m, np.broadcast_to(np.eye(n, dtype=np.complex128), m.shape).copy()
+    a = m
     members, solutions = list(range(len(m))), [None] * len(m)
     for sweep in range(max_sweeps + 1):
         stack_a, stack_v, stay = a.reshape(-1, n, n), v.reshape(-1, n, n), []
@@ -400,7 +400,25 @@ def _jacobi_rounds(
     return solutions
 
 
-def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen | list[HermitianEigen]:
+def _checked_frame(q, shape: tuple[int, int], cfg: ToleranceConfig) -> np.ndarray:
+    """The hint q as a complex matrix, or ValueError unless it has the
+    shape of H, finite entries and ||Q*Q - I||_F <= identity_tol."""
+    q = np.asarray(q, dtype=np.complex128)
+    if q.shape != shape:
+        raise ValueError(f"frame has shape {q.shape}, expected {shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("frame entries must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge frame's defect is inf or nan
+        defect = frobenius_norm(q.conj().T @ q - np.eye(shape[0]))
+    if not defect <= cfg.identity_tol:
+        raise ValueError(
+            f"frame is not unitary: ||Q*Q - I||_F = {defect:.3e} exceeds {cfg.identity_tol:.1e}")
+    return q
+
+
+def hermitian_eigen(
+    h, cfg: ToleranceConfig = DEFAULT_CONFIG, frame=None
+) -> HermitianEigen | list[HermitianEigen]:
     """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
     Below `_ROUNDS_MIN_N` the rotations run in cyclic order, from that
@@ -413,35 +431,54 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
     does; the scaling is exact and changes no bit. An eigenvalue that
     leaves the double range when scaled back raises NumericalError.
 
+    A `frame` Q, a unitary matrix that nearly diagonalizes H, warm-starts
+    the solver: Jacobi runs on the symmetrized congruence Q* (2^-e H) Q,
+    formed after the scaling so that it cannot overflow, with its rotations
+    accumulated onto Q, and stops at the same target. A frame of the wrong
+    shape, with a non-finite entry or with ||Q*Q - I||_F above
+    identity_tol raises ValueError.
+
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
     matrices, gives the list of their k decompositions, each bit for bit
-    what the member alone gives. Every member is checked before any runs,
-    so the error raised is the NotHermitian of the first member that is
-    not Hermitian, else the NoConvergence of the first that does not
-    converge, each with a single call's message. From `_ROUNDS_MIN_N` on
-    the members share each round's numpy calls; below, the cyclic loop
-    runs once per member.
+    what the member alone gives; its `frame` is None or a sequence of k
+    frames, each a frame or None. Every member is checked before any runs,
+    so the error raised is the NotHermitian or ValueError of the first
+    member with a bad matrix or frame, else the NoConvergence of the first
+    that does not converge, each with a single call's message. From
+    `_ROUNDS_MIN_N` on the members share each round's numpy calls; below,
+    the cyclic loop runs once per member.
     """
     stack = np.ndim(h) == 3
-    # runs: (e, 2^-e H, target) of each member
+    members = h if stack else (h,)
+    frames = [None] * len(members) if frame is None else frame if stack else (frame,)
+    if len(frames) != len(members):
+        raise ValueError(f"a stack of {len(members)} matrices takes {len(members)} frames, got {len(frames)}")
+    # runs: (e, the matrix Jacobi runs on, the frame it starts from, target) of each member
     runs, n = [], 0
-    for m in h if stack else (h,):
+    for m, q in zip(members, frames):
         hm = require_hermitian(m, cfg)
         n, e = hm.shape[0], _exponent(hm)
         scaled = hm * math.ldexp(1.0, -e)
-        runs.append((e, scaled, cfg.eig_off_diag_tol * frobenius_norm(scaled)))
+        target = cfg.eig_off_diag_tol * frobenius_norm(scaled)
+        if q is None:
+            q = np.eye(n, dtype=np.complex128)
+        else:
+            q = _checked_frame(q, hm.shape, cfg)
+            scaled = q.conj().T @ scaled @ q
+            scaled = (scaled + scaled.conj().T) / 2.0
+        runs.append((e, scaled, q, target))
     # rotations on entries below target / 4n cannot lift the mass back above target
     solutions = None
     if n >= _ROUNDS_MIN_N:
-        targets = [run[2] for run in runs]
-        solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), targets,
-                                   [target / (4.0 * n) for target in targets], cfg.max_jacobi_sweeps)
+        targets = [run[3] for run in runs]
+        solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), np.stack([run[2] for run in runs]),
+                                   targets, [target / (4.0 * n) for target in targets], cfg.max_jacobi_sweeps)
     out = []
-    for k, (e, m, target) in enumerate(runs):
+    for k, (e, m, q, target) in enumerate(runs):
         if solutions:
-            lam, frame, mass = solutions[k]
+            lam, v, mass = solutions[k]
         else:
-            lam, frame, mass = _jacobi(m, target, target / (4.0 * n), cfg.max_jacobi_sweeps)
+            lam, v, mass = _jacobi(m, q, target, target / (4.0 * n), cfg.max_jacobi_sweeps)
         if not mass <= target:
             raise NoConvergence(
                 f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
@@ -451,7 +488,7 @@ def hermitian_eigen(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HermitianEigen 
         # |lam| < n < 2^bit_length(n), so 2^e lam can overflow only from here on
         if e + n.bit_length() > 1024 and float(np.max(np.abs(lam))) >= math.ldexp(1.0, 1024 - e):
             raise NumericalError(f"an eigenvalue leaves the double range (n = {n})")
-        out.append(HermitianEigen(frame=frame[:, order], eigenvalues=np.ldexp(lam[order], e)))
+        out.append(HermitianEigen(frame=v[:, order], eigenvalues=np.ldexp(lam[order], e)))
     return out if stack else out[0]
 
 

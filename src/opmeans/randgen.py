@@ -26,7 +26,8 @@ bit for bit, across machines and reruns:
   * near-commuting pairs: B = exp(log B0 + epsilon K), with log B0 =
     Q diag(log lambda_B) Q* built from B0's own frame and eigenvalues.
     Taking log B0 by an eigendecomposition of B0 instead gives B in other
-    last bits;
+    last bits. The one eigendecomposition of log B0 + epsilon K starts
+    from B0's sorted drawn frame, which diagonalizes it to O(epsilon);
   * a generated pair carries the spectra it was built from, sorted
     ascending, so its `HpdPair.spectra` decomposes neither A nor B. The
     matrices are assembled in the drawn order, so the sort moves no bit.
@@ -249,8 +250,9 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     epsilon at a fixed seed perturb one and the same triple (A, B0, K).
     The pair carries A's spectrum as drawn and B's as drawn at epsilon =
     0, else (P, e^mu) from the one eigendecomposition P diag(mu) P* of
-    log B0 + epsilon K, from which B is assembled; an eigenvalue whose
-    exponential overflows raises DomainError.
+    log B0 + epsilon K, warm-started from B0's frame, from which B is
+    assembled; an eigenvalue whose exponential overflows raises
+    DomainError.
     """
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
@@ -259,7 +261,7 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     k = _hermitian_unit(rng, spec.dim)
     if spec.epsilon == 0.0:
         return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
-    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg)
+    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg, frame=eig_b0.frame)
     values = _exp_values(eig_log)
     b = _assemble(eig_log.frame, values)
     return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))

@@ -315,6 +315,56 @@ def test_range_edges_keep_their_bits():
     assert digest.hexdigest() == RANGE_EDGES_DIGEST
 
 
+class TestWarmStart:
+    """A frame hint changes the route to the spectrum, not the spectrum."""
+
+    def test_range_edges_hinted(self):
+        # the residual is taken on 2^-e H, where it neither overflows nor
+        # underflows; an eigenvalue in the subnormal range is stored to
+        # within 2^-1075 of its value, cold or hinted, so that rounding,
+        # 2^-1075 sqrt(n) in all, joins the bound
+        for i, h in enumerate(range_edges()):
+            n = h.shape[0]
+            cold = hermitian_eigen(h)
+            radius = np.max(np.abs(cold.eigenvalues))
+            e = linalg._exponent(h)
+            scaled = h * math.ldexp(1.0, -e)
+            for q in (cold.frame, random_unitary(n, i)):
+                got = hermitian_eigen(h, frame=q)
+                assert np.max(np.abs(got.eigenvalues - cold.eigenvalues)) <= 1e-13 * radius, i
+                lam = np.ldexp(got.eigenvalues, -e)
+                residual = frobenius_norm(scaled @ got.frame - got.frame * lam)
+                assert residual <= 1e-13 * frobenius_norm(scaled) + math.sqrt(n) * math.ldexp(1.0, -1075 - e), i
+
+    def test_frame_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"frame has shape \(3, 3\), expected \(4, 4\)"):
+            hermitian_eigen(hpd(4, 1), frame=np.eye(3))
+
+    def test_frame_with_non_finite_entry(self):
+        q = np.eye(4, dtype=complex)
+        q[1, 2] = complex(0.0, math.nan)
+        with pytest.raises(ValueError, match="frame entries must be finite"):
+            hermitian_eigen(hpd(4, 1), frame=q)
+
+    def test_frame_not_unitary(self):
+        # a defect just past identity_tol is refused, one within it taken
+        q = random_unitary(4, 2)
+        cfg = ToleranceConfig()
+        hermitian_eigen(hpd(4, 1), cfg, frame=q * (1.0 + 0.2 * cfg.identity_tol))
+        with pytest.raises(ValueError, match="frame is not unitary"):
+            hermitian_eigen(hpd(4, 1), cfg, frame=q * (1.0 + cfg.identity_tol))
+        with pytest.raises(ValueError, match="frame is not unitary"):
+            hermitian_eigen(hpd(4, 1), frame=q * 1e200)
+
+    @pytest.mark.parametrize("n", [5, 24])
+    def test_stack_takes_one_frame_per_member(self, n):
+        mats = [hpd(n, 1), hpd(n, 2)]
+        with pytest.raises(ValueError, match="a stack of 2 matrices takes 2 frames, got 1"):
+            hermitian_eigen(mats, frame=[None])
+        with pytest.raises(ValueError, match="a stack of 2 matrices takes 2 frames, got 3"):
+            hermitian_eigen(np.stack(mats), frame=[None, None, np.eye(n)])
+
+
 # sha256 of the eigenvalues and frames below, as the cyclic solver gave them
 # before the round-robin order existed; sizes under 12 must keep every bit
 SMALL_N_DIGEST = "d5fac8abd68b2a4ffd037b1931c5db69df7306929f9eb0641b7cd5c1d72f7d44"
@@ -384,22 +434,37 @@ def stack_members(n, seed):
             random_hermitian(n, seed), hpd(n, seed, cond=1e3), random_hermitian(n, seed + 1) * 2.0**-600]
 
 
+def random_unitary(n, seed):
+    """The Q factor of a complex gaussian matrix, from np.linalg.qr."""
+    return np.linalg.qr(SplitMix64(seed).complex_gaussian_matrix(n))[0]
+
+
+def stack_hints(mats, seed):
+    """Frames for `stack_members`, hinted and unhinted mixed: a random
+    frame for the diagonal and the small member, the member's own cold
+    frame for the indefinite one, none for the zero and the HPD one."""
+    n = mats[0].shape[0]
+    return [random_unitary(n, seed), None, hermitian_eigen(mats[2]).frame, None, random_unitary(n, seed + 1)]
+
+
 class TestStackedEigen:
     """A stack gives each member the bits of a single call, on both orders."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13, 16, 24, 32])
     def test_members_match_single_calls(self, n):
         mats = stack_members(n, n)
+        hint_sets = [[None] * len(mats)] + ([stack_hints(mats, n)] if n in (5, 12, 24) else [])
         for cfg in (ToleranceConfig(), ToleranceConfig(eig_off_diag_tol=1e-200)):
-            singles = [hermitian_eigen(m, cfg) for m in mats]
-            for order in (mats, mats[::-1]):
-                expected = singles if order is mats else singles[::-1]
-                for stack in (np.stack(order), order):
-                    got = hermitian_eigen(stack, cfg)
-                    assert len(got) == len(order)
-                    for e, ref in zip(got, expected):
-                        assert np.array_equal(e.eigenvalues, ref.eigenvalues)
-                        assert np.array_equal(e.frame, ref.frame)
+            for hints in hint_sets:
+                singles = [hermitian_eigen(m, cfg, frame=q) for m, q in zip(mats, hints)]
+                for order, frames in ((mats, hints), (mats[::-1], hints[::-1])):
+                    expected = singles if order is mats else singles[::-1]
+                    for stack in (np.stack(order), order):
+                        got = hermitian_eigen(stack, cfg, frame=frames)
+                        assert len(got) == len(order)
+                        for e, ref in zip(got, expected):
+                            assert np.array_equal(e.eigenvalues, ref.eigenvalues)
+                            assert np.array_equal(e.frame, ref.frame)
 
     def test_one_member_stack(self):
         h = hpd(24, 2, cond=100.0)

@@ -36,12 +36,12 @@ def eigen_calls(monkeypatch):
     calls = EigenCalls()
     real = linalg.hermitian_eigen
 
-    def counted(h, cfg=linalg.DEFAULT_CONFIG):
+    def counted(h, cfg=linalg.DEFAULT_CONFIG, frame=None):
         shape = np.shape(h)
         members = shape[0] if len(shape) == 3 else 1
         calls.extend([shape[-1]] * members)
         calls.passes.append(members)
-        return real(h, cfg)
+        return real(h, cfg, frame=frame)
 
     for mod in (opmeans, linalg, means, verify, randgen, sweep, matio, cli):
         if getattr(mod, "hermitian_eigen", None) is real:

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import opmeans.linalg as linalg
 import opmeans.sweep as sweep
 from opmeans.cli import cli_main
 from opmeans.randgen import GenSpec, InvalidSpec, near_commuting_pair
@@ -107,3 +108,46 @@ class TestRunSweep:
             assert (row.mean_gap, row.commutator_gap, row.trace_gap) == (
                 rep.mean_gap, rep.commutator_gap, rep.trace_gap)
             assert row.verdict == classify_gaps(rep.mean_gap, rep.commutator_gap).value
+
+
+class TestWarmStartedSweeps:
+    """The generator hints log B0 + eps K with B0's drawn frame and the
+    pair's context hints the core with A's, so a row's Jacobi calls start
+    nearly diagonal."""
+
+    EPSILONS = (0.0, 0.01, 0.0316, 0.1, 0.316, 1.0)
+
+    def test_sweeps_per_call_on_the_benchmark_grid(self, monkeypatch):
+        # the grid of the sweep-small workload, at one fixed master seed
+        sweeps, current = [], []  # (epsilon, rotating sweeps) per _jacobi call
+        real_mass, real_jacobi, real_pair = linalg._off_diagonal_mass, linalg._jacobi, sweep.near_commuting_pair
+        masses = []
+
+        def counted_mass(a, n):
+            masses.append(n)
+            return real_mass(a, n)
+
+        def counted_jacobi(*args):
+            start = len(masses)
+            solution = real_jacobi(*args)
+            sweeps.append((current[-1], len(masses) - start - 1))
+            return solution
+
+        def pair(gspec, cfg):
+            current.append(gspec.epsilon)
+            return real_pair(gspec, cfg)
+
+        monkeypatch.setattr(linalg, "_off_diagonal_mass", counted_mass)
+        monkeypatch.setattr(linalg, "_jacobi", counted_jacobi)
+        monkeypatch.setattr(sweep, "near_commuting_pair", pair)
+        rows = 0
+        for n in (3, 4, 5, 6):
+            rows += len(run_sweep(SweepSpec(base=base_spec(n=n, seed=1), epsilons=self.EPSILONS,
+                                            trials_per_epsilon=4)))
+        # 11/6 calls per row: the core alone at epsilon = 0, else the
+        # generator's logarithm and then the core
+        assert (rows, len(sweeps)) == (96, 176)
+        # each call's last mass check finds it converged: 515 rotating
+        # sweeps, 2.93 per call, where cold starts took 783 (4.45)
+        assert len(masses) == 515 + 176
+        assert [s for eps, s in sweeps if eps == 0.0] == [0] * 16
