@@ -313,24 +313,27 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 @functools.lru_cache(maxsize=64)
 def _rounds_plan(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Flat positions of each round of `_round_robin(n)` in a stack of k
-    n x n matrices: where J's entries go, those a round gathers, and, in
-    the stack's float view, those it sets to zero.
+    """Flat positions of each round of `_round_robin(n)`: where J's entries
+    go in a stack of k n x n matrices, and those a round gathers and, in
+    the float view, sets to zero in a stack of k 2n x n buffers, A over V.
 
     J's entries go to (q, p), (p, q), (p, p) and (q, q), one segment of all
     members' pairs per kind of entry, so a round's scalar work runs on flat
-    vectors whatever the stack size. A round gathers the last three kinds,
-    zeroes both parts of the first two and the imaginary part of the last
-    two. The arrays are shared between calls and read-only.
+    vectors whatever the stack size. A round gathers A's entries of the
+    last three kinds, zeroes both parts of the first two and the imaginary
+    part of the last two. The arrays are shared between calls and read-only.
     """
-    offsets = np.arange(k)[:, None] * (n * n)
+    members = np.arange(k)[:, None]
     plan = []
     for p, q in _round_robin(n):
-        place = (np.stack((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))[:, None, :] + offsets).ravel()
-        zero = np.concatenate((2 * place[: len(place) // 2], 2 * place + 1))
-        place.setflags(write=False)
-        zero.setflags(write=False)
-        plan.append((place, place[len(place) // 4 :], zero))
+        entries = np.stack((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))[:, None, :]
+        place = (entries + members * (n * n)).ravel()
+        spot = (entries + members * (2 * n * n)).ravel()
+        zero = np.concatenate((2 * spot[: len(spot) // 2], 2 * spot + 1))
+        gather = spot[len(spot) // 4 :]
+        for index in (place, gather, zero):
+            index.setflags(write=False)
+        plan.append((place, gather, zero))
     return plan
 
 
@@ -343,26 +346,28 @@ def _jacobi_rounds(
     """Round-robin Jacobi (Brent & Luk 1985) on a (k, n, n) stack: the
     rotations of one round touch disjoint index pairs, so they form one
     unitary J per member, and a round is A <- J* A J and V <- V J as
-    batched matrix products, V starting at the stack of frames v.
+    batched matrix products, V starting at the stack of frames v. A and V
+    share one (k, 2n, n) buffer, so A J and V J are one product.
 
     Rotation angles and the `skip` rule are the scalar loop's, pair for
     pair; a skipped pair takes the identity (u = 1, t = 0), and its
-    entries, at most `skip`, are set to zero with the rest. A member
-    leaves the stack at the start of the sweep where it would stop alone,
-    so its sweeps and bits are those of a lone run.
-    Returns one `_jacobi` result per member.
+    entries, at most `skip`, are set to zero with the rest. A round whose
+    pairs are all skipped only sets them to zero: its J is the identity,
+    and the products would change no bit. A member leaves the stack at the
+    start of the sweep where it would stop alone, so its sweeps and bits
+    are those of a lone run. Returns one `_jacobi` result per member.
     """
     n = m.shape[1]
     upper = _upper_plan(n)
-    a = m
+    w = np.concatenate((m, v), axis=1)
     members, solutions = list(range(len(m))), [None] * len(m)
     for sweep in range(max_sweeps + 1):
-        stack_a, stack_v, stay = a.reshape(-1, n, n), v.reshape(-1, n, n), []
+        stack, stay = w.reshape(-1, 2 * n, n), []
         for i, member in enumerate(members):
-            off = stack_a[i][upper]
+            off = stack[i, :n][upper]
             mass = math.sqrt(2.0 * np.vdot(off, off).real)
             if mass <= targets[member] or sweep == max_sweeps:
-                solutions[member] = stack_a[i].diagonal().real.copy(), stack_v[i], mass
+                solutions[member] = stack[i, :n].diagonal().real.copy(), stack[i, n:], mass
             else:
                 stay.append(i)
         if not stay:
@@ -371,32 +376,33 @@ def _jacobi_rounds(
             # a lone member runs as a plain matrix, without the overhead of
             # batched calls
             pick = stay[0] if len(stay) == 1 else stay
-            a, v, members = stack_a[pick], stack_v[pick], [members[i] for i in stay]
+            w, members = stack[pick], [members[i] for i in stay]
             plan = _rounds_plan(n, len(members))
             k = len(members) * (n // 2)  # pairs per round in the stack
-            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), a.shape).copy()
+            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (*w.shape[:-2], n, n)).copy()
             skip = skips[members[0]] if len(members) == 1 else np.repeat([skips[i] for i in members], n // 2)
         for place, gather, zero in plan:
-            g = a.take(gather)
+            g = w.take(gather)
             h = g[:k]
             r = np.abs(h)
             dead = r <= skip
-            # skipped pairs take the identity and divide by 1, never by an
-            # entry of 0, which is skipped when skip underflows to 0
-            r[dead] = 1.0
-            u = h / r
-            u[dead] = 1.0
-            tau = (g[2 * k :].real - g[k : 2 * k].real) / (r + r)
-            # tau = -0.0 takes +1, as tau >= 0 does in the scalar loop
-            t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
-            t[dead] = 0.0
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            s = t * c
-            j = eye.copy()
-            np.put(j, place, np.concatenate((-s, s * u, c * u, c)))
-            a = j.conj().swapaxes(-1, -2) @ (a @ j)
-            v = v @ j
-            np.put(a.view(np.float64), zero, 0.0)
+            if not dead.all():
+                # skipped pairs take the identity and divide by 1, never by
+                # an entry of 0, which is skipped when skip underflows to 0
+                r[dead] = 1.0
+                u = h / r
+                u[dead] = 1.0
+                tau = (g[2 * k :].real - g[k : 2 * k].real) / (r + r)
+                # tau = -0.0 takes +1, as tau >= 0 does in the scalar loop
+                t = np.copysign(1.0 / (np.abs(tau) + np.sqrt(1.0 + tau * tau)), tau + 0.0)
+                t[dead] = 0.0
+                c = 1.0 / np.sqrt(1.0 + t * t)
+                s = t * c
+                j = eye.copy()
+                j.put(place, np.concatenate((-s, s * u, c * u, c)))
+                w = w @ j
+                w[..., :n, :] = j.conj().swapaxes(-1, -2) @ w[..., :n, :]
+            w.view(np.float64).put(zero, 0.0)
     return solutions
 
 

@@ -15,9 +15,12 @@ All of these come from three spectra, of A, of B and of the core
 A^{1/2} B A^{1/2}, which a pair's `PairSpectra` computes at most once each,
 in two passes of the eigensolver: A and B as one stack, then the core. A
 full `verify` report decomposes four matrices in those two passes, since
-(A+Y)*(A+Y), for residual r4, joins the core's. A pair from the random
-generators carries the spectra of A and B it was built from, and its
-context takes the core's pass alone, started from A's drawn frame.
+(A+Y)*(A+Y), for residual r4, joins the core's. The second pass starts
+from A's frame: both of its matrices are congruences through A^{1/2}, so
+in that frame they are graded, Lambda^{1/2} M Lambda^{1/2}, and diagonal
+for a commuting pair. A pair from the random generators carries the
+spectra of A and B it was built from, and its context takes the second
+pass alone, from A's drawn frame.
 """
 
 from __future__ import annotations
@@ -86,11 +89,10 @@ class PairSpectra:
     they are `known` (in the pair's units), and the core's on first use,
     alone or beside another matrix (`spectrum_beside_core`). Either way
     A's spectrum must clear the positivity floor. X comes from the core
-    spectrum. With `known` spectra, those a generated pair was drawn
-    from, A's frame is the `core_hint`: the eigensolver starts the core
-    from it on both routes, so they give the same bits. A pair whose
-    spectra were computed gives no hint, and its core starts cold. The
-    matrices held belong to the pair divided by `unit`, the even power of
+    spectrum. The eigensolver starts the core and the matrix beside it
+    from A's frame, drawn or computed, on every route, so they give the
+    same bits: both are congruences through A^{1/2}, graded in that frame.
+    The matrices held belong to the pair divided by `unit`, the even power of
     two chosen by `_scale_exponent`: a result of degree d in the pair
     returns to the pair's units times unit^d, while gaps and residuals,
     ratios of terms of one degree, are unchanged.
@@ -104,10 +106,8 @@ class PairSpectra:
         self.a, self.b = a / self.unit, b / self.unit
         if known is None:
             self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
-            self.core_hint = None
         else:
             self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
-            self.core_hint = self.eig_a.frame
         if not _is_positive(self.eig_a, cfg):
             raise NotPositiveDefinite("matrix a is not positive definite")
         self.sqrt_a, self.inv_sqrt_a = _roots(self.eig_a)
@@ -119,16 +119,18 @@ class PairSpectra:
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
-        eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg, frame=self.core_hint)
+        eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg, frame=self.eig_a.frame)
         return eig, _sqrt_from(eig, self.cfg)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
-        """Spectrum of h, taken in one pass with the core's unless that is
-        already known."""
+        """Spectrum of h, a congruence through A^{1/2} like the core, taken
+        from A's frame in one pass with the core's unless that is already
+        known."""
+        frame = self.eig_a.frame
         if "core" in self.__dict__:
-            return hermitian_eigen(h, self.cfg)
+            return hermitian_eigen(h, self.cfg, frame=frame)
         core = _core(self.sqrt_a, self.b)
-        eig_core, eig = hermitian_eigen((core, h), self.cfg, frame=(self.core_hint, None))
+        eig_core, eig = hermitian_eigen((core, h), self.cfg, frame=(frame, frame))
         self.core = eig_core, _sqrt_from(eig_core, self.cfg)  # fills the cached property
         return eig
 

@@ -24,9 +24,13 @@ and each caller takes only what it emits. `pair_gaps` and
 `trace_criterion` need nothing beyond the context: two passes of the
 eigensolver, over A and B as one stack and then the core. The full report
 adds (A+Y)*(A+Y), for r4, to the core's pass, since it needs no X: two
-passes over four matrices. A generated pair carries the spectra of A and
-B it was drawn from and skips the first pass; a pair read from files, as
-`opmeans verify` reads it, takes both. Since Y*Y is the core, r5 takes
+passes over four matrices. The second pass starts from A's frame: the
+core and (A+Y)*(A+Y) = A^{1/2}(A^{1/2} + B^{1/2})^2 A^{1/2}, the two sides
+of the triangle equality r4, are congruences through A^{1/2}, graded in
+that frame and diagonal for a commuting pair. A generated pair carries
+the spectra of A and B it was drawn from and skips the first pass; a pair
+read from files, as `opmeans verify` reads it, takes both, and its second
+pass starts from the frame the first gave A. Since Y*Y is the core, r5 takes
 the polar factor of Y from the core's spectrum, by the one route that
 `polar` and `ando_hayashi_witness` take too. The descent decomposes A and
 the starting B0 once each, then evaluates its objective with two
@@ -191,7 +195,8 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
     which proof_intermediates and the means of the same pair share; the
     gram of A+Y, for r4, is decomposed in the pass that takes the core, or
-    alone when the context already holds the core. The residuals are
+    alone when the context already holds the core, from A's frame either
+    way, so both give the same bits. The residuals are
     computed on the context's scaled pair, which leaves them unchanged;
     the trace gap is converted back to the pair's units.
     """

@@ -13,7 +13,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import hpd, mat, random_hermitian, random_invertible
+from conftest import commuting_pair, hpd, mat, random_hermitian, random_invertible
 
 from opmeans.linalg import (
     DomainError,
@@ -426,12 +426,56 @@ class TestRoundRobinJacobi:
         assert digest.hexdigest() == SMALL_N_DIGEST
 
 
+def near_diagonal(n, seed):
+    """diag(1..n) coupled at about 1e-3 among indices 0-2 and at 2^-70, far
+    below the skip threshold, elsewhere: from n = 12 on, every sweep skips
+    each round that meets no pair of 0-2 whole."""
+    h = np.diag(np.arange(1.0, n + 1)).astype(complex) + random_hermitian(n, seed, 2.0**-70)
+    k = min(n, 3)
+    h[:k, :k] += random_hermitian(k, seed + 1, 1e-3)
+    return h
+
+
+def round_robin_members(n):
+    """(matrix, frame) pairs for the round-robin bit pin: indefinite
+    Hermitian, cond 1e3 HPD cold and hinted with a random frame, the near-
+    diagonal member cold and hinted with the identity, and the core
+    A^{1/2} B A^{1/2} of a commuting pair hinted with A's frame."""
+    pair = commuting_pair(n, n, cond=1e3)
+    root = sqrtm(pair.a)
+    core = root @ pair.b @ root
+    return [(random_hermitian(n, n), None), (hpd(n, n, cond=1e3), None),
+            (hpd(n, n, cond=1e3), random_unitary(n, n)), (near_diagonal(n, n), None),
+            (near_diagonal(n, n), np.eye(n)),
+            ((core + core.conj().T) / 2.0, hermitian_eigen(pair.a).frame)]
+
+
+# sha256 of the eigenvalues and frames of `round_robin_members`, each alone
+# and all as one stack, taken before A J and V J became one product and a
+# round whose pairs are all skipped stopped taking products: neither may
+# move a bit
+ROUND_ROBIN_DIGEST = "78a7a3fd524de22c7cdece661d9e97f83bfab82cfd92f0956a165380319b66ca"
+
+
+def test_round_robin_keeps_its_bits():
+    digest = hashlib.sha256()
+    for n in (12, 13, 16, 24, 31, 32):
+        mats, frames = zip(*round_robin_members(n))
+        lone = [hermitian_eigen(m, frame=q) for m, q in zip(mats, frames)]
+        for e in lone + hermitian_eigen(np.stack(mats), frame=frames):
+            digest.update(e.eigenvalues.tobytes())
+            digest.update(e.frame.tobytes())
+    assert digest.hexdigest() == ROUND_ROBIN_DIGEST
+
+
 def stack_members(n, seed):
     """Members that stop after different numbers of sweeps: diagonal (none),
-    a zero matrix (never run), indefinite Hermitian, cond 1e3 HPD and one
-    far below unit scale."""
+    a zero matrix (never run), indefinite Hermitian, cond 1e3 HPD, one far
+    below unit scale, and a near-diagonal one whose sweeps skip whole
+    rounds."""
     return [np.diag(np.arange(1.0, n + 1)).astype(complex), np.zeros((n, n), dtype=complex),
-            random_hermitian(n, seed), hpd(n, seed, cond=1e3), random_hermitian(n, seed + 1) * 2.0**-600]
+            random_hermitian(n, seed), hpd(n, seed, cond=1e3), random_hermitian(n, seed + 1) * 2.0**-600,
+            near_diagonal(n, seed + 2)]
 
 
 def random_unitary(n, seed):
@@ -442,9 +486,11 @@ def random_unitary(n, seed):
 def stack_hints(mats, seed):
     """Frames for `stack_members`, hinted and unhinted mixed: a random
     frame for the diagonal and the small member, the member's own cold
-    frame for the indefinite one, none for the zero and the HPD one."""
+    frame for the indefinite one, none for the zero and the HPD one, and
+    the identity for the near-diagonal one."""
     n = mats[0].shape[0]
-    return [random_unitary(n, seed), None, hermitian_eigen(mats[2]).frame, None, random_unitary(n, seed + 1)]
+    return [random_unitary(n, seed), None, hermitian_eigen(mats[2]).frame, None, random_unitary(n, seed + 1),
+            np.eye(n)]
 
 
 class TestStackedEigen:

@@ -14,7 +14,8 @@ from conftest import commuting_pair, random_pair
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
 from opmeans.cli import cli_main
-from opmeans.linalg import frobenius_norm, polar, sqrt_and_inv_sqrt, sqrtm
+from opmeans.linalg import DEFAULT_CONFIG, frobenius_norm, hermitian_eigen, polar, sqrt_and_inv_sqrt, sqrtm
+from opmeans.linalg import _sqrt_from
 from opmeans.matio import save_matrix
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
 from opmeans.randgen import GenSpec, random_hpd
@@ -56,14 +57,21 @@ def write_pair(tmp_path, p, tag="p"):
     return fa, fb
 
 
-def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm):
+def sqrtm_in_frame_of(h, a):
+    """The square root of h, a congruence through A^{1/2}, decomposed from
+    A's frame as the pair's context decomposes the core."""
+    return _sqrt_from(hermitian_eigen(h, frame=hermitian_eigen(a).frame), DEFAULT_CONFIG)
+
+
+def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm, sqrtm_from_a=sqrtm_in_frame_of):
     """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone, or
-    from the spectral functions given."""
+    from the spectral functions given; `sqrtm_from_a(h, a)` takes the
+    square roots of the core and of the gram of A+Y."""
     a, b = p.a, p.b
     sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(a)
     sqrt_b = sqrtm(b)
     core = sqrt_a @ b @ sqrt_a
-    x = sqrtm((core + core.conj().T) / 2.0)
+    x = sqrtm_from_a((core + core.conj().T) / 2.0, a)
     y = sqrt_b @ sqrt_a
     avg = (sqrt_a + sqrt_b) / 2.0
     heron = avg @ avg
@@ -81,7 +89,7 @@ def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm):
     apy, apx = a + y, a + x
     gram = apy.conj().T @ apy
     r3 = frobenius_norm(gram - apx @ apx - lhs2) / frobenius_norm(gram)
-    r4 = frobenius_norm(sqrtm((gram + gram.conj().T) / 2.0) - apx) / frobenius_norm(apx)
+    r4 = frobenius_norm(sqrtm_from_a((gram + gram.conj().T) / 2.0, a) - apx) / frobenius_norm(apx)
     r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
     return {
         "mean_gap": frobenius_norm(heron - wass) / (frobenius_norm(a) + frobenius_norm(b)),
@@ -219,11 +227,76 @@ def eigh_report(p):
 
     values = reference_report(
         p, sqrt_and_inv_sqrt=lambda a: (root(a), eigh_function(a, lambda w: 1.0 / np.sqrt(w))),
-        sqrtm=root)
+        sqrtm=root, sqrtm_from_a=lambda h, a: root(h))
     y = root(p.b) @ root(p.a)
     u = y @ eigh_function(y.conj().T @ y, lambda w: 1.0 / np.sqrt(w))
     values["r5"] = frobenius_norm(u - np.eye(p.dim)) / math.sqrt(p.dim)
     return values
+
+
+@pytest.fixture
+def rounds_per_pass(monkeypatch):
+    """Round-robin rounds per call of the round-robin solver, one entry per
+    pass, skipped rounds included."""
+    passes = []
+    real_plan, real_rounds = linalg._rounds_plan, linalg._jacobi_rounds
+
+    class Counted(list):
+        def __iter__(self):
+            for step in list.__iter__(self):
+                passes[-1] += 1
+                yield step
+
+    def rounds(*args):
+        passes.append(0)
+        return real_rounds(*args)
+
+    monkeypatch.setattr(linalg, "_rounds_plan", lambda n, k: Counted(real_plan(n, k)))
+    monkeypatch.setattr(linalg, "_jacobi_rounds", rounds)
+    return passes
+
+
+class TestSecondPassFromAFrame:
+    """A pair read from files starts its second pass, the core and the gram
+    of A+Y, from the frame its first pass gave A."""
+
+    # (pair, rounds of the pass over A and B, rounds of the pass over the
+    # core and the gram) at n = 24: 2116 rounds in all, where a cold
+    # second pass took 2668; each sweep is 23 rounds
+    ROUNDS = [
+        (("generic", 10.0), 184, 138),
+        (("generic", 30.0), 161, 161),
+        (("generic", 100.0), 184, 138),
+        (("generic", 300.0), 207, 161),
+        (("generic", 1000.0), 207, 184),
+        (("commuting", 10.0), 161, 23),
+        (("commuting", 100.0), 184, 23),
+    ]
+
+    @staticmethod
+    def pair(family, cond, seed):
+        return random_pair(24, seed, cond) if family == "generic" else commuting_pair(24, seed, cond)
+
+    def test_round_counts_pinned(self, tmp_path, rounds_per_pass):
+        for seed, ((family, cond), first, second) in enumerate(self.ROUNDS):
+            fa, fb = write_pair(tmp_path, self.pair(family, cond, seed))
+            del rounds_per_pass[:]
+            proof_chain_report(HpdPair.validated(matio.load_matrix(str(fa)), matio.load_matrix(str(fb))))
+            assert rounds_per_pass == [first, second], (family, cond)
+            if family == "commuting":
+                # in A's frame both matrices are diagonal up to roundoff
+                assert second <= 23
+
+    @pytest.mark.parametrize("n", [6, 24])
+    def test_report_does_not_depend_on_a_cached_core(self, n):
+        # the gram decomposed alone, after pair_gaps took the core, starts
+        # from A's frame as it does beside the core
+        for seed in range(3):
+            for p in (random_pair(n, seed, cond=100.0), commuting_pair(n, seed, cond=100.0)):
+                beside = proof_chain_report(HpdPair(a=p.a, b=p.b))
+                alone = HpdPair(a=p.a, b=p.b)
+                verify.pair_gaps(alone)
+                assert proof_chain_report(alone) == beside
 
 
 class TestDrawnRoute:

@@ -116,6 +116,17 @@ class TestProofChainReport:
             assert rep.residuals["r6"] <= 1e-9
             assert rep.trace_gap <= 1e-10 * (np.trace(p.a).real + np.trace(p.b).real)
 
+    @pytest.mark.parametrize("cond", [1e2, 1e4, 1e6])
+    def test_r5_of_commuting_pair_within_four_u_cond(self, cond):
+        # read from its matrices, the pair's core starts in A's computed
+        # frame, where it is diagonal up to roundoff, so r5 grows as u cond
+        # (a cold core gave u cond^2: 4.4e-7 at cond 1e6)
+        u = 2.0**-53
+        for seed in range(3):
+            p = commuting_pair(8, seed, cond)
+            r5 = proof_chain_report(HpdPair.validated(p.a, p.b)).residuals["r5"]
+            assert r5 <= 4.0 * u * cond, seed
+
     def test_intermediates_reuse_matches(self):
         p = random_pair(4, 3, cond=50.0)
         ints = proof_intermediates(p)
