@@ -3,8 +3,10 @@
 Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
 0 success, 1 usage or input-format error or an output file that cannot be
 opened or is named twice (checked before any work), 2 numerical error, 3
-the theorem-violation sentinel (a verified pair whose means coincide while
-the commutator gap is firmly positive; never expected to occur). A
+a `CounterexampleToTheorem` verdict from verify or sweep. It occurs on
+valid pairs: near a commuting pair whose eigenvalue ratios tie, the mean
+gap is second order in the commutator gap, so small perturbations of n = 2
+pairs get it (ROADMAP item 1). A
 command line that names its subcommand first and asks for no help builds
 that subcommand's parser alone.
 """
@@ -17,6 +19,7 @@ import errno
 import os
 import sys
 
+from . import linalg
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .matio import load_matrix, matrix_payload, save_json, save_matrix, write_csv
 from .means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
@@ -42,9 +45,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _config(args) -> ToleranceConfig:
-    if getattr(args, "tol", None) is None:
-        return DEFAULT_CONFIG
-    return ToleranceConfig(identity_tol=args.tol)
+    return DEFAULT_CONFIG if args.tol is None else ToleranceConfig(identity_tol=args.tol)
 
 
 def _check_outputs(*paths) -> None:
@@ -72,7 +73,8 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
         "trace_gap": report.trace_gap,
         "polar_singular": report.polar_singular,
         "verdict": verdict.value,
-        "tolerances": dataclasses.asdict(cfg),
+        "tolerances": {"identity_tol": cfg.identity_tol, "positivity_floor": linalg.POSITIVITY_FLOOR,
+                       "eig_off_diag_tol": linalg.EIG_OFF_DIAG_TOL, "max_jacobi_sweeps": linalg.MAX_JACOBI_SWEEPS},
         "seed": seed,
     }
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,35 +68,26 @@ class NotPositiveDefinite(NumericalError):
     """A matrix required to be positive definite fails the spectral check."""
 
 
+# an eigenvalue or singular value at most this multiple of the largest counts as zero
+POSITIVITY_FLOOR = 1e-12
+# Jacobi's target for the off-diagonal mass, a multiple of ||H||_F, and its sweep budget
+EIG_OFF_DIAG_TOL, MAX_JACOBI_SWEEPS = 1e-15, 100
+
+
 @dataclass(frozen=True)
 class ToleranceConfig:
-    """Numerical thresholds shared by the whole library.
-
-    identity_tol      relative tolerance for identities that hold exactly in
-                      real arithmetic (reconstruction, symmetry, residuals)
-    positivity_floor  relative spectral floor below which an eigenvalue or
-                      singular value counts as zero
-    eig_off_diag_tol  Jacobi convergence: off-diagonal Frobenius mass must
-                      drop below this multiple of ||H||_F
-    max_jacobi_sweeps sweep budget before NoConvergence, an integer
-    """
+    """The library's one setting, the CLI's `--tol`: identity_tol, the relative
+    tolerance for identities that hold exactly in real arithmetic
+    (reconstruction, symmetry, residuals), finite and above POSITIVITY_FLOOR."""
 
     identity_tol: float = 1e-10
-    positivity_floor: float = 1e-12
-    eig_off_diag_tol: float = 1e-15
-    max_jacobi_sweeps: int = 100
 
     def __post_init__(self) -> None:
-        for name in ("identity_tol", "positivity_floor", "eig_off_diag_tol"):
-            value = getattr(self, name)
-            if not value > 0.0:
-                raise ValueError(f"{name} must be strictly positive")
-            if value == math.inf:
-                raise ValueError(f"{name} must be finite")
-        sweeps = self.max_jacobi_sweeps
-        if not isinstance(sweeps, numbers.Integral) or isinstance(sweeps, bool) or sweeps < 1:
-            raise ValueError(f"max_jacobi_sweeps must be an integer of at least 1, got {sweeps!r}")
-        if not self.identity_tol > self.positivity_floor:
+        if not self.identity_tol > 0.0:
+            raise ValueError("identity_tol must be strictly positive")
+        if self.identity_tol == math.inf:
+            raise ValueError("identity_tol must be finite")
+        if not self.identity_tol > POSITIVITY_FLOOR:
             raise ValueError("identity_tol must exceed positivity_floor")
 
 
@@ -222,22 +212,24 @@ def _off_diagonal_mass(a: list, n: int) -> float:
 _Solution = tuple[np.ndarray, np.ndarray, float]
 
 
-def _jacobi(m: np.ndarray, v0: np.ndarray, target: float, skip: float, max_sweeps: int) -> _Solution:
+def _jacobi(m: np.ndarray, v0: np.ndarray, target: float) -> _Solution:
     """Cyclic Jacobi sweeps with complex Givens rotations.
 
     Each rotation zeroes one off-diagonal pair of the working matrix while
     accumulating the same rotation into the column frame, which starts at
     v0. Both are lists of row lists holding Python complex scalars, which
-    beats numpy element access below `_ROUNDS_MIN_N`. Returns the
-    diagonal, the frame and the final off-diagonal mass, which is above
-    `target` only when the sweep budget ran out.
+    beats numpy element access below `_ROUNDS_MIN_N`. Entries at most
+    target / 4n, which cannot lift the mass back above target, are skipped.
+    Returns the diagonal, the frame and the final off-diagonal mass, which
+    is above `target` only when the sweep budget ran out.
     """
     n = m.shape[0]
+    skip = target / (4.0 * n)
     a = m.tolist()
     v = v0.tolist()
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_JACOBI_SWEEPS + 1):
         mass = _off_diagonal_mass(a, n)
-        if mass <= target or sweep == max_sweeps:
+        if mass <= target or sweep == MAX_JACOBI_SWEEPS:
             break
         for p in range(n - 1):
             ap = a[p]
@@ -337,36 +329,32 @@ def _rounds_plan(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarra
     return plan
 
 
-# tau * tau overflows to inf, and t to 0 as in the scalar loop, only for an
-# eig_off_diag_tol below about 1e-150
-@np.errstate(over="ignore")
-def _jacobi_rounds(
-    m: np.ndarray, v: np.ndarray, targets: list[float], skips: list[float], max_sweeps: int
-) -> list[_Solution]:
+def _jacobi_rounds(m: np.ndarray, v: np.ndarray, targets: list[float]) -> list[_Solution]:
     """Round-robin Jacobi (Brent & Luk 1985) on a (k, n, n) stack: the
     rotations of one round touch disjoint index pairs, so they form one
     unitary J per member, and a round is A <- J* A J and V <- V J as
     batched matrix products, V starting at the stack of frames v. A and V
     share one (k, 2n, n) buffer, so A J and V J are one product.
 
-    Rotation angles and the `skip` rule are the scalar loop's, pair for
-    pair; a skipped pair takes the identity (u = 1, t = 0), and its
-    entries, at most `skip`, are set to zero with the rest. A round whose
-    pairs are all skipped only sets them to zero: its J is the identity,
-    and the products would change no bit. A member leaves the stack at the
-    start of the sweep where it would stop alone, so its sweeps and bits
-    are those of a lone run. Returns one `_jacobi` result per member.
+    Rotation angles and the skip rule, target / 4n per member, are the
+    scalar loop's, pair for pair; a skipped pair takes the identity
+    (u = 1, t = 0), and its entries, at most its skip, are set to zero
+    with the rest. A round whose pairs are all skipped only sets them to
+    zero: its J is the identity, and the products would change no bit. A
+    member leaves the stack at the start of the sweep where it would stop
+    alone, so its sweeps and bits are those of a lone run. Returns one
+    `_jacobi` result per member.
     """
     n = m.shape[1]
     upper = _upper_plan(n)
     w = np.concatenate((m, v), axis=1)
     members, solutions = list(range(len(m))), [None] * len(m)
-    for sweep in range(max_sweeps + 1):
+    for sweep in range(MAX_JACOBI_SWEEPS + 1):
         stack, stay = w.reshape(-1, 2 * n, n), []
         for i, member in enumerate(members):
             off = stack[i, :n][upper]
             mass = math.sqrt(2.0 * np.vdot(off, off).real)
-            if mass <= targets[member] or sweep == max_sweeps:
+            if mass <= targets[member] or sweep == MAX_JACOBI_SWEEPS:
                 solutions[member] = stack[i, :n].diagonal().real.copy(), stack[i, n:], mass
             else:
                 stay.append(i)
@@ -380,7 +368,7 @@ def _jacobi_rounds(
             plan = _rounds_plan(n, len(members))
             k = len(members) * (n // 2)  # pairs per round in the stack
             eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (*w.shape[:-2], n, n)).copy()
-            skip = skips[members[0]] if len(members) == 1 else np.repeat([skips[i] for i in members], n // 2)
+            skip = np.repeat([targets[i] / (4.0 * n) for i in members], n // 2)
         for place, gather, zero in plan:
             g = w.take(gather)
             h = g[:k]
@@ -388,7 +376,7 @@ def _jacobi_rounds(
             dead = r <= skip
             if not dead.all():
                 # skipped pairs take the identity and divide by 1, never by
-                # an entry of 0, which is skipped when skip underflows to 0
+                # an entry of 0
                 r[dead] = 1.0
                 u = h / r
                 u[dead] = 1.0
@@ -431,7 +419,7 @@ def hermitian_eigen(
     size on in round-robin order; both stop at the same target. Raises
     NotHermitian when the input asymmetry exceeds identity_tol and
     NoConvergence when the off-diagonal mass has not dropped below
-    eig_off_diag_tol * ||H||_F within max_jacobi_sweeps sweeps. Jacobi
+    EIG_OFF_DIAG_TOL * ||H||_F within MAX_JACOBI_SWEEPS sweeps. Jacobi
     runs on 2^-e H, e = `_exponent(H)`, with entries below 1 and eigenvalues
     below n, whose mass neither underflows nor overflows, even where ||H||_F
     does; the scaling is exact and changes no bit. An eigenvalue that
@@ -465,7 +453,7 @@ def hermitian_eigen(
         hm = require_hermitian(m, cfg)
         n, e = hm.shape[0], _exponent(hm)
         scaled = hm * math.ldexp(1.0, -e)
-        target = cfg.eig_off_diag_tol * frobenius_norm(scaled)
+        target = EIG_OFF_DIAG_TOL * frobenius_norm(scaled)
         if q is None:
             q = np.eye(n, dtype=np.complex128)
         else:
@@ -473,22 +461,17 @@ def hermitian_eigen(
             scaled = q.conj().T @ scaled @ q
             scaled = (scaled + scaled.conj().T) / 2.0
         runs.append((e, scaled, q, target))
-    # rotations on entries below target / 4n cannot lift the mass back above target
-    solutions = None
     if n >= _ROUNDS_MIN_N:
-        targets = [run[3] for run in runs]
         solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), np.stack([run[2] for run in runs]),
-                                   targets, [target / (4.0 * n) for target in targets], cfg.max_jacobi_sweeps)
+                                   [run[3] for run in runs])
+    else:
+        solutions = [_jacobi(m, q, target) for _, m, q, target in runs]
     out = []
-    for k, (e, m, q, target) in enumerate(runs):
-        if solutions:
-            lam, v, mass = solutions[k]
-        else:
-            lam, v, mass = _jacobi(m, q, target, target / (4.0 * n), cfg.max_jacobi_sweeps)
+    for (e, _, _, target), (lam, v, mass) in zip(runs, solutions):
         if not mass <= target:
             raise NoConvergence(
                 f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
-                f"{math.ldexp(target, e):.3e} after {cfg.max_jacobi_sweeps} sweeps (n = {n})"
+                f"{math.ldexp(target, e):.3e} after {MAX_JACOBI_SWEEPS} sweeps (n = {n})"
             )
         order = np.argsort(lam, kind="stable")
         # |lam| < n < 2^bit_length(n), so 2^e lam can overflow only from here on
@@ -521,17 +504,17 @@ def _exp_values(eig: HermitianEigen) -> np.ndarray:
     return np.array(values)
 
 
-def _sqrt_values(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
-    floor = cfg.positivity_floor * _spectral_radius(eig)
+def _sqrt_values(eig: HermitianEigen) -> np.ndarray:
+    floor = POSITIVITY_FLOOR * _spectral_radius(eig)
     lam = eig.eigenvalues
     if float(lam[0]) < -floor:
         raise DomainError(f"square root undefined at eigenvalue {float(lam[0])!r}")
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _positive_values(eig: HermitianEigen, cfg: ToleranceConfig, what: str) -> np.ndarray:
+def _positive_values(eig: HermitianEigen, what: str) -> np.ndarray:
     lam = eig.eigenvalues
-    floor = cfg.positivity_floor * _spectral_radius(eig)
+    floor = POSITIVITY_FLOOR * _spectral_radius(eig)
     if float(lam[0]) <= floor:
         raise DomainError(f"{what} undefined at eigenvalue {float(lam[0])!r} (floor {floor:.3e})")
     return lam
@@ -543,18 +526,18 @@ def sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     Eigenvalues within the positivity floor of zero are clamped to zero;
     anything further negative raises DomainError.
     """
-    return _sqrt_from(hermitian_eigen(h, cfg), cfg)
+    return _sqrt_from(hermitian_eigen(h, cfg))
 
 
-def _sqrt_from(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
     """`sqrtm` of the matrix with spectrum eig."""
-    return _assemble(eig.frame, _sqrt_values(eig, cfg))
+    return _assemble(eig.frame, _sqrt_values(eig))
 
 
 def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root from a single eigendecomposition."""
     eig = hermitian_eigen(h, cfg)
-    _positive_values(eig, cfg, "inverse square root")
+    _positive_values(eig, "inverse square root")
     return _roots(eig)
 
 
@@ -567,7 +550,7 @@ def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
 def logm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Logarithm of a positive definite Hermitian matrix."""
     eig = hermitian_eigen(h, cfg)
-    lam = _positive_values(eig, cfg, "logarithm")
+    lam = _positive_values(eig, "logarithm")
     return _assemble(eig.frame, np.log(lam))
 
 
@@ -575,11 +558,6 @@ def _gram(t: np.ndarray) -> np.ndarray:
     """T*T, Hermitian positive semidefinite up to roundoff, symmetrized."""
     gram = t.conj().T @ t
     return (gram + gram.conj().T) / 2.0
-
-
-def _abs_from_gram(gram: HermitianEigen) -> np.ndarray:
-    """|T| from the spectrum of T*T, negative roundoff clamped to zero."""
-    return _assemble(gram.frame, np.sqrt(np.maximum(gram.eigenvalues, 0.0)))
 
 
 def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
@@ -591,20 +569,20 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
     """
     t = as_matrix(t)
     eig = hermitian_eigen(_gram(t), cfg)
-    return PolarParts(isometry=_isometry(t, eig, cfg), positive=_abs_from_gram(eig))
+    return PolarParts(isometry=_isometry(t, eig), positive=_sqrt_from(eig))
 
 
-def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+def _isometry(t: np.ndarray, gram: HermitianEigen) -> np.ndarray:
     """The polar factor U = T |T|^{-1} from the spectrum of T*T, or Singular
     when T's smallest singular value is within the positivity floor of its
     largest. One Newton-Schulz step scrubs U's O(eps * cond) unitarity
     defect, taken only while that is well below 1, where the step contracts."""
     sing = np.sqrt(np.maximum(gram.eigenvalues, 0.0))
     largest = float(sing[-1])
-    if largest == 0.0 or float(sing[0]) <= cfg.positivity_floor * largest:
+    if largest == 0.0 or float(sing[0]) <= POSITIVITY_FLOOR * largest:
         raise Singular(
             f"smallest singular value {float(sing[0]):.3e} within floor of "
-            f"{cfg.positivity_floor:.1e} * {largest:.3e}"
+            f"{POSITIVITY_FLOOR:.1e} * {largest:.3e}"
         )
     u = t @ _assemble(gram.frame, 1.0 / sing)
     defect = u.conj().T @ u - np.eye(t.shape[0])
@@ -613,5 +591,5 @@ def _isometry(t: np.ndarray, gram: HermitianEigen, cfg: ToleranceConfig) -> np.n
     return u
 
 
-def _is_positive(eig: HermitianEigen, cfg: ToleranceConfig) -> bool:
-    return float(eig.eigenvalues[0]) > cfg.positivity_floor * _spectral_radius(eig)
+def _is_positive(eig: HermitianEigen) -> bool:
+    return float(eig.eigenvalues[0]) > POSITIVITY_FLOOR * _spectral_radius(eig)

@@ -108,19 +108,19 @@ class PairSpectra:
             self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
         else:
             self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
-        if not _is_positive(self.eig_a, cfg):
+        if not _is_positive(self.eig_a):
             raise NotPositiveDefinite("matrix a is not positive definite")
         self.sqrt_a, self.inv_sqrt_a = _roots(self.eig_a)
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
-        return _sqrt_from(self.eig_b, self.cfg)
+        return _sqrt_from(self.eig_b)
 
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
         eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg, frame=self.eig_a.frame)
-        return eig, _sqrt_from(eig, self.cfg)
+        return eig, _sqrt_from(eig)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
         """Spectrum of h, a congruence through A^{1/2} like the core, taken
@@ -131,7 +131,7 @@ class PairSpectra:
             return hermitian_eigen(h, self.cfg, frame=frame)
         core = _core(self.sqrt_a, self.b)
         eig_core, eig = hermitian_eigen((core, h), self.cfg, frame=(frame, frame))
-        self.core = eig_core, _sqrt_from(eig_core, self.cfg)  # fills the cached property
+        self.core = eig_core, _sqrt_from(eig_core)  # fills the cached property
         return eig
 
     @property
@@ -213,7 +213,7 @@ class HpdPair:
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         pair = cls(a=a, b=b)
-        if not _is_positive(pair.spectra(cfg).eig_b, cfg):
+        if not _is_positive(pair.spectra(cfg).eig_b):
             raise NotPositiveDefinite("matrix b is not positive definite")
         return pair
 

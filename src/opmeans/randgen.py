@@ -132,8 +132,8 @@ FAMILIES = ("generic", "commuting", "near_commuting")
 class GenSpec:
     """Parameters of one random draw.
 
-    dim          matrix size, >= 1
-    seed         64-bit unsigned seed
+    dim          matrix size, an int >= 1 (not a bool)
+    seed         64-bit unsigned seed, an int (not a bool)
     cond_target  ratio of largest to smallest eigenvalue, >= 1
     family       "generic" (one matrix), "commuting" (shared-frame pair),
                  or "near_commuting" (commuting pair perturbed by epsilon
@@ -149,9 +149,9 @@ class GenSpec:
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or self.dim < 1:
+        if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
             raise InvalidSpec(f"dim must be a positive integer, got {self.dim!r}")
-        if not isinstance(self.seed, int) or not 0 <= self.seed <= MASK64:
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed <= MASK64:
             raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not self.cond_target >= 1.0:
             raise InvalidSpec(f"cond_target must be >= 1, got {self.cond_target!r}")

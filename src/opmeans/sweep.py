@@ -45,7 +45,10 @@ class SweepSpec:
             raise InvalidSpec("epsilons must be finite")
         if any(b <= a for a, b in zip(self.epsilons, self.epsilons[1:])):
             raise InvalidSpec("epsilons must be strictly increasing")
-        if self.trials_per_epsilon < 1:
+        trials = self.trials_per_epsilon
+        if not isinstance(trials, int) or isinstance(trials, bool):
+            raise InvalidSpec(f"trials_per_epsilon must be an integer, got {trials!r}")
+        if trials < 1:
             raise InvalidSpec("trials_per_epsilon must be >= 1")
 
 

@@ -58,11 +58,11 @@ from .linalg import (
     logm,
     require_hermitian,
     sqrt_and_inv_sqrt,
-    _abs_from_gram,
     _assemble,
     _gram,
     _isometry,
     _scale_exponent,
+    _sqrt_from,
     _sqrt_values,
     _upper_plan,
 )
@@ -229,13 +229,13 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     r3 = _relative(gram - apx @ apx - lhs2, "r3", gram)
 
     # r4: triangle equality |A+Y| = A + X (conditional on mean equality)
-    r4 = _relative(_abs_from_gram(eig_gram) - apx, "r4", apx)
+    r4 = _relative(_sqrt_from(eig_gram) - apx, "r4", apx)
 
     # r5: polar factor of Y collapses to the identity (conditional); Y*Y
     # is the core, so it comes from the core's spectrum
     polar_singular = False
     try:
-        u = _isometry(y, s.core[0], cfg)
+        u = _isometry(y, s.core[0])
         r5 = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
     except Singular:
         polar_singular = True
@@ -257,9 +257,10 @@ def classify_gaps(mean_gap: float, comm_gap: float, cfg: ToleranceConfig = DEFAU
     """Verdict from the two gaps.
 
     Equality band is identity_tol; a commutator gap above VIOLATION_BAND
-    together with an equality-band mean gap would contradict the theorem
-    and is flagged as such (it is a build-failing event, never observed).
-    Anything straddling the band in between is Indeterminate.
+    together with an equality-band mean gap is CounterexampleToTheorem. It
+    occurs on valid pairs: near a commuting pair whose eigenvalue ratios
+    tie, the mean gap is second order in the commutator gap (ROADMAP item
+    1). Anything straddling the band in between is Indeterminate.
     """
     tol = cfg.identity_tol
     means_equal = mean_gap <= tol
@@ -309,12 +310,12 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     # one pass: the grams of X and Y, and that of X+Y for both |X+Y| and
     # its polar factor
     eig_x, eig_y, gram = hermitian_eigen((_gram(x), _gram(y), _gram(total)), cfg)
-    abs_x, abs_y, abs_total = _abs_from_gram(eig_x), _abs_from_gram(eig_y), _abs_from_gram(gram)
+    abs_x, abs_y, abs_total = _sqrt_from(eig_x), _sqrt_from(eig_y), _sqrt_from(gram)
     denom = frobenius_norm(abs_total)
     residual = frobenius_norm(abs_total - abs_x - abs_y) / denom if denom > 0.0 else 0.0
     if residual > cfg.identity_tol:
         raise TriangleEqualityFails(residual)
-    u = _isometry(total, gram, cfg)
+    u = _isometry(total, gram)
     nx = frobenius_norm(x)
     ny = frobenius_norm(y)
     rx = frobenius_norm(x - u @ abs_x) / nx if nx > 0.0 else 0.0
@@ -405,7 +406,7 @@ class GapObjective:
         b = _assemble(eig.frame, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
         eig_core = hermitian_eigen(_core(self.sqrt_a, b), self.cfg)
-        roots = _sqrt_values(eig_core, self.cfg)
+        roots = _sqrt_values(eig_core)
         x = _assemble(eig_core.frame, roots)
         heron = _heron_form(self.sqrt_a, sqrt_b)
         wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
@@ -501,6 +502,8 @@ def minimize_gap(
     reason "no_descent" instead of raising. B0 must be Hermitian (NotHermitian)
     and positive definite (DomainError from its logarithm).
     """
+    if not isinstance(budget, int) or isinstance(budget, bool):
+        raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = GapObjective(a, cfg)

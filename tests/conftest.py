@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from opmeans import linalg
 from opmeans.linalg import DEFAULT_CONFIG
 from opmeans.means import HpdPair
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
@@ -58,4 +59,4 @@ def eigh_positive_definite(h):
     """Whether the smallest eigenvalue from np.linalg.eigvalsh clears the
     library's relative positivity floor."""
     w = np.linalg.eigvalsh(h)
-    return w[0] > DEFAULT_CONFIG.positivity_floor * np.abs(w).max()
+    return w[0] > linalg.POSITIVITY_FLOOR * np.abs(w).max()

@@ -252,6 +252,76 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", "inf") == 1
 
 
+class TestTolMovesOnlyVerdicts:
+    """`--tol` is the one setting: it decides verdicts and exit codes and
+    moves no other output byte. The pair and the sweep below straddle the
+    two tolerances, so some verdicts and one exit code do change."""
+
+    TOLS = ((), ("--tol", "1e-8"))
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("inputs")
+        # mean gap 1.9e-9 and commutator gap 1.8e-4: the two tolerances
+        # give BothGapsPositive and CounterexampleToTheorem
+        assert run("gen", "--family", "near-commuting", "--n", "2", "--cond", "3", "--epsilon", "1e-3",
+                   "--seed", "15", "--out-a", str(d / "na.json"), "--out-b", str(d / "nb.json")) == 0
+        for name, seed in (("a", 1), ("b", 2)):
+            assert run("gen", "--n", "4", "--seed", str(seed), "--cond", "100", "--out", str(d / f"{name}.json")) == 0
+        return d
+
+    def outputs(self, tmp_path, capsys, argv, outs):
+        """(exit code, stdout, stderr, output files) at each tolerance."""
+        runs = []
+        for i, tol in enumerate(self.TOLS):
+            files = [tmp_path / f"{i}-{name}" for name in outs]
+            flags = [arg for flag, f in zip(outs.values(), files) for arg in (flag, str(f))]
+            code = run(*argv, *flags, *tol)
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, captured.err, [f.read_bytes() for f in files]))
+        return runs
+
+    @staticmethod
+    def differing_lines(first, second):
+        lines = first.splitlines(), second.splitlines()
+        assert len(lines[0]) == len(lines[1])
+        return [pair for pair in zip(*lines) if pair[0] != pair[1]]
+
+    @pytest.mark.parametrize("pair, codes", [(("na", "nb"), (0, 3)), (("a", "b"), (0, 0))], ids=["near", "generic"])
+    def test_verify(self, tmp_path, capsys, inputs, pair, codes):
+        argv = ["verify", "--a", str(inputs / f"{pair[0]}.json"), "--b", str(inputs / f"{pair[1]}.json")]
+        (code0, out0, err0, _), (code1, out1, err1, _) = self.outputs(tmp_path, capsys, argv, {})
+        assert (code0, code1) == codes and err0 == err1 == ""
+        for line0, line1 in self.differing_lines(out0, out1):
+            assert line0.startswith(('  "verdict": ', '    "identity_tol": ')), (line0, line1)
+        for text, tol in ((out0, 1e-10), (out1, 1e-8)):
+            assert json.loads(text)["tolerances"] == {
+                "eig_off_diag_tol": 1e-15, "identity_tol": tol, "max_jacobi_sweeps": 100, "positivity_floor": 1e-12}
+            assert '    "max_jacobi_sweeps": 100,\n' in text
+        assert (json.loads(out0)["verdict"] != json.loads(out1)["verdict"]) == (codes == (0, 3))
+
+    def test_sweep(self, tmp_path, capsys):
+        argv = ["sweep", "--n", "2", "--seed", "1", "--cond", "3", "--epsilons", "0,1e-4,1e-3,1e-2", "--trials", "3"]
+        (code0, out0, err0, [csv0]), (code1, out1, err1, [csv1]) = self.outputs(
+            tmp_path, capsys, argv, {"s.csv": "--out"})
+        assert code0 == code1 == 3 and out0 == out1 == err0 == err1 == ""
+        rows0, rows1 = csv0.decode().splitlines(), csv1.decode().splitlines()
+        assert [r.rsplit(",", 1)[0] for r in rows0] == [r.rsplit(",", 1)[0] for r in rows1]
+        assert [r.rsplit(",", 1)[1] for r in rows0] != [r.rsplit(",", 1)[1] for r in rows1]
+
+    @pytest.mark.parametrize("argv, outs", [
+        (["minimize", "--a", "a", "--b0", "b", "--budget", "5"], {"t.csv": "--out", "b.json": "--out-b"}),
+        (["mean", "--kind", "heron", "--a", "a", "--b", "b"], {"m.json": "--out"}),
+        (["mean", "--kind", "geometric", "--a", "a", "--b", "b"], {"m.json": "--out"}),
+        (["mean", "--kind", "wasserstein", "--a", "a", "--b", "b"], {"m.json": "--out"}),
+        (["lemma-ah", "--x", "a", "--y", "a"], {}),
+    ], ids=["minimize", "heron", "geometric", "wasserstein", "lemma-ah"])
+    def test_every_byte_kept(self, tmp_path, capsys, inputs, argv, outs):
+        argv = [str(inputs / f"{arg}.json") if arg in ("a", "b") else arg for arg in argv]
+        first, second = self.outputs(tmp_path, capsys, argv, outs)
+        assert first == second and first[0] == 0
+
+
 class TestSweep:
     def test_csv_layout(self, tmp_path):
         out = tmp_path / "s.csv"

@@ -6,6 +6,7 @@ functional calculus; np.linalg.eigh acts as an independent cross-check on
 random inputs (it is never used by library code).
 """
 
+import dataclasses
 import hashlib
 import math
 import re
@@ -92,27 +93,33 @@ class TestRequireHermitian:
 
 
 class TestToleranceConfig:
+    """identity_tol is the one setting; the floor, the Jacobi target and
+    the sweep budget are constants of the module."""
+
     def test_defaults_valid(self):
-        cfg = ToleranceConfig()
-        assert cfg.identity_tol == 1e-10
-        assert cfg.positivity_floor == 1e-12
+        assert ToleranceConfig().identity_tol == 1e-10
+        assert linalg.POSITIVITY_FLOOR == 1e-12
+        assert linalg.EIG_OFF_DIAG_TOL == 1e-15
+        assert linalg.MAX_JACOBI_SWEEPS == 100 and type(linalg.MAX_JACOBI_SWEEPS) is int
 
     def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(identity_tol=0.0)
-        with pytest.raises(ValueError):
-            ToleranceConfig(eig_off_diag_tol=-1e-13)
-        with pytest.raises(ValueError):
-            ToleranceConfig(max_jacobi_sweeps=0)
-        for sweeps in (math.inf, 10.0, 2.5, True, "100", None):
-            with pytest.raises(ValueError):
-                ToleranceConfig(max_jacobi_sweeps=sweeps)
-        with pytest.raises(ValueError):
+        for tol in (0.0, -1e-3, math.nan):
+            with pytest.raises(ValueError, match="^identity_tol must be strictly positive$"):
+                ToleranceConfig(identity_tol=tol)
+        with pytest.raises(ValueError, match="^identity_tol must be finite$"):
             ToleranceConfig(identity_tol=math.inf)
 
     def test_identity_tol_must_exceed_floor(self):
-        with pytest.raises(ValueError):
-            ToleranceConfig(identity_tol=1e-13, positivity_floor=1e-12)
+        for tol in (1e-13, 1e-12):
+            with pytest.raises(ValueError, match="^identity_tol must exceed positivity_floor$"):
+                ToleranceConfig(identity_tol=tol)
+        assert ToleranceConfig(identity_tol=2e-12).identity_tol == 2e-12
+
+    def test_has_no_other_field(self):
+        assert [f.name for f in dataclasses.fields(ToleranceConfig)] == ["identity_tol"]
+        for field, value in (("positivity_floor", 1e-12), ("eig_off_diag_tol", 1e-15), ("max_jacobi_sweeps", 100)):
+            with pytest.raises(TypeError):
+                ToleranceConfig(**{field: value})
 
 
 class TestHermitianEigen:
@@ -171,10 +178,10 @@ class TestHermitianEigen:
         e = hermitian_eigen(h)
         assert np.allclose(e.eigenvalues, [1.0, 3.0], atol=1e-10)
 
-    def test_no_convergence_with_one_sweep(self):
-        cfg = ToleranceConfig(max_jacobi_sweeps=1)
-        with pytest.raises(NoConvergence):
-            hermitian_eigen(random_hermitian(8, 5), cfg)
+    def test_no_convergence_with_one_sweep(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
+        with pytest.raises(NoConvergence, match=r"after 1 sweeps \(n = 8\)$"):
+            hermitian_eigen(random_hermitian(8, 5))
 
     @pytest.mark.parametrize("e", [560, -560])
     def test_power_of_two_scaling_is_exact(self, e):
@@ -193,21 +200,12 @@ class TestHermitianEigen:
         ref = np.linalg.eigvalsh(h)
         assert np.max(np.abs(hermitian_eigen(h).eigenvalues - ref)) <= 1e-13 * ref[-1]
 
-    def test_no_convergence_reports_input_units(self):
+    def test_no_convergence_reports_input_units(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
         for n in (8, 24):
             h = random_hermitian(n, 5) * 2.0**-600
             with pytest.raises(NoConvergence, match=f"above {1e-15 * frobenius_norm(h):.3e} "):
-                hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
-
-    @pytest.mark.parametrize("n", [4, 24])
-    def test_tolerance_far_below_roundoff(self, n):
-        # off-diagonal entries keep shrinking past 1e-154, where tau * tau
-        # overflows to inf and t becomes 0 on both paths, with no
-        # floating-point warning from the vectorized one
-        h = hpd(n, 3, cond=10.0)
-        lam = hermitian_eigen(h, ToleranceConfig(eig_off_diag_tol=1e-200)).eigenvalues
-        ref = np.linalg.eigvalsh(h)
-        assert np.max(np.abs(lam - ref)) <= 1e-13 * ref[-1]
+                hermitian_eigen(h)
 
     def test_zero_matrix(self):
         e = hermitian_eigen(np.zeros((3, 3), dtype=complex))
@@ -250,10 +248,11 @@ class TestTopOfRange:
         # the cyclic order at n = 8, the round-robin order at n = 24
         self.assert_near_lapack(self.overflowing(n))
 
-    def test_no_convergence_names_a_finite_target(self):
+    def test_no_convergence_names_a_finite_target(self, monkeypatch):
+        monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
         h = self.overflowing(8)
         with pytest.raises(NoConvergence, match=re.escape(f"above {1e-15 * frobenius_norm(h / 16) * 16:.3e} ")):
-            hermitian_eigen(h, ToleranceConfig(max_jacobi_sweeps=1))
+            hermitian_eigen(h)
 
     @pytest.mark.parametrize("n, power", [(24, 1020), (3, 1023)])
     def test_rank_one_past_range(self, n, power):
@@ -407,12 +406,13 @@ class TestRoundRobinJacobi:
         assert np.array_equal(first.frame, second.frame)
 
     def test_skip_underflowing_to_zero_divides_by_one(self):
-        # the smallest target makes skip = target / 4n round to 0: pairs
-        # whose entry is exactly 0 are skipped without dividing by it
+        # pairs whose entry is exactly 0 are skipped without dividing by it
+        # (0 / 0 would warn, an error under pytest), in rounds whose other
+        # pairs rotate
         h = np.diag(np.arange(1.0, 13.0)).astype(complex)
         h[0, 1] = h[1, 0] = 0.5
         h[3, 7], h[7, 3] = 0.25j, -0.25j
-        e = hermitian_eigen(h, ToleranceConfig(eig_off_diag_tol=5e-324, max_jacobi_sweeps=5))
+        e = hermitian_eigen(h)
         assert np.max(np.abs(e.eigenvalues - np.linalg.eigvalsh(h))) <= 1e-14 * 12.0
 
     def test_small_sizes_keep_cyclic_bits(self):
@@ -500,17 +500,16 @@ class TestStackedEigen:
     def test_members_match_single_calls(self, n):
         mats = stack_members(n, n)
         hint_sets = [[None] * len(mats)] + ([stack_hints(mats, n)] if n in (5, 12, 24) else [])
-        for cfg in (ToleranceConfig(), ToleranceConfig(eig_off_diag_tol=1e-200)):
-            for hints in hint_sets:
-                singles = [hermitian_eigen(m, cfg, frame=q) for m, q in zip(mats, hints)]
-                for order, frames in ((mats, hints), (mats[::-1], hints[::-1])):
-                    expected = singles if order is mats else singles[::-1]
-                    for stack in (np.stack(order), order):
-                        got = hermitian_eigen(stack, cfg, frame=frames)
-                        assert len(got) == len(order)
-                        for e, ref in zip(got, expected):
-                            assert np.array_equal(e.eigenvalues, ref.eigenvalues)
-                            assert np.array_equal(e.frame, ref.frame)
+        for hints in hint_sets:
+            singles = [hermitian_eigen(m, frame=q) for m, q in zip(mats, hints)]
+            for order, frames in ((mats, hints), (mats[::-1], hints[::-1])):
+                expected = singles if order is mats else singles[::-1]
+                for stack in (np.stack(order), order):
+                    got = hermitian_eigen(stack, frame=frames)
+                    assert len(got) == len(order)
+                    for e, ref in zip(got, expected):
+                        assert np.array_equal(e.eigenvalues, ref.eigenvalues)
+                        assert np.array_equal(e.frame, ref.frame)
 
     def test_one_member_stack(self):
         h = hpd(24, 2, cond=100.0)
@@ -519,7 +518,7 @@ class TestStackedEigen:
         assert np.array_equal(got.frame, ref.frame)
 
     @pytest.mark.parametrize("n", [5, 24])
-    def test_failing_member_raises_its_single_call_error(self, n):
+    def test_failing_member_raises_its_single_call_error(self, n, monkeypatch):
         good = hpd(n, 1)
         skew = random_hermitian(n, 2)
         skew[0, 1] += 1.0
@@ -530,17 +529,17 @@ class TestStackedEigen:
         assert str(stacked.value) == str(single.value)
         # the diagonal member is done before its first sweep, the others
         # need more than one; the first of them that fails is reported
-        cfg = ToleranceConfig(max_jacobi_sweeps=1)
+        monkeypatch.setattr(linalg, "MAX_JACOBI_SWEEPS", 1)
         first, second = random_hermitian(n, 3), random_hermitian(n, 4) * 2.0**-600
         with pytest.raises(NoConvergence) as single:
-            hermitian_eigen(first, cfg)
+            hermitian_eigen(first)
         with pytest.raises(NoConvergence) as stacked:
-            hermitian_eigen(np.stack((np.diag(np.arange(1.0, n + 1)).astype(complex), first, second)), cfg)
+            hermitian_eigen(np.stack((np.diag(np.arange(1.0, n + 1)).astype(complex), first, second)))
         assert str(stacked.value) == str(single.value)
         with pytest.raises(NoConvergence) as single:
-            hermitian_eigen(second, cfg)
+            hermitian_eigen(second)
         with pytest.raises(NoConvergence) as stacked:
-            hermitian_eigen(np.stack((second, first)), cfg)
+            hermitian_eigen(np.stack((second, first)))
         assert str(stacked.value) == str(single.value)
         assert "above" in str(single.value) and f"(n = {n})" in str(single.value)
 

@@ -2,6 +2,7 @@
 family construction, and spec validation."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,11 +130,21 @@ class TestGenSpec:
         with pytest.raises(InvalidSpec):
             GenSpec(dim=0, seed=1)
 
+    @pytest.mark.parametrize("dim", [True, 2.0, 2.5, "2", None])
+    def test_dim_must_be_an_int_not_a_bool(self, dim):
+        with pytest.raises(InvalidSpec, match=f"^dim must be a positive integer, got {re.escape(repr(dim))}$"):
+            GenSpec(dim=dim, seed=1)
+
     def test_rejects_bad_seed(self):
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=-1)
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=1 << 64)
+
+    @pytest.mark.parametrize("seed", [False, True, 1.0, 1.5, "1", None])
+    def test_seed_must_be_an_int_not_a_bool(self, seed):
+        with pytest.raises(InvalidSpec, match=f"^seed must be a 64-bit unsigned integer, got {re.escape(repr(seed))}$"):
+            GenSpec(dim=2, seed=seed)
 
     def test_rejects_cond_below_one(self):
         with pytest.raises(InvalidSpec):

@@ -14,7 +14,7 @@ from conftest import commuting_pair, random_pair
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
 from opmeans.cli import cli_main
-from opmeans.linalg import DEFAULT_CONFIG, frobenius_norm, hermitian_eigen, polar, sqrt_and_inv_sqrt, sqrtm
+from opmeans.linalg import frobenius_norm, hermitian_eigen, polar, sqrt_and_inv_sqrt, sqrtm
 from opmeans.linalg import _sqrt_from
 from opmeans.matio import save_matrix
 from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
@@ -60,7 +60,7 @@ def write_pair(tmp_path, p, tag="p"):
 def sqrtm_in_frame_of(h, a):
     """The square root of h, a congruence through A^{1/2}, decomposed from
     A's frame as the pair's context decomposes the core."""
-    return _sqrt_from(hermitian_eigen(h, frame=hermitian_eigen(a).frame), DEFAULT_CONFIG)
+    return _sqrt_from(hermitian_eigen(h, frame=hermitian_eigen(a).frame))
 
 
 def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm, sqrtm_from_a=sqrtm_in_frame_of):

@@ -1,6 +1,7 @@
 """Sweep spec validation, row structure, and determinism."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -51,8 +52,13 @@ class TestSweepSpec:
         assert capsys.readouterr().err.startswith("input error: epsilons must be")
 
     def test_rejects_zero_trials(self):
-        with pytest.raises(InvalidSpec):
+        with pytest.raises(InvalidSpec, match="^trials_per_epsilon must be >= 1$"):
             SweepSpec(base=base_spec(), epsilons=(0.1,), trials_per_epsilon=0)
+
+    @pytest.mark.parametrize("trials", [True, 2.0, 2.5, "2", None])
+    def test_trials_must_be_an_int_not_a_bool(self, trials):
+        with pytest.raises(InvalidSpec, match=f"^trials_per_epsilon must be an integer, got {re.escape(repr(trials))}$"):
+            SweepSpec(base=base_spec(), epsilons=(0.1,), trials_per_epsilon=trials)
 
 
 class TestRunSweep:

@@ -2,6 +2,7 @@
 recovery, and the gap-minimization experiment."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -383,8 +384,13 @@ class TestMinimizeGap:
         assert tr.iterates[0][1] <= 1e-8
 
     def test_budget_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^budget must be at least 1$"):
             minimize_gap(np.eye(2, dtype=complex), np.eye(2, dtype=complex), budget=0)
+
+    @pytest.mark.parametrize("budget", [True, 2.0, 2.5, "2", None])
+    def test_budget_must_be_an_int_not_a_bool(self, budget):
+        with pytest.raises(ValueError, match=f"^budget must be an integer, got {re.escape(repr(budget))}$"):
+            minimize_gap(np.eye(2, dtype=complex), np.eye(2, dtype=complex), budget=budget)
 
     def test_diag_example_collapses_commutator(self):
         a = np.diag([1.0, 2.0]).astype(complex)
