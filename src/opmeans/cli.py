@@ -89,11 +89,12 @@ def _cmd_gen(args) -> int:
     if None in outs:
         raise _UsageError(f"gen --family {args.family} needs {needs}")
     _check_outputs(*outs)
+    _config(args)  # refuses a bad --tol, though no draw reads it
     if generic:
         mats = [random_hpd(spec)]
     else:
         pair = (random_commuting_pair(spec) if family == "commuting"
-                else near_commuting_pair(spec, _config(args)))
+                else near_commuting_pair(spec))
         mats = [pair.a, pair.b]
     for path, m in zip(outs, mats):
         save_matrix(path, m)
@@ -104,7 +105,7 @@ def _cmd_mean(args) -> int:
     _check_outputs(args.out)
     cfg = _config(args)
     pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
-    result = _MEAN_KINDS[args.kind](pair, cfg)
+    result = _MEAN_KINDS[args.kind](pair)
     save_matrix(args.out, result)
     return 0
 
@@ -113,7 +114,7 @@ def _cmd_verify(args) -> int:
     _check_outputs(args.out)
     cfg = _config(args)
     pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
-    report = proof_chain_report(pair, cfg)
+    report = proof_chain_report(pair)
     verdict = classify_gaps(report.mean_gap, report.commutator_gap, cfg)
     text = save_json(args.out, _report_payload(report, verdict, cfg, args.seed))
     if args.out is None:

@@ -77,8 +77,8 @@ EIG_OFF_DIAG_TOL, MAX_JACOBI_SWEEPS = 1e-15, 100
 @dataclass(frozen=True)
 class ToleranceConfig:
     """The library's one setting, the CLI's `--tol`: identity_tol, the relative
-    tolerance for identities that hold exactly in real arithmetic
-    (reconstruction, symmetry, residuals), finite and above POSITIVITY_FLOOR."""
+    tolerance by which the lab decides verdicts and refuses outside input,
+    finite and above POSITIVITY_FLOOR. Nothing the lab computes depends on it."""
 
     identity_tol: float = 1e-10
 
@@ -394,9 +394,9 @@ def _jacobi_rounds(m: np.ndarray, v: np.ndarray, targets: list[float]) -> list[_
     return solutions
 
 
-def _checked_frame(q, shape: tuple[int, int], cfg: ToleranceConfig) -> np.ndarray:
+def _checked_frame(q, shape: tuple[int, int]) -> np.ndarray:
     """The hint q as a complex matrix, or ValueError unless it has the
-    shape of H, finite entries and ||Q*Q - I||_F <= identity_tol."""
+    shape of H, finite entries and ||Q*Q - I||_F <= the default identity_tol."""
     q = np.asarray(q, dtype=np.complex128)
     if q.shape != shape:
         raise ValueError(f"frame has shape {q.shape}, expected {shape}")
@@ -404,21 +404,19 @@ def _checked_frame(q, shape: tuple[int, int], cfg: ToleranceConfig) -> np.ndarra
         raise ValueError("frame entries must be finite")
     with np.errstate(over="ignore", invalid="ignore"):  # a huge frame's defect is inf or nan
         defect = frobenius_norm(q.conj().T @ q - np.eye(shape[0]))
-    if not defect <= cfg.identity_tol:
-        raise ValueError(
-            f"frame is not unitary: ||Q*Q - I||_F = {defect:.3e} exceeds {cfg.identity_tol:.1e}")
+    tol = DEFAULT_CONFIG.identity_tol
+    if not defect <= tol:
+        raise ValueError(f"frame is not unitary: ||Q*Q - I||_F = {defect:.3e} exceeds {tol:.1e}")
     return q
 
 
-def hermitian_eigen(
-    h, cfg: ToleranceConfig = DEFAULT_CONFIG, frame=None
-) -> HermitianEigen | list[HermitianEigen]:
+def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
     Below `_ROUNDS_MIN_N` the rotations run in cyclic order, from that
     size on in round-robin order; both stop at the same target. Raises
-    NotHermitian when the input asymmetry exceeds identity_tol and
-    NoConvergence when the off-diagonal mass has not dropped below
+    NotHermitian when the input asymmetry exceeds the default identity_tol,
+    1e-10, and NoConvergence when the off-diagonal mass has not dropped below
     EIG_OFF_DIAG_TOL * ||H||_F within MAX_JACOBI_SWEEPS sweeps. Jacobi
     runs on 2^-e H, e = `_exponent(H)`, with entries below 1 and eigenvalues
     below n, whose mass neither underflows nor overflows, even where ||H||_F
@@ -429,8 +427,8 @@ def hermitian_eigen(
     the solver: Jacobi runs on the symmetrized congruence Q* (2^-e H) Q,
     formed after the scaling so that it cannot overflow, with its rotations
     accumulated onto Q, and stops at the same target. A frame of the wrong
-    shape, with a non-finite entry or with ||Q*Q - I||_F above
-    identity_tol raises ValueError.
+    shape, with a non-finite entry or with ||Q*Q - I||_F above 1e-10
+    raises ValueError.
 
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
     matrices, gives the list of their k decompositions, each bit for bit
@@ -450,14 +448,14 @@ def hermitian_eigen(
     # runs: (e, the matrix Jacobi runs on, the frame it starts from, target) of each member
     runs, n = [], 0
     for m, q in zip(members, frames):
-        hm = require_hermitian(m, cfg)
+        hm = require_hermitian(m)
         n, e = hm.shape[0], _exponent(hm)
         scaled = hm * math.ldexp(1.0, -e)
         target = EIG_OFF_DIAG_TOL * frobenius_norm(scaled)
         if q is None:
             q = np.eye(n, dtype=np.complex128)
         else:
-            q = _checked_frame(q, hm.shape, cfg)
+            q = _checked_frame(q, hm.shape)
             scaled = q.conj().T @ scaled @ q
             scaled = (scaled + scaled.conj().T) / 2.0
         runs.append((e, scaled, q, target))
@@ -520,13 +518,13 @@ def _positive_values(eig: HermitianEigen, what: str) -> np.ndarray:
     return lam
 
 
-def sqrtm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def sqrtm(h) -> np.ndarray:
     """Positive square root of a positive semidefinite Hermitian matrix.
 
     Eigenvalues within the positivity floor of zero are clamped to zero;
     anything further negative raises DomainError.
     """
-    return _sqrt_from(hermitian_eigen(h, cfg))
+    return _sqrt_from(hermitian_eigen(h))
 
 
 def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
@@ -534,9 +532,9 @@ def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
     return _assemble(eig.frame, _sqrt_values(eig))
 
 
-def sqrt_and_inv_sqrt(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[np.ndarray, np.ndarray]:
+def sqrt_and_inv_sqrt(h) -> tuple[np.ndarray, np.ndarray]:
     """Square root and inverse square root from a single eigendecomposition."""
-    eig = hermitian_eigen(h, cfg)
+    eig = hermitian_eigen(h)
     _positive_values(eig, "inverse square root")
     return _roots(eig)
 
@@ -547,9 +545,9 @@ def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
 
 
-def logm(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def logm(h) -> np.ndarray:
     """Logarithm of a positive definite Hermitian matrix."""
-    eig = hermitian_eigen(h, cfg)
+    eig = hermitian_eigen(h)
     lam = _positive_values(eig, "logarithm")
     return _assemble(eig.frame, np.log(lam))
 
@@ -560,7 +558,7 @@ def _gram(t: np.ndarray) -> np.ndarray:
     return (gram + gram.conj().T) / 2.0
 
 
-def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
+def polar(t) -> PolarParts:
     """Polar decomposition T = U |T| for invertible T.
 
     Raises Singular when the smallest singular value is within the
@@ -568,7 +566,7 @@ def polar(t, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PolarParts:
     input is intentionally not provided.
     """
     t = as_matrix(t)
-    eig = hermitian_eigen(_gram(t), cfg)
+    eig = hermitian_eigen(_gram(t))
     return PolarParts(isometry=_isometry(t, eig), positive=_sqrt_from(eig))
 
 

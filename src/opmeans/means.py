@@ -95,17 +95,17 @@ class PairSpectra:
     The matrices held belong to the pair divided by `unit`, the even power of
     two chosen by `_scale_exponent`: a result of degree d in the pair
     returns to the pair's units times unit^d, while gaps and residuals,
-    ratios of terms of one degree, are unchanged.
+    ratios of terms of one degree, are unchanged. It takes no tolerance:
+    its checks of computed matrices run at the default identity_tol.
     """
 
-    def __init__(self, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG,
-                 known: tuple[HermitianEigen, HermitianEigen] | None = None):
+    def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None):
         a, b = as_matrix(a), as_matrix(b)
         k = _scale_exponent(a, b)
-        self.cfg, self.unit, self.root_unit = cfg, math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
+        self.unit, self.root_unit = math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
         self.a, self.b = a / self.unit, b / self.unit
         if known is None:
-            self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b), cfg)
+            self.eig_a, self.eig_b = hermitian_eigen((self.a, self.b))
         else:
             self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
         if not _is_positive(self.eig_a):
@@ -119,7 +119,7 @@ class PairSpectra:
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
-        eig = hermitian_eigen(_core(self.sqrt_a, self.b), self.cfg, frame=self.eig_a.frame)
+        eig = hermitian_eigen(_core(self.sqrt_a, self.b), frame=self.eig_a.frame)
         return eig, _sqrt_from(eig)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
@@ -128,9 +128,9 @@ class PairSpectra:
         known."""
         frame = self.eig_a.frame
         if "core" in self.__dict__:
-            return hermitian_eigen(h, self.cfg, frame=frame)
+            return hermitian_eigen(h, frame=frame)
         core = _core(self.sqrt_a, self.b)
-        eig_core, eig = hermitian_eigen((core, h), self.cfg, frame=(frame, frame))
+        eig_core, eig = hermitian_eigen((core, h), frame=(frame, frame))
         self.core = eig_core, _sqrt_from(eig_core)  # fills the cached property
         return eig
 
@@ -145,12 +145,12 @@ class PairSpectra:
 
     @cached_property
     def heron(self) -> np.ndarray:
-        return require_hermitian(_heron_form(self.sqrt_a, self.sqrt_b), self.cfg)
+        return require_hermitian(_heron_form(self.sqrt_a, self.sqrt_b))
 
     @cached_property
     def wasserstein(self) -> np.ndarray:
         w = _wasserstein_form(self.a, self.b, self.sqrt_a, self.inv_sqrt_a, self.x)
-        return require_hermitian(w, self.cfg)
+        return require_hermitian(w)
 
     @property
     def mean_gap(self) -> float:
@@ -175,14 +175,13 @@ class HpdPair:
     Construct through `HpdPair.validated` unless positivity is already
     guaranteed structurally. The random generators build pairs through
     `_from_spectra`, which keeps the spectra of A and B they were drawn
-    from; the context takes those under every cfg instead of decomposing A
-    and B, so its results can differ from those of the same matrices read
-    back from files in the last digits.
+    from; the pair's one context takes those instead of decomposing A and
+    B, so its results can differ from those of the same matrices read back
+    from files in the last digits.
     """
 
     a: np.ndarray
     b: np.ndarray
-    _spectra: PairSpectra | None = field(default=None, init=False, repr=False, compare=False)
     _drawn: tuple[HermitianEigen, HermitianEigen] | None = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -197,13 +196,10 @@ class HpdPair:
     def dim(self) -> int:
         return self.a.shape[0]
 
-    def spectra(self, cfg: ToleranceConfig = DEFAULT_CONFIG) -> PairSpectra:
-        """The pair's spectral context under cfg, built on first use and kept."""
-        s = self._spectra
-        if s is None or s.cfg != cfg:
-            s = PairSpectra(self.a, self.b, cfg, self._drawn)
-            object.__setattr__(self, "_spectra", s)
-        return s
+    @cached_property
+    def spectra(self) -> PairSpectra:
+        """The pair's spectral context, built on first use and kept."""
+        return PairSpectra(self.a, self.b, self._drawn)
 
     @classmethod
     def validated(cls, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "HpdPair":
@@ -213,7 +209,7 @@ class HpdPair:
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         pair = cls(a=a, b=b)
-        if not _is_positive(pair.spectra(cfg).eig_b):
+        if not _is_positive(pair.spectra.eig_b):
             raise NotPositiveDefinite("matrix b is not positive definite")
         return pair
 
@@ -233,9 +229,9 @@ class ProofIntermediates:
     inv_sqrt_a: np.ndarray
 
 
-def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> ProofIntermediates:
+def proof_intermediates(p: HpdPair) -> ProofIntermediates:
     """X, Y, A^{1/2}, B^{1/2}, A^{-1/2} of a pair, in the pair's units."""
-    s = p.spectra(cfg)
+    s = p.spectra
     return ProofIntermediates(
         x=s.x * s.unit,
         y=s.y * s.unit,
@@ -245,29 +241,29 @@ def proof_intermediates(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Pr
     )
 
 
-def geometric_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def geometric_mean(p: HpdPair) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
-    s = p.spectra(cfg)
+    s = p.spectra
     inner = _core(s.inv_sqrt_a, s.b, "congruence A^{-1/2} B A^{-1/2}")
-    g = s.sqrt_a @ sqrtm(inner, cfg) @ s.sqrt_a
-    return require_hermitian(g, cfg) * s.unit
+    g = s.sqrt_a @ sqrtm(inner) @ s.sqrt_a
+    return require_hermitian(g) * s.unit
 
 
-def heron_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def heron_mean(p: HpdPair) -> np.ndarray:
     """Square of the arithmetic mean of the square roots.
 
     Equals (A + B + A^{1/2} B^{1/2} + B^{1/2} A^{1/2}) / 4 when expanded.
     """
-    s = p.spectra(cfg)
+    s = p.spectra
     return s.heron * s.unit
 
 
-def wasserstein_mean(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
+def wasserstein_mean(p: HpdPair) -> np.ndarray:
     """Wasserstein mean via the X-form.
 
     Hermitian in exact arithmetic; the result is symmetrized, but unlike
     the other two means it is not certified positive definite here.
     """
-    s = p.spectra(cfg)
+    s = p.spectra
     return s.wasserstein * s.unit
 

@@ -44,10 +44,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DEFAULT_CONFIG,
     HermitianEigen,
     NumericalError,
-    ToleranceConfig,
     hermitian_eigen,
     _assemble,
     _exp_values,
@@ -239,7 +237,7 @@ def random_commuting_pair(spec: GenSpec) -> HpdPair:
     return HpdPair._from_spectra(a, b, eig_a, eig_b)
 
 
-def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> HpdPair:
+def near_commuting_pair(spec: GenSpec) -> HpdPair:
     """Commuting pair with B perturbed by epsilon in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
@@ -261,7 +259,7 @@ def near_commuting_pair(spec: GenSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) ->
     k = _hermitian_unit(rng, spec.dim)
     if spec.epsilon == 0.0:
         return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
-    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, cfg, frame=eig_b0.frame)
+    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, frame=eig_b0.frame)
     values = _exp_values(eig_log)
     b = _assemble(eig_log.frame, values)
     return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))

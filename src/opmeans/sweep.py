@@ -77,9 +77,9 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
             seed = mix_seed(spec.base.seed, ei * spec.trials_per_epsilon + trial)
             gspec = replace(spec.base, seed=seed, family="near_commuting", epsilon=eps)
             try:
-                pair = near_commuting_pair(gspec, cfg)
-                mean_gap, comm_gap = pair_gaps(pair, cfg)
-                trace_gap = trace_criterion(pair, cfg)[0]
+                pair = near_commuting_pair(gspec)
+                mean_gap, comm_gap = pair_gaps(pair)
+                trace_gap = trace_criterion(pair)[0]
                 verdict = classify_gaps(mean_gap, comm_gap, cfg).value
             except NumericalError as exc:
                 mean_gap = comm_gap = trace_gap = math.nan

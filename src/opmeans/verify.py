@@ -174,9 +174,9 @@ def _commutator_gap(a: np.ndarray, b: np.ndarray, denom: float) -> float:
     return frobenius_norm(a @ b - b @ a) / denom if denom != 0.0 else 0.0
 
 
-def pair_gaps(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, float]:
+def pair_gaps(p: HpdPair) -> tuple[float, float]:
     """(mean_gap, commutator_gap) without the full residual report."""
-    s = p.spectra(cfg)
+    s = p.spectra
     return s.mean_gap, commutator_gap(s.a, s.b)
 
 
@@ -189,7 +189,7 @@ def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
     return frobenius_norm(diff) / scale
 
 
-def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> GapReport:
+def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
@@ -200,7 +200,7 @@ def proof_chain_report(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Gap
     computed on the context's scaled pair, which leaves them unchanged;
     the trace gap is converted back to the pair's units.
     """
-    s = p.spectra(cfg)
+    s = p.spectra
     a, b, n = s.a, s.b, p.dim
     sqrt_a, sqrt_b, inv_sqrt_a, y = s.sqrt_a, s.sqrt_b, s.inv_sqrt_a, s.y
     apy = a + y
@@ -285,7 +285,7 @@ def trace_criterion(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[
     within identity_tol * tr X of zero. Equals the report's trace gap; on
     a validated pair it costs one eigendecomposition, of the core.
     """
-    s = p.spectra(cfg)
+    s = p.spectra
     gap = s.trace_gap
     return gap * s.unit, gap <= cfg.identity_tol * s.trace_x
 
@@ -309,7 +309,7 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     total = x + y
     # one pass: the grams of X and Y, and that of X+Y for both |X+Y| and
     # its polar factor
-    eig_x, eig_y, gram = hermitian_eigen((_gram(x), _gram(y), _gram(total)), cfg)
+    eig_x, eig_y, gram = hermitian_eigen((_gram(x), _gram(y), _gram(total)))
     abs_x, abs_y, abs_total = _sqrt_from(eig_x), _sqrt_from(eig_y), _sqrt_from(gram)
     denom = frobenius_norm(abs_total)
     residual = frobenius_norm(abs_total - abs_x - abs_y) / denom if denom > 0.0 else 0.0
@@ -391,9 +391,8 @@ class GapObjective:
     """
 
     def __init__(self, a, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        self.cfg = cfg
         self.a = require_hermitian(a, cfg)
-        self.sqrt_a, self.inv_sqrt_a = sqrt_and_inv_sqrt(self.a, cfg)
+        self.sqrt_a, self.inv_sqrt_a = sqrt_and_inv_sqrt(self.a)
         self.norm_a = frobenius_norm(self.a)
         self.n = self.a.shape[0]
         self._last: _ChartPoint | None = None
@@ -402,10 +401,10 @@ class GapObjective:
         """(objective, mean_gap, exp(S)); exp(S/2) shares the one
         eigendecomposition of S. The point is kept for `gradient`."""
         s = np.array(s, dtype=np.complex128)
-        eig = hermitian_eigen(s, self.cfg)
+        eig = hermitian_eigen(s)
         b = _assemble(eig.frame, np.exp(eig.eigenvalues))
         sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
-        eig_core = hermitian_eigen(_core(self.sqrt_a, b), self.cfg)
+        eig_core = hermitian_eigen(_core(self.sqrt_a, b))
         roots = _sqrt_values(eig_core)
         x = _assemble(eig_core.frame, roots)
         heron = _heron_form(self.sqrt_a, sqrt_b)
@@ -510,7 +509,7 @@ def minimize_gap(
     b0 = require_hermitian(b0, cfg)
     if b0.shape != obj.a.shape:
         raise ValueError(f"dimension mismatch: {obj.a.shape} vs {b0.shape}")
-    s = logm(b0, cfg)
+    s = logm(b0)
     f, gap, b = obj.evaluate(s)
     # obj holds ||A||_F, and ||B||_F of the B its latest evaluation returned
     iterates = [(0, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f)]

@@ -105,6 +105,21 @@ class TestGen:
         run("gen", "--n", "3", "--seed", "9", "--out", str(f2))
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("tol", ["-1", "inf", "1e-13"])
+    @pytest.mark.parametrize("family", ["generic", "commuting", "near-commuting"])
+    def test_bad_tol_refused_for_every_family(self, tmp_path, capsys, family, tol):
+        # gen checks --tol as the other subcommands do, though no family's
+        # draw depends on it, and writes nothing
+        outs = ["--out", str(tmp_path / "g.json"), "--out-a", str(tmp_path / "ga.json"),
+                "--out-b", str(tmp_path / "gb.json")]
+        assert run("gen", "--n", "3", "--family", family, *outs, "--tol", tol) == 1
+        err = capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        fa = tmp_path / "a.json"
+        save_matrix(str(fa), np.eye(2, dtype=complex))
+        assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", tol) == 1
+        assert capsys.readouterr().err == err and err.startswith("input error: identity_tol must ")
+
 
 class TestMean:
     def test_heron_commuting_diagonal(self, tmp_path):
@@ -315,11 +330,48 @@ class TestTolMovesOnlyVerdicts:
         (["mean", "--kind", "geometric", "--a", "a", "--b", "b"], {"m.json": "--out"}),
         (["mean", "--kind", "wasserstein", "--a", "a", "--b", "b"], {"m.json": "--out"}),
         (["lemma-ah", "--x", "a", "--y", "a"], {}),
-    ], ids=["minimize", "heron", "geometric", "wasserstein", "lemma-ah"])
+        (["gen", "--n", "4", "--seed", "7"], {"g.json": "--out"}),
+        (["gen", "--family", "commuting", "--n", "4", "--seed", "7"], {"ga.json": "--out-a", "gb.json": "--out-b"}),
+        (["gen", "--family", "near-commuting", "--n", "4", "--seed", "7", "--epsilon", "0.1"],
+         {"ga.json": "--out-a", "gb.json": "--out-b"}),
+    ], ids=["minimize", "heron", "geometric", "wasserstein", "lemma-ah", "gen", "gen-commuting", "gen-near-commuting"])
     def test_every_byte_kept(self, tmp_path, capsys, inputs, argv, outs):
         argv = [str(inputs / f"{arg}.json") if arg in ("a", "b") else arg for arg in argv]
         first, second = self.outputs(tmp_path, capsys, argv, outs)
         assert first == second and first[0] == 0
+
+
+class TestComputedMatricesCheckedAtDefault:
+    """The asymmetry checks on the means the library computes run at the
+    default identity_tol 1e-10 under every `--tol`. On this valid n = 6
+    pair at cond 9e11 the computed Wasserstein mean's asymmetry is 1.9e-11
+    of its norm, within 1e-10, and the computed geometric mean's 7.3e-9,
+    beyond it."""
+
+    GEOMETRIC_REFUSAL = "numerical error: asymmetry 1.378e-11 exceeds 1.0e-10 * ||H||_F = 1.899e-13\n"
+
+    @pytest.fixture(scope="class")
+    def pair(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("cond9e11")
+        for name, seed in (("a", 3), ("b", 103)):
+            assert run("gen", "--n", "6", "--cond", "9e11", "--seed", str(seed), "--out", str(d / f"{name}.json")) == 0
+        return ["--a", str(d / "a.json"), "--b", str(d / "b.json")]
+
+    def test_verify_at_tight_tol(self, capsys, pair):
+        assert run("verify", *pair, "--tol", "1e-11") == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out)["tolerances"]["identity_tol"] == 1e-11
+
+    def test_wasserstein_at_tight_tol(self, tmp_path, capsys, pair):
+        assert run("mean", "--kind", "wasserstein", *pair, "--out", str(tmp_path / "w.json"), "--tol", "1e-11") == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("tol", [(), ("--tol", "1e-8")], ids=["default", "1e-8"])
+    def test_geometric_refused_at_every_tol(self, tmp_path, capsys, pair, tol):
+        assert run("mean", "--kind", "geometric", *pair, "--out", str(tmp_path / "g.json"), *tol) == 2
+        assert capsys.readouterr().err == self.GEOMETRIC_REFUSAL
+        assert not (tmp_path / "g.json").exists()
 
 
 class TestSweep:

@@ -346,12 +346,12 @@ class TestWarmStart:
             hermitian_eigen(hpd(4, 1), frame=q)
 
     def test_frame_not_unitary(self):
-        # a defect just past identity_tol is refused, one within it taken
+        # a defect just past the default identity_tol is refused, one within it taken
         q = random_unitary(4, 2)
-        cfg = ToleranceConfig()
-        hermitian_eigen(hpd(4, 1), cfg, frame=q * (1.0 + 0.2 * cfg.identity_tol))
+        tol = ToleranceConfig().identity_tol
+        hermitian_eigen(hpd(4, 1), frame=q * (1.0 + 0.2 * tol))
         with pytest.raises(ValueError, match="frame is not unitary"):
-            hermitian_eigen(hpd(4, 1), cfg, frame=q * (1.0 + cfg.identity_tol))
+            hermitian_eigen(hpd(4, 1), frame=q * (1.0 + tol))
         with pytest.raises(ValueError, match="frame is not unitary"):
             hermitian_eigen(hpd(4, 1), frame=q * 1e200)
 

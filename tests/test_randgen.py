@@ -289,7 +289,7 @@ def drawn_pairs():
 class TestDrawnSpectra:
     def test_spectra_reconstruct_the_pair(self):
         for p in drawn_pairs():
-            s = p.spectra()
+            s = p.spectra
             for eig, m in ((s.eig_a, p.a), (s.eig_b, p.b)):
                 frame, lam = eig.frame, eig.eigenvalues * s.unit
                 assert np.all(np.diff(lam) >= 0.0)
@@ -304,7 +304,7 @@ class TestDrawnSpectra:
         # B's carried spectrum is (P, e^mu) for the one decomposition
         # P diag(mu) P* the generator takes of log B0 + eps K
         p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, family="near_commuting", epsilon=0.3))
-        s = p.spectra()
+        s = p.spectra
         frame, values = s.eig_b.frame, s.eig_b.eigenvalues * s.unit
         assert np.array_equal(p.b, _assemble(s.eig_b.frame, values))
         w, v = np.linalg.eigh(p.b)

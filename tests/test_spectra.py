@@ -37,12 +37,12 @@ def eigen_calls(monkeypatch):
     calls = EigenCalls()
     real = linalg.hermitian_eigen
 
-    def counted(h, cfg=linalg.DEFAULT_CONFIG, frame=None):
+    def counted(h, frame=None):
         shape = np.shape(h)
         members = shape[0] if len(shape) == 3 else 1
         calls.extend([shape[-1]] * members)
         calls.passes.append(members)
-        return real(h, cfg, frame=frame)
+        return real(h, frame=frame)
 
     for mod in (opmeans, linalg, means, verify, randgen, sweep, matio, cli):
         if getattr(mod, "hermitian_eigen", None) is real:
@@ -320,15 +320,14 @@ class TestDrawnRoute:
                             assert all(abs(values[k] - ref[k]) <= 1e-13 for k in ref), (n, cond, seed)
 
     def test_second_config_takes_no_pair_pass(self, eigen_calls):
-        p = randgen.near_commuting_pair(
-            GenSpec(dim=4, seed=5, cond_target=10.0, family="near_commuting", epsilon=0.3))
-        assert eigen_calls.passes == [1]  # the generator's log B0 + eps K
-        first = p.spectra()
-        second = p.spectra(linalg.ToleranceConfig(identity_tol=1e-8))
-        assert second is not first and eigen_calls.passes == [1]
-        assert np.array_equal(second.eig_b.frame, first.eig_b.frame)
-        verify.pair_gaps(p, second.cfg)
-        assert eigen_calls.passes == [1, 1]  # the core
+        # a pair has one context, whatever config validated it or judges it
+        q = random_pair(4, 5)
+        p = HpdPair.validated(q.a, q.b, linalg.ToleranceConfig(identity_tol=1e-8))
+        report = proof_chain_report(p)
+        assert verify.pair_gaps(p) == (report.mean_gap, report.commutator_gap)
+        assert trace_criterion(p, linalg.ToleranceConfig())[0] == report.trace_gap
+        assert eigen_calls.passes == [2, 2]  # A and B, then the core and the gram of A+Y
+        assert p.spectra is p.spectra
 
 
 class TestPolarFromCore:
@@ -382,7 +381,7 @@ class TestAgreementWithPrimitives:
         # its intermediates come back in the pair's units bit for bit
         p = random_pair(4, 1, cond=1000.0)
         ints = proof_intermediates(p)
-        assert p.spectra().unit == 16.0
+        assert p.spectra.unit == 16.0
         big = proof_intermediates(HpdPair(a=p.a * 2.0**40, b=p.b * 2.0**40))
         assert np.array_equal(big.x, ints.x * 2.0**40)
         assert np.array_equal(big.sqrt_a, ints.sqrt_a * 2.0**20)

@@ -139,9 +139,9 @@ class TestWarmStartedSweeps:
             sweeps.append((current[-1], len(masses) - start - 1))
             return solution
 
-        def pair(gspec, cfg):
+        def pair(gspec):
             current.append(gspec.epsilon)
-            return real_pair(gspec, cfg)
+            return real_pair(gspec)
 
         monkeypatch.setattr(linalg, "_off_diagonal_mass", counted_mass)
         monkeypatch.setattr(linalg, "_jacobi", counted_jacobi)
