@@ -6,9 +6,9 @@ opened or is named twice (checked before any work), 2 numerical error, 3
 a `CounterexampleToTheorem` verdict from verify or sweep. It occurs on
 valid pairs: near a commuting pair whose eigenvalue ratios tie, the mean
 gap is second order in the commutator gap, so small perturbations of n = 2
-pairs get it (ROADMAP item 1). A
-command line that names its subcommand first and asks for no help builds
-that subcommand's parser alone.
+pairs get it (ROADMAP, "Verdicts the theorem supports"). A command line
+that names its subcommand first and asks for no help builds that
+subcommand's parser alone.
 """
 
 from __future__ import annotations

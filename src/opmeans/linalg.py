@@ -5,8 +5,8 @@ experiment) is built on the handful of primitives in this module: a
 Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
 small matrices, round-robin order on numpy arrays for larger ones, where a
 stack of independent matrices shares each round's numpy calls), square
-roots, logarithms and the exponential through the spectrum, polar
-decomposition, and norms.
+roots, logarithms and the exponential through the spectrum, the polar
+factor of an invertible matrix, and norms.
 
 Matrices are plain numpy arrays with complex128 entries. No LAPACK-backed
 eigen/SVD routines are used in library code; the Jacobi solver keeps the
@@ -32,15 +32,12 @@ __all__ = [
     "ToleranceConfig",
     "DEFAULT_CONFIG",
     "HermitianEigen",
-    "PolarParts",
     "as_matrix",
     "require_hermitian",
     "frobenius_norm",
     "hermitian_eigen",
     "sqrtm",
     "logm",
-    "sqrt_and_inv_sqrt",
-    "polar",
 ]
 
 
@@ -175,18 +172,6 @@ class HermitianEigen:
 
     frame: np.ndarray
     eigenvalues: np.ndarray
-
-
-@dataclass(frozen=True)
-class PolarParts:
-    """Polar factorization T = isometry @ positive.
-
-    For invertible T the isometry factor is unitary and the positive
-    factor is |T| = (T*T)^{1/2}.
-    """
-
-    isometry: np.ndarray
-    positive: np.ndarray
 
 
 @functools.lru_cache(maxsize=64)
@@ -532,13 +517,6 @@ def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
     return _assemble(eig.frame, _sqrt_values(eig))
 
 
-def sqrt_and_inv_sqrt(h) -> tuple[np.ndarray, np.ndarray]:
-    """Square root and inverse square root from a single eigendecomposition."""
-    eig = hermitian_eigen(h)
-    _positive_values(eig, "inverse square root")
-    return _roots(eig)
-
-
 def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
     roots = np.sqrt(eig.eigenvalues)
@@ -556,18 +534,6 @@ def _gram(t: np.ndarray) -> np.ndarray:
     """T*T, Hermitian positive semidefinite up to roundoff, symmetrized."""
     gram = t.conj().T @ t
     return (gram + gram.conj().T) / 2.0
-
-
-def polar(t) -> PolarParts:
-    """Polar decomposition T = U |T| for invertible T.
-
-    Raises Singular when the smallest singular value is within the
-    positivity floor of zero; the partial-isometry completion for singular
-    input is intentionally not provided.
-    """
-    t = as_matrix(t)
-    eig = hermitian_eigen(_gram(t))
-    return PolarParts(isometry=_isometry(t, eig), positive=_sqrt_from(eig))
 
 
 def _isometry(t: np.ndarray, gram: HermitianEigen) -> np.ndarray:

@@ -51,8 +51,6 @@ from .linalg import (
 __all__ = [
     "HpdPair",
     "PairSpectra",
-    "ProofIntermediates",
-    "proof_intermediates",
     "geometric_mean",
     "heron_mean",
     "wasserstein_mean",
@@ -212,33 +210,6 @@ class HpdPair:
         if not _is_positive(pair.spectra.eig_b):
             raise NotPositiveDefinite("matrix b is not positive definite")
         return pair
-
-
-@dataclass(frozen=True)
-class ProofIntermediates:
-    """X, Y and the square-root factors entering the equality analysis.
-
-    x = (A^{1/2} B A^{1/2})^{1/2}, positive definite;
-    y = B^{1/2} A^{1/2}, generally non-Hermitian with Y*Y = X^2.
-    """
-
-    x: np.ndarray
-    y: np.ndarray
-    sqrt_a: np.ndarray
-    sqrt_b: np.ndarray
-    inv_sqrt_a: np.ndarray
-
-
-def proof_intermediates(p: HpdPair) -> ProofIntermediates:
-    """X, Y, A^{1/2}, B^{1/2}, A^{-1/2} of a pair, in the pair's units."""
-    s = p.spectra
-    return ProofIntermediates(
-        x=s.x * s.unit,
-        y=s.y * s.unit,
-        sqrt_a=s.sqrt_a * s.root_unit,
-        sqrt_b=s.sqrt_b * s.root_unit,
-        inv_sqrt_a=s.inv_sqrt_a / s.root_unit,
-    )
 
 
 def geometric_mean(p: HpdPair) -> np.ndarray:

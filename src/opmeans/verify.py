@@ -31,11 +31,11 @@ that frame and diagonal for a commuting pair. A generated pair carries
 the spectra of A and B it was drawn from and skips the first pass; a pair
 read from files, as `opmeans verify` reads it, takes both, and its second
 pass starts from the frame the first gave A. Since Y*Y is the core, r5 takes
-the polar factor of Y from the core's spectrum, by the one route that
-`polar` and `ando_hayashi_witness` take too. The descent decomposes A and
-the starting B0 once each, then evaluates its objective with two
-eigendecompositions, of S and of the core, and takes its exact gradient
-from those two spectra with none of its own.
+the polar factor of Y from the core's spectrum, by `_isometry`, the one
+polar route, which `ando_hayashi_witness` takes too. The descent
+decomposes A and the starting B0 once each, then evaluates its objective
+with two eigendecompositions, of S and of the core, and takes its exact
+gradient from those two spectra with none of its own.
 """
 
 from __future__ import annotations
@@ -57,10 +57,11 @@ from .linalg import (
     hermitian_eigen,
     logm,
     require_hermitian,
-    sqrt_and_inv_sqrt,
     _assemble,
     _gram,
     _isometry,
+    _positive_values,
+    _roots,
     _scale_exponent,
     _sqrt_from,
     _sqrt_values,
@@ -147,14 +148,11 @@ class DescentTrace:
                  step, starting with the initial point at step 0
     final_b      the matrix exp(S) at the last accepted iterate
     stop_reason  "converged", "budget", or "no_descent"
-    states       the Hermitian chart points S per iterate when recording
-                 was requested, else None
     """
 
     iterates: list[tuple[int, float, float, float]]
     final_b: np.ndarray
     stop_reason: str
-    states: list[np.ndarray] | None = None
 
     @property
     def no_descent(self) -> bool:
@@ -193,12 +191,12 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
-    which proof_intermediates and the means of the same pair share; the
-    gram of A+Y, for r4, is decomposed in the pass that takes the core, or
-    alone when the context already holds the core, from A's frame either
-    way, so both give the same bits. The residuals are
-    computed on the context's scaled pair, which leaves them unchanged;
-    the trace gap is converted back to the pair's units.
+    which the means of the same pair share; the gram of A+Y, for r4, is
+    decomposed in the pass that takes the core, or alone when the context
+    already holds the core, from A's frame either way, so both give the
+    same bits. The residuals are computed on the context's scaled pair,
+    which leaves them unchanged; the trace gap is converted back to the
+    pair's units.
     """
     s = p.spectra
     a, b, n = s.a, s.b, p.dim
@@ -259,8 +257,9 @@ def classify_gaps(mean_gap: float, comm_gap: float, cfg: ToleranceConfig = DEFAU
     Equality band is identity_tol; a commutator gap above VIOLATION_BAND
     together with an equality-band mean gap is CounterexampleToTheorem. It
     occurs on valid pairs: near a commuting pair whose eigenvalue ratios
-    tie, the mean gap is second order in the commutator gap (ROADMAP item
-    1). Anything straddling the band in between is Indeterminate.
+    tie, the mean gap is second order in the commutator gap (ROADMAP,
+    "Verdicts the theorem supports"). Anything straddling the band in
+    between is Indeterminate.
     """
     tol = cfg.identity_tol
     means_equal = mean_gap <= tol
@@ -385,14 +384,16 @@ class GapObjective:
     The free variable is a Hermitian matrix S and the objective is
     mean_gap(A, exp(S))^2, so positivity of B is structural. `gradient` is
     exact, by the Daleckii-Krein formula on the spectra that `evaluate`
-    takes, and is what the optimizer uses; the finite differences in the
-    n^2 real coordinates of S (`gradient_forward`, `gradient_central`) are
-    kept as independent checks.
+    takes, and is what the optimizer uses; the forward differences in the
+    n^2 real coordinates of S (`gradient_forward`) are kept as an
+    independent check.
     """
 
     def __init__(self, a, cfg: ToleranceConfig = DEFAULT_CONFIG):
         self.a = require_hermitian(a, cfg)
-        self.sqrt_a, self.inv_sqrt_a = sqrt_and_inv_sqrt(self.a)
+        eig_a = hermitian_eigen(self.a)
+        _positive_values(eig_a, "inverse square root")
+        self.sqrt_a, self.inv_sqrt_a = _roots(eig_a)
         self.norm_a = frobenius_norm(self.a)
         self.n = self.a.shape[0]
         self._last: _ChartPoint | None = None
@@ -402,8 +403,10 @@ class GapObjective:
         eigendecomposition of S. The point is kept for `gradient`."""
         s = np.array(s, dtype=np.complex128)
         eig = hermitian_eigen(s)
-        b = _assemble(eig.frame, np.exp(eig.eigenvalues))
-        sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
+        # a B past DBL_MAX / 2 assembles to inf or nan entries, which _core reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            b = _assemble(eig.frame, np.exp(eig.eigenvalues))
+            sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
         eig_core = hermitian_eigen(_core(self.sqrt_a, b))
         roots = _sqrt_values(eig_core)
         x = _assemble(eig_core.frame, roots)
@@ -468,22 +471,12 @@ class GapObjective:
             g[k] = (self.evaluate(s + h * _hermitian(e))[0] - f0) / h
         return g
 
-    def gradient_central(self, s) -> np.ndarray:
-        """Central-difference gradient, kept independent for spot checks."""
-        h = self.step_size(s)
-        g = np.empty(self.n * self.n)
-        for k, e in enumerate(np.eye(self.n * self.n)):
-            step = h * _hermitian(e)
-            g[k] = (self.evaluate(s + step)[0] - self.evaluate(s - step)[0]) / (2.0 * h)
-        return g
-
 
 def minimize_gap(
     a,
     b0,
     cfg: ToleranceConfig = DEFAULT_CONFIG,
     budget: int = 1000,
-    record_states: bool = False,
 ) -> DescentTrace:
     """Drive the squared mean gap toward zero over B with A held fixed.
 
@@ -513,7 +506,6 @@ def minimize_gap(
     f, gap, b = obj.evaluate(s)
     # obj holds ||A||_F, and ||B||_F of the B its latest evaluation returned
     iterates = [(0, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f)]
-    states = [s] if record_states else None
     stop_reason = "budget"
     trial_scale = 1.0
     prev_g: np.ndarray | None = None
@@ -551,15 +543,8 @@ def minimize_gap(
         prev_move = -t * g
         s, f, gap, b = s_try, f_try, gap_try, b_try
         iterates.append((step, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f))
-        if states is not None:
-            states.append(s)
         trial_scale = min(t * 2.0, 1e6)
         if f <= OBJECTIVE_FLOOR:
             stop_reason = "converged"
             break
-    return DescentTrace(
-        iterates=iterates,
-        final_b=b,
-        stop_reason=stop_reason,
-        states=states,
-    )
+    return DescentTrace(iterates=iterates, final_b=b, stop_reason=stop_reason)

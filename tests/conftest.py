@@ -1,12 +1,23 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from opmeans import linalg
-from opmeans.linalg import DEFAULT_CONFIG
+from opmeans.linalg import (
+    DEFAULT_CONFIG,
+    as_matrix,
+    hermitian_eigen,
+    _gram,
+    _isometry,
+    _positive_values,
+    _roots,
+    _sqrt_from,
+)
 from opmeans.means import HpdPair
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
+from opmeans.verify import GapObjective, minimize_gap, _hermitian
 
 
 @pytest.fixture
@@ -60,3 +71,69 @@ def eigh_positive_definite(h):
     library's relative positivity floor."""
     w = np.linalg.eigvalsh(h)
     return w[0] > linalg.POSITIVITY_FLOOR * np.abs(w).max()
+
+
+def polar(t):
+    """T = U |T| for invertible T by the lab's one polar route, the one r5
+    and lemma-ah take: both factors from the spectrum of the gram T*T.
+    Singular when T's smallest singular value is within the positivity floor."""
+    t = as_matrix(t)
+    eig = hermitian_eigen(_gram(t))
+    return SimpleNamespace(isometry=_isometry(t, eig), positive=_sqrt_from(eig))
+
+
+def sqrt_and_inv_sqrt(h):
+    """A^{1/2} and A^{-1/2} from one spectrum, as GapObjective takes them;
+    DomainError when A is not positive definite."""
+    eig = hermitian_eigen(h)
+    _positive_values(eig, "inverse square root")
+    return _roots(eig)
+
+
+def proof_intermediates(p):
+    """X, Y, A^{1/2}, B^{1/2} and A^{-1/2} of a pair, read from its spectral
+    context and returned to the pair's units."""
+    s = p.spectra
+    return SimpleNamespace(
+        x=s.x * s.unit,
+        y=s.y * s.unit,
+        sqrt_a=s.sqrt_a * s.root_unit,
+        sqrt_b=s.sqrt_b * s.root_unit,
+        inv_sqrt_a=s.inv_sqrt_a / s.root_unit,
+    )
+
+
+def gradient_central(obj, s):
+    """Central-difference gradient of a GapObjective in the coordinates of
+    its exact gradient, an independent check on both it and forward differences."""
+    h = obj.step_size(s)
+    g = np.empty(obj.n * obj.n)
+    for k, e in enumerate(np.eye(obj.n * obj.n)):
+        step = h * _hermitian(e)
+        g[k] = (obj.evaluate(s + step)[0] - obj.evaluate(s - step)[0]) / (2.0 * h)
+    return g
+
+
+def minimize_with_states(a, b0, **kwargs):
+    """`minimize_gap` and the chart point S of each iterate. Every S the
+    objective evaluates is recorded; an iterate's S is the last one, before
+    the next iterate's, whose (objective, mean_gap) equals the iterate's
+    bit for bit."""
+    evaluated = []
+    evaluate = GapObjective.evaluate
+
+    def recording(obj, s):
+        out = evaluate(obj, s)
+        evaluated.append((s, out[0], out[1]))
+        return out
+
+    GapObjective.evaluate = recording
+    try:
+        trace = minimize_gap(a, b0, **kwargs)
+    finally:
+        GapObjective.evaluate = evaluate
+    states, end = [], len(evaluated)
+    for _, gap, _, f in reversed(trace.iterates):
+        end = next(i for i in reversed(range(end)) if evaluated[i][1:] == (f, gap))
+        states.append(evaluated[end][0])
+    return trace, states[::-1]

@@ -24,10 +24,18 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, random_invertible, svd_abs
+from conftest import (
+    gradient_central,
+    minimize_with_states,
+    polar,
+    proof_intermediates,
+    random_hermitian,
+    random_invertible,
+    svd_abs,
+)
 
-from opmeans.linalg import frobenius_norm, hermitian_eigen, polar
-from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
+from opmeans.linalg import frobenius_norm, hermitian_eigen
+from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, near_commuting_pair, random_commuting_pair, random_hpd
 from opmeans.verify import (
     GapObjective,
@@ -35,7 +43,6 @@ from opmeans.verify import (
     Verdict,
     ando_hayashi_witness,
     classify_gaps,
-    minimize_gap,
     proof_chain_report,
     trace_criterion,
 )
@@ -155,7 +162,7 @@ def descent_runs():
     runs = []
     for seed in range(1, 11):
         b0 = random_hpd(GenSpec(dim=3, seed=seed, cond_target=2.0))
-        runs.append(minimize_gap(a, b0, budget=5000, record_states=True))
+        runs.append(minimize_with_states(a, b0, budget=5000))
     return a, runs, time.perf_counter() - t0
 
 
@@ -294,7 +301,7 @@ def test_criterion_7_descent_experiment(descent_runs):
     a, runs, elapsed = descent_runs
     reached = 0
     implication_failures = 0
-    for tr in runs:
+    for tr, _ in runs:
         _, gap, comm, _ = tr.iterates[-1]
         if gap <= 1e-8:
             reached += 1
@@ -306,15 +313,15 @@ def test_criterion_7_descent_experiment(descent_runs):
     # i.e. away from the objective floor
     obj = GapObjective(a)
     pool = []
-    for run_idx, tr in enumerate(runs):
-        for it, state in zip(tr.iterates, tr.states):
+    for tr, states in runs:
+        for it, state in zip(tr.iterates, states):
             if it[3] >= 1e-7:
                 pool.append(state)
     rng = SplitMix64(987654321)
     worst_rel = 0.0
     for _ in range(10):
         state = pool[rng.next_u64() % len(pool)]
-        gc = obj.gradient_central(state)
+        gc = gradient_central(obj, state)
         for g in (obj.gradient(state), obj.gradient_forward(state)):
             worst_rel = max(worst_rel, float(np.linalg.norm(g - gc) / np.linalg.norm(gc)))
     ok = implication_failures == 0 and reached >= 5 and worst_rel <= 1e-4 and elapsed < 120.0

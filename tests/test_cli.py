@@ -461,6 +461,19 @@ class TestMinimize:
                    "--out", str(tmp_path / "t.csv")) == 2
         assert "core A^{1/2} B A^{1/2} leaves the double range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("scale", [1.7e308, 9e307])
+    def test_b0_past_half_max_exits_2(self, tmp_path, capsys, scale):
+        # exp(log B0) = B0 has finite entries, but assembling it adds two
+        # entries past DBL_MAX / 2: the core reports the overflow, with no
+        # floating-point warning (an error under pytest)
+        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
+        save_matrix(str(fa), np.eye(2, dtype=complex))
+        save_matrix(str(fb), scale * np.eye(2, dtype=complex))
+        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
+                   "--out", str(tmp_path / "t.csv")) == 2
+        assert capsys.readouterr().err == (
+            "numerical error: core A^{1/2} B A^{1/2} leaves the double range; scale the pair\n")
+
 
     def test_indefinite_a_past_half_max_exits_2(self, tmp_path, capsys):
         # eigenvalues -7e307 (twice) and 1.7e308: not the converged step 0

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, hpd, mat, random_hermitian, random_invertible
+from conftest import commuting_pair, hpd, mat, polar, random_hermitian, random_invertible, sqrt_and_inv_sqrt
 
 from opmeans.linalg import (
     DomainError,
@@ -27,9 +27,7 @@ from opmeans.linalg import (
     frobenius_norm,
     hermitian_eigen,
     logm,
-    polar,
     require_hermitian,
-    sqrt_and_inv_sqrt,
     sqrtm,
 )
 import opmeans.linalg as linalg

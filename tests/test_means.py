@@ -13,7 +13,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, eigh_positive_definite, hpd, mat, random_pair, svd_abs
+from conftest import commuting_pair, eigh_positive_definite, hpd, mat, proof_intermediates, random_pair, svd_abs
 
 from opmeans.linalg import (
     NotHermitian,
@@ -25,7 +25,6 @@ from opmeans.means import (
     HpdPair,
     geometric_mean,
     heron_mean,
-    proof_intermediates,
     wasserstein_mean,
 )
 from opmeans.randgen import SplitMix64, mix_seed

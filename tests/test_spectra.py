@@ -9,15 +9,15 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, random_pair
+from conftest import commuting_pair, polar, proof_intermediates, random_pair, sqrt_and_inv_sqrt
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
 from opmeans.cli import cli_main
-from opmeans.linalg import frobenius_norm, hermitian_eigen, polar, sqrt_and_inv_sqrt, sqrtm
+from opmeans.linalg import frobenius_norm, hermitian_eigen, sqrtm
 from opmeans.linalg import _sqrt_from
 from opmeans.matio import save_matrix
-from opmeans.means import HpdPair, heron_mean, proof_intermediates, wasserstein_mean
+from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, random_hpd
 from opmeans.verify import GapObjective, commutator_gap, proof_chain_report, trace_criterion
 
