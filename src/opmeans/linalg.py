@@ -5,8 +5,8 @@ experiment) is built on the handful of primitives in this module: a
 Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
 small matrices, round-robin order on numpy arrays for larger ones, where a
 stack of independent matrices shares each round's numpy calls), square
-roots, logarithms and the exponential through the spectrum, the polar
-factor of an invertible matrix, and norms.
+roots and the exponential through the spectrum, the polar factor of an
+invertible matrix, and norms.
 
 Matrices are plain numpy arrays with complex128 entries. No LAPACK-backed
 eigen/SVD routines are used in library code; the Jacobi solver keeps the
@@ -37,7 +37,6 @@ __all__ = [
     "frobenius_norm",
     "hermitian_eigen",
     "sqrtm",
-    "logm",
 ]
 
 
@@ -495,14 +494,6 @@ def _sqrt_values(eig: HermitianEigen) -> np.ndarray:
     return np.sqrt(np.maximum(lam, 0.0))
 
 
-def _positive_values(eig: HermitianEigen, what: str) -> np.ndarray:
-    lam = eig.eigenvalues
-    floor = POSITIVITY_FLOOR * _spectral_radius(eig)
-    if float(lam[0]) <= floor:
-        raise DomainError(f"{what} undefined at eigenvalue {float(lam[0])!r} (floor {floor:.3e})")
-    return lam
-
-
 def sqrtm(h) -> np.ndarray:
     """Positive square root of a positive semidefinite Hermitian matrix.
 
@@ -521,13 +512,6 @@ def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
     """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
     roots = np.sqrt(eig.eigenvalues)
     return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
-
-
-def logm(h) -> np.ndarray:
-    """Logarithm of a positive definite Hermitian matrix."""
-    eig = hermitian_eigen(h)
-    lam = _positive_values(eig, "logarithm")
-    return _assemble(eig.frame, np.log(lam))
 
 
 def _gram(t: np.ndarray) -> np.ndarray:

@@ -44,6 +44,7 @@ from .linalg import (
     sqrtm,
     _is_positive,
     _roots,
+    _exponent,
     _scale_exponent,
     _sqrt_from,
 )
@@ -75,9 +76,14 @@ def _heron_form(sqrt_a: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
     return avg @ avg
 
 
-def _wasserstein_form(a, b, sqrt_a, inv_sqrt_a, x) -> np.ndarray:
-    """(A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4, not yet symmetrized."""
-    return (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
+def _cross_terms(sqrt_a, inv_sqrt_a, x) -> tuple[np.ndarray, np.ndarray]:
+    """A^{1/2} X A^{-1/2} and A^{-1/2} X A^{1/2}, the Wasserstein mean's cross terms."""
+    return sqrt_a @ x @ inv_sqrt_a, inv_sqrt_a @ x @ sqrt_a
+
+
+def _wasserstein_form(a, b, cross) -> np.ndarray:
+    """(A + B + the two cross terms) / 4, not yet symmetrized."""
+    return (a + b + cross[0] + cross[1]) / 4.0
 
 
 class PairSpectra:
@@ -91,15 +97,20 @@ class PairSpectra:
     from A's frame, drawn or computed, on every route, so they give the
     same bits: both are congruences through A^{1/2}, graded in that frame.
     The matrices held belong to the pair divided by `unit`, the even power of
-    two chosen by `_scale_exponent`: a result of degree d in the pair
-    returns to the pair's units times unit^d, while gaps and residuals,
-    ratios of terms of one degree, are unchanged. It takes no tolerance:
-    its checks of computed matrices run at the default identity_tol.
+    two chosen by `_scale_exponent`, or, where that leaves the smaller
+    matrix's largest entry subnormal, the `balanced` one that brings the
+    geometric mean of the two largest entries into [1, 8): a result of
+    degree d in the pair returns to the pair's units times unit^d, while
+    gaps and residuals, ratios of terms of one degree, are unchanged. It
+    takes no tolerance: its checks of computed matrices run at the default
+    identity_tol.
     """
 
     def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None):
         a, b = as_matrix(a), as_matrix(b)
-        k = _scale_exponent(a, b)
+        k, ea, eb = _scale_exponent(a, b), _exponent(a), _exponent(b)
+        self.balanced = min(ea, eb) - 2 * k <= -1022
+        k = (ea + eb - 2) // 4 if self.balanced else k
         self.unit, self.root_unit = math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
         self.a, self.b = a / self.unit, b / self.unit
         if known is None:
@@ -109,6 +120,13 @@ class PairSpectra:
         if not _is_positive(self.eig_a):
             raise NotPositiveDefinite("matrix a is not positive definite")
         self.sqrt_a, self.inv_sqrt_a = _roots(self.eig_a)
+
+    def _common_frame(self) -> "PairSpectra":
+        """The context, or NumericalError where it is balanced, where
+        A^{-1/2} B A^{-1/2} and `verify`'s residuals are out of reach."""
+        if self.balanced:
+            raise NumericalError("matrices a and b are more than 2^1022 apart in scale")
+        return self
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
@@ -142,13 +160,17 @@ class PairSpectra:
         return self.sqrt_b @ self.sqrt_a
 
     @cached_property
+    def cross(self) -> tuple[np.ndarray, np.ndarray]:
+        """A^{1/2} X A^{-1/2} and A^{-1/2} X A^{1/2}, for the Wasserstein mean and r1."""
+        return _cross_terms(self.sqrt_a, self.inv_sqrt_a, self.x)
+
+    @cached_property
     def heron(self) -> np.ndarray:
         return require_hermitian(_heron_form(self.sqrt_a, self.sqrt_b))
 
     @cached_property
     def wasserstein(self) -> np.ndarray:
-        w = _wasserstein_form(self.a, self.b, self.sqrt_a, self.inv_sqrt_a, self.x)
-        return require_hermitian(w)
+        return require_hermitian(_wasserstein_form(self.a, self.b, self.cross))
 
     @property
     def mean_gap(self) -> float:
@@ -214,7 +236,7 @@ class HpdPair:
 
 def geometric_mean(p: HpdPair) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
-    s = p.spectra
+    s = p.spectra._common_frame()
     inner = _core(s.inv_sqrt_a, s.b, "congruence A^{-1/2} B A^{-1/2}")
     g = s.sqrt_a @ sqrtm(inner) @ s.sqrt_a
     return require_hermitian(g) * s.unit

@@ -11,8 +11,7 @@ bit for bit, across machines and reruns:
   * gaussians: Box-Muller pairs, cosine value first, sine value second;
     the radius uses ((word >> 11) + 1) * 2^-53 in (0, 1] so the log is
     finite. log, cos and sin are `math`'s per element, since numpy's
-    SIMD transcendentals are not libm's. A request for an odd count
-    discards the trailing sine value; nothing is buffered across calls;
+    SIMD transcendentals are not libm's. Nothing is buffered across calls;
   * complex gaussians: one Box-Muller pair per entry, real part first,
     entries in row-major order;
   * unitary frames: modified Gram-Schmidt (two passes) applied to a
@@ -109,9 +108,6 @@ class SplitMix64:
         rad = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
         cos, sin = (np.fromiter(map(f, ang.tolist()), np.float64, pairs) for f in (math.cos, math.sin))
         return np.column_stack((rad * cos, rad * sin))
-
-    def gaussians(self, count: int) -> list[float]:
-        return self._gauss_pairs(max(count + 1, 0) // 2).ravel()[:count].tolist()
 
     def complex_gaussian_matrix(self, n: int) -> np.ndarray:
         """n x n matrix of z0 + i z1 entries, one pair per entry, row-major."""

@@ -32,10 +32,10 @@ the spectra of A and B it was drawn from and skips the first pass; a pair
 read from files, as `opmeans verify` reads it, takes both, and its second
 pass starts from the frame the first gave A. Since Y*Y is the core, r5 takes
 the polar factor of Y from the core's spectrum, by `_isometry`, the one
-polar route, which `ando_hayashi_witness` takes too. The descent
-decomposes A and the starting B0 once each, then evaluates its objective
-with two eigendecompositions, of S and of the core, and takes its exact
-gradient from those two spectra with none of its own.
+polar route, which `ando_hayashi_witness` takes too. The descent starts
+from the context of its validated pair (A, B0), one pass over A and B0,
+then evaluates its objective with two eigendecompositions, of S and of
+the core, and takes its exact gradient from those two spectra alone.
 """
 
 from __future__ import annotations
@@ -55,19 +55,15 @@ from .linalg import (
     as_matrix,
     frobenius_norm,
     hermitian_eigen,
-    logm,
-    require_hermitian,
     _assemble,
     _gram,
     _isometry,
-    _positive_values,
-    _roots,
     _scale_exponent,
     _sqrt_from,
     _sqrt_values,
     _upper_plan,
 )
-from .means import HpdPair, _core, _heron_form, _wasserstein_form
+from .means import HpdPair, _core, _cross_terms, _heron_form, _wasserstein_form
 
 __all__ = [
     "Verdict",
@@ -191,16 +187,16 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context (`HpdPair.spectra`),
-    which the means of the same pair share; the gram of A+Y, for r4, is
-    decomposed in the pass that takes the core, or alone when the context
-    already holds the core, from A's frame either way, so both give the
-    same bits. The residuals are computed on the context's scaled pair,
-    which leaves them unchanged; the trace gap is converted back to the
-    pair's units.
+    which the means of the same pair share, r1's cross terms among them;
+    the gram of A+Y, for r4, is decomposed in the pass that takes the core,
+    or alone when the context already holds the core, from A's frame
+    either way, so both give the same bits. The residuals are computed on
+    the context's scaled pair, which leaves them unchanged; the trace gap
+    is converted back to the pair's units. A balanced context is refused.
     """
-    s = p.spectra
+    s = p.spectra._common_frame()
     a, b, n = s.a, s.b, p.dim
-    sqrt_a, sqrt_b, inv_sqrt_a, y = s.sqrt_a, s.sqrt_b, s.inv_sqrt_a, s.y
+    sqrt_a, sqrt_b, y = s.sqrt_a, s.sqrt_b, s.y
     apy = a + y
     # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
     gram = apy.conj().T @ apy
@@ -210,8 +206,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
 
     # r1: cross-term identity for 4(heron - wasserstein)
     sab = sqrt_a @ sqrt_b
-    sxs_r = sqrt_a @ x @ inv_sqrt_a
-    sxs_l = inv_sqrt_a @ x @ sqrt_a
+    sxs_r, sxs_l = s.cross
     r1 = _relative(4.0 * diff - (sab + y - sxs_r - sxs_l), "r1", sab, y, sxs_r, sxs_l)
 
     # r2: the same identity conjugated by A^{1/2}
@@ -382,42 +377,46 @@ class GapObjective:
     """Squared normalized mean gap as a function of the log chart of B.
 
     The free variable is a Hermitian matrix S and the objective is
-    mean_gap(A, exp(S))^2, so positivity of B is structural. `gradient` is
-    exact, by the Daleckii-Krein formula on the spectra that `evaluate`
-    takes, and is what the optimizer uses; the forward differences in the
-    n^2 real coordinates of S (`gradient_forward`) are kept as an
-    independent check.
+    mean_gap(A, exp(S))^2, so positivity of B is structural. A validated
+    pair (A, B0) gives, from its context, A's roots, the exact scaling
+    `unit` and B0's spectrum, whence the start S0 = log B0 (`start`). S is
+    in the pair's units and B = exp(S) / unit in the context's, so the gap
+    is unchanged and a pair of any scale keeps its norms in range.
+    `gradient` is exact, by the Daleckii-Krein formula on the spectra that
+    `evaluate` takes, and is what the optimizer uses; the forward
+    differences in the n^2 real coordinates of S (`gradient_forward`) are
+    kept as an independent check.
     """
 
-    def __init__(self, a, cfg: ToleranceConfig = DEFAULT_CONFIG):
-        self.a = require_hermitian(a, cfg)
-        eig_a = hermitian_eigen(self.a)
-        _positive_values(eig_a, "inverse square root")
-        self.sqrt_a, self.inv_sqrt_a = _roots(eig_a)
+    def __init__(self, pair: HpdPair):
+        ctx = pair.spectra
+        self.a, self.sqrt_a, self.inv_sqrt_a = ctx.a, ctx.sqrt_a, ctx.inv_sqrt_a
+        self.unit, self.root_unit = ctx.unit, ctx.root_unit
         self.norm_a = frobenius_norm(self.a)
-        self.n = self.a.shape[0]
+        self.n = pair.dim
+        with np.errstate(over="ignore"):  # B0's eigenvalues in the pair's units
+            lam_b = ctx.eig_b.eigenvalues * self.unit
+        if not lam_b[-1] < math.inf:
+            raise NumericalError(f"an eigenvalue leaves the double range (n = {self.n})")
+        self.start = _assemble(ctx.eig_b.frame, np.log(lam_b))
         self._last: _ChartPoint | None = None
 
     def evaluate(self, s) -> tuple[float, float, np.ndarray]:
-        """(objective, mean_gap, exp(S)); exp(S/2) shares the one
-        eigendecomposition of S. The point is kept for `gradient`."""
+        """(objective, mean_gap, exp(S) / unit); exp(S/2) / root_unit shares
+        the one eigendecomposition of S. The point is kept for `gradient`."""
         s = np.array(s, dtype=np.complex128)
         eig = hermitian_eigen(s)
         # a B past DBL_MAX / 2 assembles to inf or nan entries, which _core reports
         with np.errstate(over="ignore", invalid="ignore"):
-            b = _assemble(eig.frame, np.exp(eig.eigenvalues))
-            sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0))
+            b = _assemble(eig.frame, np.exp(eig.eigenvalues) / self.unit)
+            sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0) / self.root_unit)
         eig_core = hermitian_eigen(_core(self.sqrt_a, b))
         roots = _sqrt_values(eig_core)
-        x = _assemble(eig_core.frame, roots)
-        heron = _heron_form(self.sqrt_a, sqrt_b)
-        wass = _wasserstein_form(self.a, b, self.sqrt_a, self.inv_sqrt_a, x)
-        diff = heron - wass
+        cross = _cross_terms(self.sqrt_a, self.inv_sqrt_a, _assemble(eig_core.frame, roots))
+        diff = _heron_form(self.sqrt_a, sqrt_b) - _wasserstein_form(self.a, b, cross)
         norm_b = frobenius_norm(b)
         if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
-            raise NumericalError(
-                f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range; scale the pair"
-            )
+            raise NumericalError(f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range")
         gap = frobenius_norm(diff) / (self.norm_a + norm_b)
         self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap)
         return gap * gap, gap, b
@@ -435,27 +434,28 @@ class GapObjective:
         if pt is None or not np.array_equal(pt.s, s):
             self.evaluate(s)
             pt = self._last
-        sqrt_a, inv_sqrt_a = self.sqrt_a, self.inv_sqrt_a
+        sqrt_a = self.sqrt_a
         norm = self.norm_a + pt.norm_b
         # N ||B||_F <= N^2: the one underflows first, the other overflows first
         if not (0.0 < norm * pt.norm_b and norm * norm < math.inf):
             raise NumericalError(
                 f"gradient normalization N = ||A||_F + ||B||_F = {norm!r} with ||B||_F = "
-                f"{pt.norm_b!r}: N^2 or N ||B||_F leaves the double range; scale the pair"
+                f"{pt.norm_b!r}: N^2 or N ||B||_F leaves the double range"
             )
         g_d = pt.diff * (2.0 / (norm * norm))
         avg = (sqrt_a + pt.sqrt_b) / 2.0
         g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0
-        g_x = -(sqrt_a @ g_d @ inv_sqrt_a + inv_sqrt_a @ g_d @ sqrt_a) / 4.0
+        # X -> each cross term is its own adjoint
+        g_x = -np.add(*_cross_terms(sqrt_a, self.inv_sqrt_a, g_d)) / 4.0
         g_core = _frechet_adjoint(pt.eig_core, 1.0 / (pt.roots[:, None] + pt.roots), g_x)
         # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
         g_b = sqrt_a @ g_core @ sqrt_a - g_d / 4.0 - norm_term * pt.b
-        # divided differences of exp and exp(./2), written without cancellation
+        # divided differences of exp / unit and exp(./2) / root_unit, without cancellation
         lam = pt.eig_s.eigenvalues
         mid, half = (lam[:, None] + lam) / 2.0, (lam[:, None] - lam) / 2.0
-        div_b = np.exp(mid) * _sinhc(half)
-        div_sqrt_b = np.exp(mid / 2.0) * _sinhc(half / 2.0) / 2.0
+        div_b = np.exp(mid) * _sinhc(half) / self.unit
+        div_sqrt_b = np.exp(mid / 2.0) * _sinhc(half / 2.0) * (0.5 / self.root_unit)
         eig_s = pt.eig_s
         g_s = _frechet_adjoint(eig_s, div_b, g_b) + _frechet_adjoint(eig_s, div_sqrt_b, g_sqrt_b)
         return _coords(g_s)
@@ -491,18 +491,15 @@ def minimize_gap(
     ill-conditioned valley floor within realistic budgets. Stops when the
     objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
     exhausted, or no descent step can be found; the last case stops with
-    reason "no_descent" instead of raising. B0 must be Hermitian (NotHermitian)
-    and positive definite (DomainError from its logarithm).
+    reason "no_descent" instead of raising. A and B0 are checked by
+    `HpdPair.validated`; `final_b` is returned to the pair's units.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
-    obj = GapObjective(a, cfg)
-    b0 = require_hermitian(b0, cfg)
-    if b0.shape != obj.a.shape:
-        raise ValueError(f"dimension mismatch: {obj.a.shape} vs {b0.shape}")
-    s = logm(b0)
+    obj = GapObjective(HpdPair.validated(a, b0, cfg))
+    s = obj.start
     f, gap, b = obj.evaluate(s)
     # obj holds ||A||_F, and ||B||_F of the B its latest evaluation returned
     iterates = [(0, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f)]
@@ -547,4 +544,4 @@ def minimize_gap(
         if f <= OBJECTIVE_FLOOR:
             stop_reason = "converged"
             break
-    return DescentTrace(iterates=iterates, final_b=b, stop_reason=stop_reason)
+    return DescentTrace(iterates=iterates, final_b=b * obj.unit, stop_reason=stop_reason)

@@ -11,7 +11,6 @@ from opmeans.linalg import (
     hermitian_eigen,
     _gram,
     _isometry,
-    _positive_values,
     _roots,
     _sqrt_from,
 )
@@ -83,11 +82,21 @@ def polar(t):
 
 
 def sqrt_and_inv_sqrt(h):
-    """A^{1/2} and A^{-1/2} from one spectrum, as GapObjective takes them;
-    DomainError when A is not positive definite."""
-    eig = hermitian_eigen(h)
-    _positive_values(eig, "inverse square root")
-    return _roots(eig)
+    """A^{1/2} and A^{-1/2} of a positive definite A from one spectrum, as
+    the pair's context takes them."""
+    return _roots(hermitian_eigen(h))
+
+
+def gaussians(rng, count):
+    """`count` standard normal draws from a SplitMix64 stream: Box-Muller
+    pairs, cosine value first; an odd count discards the trailing sine."""
+    return rng._gauss_pairs(max(count + 1, 0) // 2).ravel()[:count].tolist()
+
+
+def gap_objective(a, b0=None):
+    """The GapObjective of the validated pair (A, B0), or of (A, A) for a
+    test that picks its own chart points."""
+    return GapObjective(HpdPair.validated(a, a if b0 is None else b0))
 
 
 def proof_intermediates(p):

@@ -25,6 +25,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    gap_objective,
     gradient_central,
     minimize_with_states,
     polar,
@@ -38,7 +39,6 @@ from opmeans.linalg import frobenius_norm, hermitian_eigen
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, near_commuting_pair, random_commuting_pair, random_hpd
 from opmeans.verify import (
-    GapObjective,
     TriangleEqualityFails,
     Verdict,
     ando_hayashi_witness,
@@ -311,7 +311,7 @@ def test_criterion_7_descent_experiment(descent_runs):
     # differences at recorded iterates; the comparison is meaningful while
     # the gradient still dominates the forward-difference curvature bias,
     # i.e. away from the objective floor
-    obj = GapObjective(a)
+    obj = gap_objective(a)
     pool = []
     for tr, states in runs:
         for it, state in zip(tr.iterates, states):

@@ -236,6 +236,34 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
         assert "residual r2" in capsys.readouterr().err
 
+    def test_pair_more_than_2_1022_apart(self, tmp_path, capsys):
+        # (1e160 A, 1e-160 B): in A's frame B is subnormal, so the context is
+        # balanced between the two; verify and the geometric mean, whose
+        # A^{-1/2} B A^{-1/2} is 1e-320, refuse it, while the other two means
+        # are sums of terms of order 1e160, 1 and 1e-160 and keep their digits
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
+        save_matrix(str(fa), a * 1e160)
+        save_matrix(str(fb), b * 1e-160)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
+            assert run("mean", "--kind", "geometric", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 2
+            assert capsys.readouterr().err == 2 * (
+                "numerical error: matrices a and b are more than 2^1022 apart in scale\n")
+            for kind in ("heron", "wasserstein"):
+                assert run("mean", "--kind", kind, "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+        # the means in units of 1e160: A/4 + (cross terms) 1e-160 / 4 + B 1e-320 / 4
+        sa, sb = (eigh_function(m, np.sqrt) for m in (a, b))
+        x = eigh_function(sa @ b @ sa, np.sqrt)
+        inv_sa = eigh_function(a, lambda w: 1.0 / np.sqrt(w))
+        cross = {"heron": sa @ sb + sb @ sa, "wasserstein": sa @ x @ inv_sa + inv_sa @ x @ sa}
+        for kind in ("heron", "wasserstein"):
+            run("mean", "--kind", kind, "--a", str(fa), "--b", str(fb), "--out", str(fo))
+            want = (a + cross[kind] * 1e-160) / 4.0
+            assert np.linalg.norm(load_matrix(str(fo)) / 1e160 - want) <= 1e-14 * np.linalg.norm(want), kind
+
     @pytest.mark.parametrize("seed, family, cond", [(1, "commuting", "1e10"), (2, "generic", "9e11"),
                                                    (3, "commuting", "1e10"), (4, "generic", "9e11")],
                              ids=["1", "2", "3", "4"])
@@ -430,50 +458,79 @@ class TestMinimize:
         assert run("minimize", "--a", str(fa), "--b0", str(fa), "--budget", "0",
                    "--out", str(tmp_path / "t.csv")) == 1
 
-    @pytest.mark.parametrize("b0, code", [
-        (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2),
-        (np.diag([1.0, -1.0, 2.0]), 2),
-        (np.eye(2), 1),
+    # (A, B0) is validated as `verify` validates its pair
+    @pytest.mark.parametrize("b0, code, error", [
+        (np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), 2, "numerical error: asymmetry"),
+        (np.diag([1.0, -1.0, 2.0]), 2, "numerical error: matrix b is not positive definite\n"),
+        (np.eye(2), 1, "input error: dimension mismatch"),
     ], ids=["not-hermitian", "not-positive-definite", "wrong-size"])
-    def test_bad_b0(self, tmp_path, b0, code):
+    def test_bad_b0(self, tmp_path, capsys, b0, code, error):
         fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
         save_matrix(str(fa), np.eye(3, dtype=complex))
         save_matrix(str(fb), b0.astype(complex))
         assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
                    "--out", str(tmp_path / "t.csv")) == code
+        assert capsys.readouterr().err.startswith(error)
 
-    def test_underflowed_gradient_normalization_exits_2(self, tmp_path, capsys):
-        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)) * 1e-170)
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e-170)
-        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
-                   "--out", str(tmp_path / "t.csv")) == 2
-        assert "gradient normalization" in capsys.readouterr().err
+    @staticmethod
+    def run_on(tmp_path, a, b0, budget=3):
+        """`minimize` on (A, B0), with every warning an error: its exit code,
+        trajectory rows and final B."""
+        fa, fb, fo, ff = (tmp_path / x for x in ("a.json", "b0.json", "t.csv", "bf.json"))
+        save_matrix(str(fa), a)
+        save_matrix(str(fb), b0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", str(budget),
+                       "--out", str(fo), "--out-b", str(ff))
+        if code != 0:
+            return code, None, None
+        rows = [[float(v) for v in line.split(",")] for line in fo.read_text().splitlines()[1:]]
+        return code, rows, load_matrix(str(ff))
 
-    def test_overflowing_core_exits_2(self, tmp_path, capsys):
-        # A^{1/2} B A^{1/2} reaches 1e400: a numerical error before the
-        # eigensolver, not the malformed-input exit 1 that its inf entries
-        # would give, and no floating-point warning (an error under pytest)
-        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)) * 1e200)
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e200)
-        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
-                   "--out", str(tmp_path / "t.csv")) == 2
-        assert "core A^{1/2} B A^{1/2} leaves the double range" in capsys.readouterr().err
+    @pytest.mark.parametrize("scale", [2.0**-560, 1e-170, 1e200, 2.0**510],
+                             ids=["2^-560", "1e-170", "1e200", "2^510"])
+    def test_scaled_pair_runs(self, tmp_path, scale):
+        # the descent runs on the pair's exactly scaled context, so a common
+        # scale whose norms and products under- or overflow leaves the gaps
+        # as they are; the chart S moves by log(scale) I, so the iterates
+        # agree to roundoff, not bit for bit
+        for seed in range(3):
+            a = random_hpd(GenSpec(dim=3, seed=2 * seed + 11, cond_target=3.0))
+            b0 = random_hpd(GenSpec(dim=3, seed=2 * seed + 12, cond_target=3.0))
+            code, ref, _ = self.run_on(tmp_path, a, b0, budget=20)
+            assert code == 0
+            code, rows, final_b = self.run_on(tmp_path, a * scale, b0 * scale, budget=20)
+            assert code == 0 and len(rows) == len(ref)
+            assert all(abs(x - y) <= 1e-10 * y for x, y in zip(rows[0][1:], ref[0][1:])), seed
+            mean_gap, comm_gap = eigh_gaps(a * scale, final_b)
+            assert abs(rows[-1][1] - mean_gap) <= 1e-6 * mean_gap, seed
+            assert abs(rows[-1][2] - comm_gap) <= 1e-6 * comm_gap, seed
 
     @pytest.mark.parametrize("scale", [1.7e308, 9e307])
-    def test_b0_past_half_max_exits_2(self, tmp_path, capsys, scale):
-        # exp(log B0) = B0 has finite entries, but assembling it adds two
-        # entries past DBL_MAX / 2: the core reports the overflow, with no
-        # floating-point warning (an error under pytest)
-        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
-        save_matrix(str(fa), np.eye(2, dtype=complex))
-        save_matrix(str(fb), scale * np.eye(2, dtype=complex))
-        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
-                   "--out", str(tmp_path / "t.csv")) == 2
-        assert capsys.readouterr().err == (
-            "numerical error: core A^{1/2} B A^{1/2} leaves the double range; scale the pair\n")
+    def test_b0_past_half_max_converges_at_step_0(self, tmp_path, scale):
+        # (I, cB) has equal means; B0 = exp(log B0) is assembled in the
+        # context's units, so entries past DBL_MAX / 2 add without overflow
+        eye = np.eye(2, dtype=complex)
+        code, rows, final_b = self.run_on(tmp_path, eye, scale * eye)
+        assert code == 0 and len(rows) == 1
+        assert rows[0][1] <= 1e-16 and rows[0][2] == 0.0
+        assert np.allclose(final_b, scale * eye, rtol=1e-13, atol=0.0)
 
+    @pytest.mark.parametrize("sa, sb, row", [
+        (1e160, 1e-160, [0.0, 2.8574020342809495e-16, 0.048496460464780608, 8.164746385512909e-32]),
+        (1e300, 1e-300, [0.0, 1.1157157987553182e-16, 0.048496460464783349, 1.2448217435922177e-32]),
+    ], ids=["1e160-1e-160", "1e300-1e-300"])
+    def test_far_apart_scales_keep_the_unscaled_frame_result(self, tmp_path, sa, sb, row):
+        # A and B0 are 1e320 and 1e600 apart: the context's unit leaves
+        # neither subnormal, so step 0 reads what the descent computed in
+        # the pair's own units, bit for bit, and stops there converged
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        code, rows, final_b = self.run_on(tmp_path, a * sa, b0 * sb)
+        assert code == 0 and rows == [row]
+        # exp(log B0) with |log B0| near 690 keeps about 12 digits
+        assert np.linalg.norm(final_b / sb - b0) <= 1e-11 * np.linalg.norm(b0)
 
     def test_indefinite_a_past_half_max_exits_2(self, tmp_path, capsys):
         # eigenvalues -7e307 (twice) and 1.7e308: not the converged step 0
@@ -484,19 +541,51 @@ class TestMinimize:
         save_matrix(str(fb), np.eye(3, dtype=complex))
         assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
                    "--out", str(tmp_path / "t.csv")) == 2
-        assert "square root undefined" in capsys.readouterr().err
+        assert capsys.readouterr().err == "numerical error: matrix a is not positive definite\n"
 
-    def test_overflowing_norm_product_exits_2(self, tmp_path, capsys):
-        # ||A||_F ||B||_F is past DBL_MAX while the core stays in range: not a
-        # commutator gap of 0
+    def test_mixed_scale_pair_converges_at_step_0(self, tmp_path):
+        # ||A||_F ||B||_F is past DBL_MAX in the pair's units, not in the
+        # context's; B is negligible beside A in the gap's normalization, so
+        # the run stops at step 0 as (1e20 A, B) does, with the commutator
+        # gap of the pair
         a = random_hpd(GenSpec(dim=8, seed=3, cond_target=3.0))
         b = random_hpd(GenSpec(dim=8, seed=4, cond_target=3.0))
-        fa, fb = tmp_path / "a.json", tmp_path / "b0.json"
-        save_matrix(str(fa), a / np.max(np.linalg.eigvalsh(a)) * 1e308)
-        save_matrix(str(fb), b / np.max(np.linalg.eigvalsh(b)))
-        assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "3",
-                   "--out", str(tmp_path / "t.csv")) == 2
-        assert "||A||_F ||B||_F = " in capsys.readouterr().err
+        a, b = a / np.max(np.linalg.eigvalsh(a)), b / np.max(np.linalg.eigvalsh(b))
+        code, rows, _ = self.run_on(tmp_path, a * 1e308, b)
+        assert code == 0 and len(rows) == 1 and rows[0][3] <= 1e-16
+        assert abs(rows[0][2] - commutator_gap(a, b)) <= 1e-6 * commutator_gap(a, b)
+
+    def test_eigenvalue_of_b0_past_max_exits_2(self, tmp_path, capsys):
+        # B0's entries are finite and its largest eigenvalue is 2.5e308
+        eye, b0 = np.eye(2, dtype=complex), np.array([[1.5e308, 1e308], [1e308, 1.5e308]], dtype=complex)
+        assert self.run_on(tmp_path, eye, b0)[0] == 2
+        assert capsys.readouterr().err == "numerical error: an eigenvalue leaves the double range (n = 2)\n"
+
+
+def eigh_function(h, f):
+    """f(H) through np.linalg.eigh, the test oracle."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (v * f(w)) @ v.conj().T
+
+
+def eigh_gaps(a, b):
+    """(mean_gap, commutator_gap) with every spectrum from np.linalg.eigh,
+    the test oracle, on the pair divided by its largest entry: both gaps
+    are unchanged by a common scale."""
+    top = max(np.abs(a).max(), np.abs(b).max())
+    a, b = a / top, b / top
+
+    def spectral(h, f):
+        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+        return (v * f(w)) @ v.conj().T
+
+    sqrt_a, inv_sqrt_a, sqrt_b = spectral(a, np.sqrt), spectral(a, lambda w: 1.0 / np.sqrt(w)), spectral(b, np.sqrt)
+    x = spectral(sqrt_a @ b @ sqrt_a, np.sqrt)
+    avg = (sqrt_a + sqrt_b) / 2.0
+    diff = avg @ avg - (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
+    mean_gap = np.linalg.norm(diff) / (np.linalg.norm(a) + np.linalg.norm(b))
+    return mean_gap, np.linalg.norm(a @ b - b @ a) / (np.linalg.norm(a) * np.linalg.norm(b))
+
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):

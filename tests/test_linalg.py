@@ -14,25 +14,36 @@ import re
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, hpd, mat, polar, random_hermitian, random_invertible, sqrt_and_inv_sqrt
+from conftest import (
+    commuting_pair,
+    gap_objective,
+    hpd,
+    mat,
+    polar,
+    random_hermitian,
+    random_invertible,
+    sqrt_and_inv_sqrt,
+)
 
 from opmeans.linalg import (
     DomainError,
     NoConvergence,
     NotHermitian,
+    NotPositiveDefinite,
     NumericalError,
     Singular,
     ToleranceConfig,
     as_matrix,
     frobenius_norm,
     hermitian_eigen,
-    logm,
     require_hermitian,
     sqrtm,
 )
 import opmeans.linalg as linalg
 from opmeans.linalg import _round_robin
+from opmeans.means import HpdPair
 from opmeans.randgen import SplitMix64, mix_seed
+from opmeans.verify import minimize_gap
 
 SQ3 = math.sqrt(3.0)
 
@@ -593,19 +604,23 @@ class TestNamedCalculus:
         assert frobenius_norm(r @ h @ r - np.eye(4)) <= 1e-10 * 2.0
 
     def test_inv_sqrtm_rejects_singular(self):
-        with pytest.raises(DomainError):
-            sqrt_and_inv_sqrt(mat([[1.0, 0.0], [0.0, 0.0]]))
+        # A^{-1/2} is taken by the pair's context, which refuses a singular A
+        with pytest.raises(NotPositiveDefinite, match="^matrix a is not positive definite$"):
+            HpdPair.validated(mat([[1.0, 0.0], [0.0, 0.0]]), np.eye(2, dtype=complex))
 
     def test_exp_log_roundtrip(self):
-        # exp(H) from eigh, the test oracle; its logm must give H back
+        # exp(H) from eigh, the test oracle; the descent's start, the log of
+        # B0 = exp(H) from the pair's context, must give H back
         h = random_hermitian(4, 11)
         w, v = np.linalg.eigh(h)
         b = (v * np.exp(w)) @ v.conj().T
-        assert frobenius_norm(logm(b) - h) <= 1e-9 * max(1.0, frobenius_norm(h))
+        start = gap_objective(np.eye(4, dtype=complex), b).start
+        assert frobenius_norm(start - h) <= 1e-9 * max(1.0, frobenius_norm(h))
 
     def test_logm_rejects_singular(self):
-        with pytest.raises(DomainError):
-            logm(mat([[1.0, 0.0], [0.0, 0.0]]))
+        # log B0, the descent's start, is taken of a B0 validated with A
+        with pytest.raises(NotPositiveDefinite, match="^matrix b is not positive definite$"):
+            minimize_gap(np.eye(2, dtype=complex), mat([[1.0, 0.0], [0.0, 0.0]]))
 
 
 class TestAbsOp:

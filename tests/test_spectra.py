@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, polar, proof_intermediates, random_pair, sqrt_and_inv_sqrt
+from conftest import commuting_pair, gap_objective, polar, proof_intermediates, random_pair, sqrt_and_inv_sqrt
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
@@ -144,10 +144,10 @@ class TestEigendecompositionCounts:
         assert len(eigen_calls) == 1
 
     def test_gap_objective_evaluate_uses_two(self, eigen_calls):
-        obj = GapObjective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0)))
-        s = linalg.logm(random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0)))
+        obj = gap_objective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0)),
+                            random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0)))
         del eigen_calls[:]
-        obj.evaluate(s)
+        obj.evaluate(obj.start)
         assert len(eigen_calls) == 2
 
     @pytest.mark.parametrize("eps, count, passes", [(0.0, 1, [1]), (0.3, 2, [1, 1])],
@@ -162,23 +162,25 @@ class TestEigendecompositionCounts:
         assert eigen_calls.passes == passes
 
     def test_minimize_converged_at_start_uses_four(self, eigen_calls):
-        # set-up takes A and B0 once each, the one evaluation S and the core
+        # set-up takes A and B0 in the pair context's one pass, the one
+        # evaluation S and the core
         b0 = random_hpd(GenSpec(dim=3, seed=2, cond_target=5.0))
         trace = verify.minimize_gap(np.eye(3, dtype=complex), b0)
         assert trace.stop_reason == "converged" and len(trace.iterates) == 1
         assert len(eigen_calls) == 4
+        assert eigen_calls.passes == [2, 1, 1]
 
     def test_gradient_at_evaluated_point_uses_none(self, eigen_calls):
-        obj = GapObjective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)))
-        s = linalg.logm(random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0)))
-        obj.evaluate(s)
+        obj = gap_objective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)),
+                            random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0)))
+        obj.evaluate(obj.start)
         del eigen_calls[:]
-        obj.gradient(s)
+        obj.gradient(obj.start)
         assert len(eigen_calls) == 0
 
     def test_minimize_takes_two_per_evaluation(self, eigen_calls, monkeypatch):
-        # set-up takes A and B0; every evaluation S and the core, and the
-        # gradient reuses the spectra of the evaluation that accepted S
+        # set-up takes A and B0 in one pass; every evaluation S and the core,
+        # and the gradient reuses the spectra of the evaluation that accepted S
         evaluations = []
         real = GapObjective.evaluate
 
@@ -192,6 +194,7 @@ class TestEigendecompositionCounts:
         trace = verify.minimize_gap(a, b0, budget=1)
         assert trace.stop_reason == "budget" and len(trace.iterates) == 2
         assert len(eigen_calls) == 2 + 2 * len(evaluations)
+        assert eigen_calls.passes == [2] + [1] * (2 * len(evaluations))
         # the start and one accepted trial; forward differences would add 9
         assert len(evaluations) == 2
 
@@ -386,6 +389,21 @@ class TestAgreementWithPrimitives:
         assert np.array_equal(big.x, ints.x * 2.0**40)
         assert np.array_equal(big.sqrt_a, ints.sqrt_a * 2.0**20)
         assert np.array_equal(big.inv_sqrt_a, ints.inv_sqrt_a * 2.0**-20)
+
+    @pytest.mark.parametrize("ea, eb, balanced", [(0, 997, False), (-10, 1013, False), (-11, 1013, True),
+                                                  (531, -531, True), (-1000, 1000, True)])
+    def test_far_apart_pair_is_balanced(self, ea, eb, balanced):
+        # the unit puts the larger matrix's largest entry in [1, 4) unless the
+        # smaller one's would then be subnormal; then it puts the geometric
+        # mean of the two in [1, 8), where both are normal
+        a, b = (np.diag([1.5, 1.0, 0.75]).astype(complex) * 2.0**e for e in (ea, eb))
+        s = HpdPair.validated(a, b).spectra
+        tops = (np.abs(s.a).max(), np.abs(s.b).max())
+        assert s.balanced == balanced
+        if balanced:
+            assert 1.0 <= math.sqrt(tops[0] * tops[1]) < 8.0 and min(tops) >= 2.0**-1022
+        else:
+            assert 1.0 <= max(tops) < 4.0
 
 
 class TestScaledCli:

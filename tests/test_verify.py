@@ -3,12 +3,14 @@ recovery, and the gap-minimization experiment."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 
 from conftest import (
     commuting_pair,
+    gap_objective,
     gradient_central,
     hpd,
     mat,
@@ -18,7 +20,7 @@ from conftest import (
     svd_abs,
 )
 
-from opmeans.linalg import NumericalError, Singular, frobenius_norm, logm
+from opmeans.linalg import NumericalError, Singular, frobenius_norm
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
@@ -287,10 +289,11 @@ class TestCommutatorGap:
 class TestGapObjective:
     def test_matches_means_api(self):
         a = hpd(3, 6, cond=10.0)
-        obj = GapObjective(a)
+        obj = gap_objective(a)
         s = SplitMix64(8).complex_gaussian_matrix(3)
         s = (s + s.conj().T) / 2.0
         f, gap, b = obj.evaluate(s)
+        b = b * obj.unit  # exp(S), in the pair's units
         p = HpdPair.validated(a, b)
         direct = frobenius_norm(heron_mean(p) - wasserstein_mean(p))
         direct /= frobenius_norm(a) + frobenius_norm(b)
@@ -298,15 +301,14 @@ class TestGapObjective:
         assert f == pytest.approx(gap * gap, rel=1e-12)
 
     def test_exp_point_positive(self):
-        obj = GapObjective(hpd(3, 7, cond=10.0))
+        obj = gap_objective(hpd(3, 7, cond=10.0))
         s = np.zeros((3, 3), dtype=complex)
-        assert np.allclose(obj.evaluate(s)[2], np.eye(3), atol=1e-13)
+        assert np.allclose(obj.evaluate(s)[2] * obj.unit, np.eye(3), atol=1e-13)
 
     def test_forward_close_to_central_away_from_minimum(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
-        obj = GapObjective(a)
-        b0 = random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0))
-        s = logm(b0)
+        obj = gap_objective(a, random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0)))
+        s = obj.start
         gf = obj.gradient_forward(s)
         gc = gradient_central(obj, s)
         assert np.linalg.norm(gf - gc) <= 1e-4 * np.linalg.norm(gc)
@@ -314,8 +316,8 @@ class TestGapObjective:
     def test_gradient_matches_central_on_generic_pairs(self):
         for seed in range(16):
             n, cond = 2 + seed % 4, 3.0 + seed % 8
-            obj = GapObjective(hpd(n, mix_seed(seed, 0), cond))
-            s = logm(hpd(n, mix_seed(seed, 1), cond))
+            obj = gap_objective(hpd(n, mix_seed(seed, 0), cond), hpd(n, mix_seed(seed, 1), cond))
+            s = obj.start
             obj.evaluate(s)
             g, gc = obj.gradient(s), gradient_central(obj, s)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
@@ -323,19 +325,19 @@ class TestGapObjective:
     def test_gradient_matches_central_near_commutant(self):
         for seed in range(6):
             a, s = near_commutant_point(3 + seed % 2, seed, offset=0.01)
-            obj = GapObjective(a)
+            obj = gap_objective(a)
             g, gc = obj.gradient(s), gradient_central(obj, s)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
 
     def test_gradient_does_not_depend_on_the_last_evaluation(self):
-        a = hpd(3, 11, cond=5.0)
-        s = logm(hpd(3, 12, cond=5.0))
-        obj = GapObjective(a)
+        a, b0 = hpd(3, 11, cond=5.0), hpd(3, 12, cond=5.0)
+        obj = gap_objective(a, b0)
+        s = obj.start
         obj.evaluate(s)
         at_s = obj.gradient(s)
         obj.evaluate(s + 0.1 * np.eye(3))
         assert np.array_equal(obj.gradient(s), at_s)
-        assert np.array_equal(GapObjective(a).gradient(s), at_s)
+        assert np.array_equal(gap_objective(a, b0).gradient(s), at_s)
 
     def test_gap_near_commutant_matches_eigh_reference(self):
         # gaps near 1e-9 are differences of O(1) terms, so the core's
@@ -344,9 +346,39 @@ class TestGapObjective:
         # roundoff of about 1e-16 / 1e-9
         for seed in range(40):
             a, s = near_commutant_point(3 + seed % 2, seed, offset=1e-6)
-            gap = GapObjective(a).evaluate(s)[1]
+            gap = gap_objective(a).evaluate(s)[1]
             ref = eigh_gap(a, s)
             assert abs(gap - ref) <= 5e-7 * ref, seed
+
+    def test_norm_product_overflow_is_numerical_error(self):
+        # B = 7e307 I3 keeps the core in range, while ||A||_F ||B||_F, the
+        # commutator gap's denominator, is 2.1e308: not a commutator gap of 0
+        obj = gap_objective(np.eye(3, dtype=complex))
+        with pytest.raises(NumericalError, match=re.escape("||A||_F ||B||_F = ")):
+            obj.evaluate(math.log(7e307) * np.eye(3))
+
+    def test_gradient_normalization_overflow_is_numerical_error(self):
+        # B = e^400 I3 evaluates, but (||A||_F + ||B||_F)^2 overflows
+        obj = gap_objective(np.eye(3, dtype=complex))
+        with pytest.raises(NumericalError, match="gradient normalization"):
+            obj.gradient(400.0 * np.eye(3, dtype=complex))
+
+    def test_core_overflow_is_numerical_error_without_warning(self):
+        # exp(750) overflows to inf while B is assembled; the core's range
+        # check reports it, with no numpy warning on the way
+        obj = gap_objective(np.eye(3, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match=re.escape("core A^{1/2} B A^{1/2} leaves the double range")):
+                obj.evaluate(750.0 * np.eye(3, dtype=complex))
+
+    def test_gradient_normalization_underflow_is_numerical_error(self):
+        # B = e^-800 I3 underflows to zero, so N ||B||_F is 0
+        obj = gap_objective(np.eye(3, dtype=complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="gradient normalization"):
+                obj.gradient(-800.0 * np.eye(3, dtype=complex))
 
 
 class TestCoordinateMap:
@@ -379,12 +411,16 @@ class TestMinimizeGap:
         tiny = minimize_gap(a * 2.0**-300, b0 * 2.0**-300, budget=1).iterates[0][1]
         assert abs(tiny - ref) <= 1e-10 * ref
 
-    def test_underflowed_gradient_normalization_is_numerical_error(self):
-        # at 1e-170 the evaluation holds, but (||A||_F + ||B||_F)^2 underflows
+    def test_descent_at_1e_minus_170_follows_unscaled(self):
+        # (||A||_F + ||B||_F)^2 underflows in the pair's units, not in the
+        # context's, where the gradient is taken; the chart S moves by
+        # log(1e-170) I, so the runs part by roundoff, slowly
         a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
         b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
-        with pytest.raises(NumericalError, match="gradient normalization"):
-            minimize_gap(a * 1e-170, b0 * 1e-170)
+        ref, tiny = minimize_gap(a, b0, budget=20), minimize_gap(a * 1e-170, b0 * 1e-170, budget=20)
+        assert len(tiny.iterates) == len(ref.iterates) == 21
+        assert all(abs(x - y) <= 1e-6 * y for x, y in zip(tiny.iterates[-1][1:], ref.iterates[-1][1:]))
+        assert frobenius_norm(tiny.final_b * 1e170 - ref.final_b) <= 1e-6 * frobenius_norm(ref.final_b)
 
     def test_identity_a_converges_immediately(self):
         b0 = hpd(3, 9, cond=10.0)
@@ -424,8 +460,8 @@ class TestMinimizeGap:
         assert len(states) == len(tr.iterates)
         assert tr.final_b.shape == (2, 2)
         # final_b is exp of the last accepted state
-        obj = GapObjective(a)
-        assert frobenius_norm(obj.evaluate(states[-1])[2] - tr.final_b) <= 1e-12
+        obj = gap_objective(a, b0)
+        assert frobenius_norm(obj.evaluate(states[-1])[2] * obj.unit - tr.final_b) <= 1e-12
 
     def test_budget_exhaustion_reported(self):
         a = np.diag([1.0, 2.0, 4.0]).astype(complex)
