@@ -50,13 +50,13 @@ def _config(args) -> ToleranceConfig:
 
 def _check_outputs(*paths) -> None:
     """Before any work, raise the error `open` would raise on an output
-    that is a directory or lies in a missing one, and a usage error on two
-    outputs that name one file, creating nothing."""
-    named = [path for path in paths if path]
+    that is empty, a directory or lies in a missing one, and a usage error
+    on two outputs that name one file, creating nothing. None names no output."""
+    named = [path for path in paths if path is not None]
     for path in named:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-        if not os.path.isdir(os.path.dirname(path) or "."):
+        if not path or not os.path.isdir(os.path.dirname(path) or "."):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     if len({os.path.realpath(path) for path in named}) < len(named):
         raise _UsageError(f"outputs {' and '.join(named)} name one file")
@@ -81,8 +81,7 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
 
 def _cmd_gen(args) -> int:
     family = args.family.replace("-", "_")
-    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family=family,
-                   epsilon=args.epsilon if family == "near_commuting" else 0.0)
+    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family=family, epsilon=args.epsilon)
     generic = family == "generic"
     outs, needs = (([args.out], "--out") if generic
                    else ([args.out_a, args.out_b], "--out-a and --out-b"))

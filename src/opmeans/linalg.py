@@ -539,5 +539,9 @@ def _isometry(t: np.ndarray, gram: HermitianEigen) -> np.ndarray:
     return u
 
 
-def _is_positive(eig: HermitianEigen) -> bool:
-    return float(eig.eigenvalues[0]) > POSITIVITY_FLOOR * _spectral_radius(eig)
+def _positive(eig: HermitianEigen, name: str) -> HermitianEigen:
+    """eig, or NotPositiveDefinite, naming the matrix, where it does not
+    clear the positivity floor."""
+    if not float(eig.eigenvalues[0]) > POSITIVITY_FLOOR * _spectral_radius(eig):
+        raise NotPositiveDefinite(f"matrix {name} is not positive definite")
+    return eig

@@ -27,9 +27,10 @@ bit for bit, across machines and reruns:
     Taking log B0 by an eigendecomposition of B0 instead gives B in other
     last bits. The one eigendecomposition of log B0 + epsilon K starts
     from B0's sorted drawn frame, which diagonalizes it to O(epsilon);
-  * a generated pair carries the spectra it was built from, sorted
-    ascending, so its `HpdPair.spectra` decomposes neither A nor B. The
-    matrices are assembled in the drawn order, so the sort moves no bit.
+  * a generated pair is built with the spectra it was drawn from, sorted
+    ascending, as its `HpdPair`'s known spectra, so it decomposes neither
+    A nor B. The matrices are assembled in the drawn order, so the sort
+    moves no bit.
 
 Per-trial seeds for batch runs come from `mix_seed`, the splitmix64
 finalizer applied to master XOR ((index + 1) * golden ratio increment).
@@ -230,7 +231,7 @@ def random_commuting_pair(spec: GenSpec) -> HpdPair:
     carrying the spectra it was drawn from."""
     rng = SplitMix64(spec.seed)
     a, b, _, eig_a, eig_b = _commuting_parts(rng, spec.dim, spec.cond_target)
-    return HpdPair._from_spectra(a, b, eig_a, eig_b)
+    return HpdPair(a, b, (eig_a, eig_b))
 
 
 def near_commuting_pair(spec: GenSpec) -> HpdPair:
@@ -254,8 +255,8 @@ def near_commuting_pair(spec: GenSpec) -> HpdPair:
     a, b0, log_b0, eig_a, eig_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
     k = _hermitian_unit(rng, spec.dim)
     if spec.epsilon == 0.0:
-        return HpdPair._from_spectra(a, b0, eig_a, eig_b0)
+        return HpdPair(a, b0, (eig_a, eig_b0))
     eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, frame=eig_b0.frame)
     values = _exp_values(eig_log)
     b = _assemble(eig_log.frame, values)
-    return HpdPair._from_spectra(a, b, eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values))
+    return HpdPair(a, b, (eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values)))

@@ -18,24 +18,24 @@ vanish exactly when the means coincide. Each residual is normalized by the
 scale of the terms entering its own left-hand side (never by a difference
 that can itself vanish, so commuting pairs do not divide zero by zero).
 
-Everything about a pair derives from its spectral context
-(`HpdPair.spectra`): the spectra of A, B and the core A^{1/2} B A^{1/2},
-and each caller takes only what it emits. `pair_gaps` and
-`trace_criterion` need nothing beyond the context: two passes of the
-eigensolver, over A and B as one stack and then the core. The full report
-adds (A+Y)*(A+Y), for r4, to the core's pass, since it needs no X: two
-passes over four matrices. The second pass starts from A's frame: the
-core and (A+Y)*(A+Y) = A^{1/2}(A^{1/2} + B^{1/2})^2 A^{1/2}, the two sides
-of the triangle equality r4, are congruences through A^{1/2}, graded in
-that frame and diagonal for a commuting pair. A generated pair carries
-the spectra of A and B it was drawn from and skips the first pass; a pair
-read from files, as `opmeans verify` reads it, takes both, and its second
-pass starts from the frame the first gave A. Since Y*Y is the core, r5 takes
+Everything about a pair derives from the spectral context an `HpdPair`
+holds: the spectra of A, B and the core A^{1/2} B A^{1/2}, and each
+caller takes only what it emits. `pair_gaps` and `trace_criterion` need
+nothing beyond the pair: two passes of the eigensolver, over A and B as
+one stack and then the core. The full report adds (A+Y)*(A+Y), for r4,
+to the core's pass, since it needs no X: two passes over four matrices.
+The second pass starts from A's frame: the core and (A+Y)*(A+Y) =
+A^{1/2}(A^{1/2} + B^{1/2})^2 A^{1/2}, the two sides of the triangle
+equality r4, are congruences through A^{1/2}, graded in that frame and
+diagonal for a commuting pair. A generated pair is built with the spectra
+of A and B it was drawn from and skips the first pass; a pair read from
+files, as `opmeans verify` reads it, takes both, and its second pass
+starts from the frame the first gave A. Since Y*Y is the core, r5 takes
 the polar factor of Y from the core's spectrum, by `_isometry`, the one
 polar route, which `ando_hayashi_witness` takes too. The descent starts
-from the context of its validated pair (A, B0), one pass over A and B0,
-then evaluates its objective with two eigendecompositions, of S and of
-the core, and takes its exact gradient from those two spectra alone.
+from its validated pair (A, B0), one pass over A and B0, then evaluates
+its objective with two eigendecompositions, of S and of the core, and
+takes its exact gradient from those two spectra alone.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigen,
     _assemble,
+    _exponent,
     _gram,
     _isometry,
     _scale_exponent,
@@ -157,9 +158,10 @@ class DescentTrace:
 
 
 def commutator_gap(a, b) -> float:
-    """||AB - BA||_F / (||A||_F ||B||_F)."""
-    a = as_matrix(a)
-    b = as_matrix(b)
+    """||AB - BA||_F / (||A||_F ||B||_F), taken after the exact division of
+    each matrix by 2^`_exponent`, so that the gap of (2^j A, 2^k B) is
+    that of (A, B), bit for bit."""
+    a, b = (m / math.ldexp(1.0, _exponent(m)) for m in (as_matrix(a), as_matrix(b)))
     return _commutator_gap(a, b, frobenius_norm(a) * frobenius_norm(b))
 
 
@@ -170,8 +172,7 @@ def _commutator_gap(a: np.ndarray, b: np.ndarray, denom: float) -> float:
 
 def pair_gaps(p: HpdPair) -> tuple[float, float]:
     """(mean_gap, commutator_gap) without the full residual report."""
-    s = p.spectra
-    return s.mean_gap, commutator_gap(s.a, s.b)
+    return p.mean_gap, commutator_gap(p.a_u, p.b_u)
 
 
 def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
@@ -186,27 +187,27 @@ def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
 def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
-    Everything comes from the pair's spectral context (`HpdPair.spectra`),
-    which the means of the same pair share, r1's cross terms among them;
+    Everything comes from the pair's spectral context, which the means of
+    the same pair share, r1's cross terms among them;
     the gram of A+Y, for r4, is decomposed in the pass that takes the core,
     or alone when the context already holds the core, from A's frame
     either way, so both give the same bits. The residuals are computed on
-    the context's scaled pair, which leaves them unchanged; the trace gap
-    is converted back to the pair's units. A balanced context is refused.
+    the scaled pair, which leaves them unchanged; the trace gap is
+    converted back to the pair's units. A balanced pair is refused.
     """
-    s = p.spectra._common_frame()
-    a, b, n = s.a, s.b, p.dim
-    sqrt_a, sqrt_b, y = s.sqrt_a, s.sqrt_b, s.y
+    p._common_frame()
+    a, b, n = p.a_u, p.b_u, p.dim
+    sqrt_a, sqrt_b, y = p.sqrt_a, p.sqrt_b, p.y
     apy = a + y
     # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
     gram = apy.conj().T @ apy
-    eig_gram = s.spectrum_beside_core((gram + gram.conj().T) / 2.0)
-    x = s.x
-    diff = s.heron - s.wasserstein
+    eig_gram = p.spectrum_beside_core((gram + gram.conj().T) / 2.0)
+    x = p.x
+    diff = p.heron - p.wasserstein
 
     # r1: cross-term identity for 4(heron - wasserstein)
     sab = sqrt_a @ sqrt_b
-    sxs_r, sxs_l = s.cross
+    sxs_r, sxs_l = p.cross
     r1 = _relative(4.0 * diff - (sab + y - sxs_r - sxs_l), "r1", sab, y, sxs_r, sxs_l)
 
     # r2: the same identity conjugated by A^{1/2}
@@ -228,7 +229,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     # is the core, so it comes from the core's spectrum
     polar_singular = False
     try:
-        u = _isometry(y, s.core[0])
+        u = _isometry(y, p.core[0])
         r5 = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
     except Singular:
         polar_singular = True
@@ -238,10 +239,10 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     r6 = _relative(y - y.conj().T, "r6", y)
 
     return GapReport(
-        mean_gap=s.mean_gap,
+        mean_gap=p.mean_gap,
         commutator_gap=commutator_gap(a, b),
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
-        trace_gap=s.trace_gap * s.unit,
+        trace_gap=p.trace_gap * p.unit,
         polar_singular=polar_singular,
     )
 
@@ -279,9 +280,8 @@ def trace_criterion(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[
     within identity_tol * tr X of zero. Equals the report's trace gap; on
     a validated pair it costs one eigendecomposition, of the core.
     """
-    s = p.spectra
-    gap = s.trace_gap
-    return gap * s.unit, gap <= cfg.identity_tol * s.trace_x
+    gap = p.trace_gap
+    return gap * p.unit, gap <= cfg.identity_tol * p.trace_x
 
 
 def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WitnessReport:
@@ -378,7 +378,7 @@ class GapObjective:
 
     The free variable is a Hermitian matrix S and the objective is
     mean_gap(A, exp(S))^2, so positivity of B is structural. A validated
-    pair (A, B0) gives, from its context, A's roots, the exact scaling
+    pair (A, B0) gives A's roots, the exact scaling
     `unit` and B0's spectrum, whence the start S0 = log B0 (`start`). S is
     in the pair's units and B = exp(S) / unit in the context's, so the gap
     is unchanged and a pair of any scale keeps its norms in range.
@@ -389,16 +389,15 @@ class GapObjective:
     """
 
     def __init__(self, pair: HpdPair):
-        ctx = pair.spectra
-        self.a, self.sqrt_a, self.inv_sqrt_a = ctx.a, ctx.sqrt_a, ctx.inv_sqrt_a
-        self.unit, self.root_unit = ctx.unit, ctx.root_unit
+        self.a, self.sqrt_a, self.inv_sqrt_a = pair.a_u, pair.sqrt_a, pair.inv_sqrt_a
+        self.unit, self.root_unit = pair.unit, pair.root_unit
         self.norm_a = frobenius_norm(self.a)
         self.n = pair.dim
         with np.errstate(over="ignore"):  # B0's eigenvalues in the pair's units
-            lam_b = ctx.eig_b.eigenvalues * self.unit
+            lam_b = pair.eig_b.eigenvalues * self.unit
         if not lam_b[-1] < math.inf:
             raise NumericalError(f"an eigenvalue leaves the double range (n = {self.n})")
-        self.start = _assemble(ctx.eig_b.frame, np.log(lam_b))
+        self.start = _assemble(pair.eig_b.frame, np.log(lam_b))
         self._last: _ChartPoint | None = None
 
     def evaluate(self, s) -> tuple[float, float, np.ndarray]:

@@ -102,13 +102,12 @@ def gap_objective(a, b0=None):
 def proof_intermediates(p):
     """X, Y, A^{1/2}, B^{1/2} and A^{-1/2} of a pair, read from its spectral
     context and returned to the pair's units."""
-    s = p.spectra
     return SimpleNamespace(
-        x=s.x * s.unit,
-        y=s.y * s.unit,
-        sqrt_a=s.sqrt_a * s.root_unit,
-        sqrt_b=s.sqrt_b * s.root_unit,
-        inv_sqrt_a=s.inv_sqrt_a / s.root_unit,
+        x=p.x * p.unit,
+        y=p.y * p.unit,
+        sqrt_a=p.sqrt_a * p.root_unit,
+        sqrt_b=p.sqrt_b * p.root_unit,
+        inv_sqrt_a=p.inv_sqrt_a / p.root_unit,
     )
 
 

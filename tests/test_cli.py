@@ -93,6 +93,17 @@ class TestGen:
         assert run("sweep", "--n", "3", "--epsilons", "1e300", "--trials", "1", "--out", str(fs)) == 0
         assert fs.read_text().splitlines()[1].endswith(",error:DomainError")
 
+    @pytest.mark.parametrize("family", ["commuting", "near-commuting"])
+    def test_pair_below_the_floor_is_written(self, tmp_path, capsys, family):
+        # at cond 1e13 A's least eigenvalue is below the positivity floor:
+        # gen writes the drawn pair, and a sweep row records the refusal
+        fa, fb, fs = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.csv"
+        assert run("gen", "--n", "3", "--cond", "1e13", "--family", family, "--out-a", str(fa), "--out-b", str(fb)) == 0
+        assert load_matrix(str(fa)).shape == load_matrix(str(fb)).shape == (3, 3)
+        assert run("sweep", "--n", "3", "--cond", "1e13", "--epsilons", "0,0.1", "--trials", "1", "--out", str(fs)) == 0
+        assert all(row.endswith(",error:NotPositiveDefinite") for row in fs.read_text().splitlines()[1:])
+        assert capsys.readouterr().err == ""
+
     def test_missing_out_is_usage_error(self, tmp_path):
         assert run("gen", "--n", "2") == 1
 
@@ -119,6 +130,15 @@ class TestGen:
         save_matrix(str(fa), np.eye(2, dtype=complex))
         assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", tol) == 1
         assert capsys.readouterr().err == err and err.startswith("input error: identity_tol must ")
+
+    @pytest.mark.parametrize("family", ["generic", "commuting"])
+    def test_epsilon_refused_outside_near_commuting(self, tmp_path, capsys, family):
+        # GenSpec refuses the spec, as it does in the library, and nothing is written
+        outs = ["--out", str(tmp_path / "g.json"), "--out-a", str(tmp_path / "ga.json"),
+                "--out-b", str(tmp_path / "gb.json")]
+        assert run("gen", "--n", "3", "--family", family, "--epsilon", "0.5", *outs) == 1
+        assert capsys.readouterr().err == "input error: epsilon is only meaningful for the near_commuting family\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestMean:
@@ -157,7 +177,7 @@ class TestMean:
                 assert run("mean", "--kind", kind, "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
             assert run("mean", "--kind", "geometric", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 2
         assert capsys.readouterr().err == (
-            "numerical error: congruence A^{-1/2} B A^{-1/2} leaves the double range; scale the pair\n")
+            "numerical error: congruence A^{-1/2} B A^{-1/2} leaves the double range\n")
 
     def test_unknown_kind_is_usage_error(self, tmp_path):
         assert run("mean", "--kind", "arith", "--a", "x", "--b", "y", "--out", "z") == 1
@@ -706,18 +726,18 @@ class TestUnwritableOutput:
         "lemma-ah": ["lemma-ah", "--x", "{a}", "--y", "{a}", "--out", "{bad}"],
     }
 
-    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    @pytest.mark.parametrize("where", ["missing-dir", "directory", "empty"])
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_exit_1_naming_the_path(self, tmp_path, capsys, command, where):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
         save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
         save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
-        bad = tmp_path / "missing" / "out" if where == "missing-dir" else tmp_path
+        bad = {"missing-dir": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}[where]
         paths = {"a": fa, "b": fb, "ok": tmp_path / "ok.out", "bad": bad}
         assert run(*(arg.format(**paths) for arg in self.COMMANDS[command])) == 1
         err = capsys.readouterr().err
         assert err.startswith("output error: ") and err.count("\n") == 1
-        assert str(bad) in err
+        assert f"'{bad}'" in err
 
 
 class TestOutputsCheckedFirst:
@@ -762,6 +782,15 @@ class TestOutputsCheckedFirst:
                    "--out-b", str(tmp_path)) == 1
         assert not fo.exists()
         assert capsys.readouterr().err == f"output error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+    def test_empty_final_b_leaves_no_trajectory(self, tmp_path, monkeypatch, capsys, pair):
+        # an empty path names an output that cannot be opened, not no output
+        self.refuse(monkeypatch, "minimize_gap")
+        fo = tmp_path / "t.csv"
+        assert run("minimize", "--a", pair[0], "--b0", pair[1], "--budget", "3", "--out", str(fo),
+                   "--out-b", "") == 1
+        assert not fo.exists()
+        assert capsys.readouterr().err == "output error: [Errno 2] No such file or directory: ''\n"
 
     def test_gen_pair_into_one_file(self, tmp_path, capsys):
         fo = tmp_path / "x.json"

@@ -289,9 +289,8 @@ def drawn_pairs():
 class TestDrawnSpectra:
     def test_spectra_reconstruct_the_pair(self):
         for p in drawn_pairs():
-            s = p.spectra
-            for eig, m in ((s.eig_a, p.a), (s.eig_b, p.b)):
-                frame, lam = eig.frame, eig.eigenvalues * s.unit
+            for eig, m in ((p.eig_a, p.a), (p.eig_b, p.b)):
+                frame, lam = eig.frame, eig.eigenvalues * p.unit
                 assert np.all(np.diff(lam) >= 0.0)
                 rebuilt = (frame * lam) @ frame.conj().T
                 assert frobenius_norm(rebuilt - m) <= 1e-14 * frobenius_norm(m)
@@ -304,9 +303,8 @@ class TestDrawnSpectra:
         # B's carried spectrum is (P, e^mu) for the one decomposition
         # P diag(mu) P* the generator takes of log B0 + eps K
         p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, family="near_commuting", epsilon=0.3))
-        s = p.spectra
-        frame, values = s.eig_b.frame, s.eig_b.eigenvalues * s.unit
-        assert np.array_equal(p.b, _assemble(s.eig_b.frame, values))
+        frame, values = p.eig_b.frame, p.eig_b.eigenvalues * p.unit
+        assert np.array_equal(p.b, _assemble(p.eig_b.frame, values))
         w, v = np.linalg.eigh(p.b)
         log_b = (v * np.log(w)) @ v.conj().T
         mu = np.log(values)

@@ -121,12 +121,14 @@ def sample_pairs():
 class TestEigendecompositionCounts:
     def test_cli_verify_uses_four(self, tmp_path, eigen_calls):
         fa, fb = write_pair(tmp_path, random_pair(6, 3, cond=100.0))
+        del eigen_calls[:], eigen_calls.passes[:]  # the set-up pair's own pass
         assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
         assert len(eigen_calls) == 4
 
     def test_cli_verify_at_24_takes_two_passes_of_two(self, tmp_path, eigen_calls):
         # A and B, then the core and the gram of A+Y
         fa, fb = write_pair(tmp_path, random_pair(24, 3, cond=100.0))
+        del eigen_calls[:], eigen_calls.passes[:]  # the set-up pair's own pass
         assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
         assert eigen_calls.passes == [2, 2]
         assert eigen_calls == [24] * 4
@@ -202,6 +204,7 @@ class TestEigendecompositionCounts:
         # |X|, |Y|, and one gram of X+Y for both |X+Y| and its polar
         # factor, all in one pass
         p = random_pair(4, 9, cond=20.0)
+        del eigen_calls[:], eigen_calls.passes[:]  # the set-up pair's own pass
         verify.ando_hayashi_witness(p.a, p.b)
         assert len(eigen_calls) == 3
         assert eigen_calls.passes == [3]
@@ -325,12 +328,13 @@ class TestDrawnRoute:
     def test_second_config_takes_no_pair_pass(self, eigen_calls):
         # a pair has one context, whatever config validated it or judges it
         q = random_pair(4, 5)
+        del eigen_calls[:], eigen_calls.passes[:]  # the set-up pair's own pass
         p = HpdPair.validated(q.a, q.b, linalg.ToleranceConfig(identity_tol=1e-8))
         report = proof_chain_report(p)
         assert verify.pair_gaps(p) == (report.mean_gap, report.commutator_gap)
         assert trace_criterion(p, linalg.ToleranceConfig())[0] == report.trace_gap
         assert eigen_calls.passes == [2, 2]  # A and B, then the core and the gram of A+Y
-        assert p.spectra is p.spectra
+        assert p.core is p.core
 
 
 class TestPolarFromCore:
@@ -384,7 +388,7 @@ class TestAgreementWithPrimitives:
         # its intermediates come back in the pair's units bit for bit
         p = random_pair(4, 1, cond=1000.0)
         ints = proof_intermediates(p)
-        assert p.spectra.unit == 16.0
+        assert p.unit == 16.0
         big = proof_intermediates(HpdPair(a=p.a * 2.0**40, b=p.b * 2.0**40))
         assert np.array_equal(big.x, ints.x * 2.0**40)
         assert np.array_equal(big.sqrt_a, ints.sqrt_a * 2.0**20)
@@ -397,9 +401,9 @@ class TestAgreementWithPrimitives:
         # smaller one's would then be subnormal; then it puts the geometric
         # mean of the two in [1, 8), where both are normal
         a, b = (np.diag([1.5, 1.0, 0.75]).astype(complex) * 2.0**e for e in (ea, eb))
-        s = HpdPair.validated(a, b).spectra
-        tops = (np.abs(s.a).max(), np.abs(s.b).max())
-        assert s.balanced == balanced
+        p = HpdPair.validated(a, b)
+        tops = (np.abs(p.a_u).max(), np.abs(p.b_u).max())
+        assert p.balanced == balanced
         if balanced:
             assert 1.0 <= math.sqrt(tops[0] * tops[1]) < 8.0 and min(tops) >= 2.0**-1022
         else:

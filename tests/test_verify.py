@@ -285,6 +285,25 @@ class TestCommutatorGap:
         b = hpd(3, 5, cond=20.0)
         assert commutator_gap(2 * a, 3 * b) == pytest.approx(commutator_gap(a, b), rel=1e-12)
 
+    def test_powers_of_two_move_no_bit(self):
+        # 600 draws of (2^j A, 2^k B), j and k in [-960, 960]: the products
+        # of the unscaled matrices would overflow or underflow on many
+        rng = SplitMix64(23)
+        for seed in range(20):
+            a, b = hpd(3, mix_seed(seed, 0), cond=30.0), hpd(3, mix_seed(seed, 1), cond=30.0)
+            gap = commutator_gap(a, b)
+            for _ in range(30):
+                j, k = (int(rng.next_u64() % 1921) - 960 for _ in range(2))
+                assert commutator_gap(a * 2.0**j, b * 2.0**k) == gap, (seed, j, k)
+
+    @pytest.mark.parametrize("c", [1e-170, 1e200])
+    def test_far_from_unit_scale(self, c):
+        # the plain products underflow to 0.0 and overflow to nan here
+        a, b = hpd(3, 4, cond=20.0), hpd(3, 5, cond=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert commutator_gap(c * a, c * b) == pytest.approx(commutator_gap(a, b), rel=1e-12)
+
 
 class TestGapObjective:
     def test_matches_means_api(self):
