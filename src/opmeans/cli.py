@@ -90,21 +90,28 @@ def _cmd_gen(args) -> int:
     _check_outputs(*outs)
     _config(args)  # refuses a bad --tol, though no draw reads it
     if generic:
-        mats = [random_hpd(spec)]
+        m, eig = random_hpd(spec, with_spectrum=True)
+        drawn = [(m, eig.frame)]
     else:
         pair = (random_commuting_pair(spec) if family == "commuting"
                 else near_commuting_pair(spec))
-        mats = [pair.a, pair.b]
-    for path, m in zip(outs, mats):
-        save_matrix(path, m)
+        drawn = [(pair.a, pair.eig_a.frame), (pair.b, pair.eig_b.frame)]
+    for path, (m, frame) in zip(outs, drawn):
+        save_matrix(path, m, frame)
     return 0
+
+
+def _load_pair(args, cfg: ToleranceConfig) -> HpdPair:
+    """The validated pair of files --a and --b, its first pass started
+    from the frames the files carry."""
+    (a, frame_a), (b, frame_b) = (load_matrix(path, with_frame=True) for path in (args.a, args.b))
+    return HpdPair.validated(a, b, cfg, frames=(frame_a, frame_b))
 
 
 def _cmd_mean(args) -> int:
     _check_outputs(args.out)
     cfg = _config(args)
-    pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
-    result = _MEAN_KINDS[args.kind](pair)
+    result = _MEAN_KINDS[args.kind](_load_pair(args, cfg))
     save_matrix(args.out, result)
     return 0
 
@@ -112,7 +119,7 @@ def _cmd_mean(args) -> int:
 def _cmd_verify(args) -> int:
     _check_outputs(args.out)
     cfg = _config(args)
-    pair = HpdPair.validated(load_matrix(args.a), load_matrix(args.b), cfg)
+    pair = _load_pair(args, cfg)
     report = proof_chain_report(pair)
     verdict = classify_gaps(report.mean_gap, report.commutator_gap, cfg)
     text = save_json(args.out, _report_payload(report, verdict, cfg, args.seed))

@@ -2,17 +2,26 @@
 
 Matrix interchange format is a JSON object
 
-    { "n": <int>, "entries": [[re, im], ...] }
+    { "n": <int>, "entries": [[re, im], ...], "frame": <base64> }
 
 with exactly n^2 [re, im] pairs in row-major order. Parsers reject
-wrong-length arrays and non-finite numbers. All writers are deterministic
-(sorted keys, fixed float formatting), so identical inputs produce
-byte-identical files. A matrix goes through json's C encoder, which
-writes the bytes of its pure-Python one.
+wrong-length arrays and non-finite numbers. The optional `frame` is a
+unitary matrix whose columns are eigenvectors of the matrix, as `gen`
+writes them: base64 of its n^2 little-endian complex128 values in
+row-major order, exact and cheap to read. A frame is only a hint, the
+eigensolver's starting point: it is checked for length, finite entries
+and unitarity on reading, and a frame of another matrix costs Jacobi
+sweeps, never accuracy. All writers are deterministic (sorted keys, fixed
+float formatting), so identical inputs produce byte-identical files. A
+matrix goes through json's C encoder, which writes the bytes of its
+pure-Python one; a file without a frame has the bytes it had before
+frames were written.
 """
 
 from __future__ import annotations
 
+import base64
+import binascii
 import json
 import math
 from itertools import chain
@@ -20,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import as_matrix
+from .linalg import as_matrix, _checked_frame
 
 __all__ = [
     "MatrixFormatError",
@@ -37,8 +46,10 @@ class MatrixFormatError(ValueError):
     """Matrix JSON file violates the interchange schema."""
 
 
-def load_matrix(path: str) -> np.ndarray:
-    """Read one matrix, raising MatrixFormatError with file and field context."""
+def load_matrix(path: str, with_frame: bool = False):
+    """Read one matrix, raising MatrixFormatError with file and field context;
+    with `with_frame`, the matrix and its frame, or None where the file has
+    none. A frame is checked whether it is returned or not."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -76,18 +87,42 @@ def load_matrix(path: str) -> np.ndarray:
                 finite = False
             if not finite:
                 raise MatrixFormatError(f"{path}: entries[{idx}] must be finite")
-    return flat.view(np.complex128).reshape(n, n)
+    m, frame = flat.view(np.complex128).reshape(n, n), _frame(path, data.get("frame"), n)
+    return (m, frame) if with_frame else m
 
 
-def matrix_payload(m) -> dict:
-    """One matrix as the interchange object, ready for json."""
+def _frame(path: str, text, n: int) -> np.ndarray | None:
+    """The field 'frame' decoded and checked, or None where it is absent."""
+    if text is None:
+        return None
+    if not isinstance(text, str):
+        raise MatrixFormatError(f"{path}: field 'frame' must be a base64 string")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except binascii.Error as exc:
+        raise MatrixFormatError(f"{path}: field 'frame' is not base64: {exc}") from exc
+    if len(raw) != 16 * n * n:
+        raise MatrixFormatError(
+            f"{path}: field 'frame' must hold n^2 = {n * n} complex128 values, got {len(raw)} bytes")
+    try:
+        return _checked_frame(np.frombuffer(raw, dtype="<c16").reshape(n, n), (n, n))
+    except ValueError as exc:
+        raise MatrixFormatError(f"{path}: field 'frame': {exc}") from exc
+
+
+def matrix_payload(m, frame=None) -> dict:
+    """One matrix as the interchange object, ready for json, with its frame
+    where one is given."""
     m = np.ascontiguousarray(as_matrix(m))
-    return {"entries": m.view(np.float64).reshape(-1, 2).tolist(), "n": m.shape[0]}
+    payload = {"entries": m.view(np.float64).reshape(-1, 2).tolist(), "n": m.shape[0]}
+    if frame is not None:
+        payload["frame"] = base64.b64encode(np.asarray(frame, dtype="<c16").tobytes()).decode("ascii")
+    return payload
 
 
-def save_matrix(path: str, m) -> None:
-    """Write one matrix in the interchange format."""
-    text = json.dumps(matrix_payload(m), sort_keys=True) + "\n"
+def save_matrix(path: str, m, frame=None) -> None:
+    """Write one matrix in the interchange format, with its frame where one is given."""
+    text = json.dumps(matrix_payload(m, frame), sort_keys=True) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
 

@@ -21,7 +21,10 @@ both of its matrices are congruences through A^{1/2}, so in that frame
 they are graded, Lambda^{1/2} M Lambda^{1/2}, and diagonal for a commuting
 pair. A pair from the random generators is built with the spectra of A
 and B it was drawn from, and takes the second pass alone, from A's drawn
-frame.
+frame. A pair read from files that carry the frames `gen` drew starts its
+first pass from them, which leaves each matrix diagonal up to roundoff:
+the pass runs to the same target, and a frame of some other matrix only
+costs sweeps.
 """
 
 from __future__ import annotations
@@ -92,16 +95,19 @@ class HpdPair:
     entries into [1, 8). A result of degree d in the pair returns to the
     pair's units times unit^d; gaps and residuals, ratios of terms of one
     degree, are unchanged. A's and B's spectra are taken on construction,
-    in one pass, unless they are `known` (in the pair's units), as the
-    random generators pass the spectra they drew. A's roots are formed on
-    first use, once its spectrum clears the positivity floor, so that a
-    drawn pair below the floor can still be written; the core's spectrum
-    too, alone or beside another matrix (`spectrum_beside_core`), from A's
-    frame on every route, so both give the same bits. Checks of computed
-    matrices run at the default identity_tol.
+    in one pass, started from the unitary `frames` of A and of B where
+    given (either may be None), unless they are `known` (in the pair's
+    units), as the random generators pass the spectra they drew. A's roots
+    are formed on first use, once its spectrum clears the positivity
+    floor, so that a drawn pair below the floor can still be written; the
+    core's spectrum too, alone or beside another matrix
+    (`spectrum_beside_core`), from A's frame on every route, so both give
+    the same bits. Checks of computed matrices run at the default
+    identity_tol.
     """
 
-    def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None):
+    def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None,
+                 frames: tuple | None = None):
         self.a, self.b = a, b
         a, b = as_matrix(a), as_matrix(b)
         k, ea, eb = _scale_exponent(a, b), _exponent(a), _exponent(b)
@@ -110,7 +116,7 @@ class HpdPair:
         self.unit, self.root_unit = math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
         self.a_u, self.b_u = a / self.unit, b / self.unit
         if known is None:
-            self.eig_a, self.eig_b = hermitian_eigen((self.a_u, self.b_u))
+            self.eig_a, self.eig_b = hermitian_eigen((self.a_u, self.b_u), frame=frames)
         else:
             self.eig_a, self.eig_b = (HermitianEigen(e.frame, e.eigenvalues / self.unit) for e in known)
 
@@ -119,13 +125,15 @@ class HpdPair:
         return self.a_u.shape[0]
 
     @classmethod
-    def validated(cls, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG) -> "HpdPair":
-        """Check both matrices, keeping the spectra the positivity check takes."""
+    def validated(cls, a, b, cfg: ToleranceConfig = DEFAULT_CONFIG,
+                  frames: tuple | None = None) -> "HpdPair":
+        """Check both matrices, keeping the spectra the positivity check
+        takes, which start from `frames` where given."""
         a = require_hermitian(a, cfg)
         b = require_hermitian(b, cfg)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        pair = cls(a, b)
+        pair = cls(a, b, frames=frames)
         _positive(pair.eig_a, "a")
         _positive(pair.eig_b, "b")
         return pair

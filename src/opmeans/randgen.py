@@ -29,8 +29,9 @@ bit for bit, across machines and reruns:
     from B0's sorted drawn frame, which diagonalizes it to O(epsilon);
   * a generated pair is built with the spectra it was drawn from, sorted
     ascending, as its `HpdPair`'s known spectra, so it decomposes neither
-    A nor B. The matrices are assembled in the drawn order, so the sort
-    moves no bit.
+    A nor B, and `random_hpd` returns its drawn spectrum on request; `gen`
+    writes the frames of these spectra into its files. The matrices are
+    assembled in the drawn order, so the sort moves no bit.
 
 Per-trial seeds for batch runs come from `mix_seed`, the splitmix64
 finalizer applied to master XOR ((index + 1) * golden ratio increment).
@@ -44,6 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DomainError,
     HermitianEigen,
     NumericalError,
     hermitian_eigen,
@@ -185,12 +187,6 @@ def _eigenvalue_draw(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
     return np.array([math.exp(x) for x in logs])
 
 
-def _hpd_from(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
-    lam = _eigenvalue_draw(rng, n, cond)
-    q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    return _assemble(q, lam)
-
-
 def _hermitian_unit(rng: SplitMix64, n: int) -> np.ndarray:
     """Random Hermitian direction with unit Frobenius norm."""
     g = rng.complex_gaussian_matrix(n)
@@ -201,16 +197,20 @@ def _hermitian_unit(rng: SplitMix64, n: int) -> np.ndarray:
     return k / norm
 
 
-def random_hpd(spec: GenSpec) -> np.ndarray:
-    """One Hermitian positive-definite matrix from the given spec."""
-    rng = SplitMix64(spec.seed)
-    return _hpd_from(rng, spec.dim, spec.cond_target)
-
-
 def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
     """The drawn values sorted ascending, with Q's columns permuted to match."""
     order = np.argsort(lam, kind="stable")
     return HermitianEigen(frame=q[:, order], eigenvalues=lam[order])
+
+
+def random_hpd(spec: GenSpec, with_spectrum: bool = False):
+    """One Hermitian positive-definite matrix from the given spec, or, with
+    `with_spectrum`, the matrix and the spectrum it was drawn from."""
+    rng = SplitMix64(spec.seed)
+    lam = _eigenvalue_draw(rng, spec.dim, spec.cond_target)
+    q = _orthonormal_frame(rng.complex_gaussian_matrix(spec.dim))
+    m = _assemble(q, lam)
+    return (m, _drawn_spectrum(q, lam)) if with_spectrum else m
 
 
 def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple:
@@ -246,8 +246,8 @@ def near_commuting_pair(spec: GenSpec) -> HpdPair:
     The pair carries A's spectrum as drawn and B's as drawn at epsilon =
     0, else (P, e^mu) from the one eigendecomposition P diag(mu) P* of
     log B0 + epsilon K, warm-started from B0's frame, from which B is
-    assembled; an eigenvalue whose exponential overflows raises
-    DomainError.
+    assembled; an eigenvalue whose exponential overflows, or a B with an
+    entry past the double range, raises DomainError.
     """
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
@@ -258,5 +258,8 @@ def near_commuting_pair(spec: GenSpec) -> HpdPair:
         return HpdPair(a, b0, (eig_a, eig_b0))
     eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, frame=eig_b0.frame)
     values = _exp_values(eig_log)
-    b = _assemble(eig_log.frame, values)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
+        b = _assemble(eig_log.frame, values)
+    if not np.isfinite(b).all():
+        raise DomainError(f"B leaves the double range at its largest eigenvalue {float(values[-1])!r}")
     return HpdPair(a, b, (eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values)))

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: subcommands, exit codes, determinism."""
 
+import base64
 import hashlib
 import json
 import os
@@ -41,28 +42,43 @@ class TestGen:
         assert code == 0
         assert commutator_gap(load_matrix(str(fa)), load_matrix(str(fb))) <= 1e-10
 
-    @pytest.mark.parametrize("args, digests", [
+    # (argv, sha256 of each file, sha256 of each file with its frame removed
+    # and re-dumped as save_matrix writes, the files' digests before gen
+    # wrote frames: the frame moves no matrix byte)
+    @pytest.mark.parametrize("args, digests, stripped", [
         (["--family", "generic", "--n", "5", "--seed", "11", "--cond", "50"],
+         ["e6c70e13416d365997758f64681e46c5ee7f3dde0b4b75bcb9a9bdea201f1df4"],
          ["dc20f11bacf5c0c67c8a0571794e06ee9b3109394accc9894ad1a19dc7655cd4"]),
         (["--family", "commuting", "--n", "4", "--seed", "7", "--cond", "100"],
+         ["859fbe2f5a8b4b054afa7d33ea2f283e61a74dc5a26b48c765c46a7e332af111",
+          "4592616df214b911e5bf99bb735f9b5adfd6a5d199bc343881006498a84a7d73"],
          ["2b15381327b34c17b65006f29e3589c0e6c53a716e993b86c610d826aedce734",
           "56ac2209c05e119a88adb6811648395e03ab6e478b149534716fe4f4a9aa88ff"]),
         (["--family", "near-commuting", "--n", "4", "--seed", "3", "--cond", "10", "--epsilon", "0"],
+         ["6081d55f193b82ba889c240a9a693fbc600126f81b6f51073d6135653c7e5797",
+          "f2242ae2b0f4e1993ded9e1a743e3fa609625fe95501318b85848401f1571491"],
          ["d8e0e74a26f0fba61c089900f622db24193e3198120e02ab3a08385605f85078",
           "514e856e0072233c12302d277eb68c1a988e48954188caae59bacf4d8213b62c"]),
         (["--family", "near-commuting", "--n", "4", "--seed", "3", "--cond", "10", "--epsilon", "0.3"],
+         ["6081d55f193b82ba889c240a9a693fbc600126f81b6f51073d6135653c7e5797",
+          "a749dab03b8039e9366aac1a9911bb90ba2fc9d2075437cc2a52857c57814062"],
          ["d8e0e74a26f0fba61c089900f622db24193e3198120e02ab3a08385605f85078",
           "86dd484d90d8eee891e383ad33ef73c707b8cd647f053bab69e4c1f1fdd72028"]),
         (["--family", "near-commuting", "--n", "6", "--seed", "99", "--cond", "1000", "--epsilon", "0.01"],
+         ["788ea7a5ff532b7546cd82ed124f6edaa0805a93dfd5f7fd048189a50ea0c6fe",
+          "fa19fbd50de8081b02f9c42bd61cca25e00d6aad18a06fd086ccb1baa9694430"],
          ["47780f3a771951ba36fee8960720c6acdf6de2f1eab91233f0da3af60dcba4e8",
           "9860a37701211ee902e39f40f9f90e24b03ca14a815e19f4840ad2814b235dbf"]),
         (["--family", "generic", "--n", "24", "--seed", "5", "--cond", "100"],
+         ["65d17595dc852a7cd35c6194a88f6ba0646891500173ed7bffc35ecc3dcc5b3d"],
          ["f48ed96a91b9c70f3a4628203a3d3ed722b98b4543c450678b0bcbe8cd8f1de6"]),
         (["--family", "near-commuting", "--n", "24", "--seed", "8", "--cond", "100", "--epsilon", "0.1"],
+         ["f3197cc09f32fb4a28307547662fe26222fc8fd3b2bd6c23fe24e2236afaef0b",
+          "bd7a250d14aead999b5c17e6a578beafc6e3edcbaed54bf886f7dd0d9862f340"],
          ["a110dd7af6c45635124908b6a37f9cb3f01138adb286f5898a489f4bfb7647d7",
           "06e60e62265875f45945cfe0e9347ff7c1263784a17db81d30150da76d647442"]),
     ], ids=["generic", "commuting", "near-0", "near-0.3", "near-0.01", "generic-24", "near-0.1-24"])
-    def test_output_bytes_pinned(self, tmp_path, args, digests):
+    def test_output_bytes_pinned(self, tmp_path, args, digests, stripped):
         # a generated pair keeps the spectra it was drawn from, but its
         # matrices are assembled in the drawn order, so their bytes hold
         if len(digests) == 1:
@@ -73,6 +89,12 @@ class TestGen:
             outs = ["--out-a", str(files[0]), "--out-b", str(files[1])]
         assert run("gen", *args, *outs) == 0
         assert [hashlib.sha256(f.read_bytes()).hexdigest() for f in files] == digests
+        bare = []
+        for f in files:
+            data = json.loads(f.read_text())
+            del data["frame"]
+            bare.append(hashlib.sha256((json.dumps(data, sort_keys=True) + "\n").encode()).hexdigest())
+        assert bare == stripped
 
     def test_near_commuting_pair(self, tmp_path):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
@@ -91,6 +113,23 @@ class TestGen:
             "numerical error: exponential overflows at eigenvalue 3.2602711627054825e+299\n")
         # a sweep records the failure in its row and goes on
         assert run("sweep", "--n", "3", "--epsilons", "1e300", "--trials", "1", "--out", str(fs)) == 0
+        assert fs.read_text().splitlines()[1].endswith(",error:DomainError")
+
+    def test_b_past_the_double_range_is_domain_error(self, tmp_path, capsys):
+        # e^mu is finite, but B = P diag(e^mu) P* has an entry past DBL_MAX:
+        # a numerical error, with no numpy warning and no file written
+        fa, fb, fs = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run("gen", "--n", "2", "--seed", "0", "--cond", "1e300", "--family", "near-commuting",
+                       "--epsilon", "418.5", "--out-a", str(fa), "--out-b", str(fb))
+            assert code == 2
+            assert capsys.readouterr().err == (
+                "numerical error: B leaves the double range at its largest eigenvalue 1.0422767483469544e+308\n")
+            assert list(tmp_path.iterdir()) == []
+            # a sweep records the failure in its row and goes on
+            assert run("sweep", "--n", "2", "--seed", "4", "--cond", "1e300", "--epsilons", "777",
+                       "--trials", "1", "--out", str(fs)) == 0
         assert fs.read_text().splitlines()[1].endswith(",error:DomainError")
 
     @pytest.mark.parametrize("family", ["commuting", "near-commuting"])
@@ -315,6 +354,87 @@ class TestVerify:
         assert run("verify", "--a", str(fa), "--b", str(fa), "--tol", "inf") == 1
 
 
+class TestFrameHints:
+    """`verify` and `mean` start the pass over A and B from the frames the
+    files carry. A frame is a hint: a foreign one or none gives the same
+    verdict and gaps within the suite's 1e-11, and a malformed one is an
+    input error that names the file."""
+
+    @staticmethod
+    def framed_pair(tmp_path, n, family):
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        if family == "generic":
+            for path, seed in ((fa, 5), (fb, 6)):
+                assert run("gen", "--n", str(n), "--seed", str(seed), "--cond", "100", "--out", str(path)) == 0
+        else:
+            assert run("gen", "--n", str(n), "--seed", "5", "--cond", "100", "--family", family,
+                       "--epsilon", "0.1", "--out-a", str(fa), "--out-b", str(fb)) == 0
+        return [json.loads(f.read_text()) for f in (fa, fb)]
+
+    @staticmethod
+    def bare(data):
+        return {k: v for k, v in data.items() if k != "frame"}
+
+    @staticmethod
+    def verify(tmp_path, tag, data_a, data_b):
+        fa, fb, fo = tmp_path / f"{tag}_a.json", tmp_path / f"{tag}_b.json", tmp_path / f"{tag}_r.json"
+        fa.write_text(json.dumps(data_a))
+        fb.write_text(json.dumps(data_b))
+        assert run("verify", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+        return json.loads(fo.read_text())
+
+    @pytest.mark.parametrize("n", [6, 24])
+    @pytest.mark.parametrize("family", ["generic", "near-commuting"])
+    def test_own_swapped_and_stripped_frames_agree(self, tmp_path, n, family):
+        a, b = self.framed_pair(tmp_path, n, family)
+        reports = {
+            "own": self.verify(tmp_path, "own", a, b),
+            "swapped": self.verify(tmp_path, "swapped", {**a, "frame": b["frame"]}, {**b, "frame": a["frame"]}),
+            "stripped": self.verify(tmp_path, "stripped", self.bare(a), self.bare(b)),
+        }
+        ref = reports.pop("stripped")
+        for name, rep in reports.items():
+            assert rep["verdict"] == ref["verdict"], name
+            for key in ("mean_gap", "commutator_gap"):
+                assert abs(rep[key] - ref[key]) <= 1e-11, (name, key)
+            assert abs(rep["trace_gap"] - ref["trace_gap"]) <= 1e-11 * abs(ref["trace_gap"]) + 1e-11, name
+            assert max(rep["residuals"][k] for k in ("r1", "r2", "r3")) <= 1e-10, name
+
+    def test_mean_takes_the_frames(self, tmp_path):
+        a, b = self.framed_pair(tmp_path, 24, "generic")
+        outs = {}
+        for tag, pair in (("own", (a, b)), ("stripped", (self.bare(a), self.bare(b)))):
+            fa, fb, fo = tmp_path / f"{tag}_a.json", tmp_path / f"{tag}_b.json", tmp_path / f"{tag}_w.json"
+            for path, data in zip((fa, fb), pair):
+                path.write_text(json.dumps(data))
+            assert run("mean", "--kind", "wasserstein", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+            outs[tag] = load_matrix(str(fo))
+        assert np.linalg.norm(outs["own"] - outs["stripped"]) <= 1e-13 * np.linalg.norm(outs["stripped"])
+        assert not np.array_equal(outs["own"], outs["stripped"])  # the hint was taken
+
+    @pytest.mark.parametrize("bad", ["length", "not-base64", "non-finite", "not-unitary"])
+    @pytest.mark.parametrize("which", ["a", "b"])
+    def test_malformed_frame_exits_1(self, tmp_path, capsys, bad, which):
+        a, b = self.framed_pair(tmp_path, 6, "generic")
+        frame = np.frombuffer(base64.b64decode(a["frame"]), dtype="<c16")
+        value = {
+            "length": base64.b64encode(frame[:-1].tobytes()).decode(),
+            "not-base64": a["frame"][:-4] + "*===",
+            "non-finite": base64.b64encode(np.where(np.arange(36) == 7, np.inf, frame).tobytes()).decode(),
+            "not-unitary": base64.b64encode((frame * (1.0 + 1e-6)).tobytes()).decode(),
+        }[bad]
+        (a if which == "a" else b)["frame"] = value
+        paths = {name: tmp_path / f"bad_{name}.json" for name in "ab"}
+        for name, data in (("a", a), ("b", b)):
+            paths[name].write_text(json.dumps(data))
+        fo = tmp_path / "out.json"
+        for argv in (["verify"], ["mean", "--kind", "heron"]):
+            assert run(*argv, "--a", str(paths["a"]), "--b", str(paths["b"]), "--out", str(fo)) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"input error: {paths[which]}: field 'frame'"), err
+            assert not fo.exists()
+
+
 class TestTolMovesOnlyVerdicts:
     """`--tol` is the one setting: it decides verdicts and exit codes and
     moves no other output byte. The pair and the sweep below straddle the
@@ -398,12 +518,21 @@ class TestComputedMatricesCheckedAtDefault:
 
     GEOMETRIC_REFUSAL = "numerical error: asymmetry 1.378e-11 exceeds 1.0e-10 * ||H||_F = 1.899e-13\n"
 
+    @staticmethod
+    def write(d, framed):
+        # gen's matrices; the pinned refusal is that of the files without
+        # the frames gen writes, whose hint moves the last bits
+        for name, seed in (("a", 3), ("b", 103)):
+            path = str(d / f"{name}.json")
+            if framed:
+                assert run("gen", "--n", "6", "--cond", "9e11", "--seed", str(seed), "--out", path) == 0
+            else:
+                save_matrix(path, random_hpd(GenSpec(dim=6, seed=seed, cond_target=9e11)))
+        return ["--a", str(d / "a.json"), "--b", str(d / "b.json")]
+
     @pytest.fixture(scope="class")
     def pair(self, tmp_path_factory):
-        d = tmp_path_factory.mktemp("cond9e11")
-        for name, seed in (("a", 3), ("b", 103)):
-            assert run("gen", "--n", "6", "--cond", "9e11", "--seed", str(seed), "--out", str(d / f"{name}.json")) == 0
-        return ["--a", str(d / "a.json"), "--b", str(d / "b.json")]
+        return self.write(tmp_path_factory.mktemp("cond9e11"), framed=False)
 
     def test_verify_at_tight_tol(self, capsys, pair):
         assert run("verify", *pair, "--tol", "1e-11") == 0
@@ -420,6 +549,15 @@ class TestComputedMatricesCheckedAtDefault:
         assert run("mean", "--kind", "geometric", *pair, "--out", str(tmp_path / "g.json"), *tol) == 2
         assert capsys.readouterr().err == self.GEOMETRIC_REFUSAL
         assert not (tmp_path / "g.json").exists()
+
+    def test_geometric_refused_from_gen_files(self, tmp_path, capsys):
+        pair = self.write(tmp_path, framed=True)
+        for tol in [(), ("--tol", "1e-8")]:
+            assert run("mean", "--kind", "geometric", *pair, "--out", str(tmp_path / "g.json"), *tol) == 2
+            assert capsys.readouterr().err.startswith("numerical error: asymmetry ")
+            assert not (tmp_path / "g.json").exists()
+        assert run("verify", *pair, "--tol", "1e-11") == 0
+        assert run("mean", "--kind", "wasserstein", *pair, "--out", str(tmp_path / "w.json"), "--tol", "1e-11") == 0
 
 
 class TestSweep:

@@ -1,8 +1,10 @@
 """Matrix JSON schema enforcement, CSV formatting, determinism."""
 
+import base64
 import json
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -193,6 +195,57 @@ class TestRejection:
         f.write_text('{"n": 1, "entries": [[1%s, 0]]}' % ("0" * 5000))
         with pytest.raises(MatrixFormatError, match="bad.json: invalid JSON"):
             load_matrix(str(f))
+
+
+class TestFrame:
+    """The optional field 'frame': base64 of the frame's little-endian
+    complex128 values in row-major order, checked on reading."""
+
+    @staticmethod
+    def framed(path, n=3, frame=None):
+        m, eig = random_hpd(GenSpec(dim=n, seed=8, cond_target=30.0), with_spectrum=True)
+        save_matrix(str(path), m, eig.frame if frame is None else frame)
+        return m, eig.frame
+
+    def test_round_trip_bitwise(self, tmp_path):
+        f = tmp_path / "m.json"
+        m, frame = self.framed(f)
+        got, got_frame = load_matrix(str(f), with_frame=True)
+        assert np.array_equal(got, m) and np.array_equal(got_frame, frame)
+        assert np.array_equal(load_matrix(str(f)), m)
+
+    def test_encoding(self, tmp_path):
+        f = tmp_path / "m.json"
+        _, frame = self.framed(f)
+        data = json.loads(f.read_text())
+        assert list(data) == ["entries", "frame", "n"]
+        raw = base64.b64decode(data["frame"])
+        assert raw == b"".join(struct.pack("<dd", z.real, z.imag) for z in frame.ravel())
+
+    def test_absent_frame_is_none(self, tmp_path):
+        f = tmp_path / "m.json"
+        m = random_hpd(GenSpec(dim=3, seed=8, cond_target=30.0))
+        save_matrix(str(f), m)
+        got, frame = load_matrix(str(f), with_frame=True)
+        assert np.array_equal(got, m) and frame is None
+        assert "frame" not in json.loads(f.read_text())
+
+    @pytest.mark.parametrize("value, message", [
+        (3, "must be a base64 string"),
+        ("not base64!", "is not base64"),
+        (base64.b64encode(bytes(16 * 8)).decode(), r"must hold n\^2 = 9 complex128 values, got 128 bytes"),
+        (base64.b64encode(np.full(9, np.nan, dtype="<c16").tobytes()).decode(), "frame entries must be finite"),
+        (base64.b64encode((2.0 * np.eye(3, dtype="<c16")).tobytes()).decode(), "frame is not unitary"),
+    ], ids=["number", "not-base64", "length", "non-finite", "not-unitary"])
+    def test_bad_frame_names_the_file(self, tmp_path, value, message):
+        f = tmp_path / "bad.json"
+        self.framed(f)
+        data = json.loads(f.read_text())
+        data["frame"] = value
+        write_json(f, data)
+        for with_frame in (True, False):  # the schema holds for a reader that takes no frame too
+            with pytest.raises(MatrixFormatError, match="^%s: field 'frame'.*%s" % (re.escape(str(f)), message)):
+                load_matrix(str(f), with_frame=with_frame)
 
 
 class TestCsv:

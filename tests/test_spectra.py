@@ -293,6 +293,32 @@ class TestSecondPassFromAFrame:
                 # in A's frame both matrices are diagonal up to roundoff
                 assert second <= 23
 
+    # the same seven pairs written by `gen`, whose files carry the frames
+    # it drew: (rounds of the first pass, rounds of the second), 782 in all
+    ROUNDS_FROM_GEN = [(0, 138), (0, 161), (0, 138), (0, 161), (0, 184), (0, 0), (0, 0)]
+
+    def test_round_counts_from_gen_files(self, tmp_path, rounds_per_pass):
+        # `verify` starts the first pass from the drawn frames, in which A and
+        # B are diagonal up to roundoff: at most one sweep of 23 rounds rotates
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        counts = []
+        for seed, ((family, cond), _, _) in enumerate(self.ROUNDS):
+            if family == "generic":
+                for path, k in ((fa, 0), (fb, 1)):
+                    assert cli_main(["gen", "--n", "24", "--seed", str(randgen.mix_seed(seed, k)),
+                                     "--cond", str(cond), "--out", str(path)]) == 0
+            else:
+                assert cli_main(["gen", "--n", "24", "--seed", str(seed), "--cond", str(cond), "--family",
+                                 "commuting", "--out-a", str(fa), "--out-b", str(fb)]) == 0
+            p = self.pair(family, cond, seed)
+            assert np.array_equal(matio.load_matrix(str(fa)), p.a) and np.array_equal(matio.load_matrix(str(fb)), p.b)
+            del rounds_per_pass[:]
+            assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(tmp_path / "r.json")]) == 0
+            counts.append(tuple(rounds_per_pass))
+            assert rounds_per_pass[0] <= 23, (family, cond)
+        assert counts == self.ROUNDS_FROM_GEN
+        assert sum(map(sum, counts)) == 782
+
     @pytest.mark.parametrize("n", [6, 24])
     def test_report_does_not_depend_on_a_cached_core(self, n):
         # the gram decomposed alone, after pair_gaps took the core, starts
