@@ -110,6 +110,8 @@ class HpdPair:
                  frames: tuple | None = None):
         self.a, self.b = a, b
         a, b = as_matrix(a), as_matrix(b)
+        if a.shape != b.shape:
+            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         k, ea, eb = _scale_exponent(a, b), _exponent(a), _exponent(b)
         self.balanced = min(ea, eb) - 2 * k <= -1022
         k = (ea + eb - 2) // 4 if self.balanced else k
@@ -131,8 +133,6 @@ class HpdPair:
         takes, which start from `frames` where given."""
         a = require_hermitian(a, cfg)
         b = require_hermitian(b, cfg)
-        if a.shape != b.shape:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         pair = cls(a, b, frames=frames)
         _positive(pair.eig_a, "a")
         _positive(pair.eig_b, "b")

@@ -34,8 +34,9 @@ starts from the frame the first gave A. Since Y*Y is the core, r5 takes
 the polar factor of Y from the core's spectrum, by `_isometry`, the one
 polar route, which `ando_hayashi_witness` takes too. The descent starts
 from its validated pair (A, B0), one pass over A and B0, then evaluates
-its objective with two eigendecompositions, of S and of the core, and
-takes its exact gradient from those two spectra alone.
+its objective with two eigendecompositions, of S and of the core. Each
+evaluation returns its point, which carries those two spectra; the descent
+passes that point, not a cache, to the exact gradient, which reads it alone.
 """
 
 from __future__ import annotations
@@ -59,6 +60,7 @@ from .linalg import (
     _exponent,
     _gram,
     _isometry,
+    _positive,
     _scale_exponent,
     _sqrt_from,
     _sqrt_values,
@@ -288,7 +290,9 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     """Recover the common polar factor guaranteed by |X+Y| = |X| + |Y|.
 
     Raises TriangleEqualityFails when the triangle residual exceeds
-    identity_tol (the construction then does not apply) and Singular when
+    identity_tol (the construction then does not apply): the Frobenius norm
+    of |X+Y| - |X| - |Y| over that of |X+Y|, or, where |X+Y| = 0, over the
+    sum of those of |X| and |Y|, so X = -Y != 0 fails. Raises Singular when
     X + Y is not invertible within the floor. The witness and the
     residuals are scale-free, so X and Y are first divided by the one
     common even power of two (exact) that brings their largest entry into
@@ -305,7 +309,7 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     # its polar factor
     eig_x, eig_y, gram = hermitian_eigen((_gram(x), _gram(y), _gram(total)))
     abs_x, abs_y, abs_total = _sqrt_from(eig_x), _sqrt_from(eig_y), _sqrt_from(gram)
-    denom = frobenius_norm(abs_total)
+    denom = frobenius_norm(abs_total) or frobenius_norm(abs_x) + frobenius_norm(abs_y)
     residual = frobenius_norm(abs_total - abs_x - abs_y) / denom if denom > 0.0 else 0.0
     if residual > cfg.identity_tol:
         raise TriangleEqualityFails(residual)
@@ -345,8 +349,9 @@ def _hermitian(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ChartPoint:
-    """What one evaluation of the gap objective computes at S, kept so the
-    gradient at that point takes no eigendecomposition of its own."""
+    """One evaluation of the gap objective at S: the objective, the mean gap
+    and B = exp(S) / unit, with the spectra and terms the gradient at S
+    reads, so that it takes no eigendecomposition of its own."""
 
     s: np.ndarray
     eig_s: HermitianEigen
@@ -357,6 +362,7 @@ class _ChartPoint:
     diff: np.ndarray
     norm_b: float
     gap: float
+    objective: float
 
 
 def _sinhc(x: np.ndarray) -> np.ndarray:
@@ -377,15 +383,16 @@ class GapObjective:
     """Squared normalized mean gap as a function of the log chart of B.
 
     The free variable is a Hermitian matrix S and the objective is
-    mean_gap(A, exp(S))^2, so positivity of B is structural. A validated
-    pair (A, B0) gives A's roots, the exact scaling
-    `unit` and B0's spectrum, whence the start S0 = log B0 (`start`). S is
-    in the pair's units and B = exp(S) / unit in the context's, so the gap
-    is unchanged and a pair of any scale keeps its norms in range.
-    `gradient` is exact, by the Daleckii-Krein formula on the spectra that
-    `evaluate` takes, and is what the optimizer uses; the forward
-    differences in the n^2 real coordinates of S (`gradient_forward`) are
-    kept as an independent check.
+    mean_gap(A, exp(S))^2, so positivity of B is structural. A pair
+    (A, B0) gives A's roots, the exact scaling `unit` and B0's spectrum,
+    whence the start S0 = log B0 (`start`); both A and B0 must clear the
+    positivity floor. S is in the pair's units and B = exp(S) / unit in the
+    context's, so the gap is unchanged and a pair of any scale keeps its
+    norms in range. `evaluate` returns the point it computes, and
+    `gradient` takes that point: it is exact, by the Daleckii-Krein formula
+    on the spectra the point holds, and is what the optimizer uses; the
+    forward differences in the n^2 real coordinates of S
+    (`gradient_forward`) are kept as an independent check.
     """
 
     def __init__(self, pair: HpdPair):
@@ -393,16 +400,16 @@ class GapObjective:
         self.unit, self.root_unit = pair.unit, pair.root_unit
         self.norm_a = frobenius_norm(self.a)
         self.n = pair.dim
+        _positive(pair.eig_b, "b")
         with np.errstate(over="ignore"):  # B0's eigenvalues in the pair's units
             lam_b = pair.eig_b.eigenvalues * self.unit
         if not lam_b[-1] < math.inf:
             raise NumericalError(f"an eigenvalue leaves the double range (n = {self.n})")
         self.start = _assemble(pair.eig_b.frame, np.log(lam_b))
-        self._last: _ChartPoint | None = None
 
-    def evaluate(self, s) -> tuple[float, float, np.ndarray]:
-        """(objective, mean_gap, exp(S) / unit); exp(S/2) / root_unit shares
-        the one eigendecomposition of S. The point is kept for `gradient`."""
+    def evaluate(self, s) -> _ChartPoint:
+        """The point at S: the objective, the mean gap and exp(S) / unit;
+        exp(S/2) / root_unit shares the one eigendecomposition of S."""
         s = np.array(s, dtype=np.complex128)
         eig = hermitian_eigen(s)
         # a B past DBL_MAX / 2 assembles to inf or nan entries, which _core reports
@@ -417,22 +424,17 @@ class GapObjective:
         if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
             raise NumericalError(f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range")
         gap = frobenius_norm(diff) / (self.norm_a + norm_b)
-        self._last = _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap)
-        return gap * gap, gap, b
+        return _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap)
 
-    def gradient(self, s) -> np.ndarray:
-        """Exact gradient in the coordinates of `_coords`.
+    def gradient(self, pt: _ChartPoint) -> np.ndarray:
+        """Exact gradient at the point `evaluate` returned, in the
+        coordinates of `_coords`.
 
         One reverse pass through f = ||D||_F^2 / N^2, D = heron - wasserstein,
         N = ||A||_F + ||B||_F: the Frechet derivatives of the core's square
         root and of exp(S) and exp(S/2) come from the Daleckii-Krein formula
-        on the spectra of the core and of S. At the point of the latest
-        `evaluate` they are reused; elsewhere S is evaluated first.
+        on the spectra of the core and of S that the point holds.
         """
-        pt = self._last
-        if pt is None or not np.array_equal(pt.s, s):
-            self.evaluate(s)
-            pt = self._last
         sqrt_a = self.sqrt_a
         norm = self.norm_a + pt.norm_b
         # N ||B||_F <= N^2: the one underflows first, the other overflows first
@@ -459,15 +461,13 @@ class GapObjective:
         g_s = _frechet_adjoint(eig_s, div_b, g_b) + _frechet_adjoint(eig_s, div_sqrt_b, g_sqrt_b)
         return _coords(g_s)
 
-    def step_size(self, s) -> float:
-        return FD_STEP_SCALE * (1.0 + frobenius_norm(s))
-
     def gradient_forward(self, s) -> np.ndarray:
-        """Forward-difference gradient, an independent check on `gradient`."""
-        f0, h = self.evaluate(s)[0], self.step_size(s)
+        """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||S||_F),
+        an independent check on `gradient`."""
+        f0, h = self.evaluate(s).objective, FD_STEP_SCALE * (1.0 + frobenius_norm(s))
         g = np.empty(self.n * self.n)
         for k, e in enumerate(np.eye(self.n * self.n)):
-            g[k] = (self.evaluate(s + h * _hermitian(e))[0] - f0) / h
+            g[k] = (self.evaluate(s + h * _hermitian(e)).objective - f0) / h
         return g
 
 
@@ -480,8 +480,8 @@ def minimize_gap(
     """Drive the squared mean gap toward zero over B with A held fixed.
 
     Steepest descent in the Hermitian log chart S (B = exp(S)) with the
-    exact gradient (`GapObjective.gradient`, which reuses the spectra of
-    the evaluation that accepted each iterate, so a step costs about one
+    exact gradient (`GapObjective.gradient`, taken at the point whose
+    evaluation accepted each iterate, so a step costs about one
     evaluation) and a halving backtracking line search (Armijo slope
     ARMIJO_SLOPE, at most MAX_BACKTRACKS halvings). The
     initial trial step of each line search is the Barzilai-Borwein
@@ -491,26 +491,28 @@ def minimize_gap(
     objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
     exhausted, or no descent step can be found; the last case stops with
     reason "no_descent" instead of raising. A and B0 are checked by
-    `HpdPair.validated`; `final_b` is returned to the pair's units.
+    `HpdPair.validated`. Each iterate is the point `evaluate` returned, and
+    its row and `final_b`, returned to the pair's units, are read from it.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise ValueError(f"budget must be an integer, got {budget!r}")
     if budget < 1:
         raise ValueError("budget must be at least 1")
     obj = GapObjective(HpdPair.validated(a, b0, cfg))
-    s = obj.start
-    f, gap, b = obj.evaluate(s)
-    # obj holds ||A||_F, and ||B||_F of the B its latest evaluation returned
-    iterates = [(0, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f)]
+    pt = obj.evaluate(obj.start)
+    iterates: list[tuple[int, float, float, float]] = []
     stop_reason = "budget"
     trial_scale = 1.0
     prev_g: np.ndarray | None = None
     prev_move: np.ndarray | None = None
-    if f <= OBJECTIVE_FLOOR:
-        stop_reason = "converged"
-        budget = 0
-    for step in range(1, budget + 1):
-        g = obj.gradient(s)
+    for step in range(budget + 1):
+        iterates.append((step, pt.gap, _commutator_gap(obj.a, pt.b, obj.norm_a * pt.norm_b), pt.objective))
+        if pt.objective <= OBJECTIVE_FLOOR:
+            stop_reason = "converged"
+            break
+        if step == budget:
+            break
+        g = obj.gradient(pt)
         gnorm2 = float(g @ g)
         if gnorm2 == 0.0:
             stop_reason = "no_descent"
@@ -524,23 +526,16 @@ def minimize_gap(
                 if bb > 0.0:
                     t = min(max(bb, 1e-12), 1e6)
         delta = -_hermitian(g)
-        accepted = False
         for _ in range(MAX_BACKTRACKS):
-            s_try = s + t * delta
-            f_try, gap_try, b_try = obj.evaluate(s_try)
-            if f_try <= f - ARMIJO_SLOPE * t * gnorm2:
-                accepted = True
+            trial = obj.evaluate(pt.s + t * delta)
+            if trial.objective <= pt.objective - ARMIJO_SLOPE * t * gnorm2:
                 break
             t /= 2.0
-        if not accepted:
+        else:
             stop_reason = "no_descent"
             break
         prev_g = g
         prev_move = -t * g
-        s, f, gap, b = s_try, f_try, gap_try, b_try
-        iterates.append((step, gap, _commutator_gap(obj.a, b, obj.norm_a * obj._last.norm_b), f))
+        pt = trial
         trial_scale = min(t * 2.0, 1e6)
-        if f <= OBJECTIVE_FLOOR:
-            stop_reason = "converged"
-            break
-    return DescentTrace(iterates=iterates, final_b=b * obj.unit, stop_reason=stop_reason)
+    return DescentTrace(iterates=iterates, final_b=pt.b * obj.unit, stop_reason=stop_reason)

@@ -8,6 +8,7 @@ from opmeans import linalg
 from opmeans.linalg import (
     DEFAULT_CONFIG,
     as_matrix,
+    frobenius_norm,
     hermitian_eigen,
     _gram,
     _isometry,
@@ -16,7 +17,7 @@ from opmeans.linalg import (
 )
 from opmeans.means import HpdPair
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
-from opmeans.verify import GapObjective, minimize_gap, _hermitian
+from opmeans.verify import FD_STEP_SCALE, GapObjective, minimize_gap, _hermitian
 
 
 @pytest.fixture
@@ -113,27 +114,28 @@ def proof_intermediates(p):
 
 def gradient_central(obj, s):
     """Central-difference gradient of a GapObjective in the coordinates of
-    its exact gradient, an independent check on both it and forward differences."""
-    h = obj.step_size(s)
+    its exact gradient, an independent check on both it and forward
+    differences, with the forward differences' step."""
+    h = FD_STEP_SCALE * (1.0 + frobenius_norm(s))
     g = np.empty(obj.n * obj.n)
     for k, e in enumerate(np.eye(obj.n * obj.n)):
         step = h * _hermitian(e)
-        g[k] = (obj.evaluate(s + step)[0] - obj.evaluate(s - step)[0]) / (2.0 * h)
+        g[k] = (obj.evaluate(s + step).objective - obj.evaluate(s - step).objective) / (2.0 * h)
     return g
 
 
 def minimize_with_states(a, b0, **kwargs):
-    """`minimize_gap` and the chart point S of each iterate. Every S the
-    objective evaluates is recorded; an iterate's S is the last one, before
-    the next iterate's, whose (objective, mean_gap) equals the iterate's
-    bit for bit."""
+    """`minimize_gap` and the chart point S of each iterate. Every point the
+    objective evaluates is recorded; an iterate's S is that of the last one,
+    before the next iterate's, whose (objective, mean_gap) equals the
+    iterate's bit for bit."""
     evaluated = []
     evaluate = GapObjective.evaluate
 
     def recording(obj, s):
-        out = evaluate(obj, s)
-        evaluated.append((s, out[0], out[1]))
-        return out
+        pt = evaluate(obj, s)
+        evaluated.append((pt.s, pt.objective, pt.gap))
+        return pt
 
     GapObjective.evaluate = recording
     try:

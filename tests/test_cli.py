@@ -602,7 +602,7 @@ class TestMinimize:
     def test_stalled_line_search_warns(self, tmp_path, monkeypatch, capsys):
         # an ascent direction: every trial step fails the Armijo test
         gradient = GapObjective.gradient
-        monkeypatch.setattr(GapObjective, "gradient", lambda self, s: -gradient(self, s))
+        monkeypatch.setattr(GapObjective, "gradient", lambda self, pt: -gradient(self, pt))
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b0.json", tmp_path / "t.csv"
         save_matrix(str(fa), np.diag([1.0, 10.0]).astype(complex))
         save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0)))
@@ -766,6 +766,18 @@ class TestLemmaAh:
         save_matrix(str(fx), np.eye(2, dtype=complex))
         save_matrix(str(fy), np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex))
         assert run("lemma-ah", "--x", str(fx), "--y", str(fy)) == 2
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_opposite_pair_fails_the_triangle_equality(self, tmp_path, capsys, n):
+        # |X + Y| = 0 but |X| + |Y| = 2|A|: a failed triangle equality, not
+        # a singular sum
+        a = random_hpd(GenSpec(dim=n, seed=4, cond_target=10.0))
+        fx, fy, fo = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "w.json"
+        save_matrix(str(fx), a)
+        save_matrix(str(fy), -a)
+        assert run("lemma-ah", "--x", str(fx), "--y", str(fy), "--out", str(fo)) == 2
+        assert capsys.readouterr().err == "numerical error: triangle equality residual 1.000e+00 above tolerance\n"
+        assert not fo.exists()
 
     # sha256 of the report on a zero matrix beside 1e-200 I or 1e-310 I, in
     # either order, taken before a zero matrix's exponent was read alone

@@ -9,6 +9,7 @@ example pair as a regression fixture.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -62,8 +63,21 @@ class TestHpdPair:
         assert p.dim == 2
 
     def test_rejects_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (3, 3)")):
             HpdPair.validated(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    def test_constructor_rejects_dimension_mismatch(self):
+        # the check is the constructor's, before the stacked eigensolver call
+        with pytest.raises(ValueError, match=re.escape("dimension mismatch: (2, 2) vs (3, 3)")):
+            HpdPair(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
+
+    def test_validated_checks_hermitian_before_shape(self):
+        # A's Hermitian check, then B's, then the shape
+        skew2, skew3 = mat([[1.0, 1.0], [0.0, 1.0]]), np.triu(np.ones((3, 3))).astype(complex)
+        with pytest.raises(NotHermitian):
+            HpdPair.validated(skew2, np.eye(3, dtype=complex))
+        with pytest.raises(NotHermitian):
+            HpdPair.validated(np.eye(2, dtype=complex), skew3)
 
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):

@@ -175,14 +175,14 @@ class TestEigendecompositionCounts:
     def test_gradient_at_evaluated_point_uses_none(self, eigen_calls):
         obj = gap_objective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)),
                             random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0)))
-        obj.evaluate(obj.start)
+        pt = obj.evaluate(obj.start)
         del eigen_calls[:]
-        obj.gradient(obj.start)
+        obj.gradient(pt)
         assert len(eigen_calls) == 0
 
     def test_minimize_takes_two_per_evaluation(self, eigen_calls, monkeypatch):
         # set-up takes A and B0 in one pass; every evaluation S and the core,
-        # and the gradient reuses the spectra of the evaluation that accepted S
+        # and the gradient reads the spectra of the point that accepted S
         evaluations = []
         real = GapObjective.evaluate
 

@@ -20,7 +20,7 @@ from conftest import (
     svd_abs,
 )
 
-from opmeans.linalg import NumericalError, Singular, frobenius_norm
+from opmeans.linalg import NotPositiveDefinite, NumericalError, Singular, frobenius_norm
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
@@ -271,6 +271,20 @@ class TestAndoHayashiWitness:
         with pytest.raises(Singular):
             ando_hayashi_witness(x, x)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_opposite_pair_fails_the_triangle_equality(self, n):
+        # |X + Y| = 0 while |X| + |Y| = 2|A|: the residual is taken relative
+        # to the latter, 1, not read as 0 and refused as a singular sum
+        a = hpd(n, 3)
+        with pytest.raises(TriangleEqualityFails) as info:
+            ando_hayashi_witness(a, -a)
+        assert info.value.residual == 1.0
+
+    def test_zero_pair_is_singular(self):
+        zero = np.zeros((2, 2), dtype=complex)
+        with pytest.raises(Singular):
+            ando_hayashi_witness(zero, zero)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             ando_hayashi_witness(np.eye(2, dtype=complex), np.eye(3, dtype=complex))
@@ -311,8 +325,8 @@ class TestGapObjective:
         obj = gap_objective(a)
         s = SplitMix64(8).complex_gaussian_matrix(3)
         s = (s + s.conj().T) / 2.0
-        f, gap, b = obj.evaluate(s)
-        b = b * obj.unit  # exp(S), in the pair's units
+        pt = obj.evaluate(s)
+        f, gap, b = pt.objective, pt.gap, pt.b * obj.unit  # exp(S), in the pair's units
         p = HpdPair.validated(a, b)
         direct = frobenius_norm(heron_mean(p) - wasserstein_mean(p))
         direct /= frobenius_norm(a) + frobenius_norm(b)
@@ -322,7 +336,7 @@ class TestGapObjective:
     def test_exp_point_positive(self):
         obj = gap_objective(hpd(3, 7, cond=10.0))
         s = np.zeros((3, 3), dtype=complex)
-        assert np.allclose(obj.evaluate(s)[2] * obj.unit, np.eye(3), atol=1e-13)
+        assert np.allclose(obj.evaluate(s).b * obj.unit, np.eye(3), atol=1e-13)
 
     def test_forward_close_to_central_away_from_minimum(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
@@ -337,26 +351,26 @@ class TestGapObjective:
             n, cond = 2 + seed % 4, 3.0 + seed % 8
             obj = gap_objective(hpd(n, mix_seed(seed, 0), cond), hpd(n, mix_seed(seed, 1), cond))
             s = obj.start
-            obj.evaluate(s)
-            g, gc = obj.gradient(s), gradient_central(obj, s)
+            g, gc = obj.gradient(obj.evaluate(s)), gradient_central(obj, s)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
 
     def test_gradient_matches_central_near_commutant(self):
         for seed in range(6):
             a, s = near_commutant_point(3 + seed % 2, seed, offset=0.01)
             obj = gap_objective(a)
-            g, gc = obj.gradient(s), gradient_central(obj, s)
+            g, gc = obj.gradient(obj.evaluate(s)), gradient_central(obj, s)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
 
     def test_gradient_does_not_depend_on_the_last_evaluation(self):
         a, b0 = hpd(3, 11, cond=5.0), hpd(3, 12, cond=5.0)
         obj = gap_objective(a, b0)
         s = obj.start
-        obj.evaluate(s)
-        at_s = obj.gradient(s)
+        pt = obj.evaluate(s)
+        at_s = obj.gradient(pt)
         obj.evaluate(s + 0.1 * np.eye(3))
-        assert np.array_equal(obj.gradient(s), at_s)
-        assert np.array_equal(gap_objective(a, b0).gradient(s), at_s)
+        assert np.array_equal(obj.gradient(pt), at_s)
+        fresh = gap_objective(a, b0)
+        assert np.array_equal(fresh.gradient(fresh.evaluate(s)), at_s)
 
     def test_gap_near_commutant_matches_eigh_reference(self):
         # gaps near 1e-9 are differences of O(1) terms, so the core's
@@ -365,7 +379,7 @@ class TestGapObjective:
         # roundoff of about 1e-16 / 1e-9
         for seed in range(40):
             a, s = near_commutant_point(3 + seed % 2, seed, offset=1e-6)
-            gap = gap_objective(a).evaluate(s)[1]
+            gap = gap_objective(a).evaluate(s).gap
             ref = eigh_gap(a, s)
             assert abs(gap - ref) <= 5e-7 * ref, seed
 
@@ -379,8 +393,9 @@ class TestGapObjective:
     def test_gradient_normalization_overflow_is_numerical_error(self):
         # B = e^400 I3 evaluates, but (||A||_F + ||B||_F)^2 overflows
         obj = gap_objective(np.eye(3, dtype=complex))
+        pt = obj.evaluate(400.0 * np.eye(3, dtype=complex))
         with pytest.raises(NumericalError, match="gradient normalization"):
-            obj.gradient(400.0 * np.eye(3, dtype=complex))
+            obj.gradient(pt)
 
     def test_core_overflow_is_numerical_error_without_warning(self):
         # exp(750) overflows to inf while B is assembled; the core's range
@@ -391,13 +406,21 @@ class TestGapObjective:
             with pytest.raises(NumericalError, match=re.escape("core A^{1/2} B A^{1/2} leaves the double range")):
                 obj.evaluate(750.0 * np.eye(3, dtype=complex))
 
+    def test_b0_not_positive_definite_is_refused_without_warning(self):
+        # a pair built without `validated`: B0's log would be nan
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotPositiveDefinite, match="^matrix b is not positive definite$"):
+                GapObjective(HpdPair(np.eye(2, dtype=complex), mat([[1.0, 0.0], [0.0, -1.0]])))
+
     def test_gradient_normalization_underflow_is_numerical_error(self):
         # B = e^-800 I3 underflows to zero, so N ||B||_F is 0
         obj = gap_objective(np.eye(3, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            pt = obj.evaluate(-800.0 * np.eye(3, dtype=complex))
             with pytest.raises(NumericalError, match="gradient normalization"):
-                obj.gradient(-800.0 * np.eye(3, dtype=complex))
+                obj.gradient(pt)
 
 
 class TestCoordinateMap:
@@ -480,7 +503,18 @@ class TestMinimizeGap:
         assert tr.final_b.shape == (2, 2)
         # final_b is exp of the last accepted state
         obj = gap_objective(a, b0)
-        assert frobenius_norm(obj.evaluate(states[-1])[2] * obj.unit - tr.final_b) <= 1e-12
+        assert frobenius_norm(obj.evaluate(states[-1]).b * obj.unit - tr.final_b) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("ca, cb", [(1.0, 1.0), (1e100, 1e100), (1e-100, 1e-100), (2.0**-600, 2.0**-600),
+                                        (1e160, 1e-160)])
+    def test_trajectory_commutator_gap_is_the_public_one(self, n, ca, cb):
+        # each row takes its commutator gap from the norms its point holds;
+        # the last row's equals `commutator_gap` of A and final_b bit for bit
+        for seed in range(2):
+            a = ca * hpd(n, mix_seed(seed, 60))
+            tr = minimize_gap(a, cb * hpd(n, mix_seed(seed, 61)), budget=5)
+            assert tr.iterates[-1][2] == commutator_gap(a, tr.final_b), seed
 
     def test_budget_exhaustion_reported(self):
         a = np.diag([1.0, 2.0, 4.0]).astype(complex)
@@ -518,10 +552,10 @@ class TestMinimizeGap:
     # no seeded run was found to stop without descent (generic and diagonal
     # A, n = 2..4), so both stops are reached through a patched gradient
     def test_zero_gradient_stops_at_step_zero(self, monkeypatch):
-        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, s: np.zeros(self.n * self.n))
+        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, pt: np.zeros(self.n * self.n))
         assert tr.no_descent and len(tr.iterates) == 1 and calls == 1
 
     def test_ascent_direction_stops_after_the_backtracks(self, monkeypatch):
         gradient = GapObjective.gradient
-        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, s: -gradient(self, s))
+        tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, pt: -gradient(self, pt))
         assert tr.no_descent and len(tr.iterates) == 1 and calls == 1 + MAX_BACKTRACKS
