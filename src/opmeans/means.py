@@ -115,7 +115,7 @@ class HpdPair:
         k, ea, eb = _scale_exponent(a, b), _exponent(a), _exponent(b)
         self.balanced = min(ea, eb) - 2 * k <= -1022
         k = (ea + eb - 2) // 4 if self.balanced else k
-        self.unit, self.root_unit = math.ldexp(1.0, 2 * k), math.ldexp(1.0, k)
+        self.unit = math.ldexp(1.0, 2 * k)
         self.a_u, self.b_u = a / self.unit, b / self.unit
         if known is None:
             self.eig_a, self.eig_b = hermitian_eigen((self.a_u, self.b_u), frame=frames)

@@ -34,9 +34,10 @@ starts from the frame the first gave A. Since Y*Y is the core, r5 takes
 the polar factor of Y from the core's spectrum, by `_isometry`, the one
 polar route, which `ando_hayashi_witness` takes too. The descent starts
 from its validated pair (A, B0), one pass over A and B0, then evaluates
-its objective with two eigendecompositions, of S and of the core. Each
-evaluation returns its point, which carries those two spectra; the descent
-passes that point, not a cache, to the exact gradient, which reads it alone.
+its objective in a root chart, B = nu R^4, with one eigendecomposition, of
+the core. Each evaluation returns its point, which carries that spectrum;
+the descent passes that point, not a cache, to the exact gradient, which
+reads it alone.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .linalg import (
     DEFAULT_CONFIG,
     HermitianEigen,
     NumericalError,
+    POSITIVITY_FLOOR,
     Singular,
     ToleranceConfig,
     as_matrix,
@@ -87,7 +89,7 @@ __all__ = [
 VIOLATION_BAND = 1e-6
 # descent stops once the squared normalized mean gap falls this low
 OBJECTIVE_FLOOR = 1e-16
-# finite-difference step of the gradient checks is FD_STEP_SCALE * (1 + ||S||_F)
+# finite-difference step of the gradient checks is FD_STEP_SCALE * (1 + ||R||_F)
 FD_STEP_SCALE = 1e-6
 ARMIJO_SLOPE = 1e-4
 MAX_BACKTRACKS = 40
@@ -145,7 +147,7 @@ class DescentTrace:
 
     iterates     (step, mean_gap, commutator_gap, objective) per accepted
                  step, starting with the initial point at step 0
-    final_b      the matrix exp(S) at the last accepted iterate
+    final_b      B = nu R^4 at the last accepted iterate, in the pair's units
     stop_reason  "converged", "budget", or "no_descent"
     """
 
@@ -349,12 +351,12 @@ def _hermitian(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ChartPoint:
-    """One evaluation of the gap objective at S: the objective, the mean gap
-    and B = exp(S) / unit, with the spectra and terms the gradient at S
-    reads, so that it takes no eigendecomposition of its own."""
+    """One evaluation of the gap objective at R: the objective, the mean gap,
+    B^{1/2} = sqrt(nu) R^2 and B = nu R^4, with the core's spectrum and the
+    terms the gradient at R reads, so that it takes no eigendecomposition of
+    its own, and whether it is `positive` (`GapObjective`)."""
 
-    s: np.ndarray
-    eig_s: HermitianEigen
+    r: np.ndarray
     b: np.ndarray
     sqrt_b: np.ndarray
     eig_core: HermitianEigen
@@ -363,59 +365,46 @@ class _ChartPoint:
     norm_b: float
     gap: float
     objective: float
-
-
-def _sinhc(x: np.ndarray) -> np.ndarray:
-    """sinh(x) / x, with the limit 1 at x = 0."""
-    return np.divide(np.sinh(x), x, out=np.ones_like(x), where=x != 0.0)
-
-
-def _frechet_adjoint(eig: HermitianEigen, divided: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Q (L o Q* G Q) Q*: the Daleckii-Krein derivative of a matrix function
-    with first divided differences L on the spectrum (Q, lambda), which is
-    also its own adjoint since L is real and symmetric."""
-    q = eig.frame
-    qh = q.conj().T
-    return q @ (divided * (qh @ g @ q)) @ qh
+    positive: bool
 
 
 class GapObjective:
-    """Squared normalized mean gap as a function of the log chart of B.
+    """Squared normalized mean gap as a function of the root chart of B.
 
-    The free variable is a Hermitian matrix S and the objective is
-    mean_gap(A, exp(S))^2, so positivity of B is structural. A pair
-    (A, B0) gives A's roots, the exact scaling `unit` and B0's spectrum,
-    whence the start S0 = log B0 (`start`); both A and B0 must clear the
-    positivity floor. S is in the pair's units and B = exp(S) / unit in the
-    context's, so the gap is unchanged and a pair of any scale keeps its
-    norms in range. `evaluate` returns the point it computes, and
-    `gradient` takes that point: it is exact, by the Daleckii-Krein formula
-    on the spectra the point holds, and is what the optimizer uses; the
-    forward differences in the n^2 real coordinates of S
-    (`gradient_forward`) are kept as an independent check.
+    The free variable is a Hermitian R, with B^{1/2} = sqrt(nu) R^2 and
+    B = nu R^4, so B is only semidefinite; nu is B0's largest eigenvalue in
+    the context's units, and `start` is R0 = (B0 / nu)^{1/4}. A point is
+    `positive` where the core C's eigenvalue ratio clears the positivity
+    floor over cond(A), as it does wherever B's clears the floor, since
+    ratio(B) >= ratio(C) / cond(A) >= ratio(B) / cond(A)^2. `evaluate`
+    takes one eigendecomposition, of the core, and returns its point;
+    `gradient` is exact at a positive point, polynomial in R but for the
+    Daleckii-Krein formula on the core's spectrum, and is what the
+    optimizer uses; the forward differences in the n^2 real coordinates of
+    R (`gradient_forward`) are an independent check.
     """
 
     def __init__(self, pair: HpdPair):
         self.a, self.sqrt_a, self.inv_sqrt_a = pair.a_u, pair.sqrt_a, pair.inv_sqrt_a
-        self.unit, self.root_unit = pair.unit, pair.root_unit
+        self.unit = pair.unit
         self.norm_a = frobenius_norm(self.a)
         self.n = pair.dim
-        _positive(pair.eig_b, "b")
-        with np.errstate(over="ignore"):  # B0's eigenvalues in the pair's units
-            lam_b = pair.eig_b.eigenvalues * self.unit
-        if not lam_b[-1] < math.inf:
+        lam_a = pair.eig_a.eigenvalues  # positive: the pair gave sqrt_a
+        self.core_floor = POSITIVITY_FLOOR * float(lam_a[0]) / float(lam_a[-1])
+        eig_b = _positive(pair.eig_b, "b")
+        self.nu = float(eig_b.eigenvalues[-1])
+        if not self.nu * self.unit < math.inf:  # final_b returns to the pair's units
             raise NumericalError(f"an eigenvalue leaves the double range (n = {self.n})")
-        self.start = _assemble(pair.eig_b.frame, np.log(lam_b))
+        self.root_nu = math.sqrt(self.nu)
+        self.start = _assemble(eig_b.frame, np.sqrt(np.sqrt(eig_b.eigenvalues / self.nu)))
 
-    def evaluate(self, s) -> _ChartPoint:
-        """The point at S: the objective, the mean gap and exp(S) / unit;
-        exp(S/2) / root_unit shares the one eigendecomposition of S."""
-        s = np.array(s, dtype=np.complex128)
-        eig = hermitian_eigen(s)
-        # a B past DBL_MAX / 2 assembles to inf or nan entries, which _core reports
+    def evaluate(self, r) -> _ChartPoint:
+        """The point at R: the objective, the mean gap, B^{1/2} and B."""
+        r = np.array(r, dtype=np.complex128)
+        # a B past DBL_MAX / 2 has inf or nan entries, which _core reports
         with np.errstate(over="ignore", invalid="ignore"):
-            b = _assemble(eig.frame, np.exp(eig.eigenvalues) / self.unit)
-            sqrt_b = _assemble(eig.frame, np.exp(eig.eigenvalues / 2.0) / self.root_unit)
+            sqrt_b = (r @ r) * self.root_nu
+            b = sqrt_b @ sqrt_b
         eig_core = hermitian_eigen(_core(self.sqrt_a, b))
         roots = _sqrt_values(eig_core)
         cross = _cross_terms(self.sqrt_a, self.inv_sqrt_a, _assemble(eig_core.frame, roots))
@@ -424,16 +413,18 @@ class GapObjective:
         if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
             raise NumericalError(f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range")
         gap = frobenius_norm(diff) / (self.norm_a + norm_b)
-        return _ChartPoint(s, eig, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap)
+        lam = eig_core.eigenvalues
+        positive = float(lam[0]) > self.core_floor * float(lam[-1])
+        return _ChartPoint(r, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap, positive)
 
     def gradient(self, pt: _ChartPoint) -> np.ndarray:
         """Exact gradient at the point `evaluate` returned, in the
         coordinates of `_coords`.
 
         One reverse pass through f = ||D||_F^2 / N^2, D = heron - wasserstein,
-        N = ||A||_F + ||B||_F: the Frechet derivatives of the core's square
-        root and of exp(S) and exp(S/2) come from the Daleckii-Krein formula
-        on the spectra of the core and of S that the point holds.
+        N = ||A||_F + ||B||_F: the core's square root by the Daleckii-Krein
+        formula on the spectrum the point holds, then B^{1/2} = sqrt(nu) P,
+        B = nu P^2 and P = R^2 by the product rule.
         """
         sqrt_a = self.sqrt_a
         norm = self.norm_a + pt.norm_b
@@ -443,31 +434,33 @@ class GapObjective:
                 f"gradient normalization N = ||A||_F + ||B||_F = {norm!r} with ||B||_F = "
                 f"{pt.norm_b!r}: N^2 or N ||B||_F leaves the double range"
             )
+        if not pt.positive:  # the Daleckii-Krein step divides by sums of the roots
+            lam = pt.eig_core.eigenvalues
+            raise NumericalError(
+                f"core eigenvalues {float(lam[0]):.3e} / {float(lam[-1]):.3e} below the floor {self.core_floor:.1e}"
+            )
         g_d = pt.diff * (2.0 / (norm * norm))
         avg = (sqrt_a + pt.sqrt_b) / 2.0
         g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0
         # X -> each cross term is its own adjoint
         g_x = -np.add(*_cross_terms(sqrt_a, self.inv_sqrt_a, g_d)) / 4.0
-        g_core = _frechet_adjoint(pt.eig_core, 1.0 / (pt.roots[:, None] + pt.roots), g_x)
+        # Daleckii-Krein: Q (L o Q* G Q) Q* with the square root's divided
+        # differences L_ij = 1 / (roots_i + roots_j), its own adjoint
+        q, qh = pt.eig_core.frame, pt.eig_core.frame.conj().T
+        g_core = q @ ((qh @ g_x @ q) / (pt.roots[:, None] + pt.roots)) @ qh
         # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
         g_b = sqrt_a @ g_core @ sqrt_a - g_d / 4.0 - norm_term * pt.b
-        # divided differences of exp / unit and exp(./2) / root_unit, without cancellation
-        lam = pt.eig_s.eigenvalues
-        mid, half = (lam[:, None] + lam) / 2.0, (lam[:, None] - lam) / 2.0
-        div_b = np.exp(mid) * _sinhc(half) / self.unit
-        div_sqrt_b = np.exp(mid / 2.0) * _sinhc(half / 2.0) * (0.5 / self.root_unit)
-        eig_s = pt.eig_s
-        g_s = _frechet_adjoint(eig_s, div_b, g_b) + _frechet_adjoint(eig_s, div_sqrt_b, g_sqrt_b)
-        return _coords(g_s)
+        g_p = (g_sqrt_b + g_b @ pt.sqrt_b + pt.sqrt_b @ g_b) * self.root_nu
+        return _coords(g_p @ pt.r + pt.r @ g_p)
 
-    def gradient_forward(self, s) -> np.ndarray:
-        """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||S||_F),
+    def gradient_forward(self, r) -> np.ndarray:
+        """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||R||_F),
         an independent check on `gradient`."""
-        f0, h = self.evaluate(s).objective, FD_STEP_SCALE * (1.0 + frobenius_norm(s))
+        f0, h = self.evaluate(r).objective, FD_STEP_SCALE * (1.0 + frobenius_norm(r))
         g = np.empty(self.n * self.n)
         for k, e in enumerate(np.eye(self.n * self.n)):
-            g[k] = (self.evaluate(s + h * _hermitian(e)).objective - f0) / h
+            g[k] = (self.evaluate(r + h * _hermitian(e)).objective - f0) / h
         return g
 
 
@@ -479,7 +472,7 @@ def minimize_gap(
 ) -> DescentTrace:
     """Drive the squared mean gap toward zero over B with A held fixed.
 
-    Steepest descent in the Hermitian log chart S (B = exp(S)) with the
+    Steepest descent in the Hermitian root chart R (B = nu R^4) with the
     exact gradient (`GapObjective.gradient`, taken at the point whose
     evaluation accepted each iterate, so a step costs about one
     evaluation) and a halving backtracking line search (Armijo slope
@@ -490,9 +483,12 @@ def minimize_gap(
     ill-conditioned valley floor within realistic budgets. Stops when the
     objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
     exhausted, or no descent step can be found; the last case stops with
-    reason "no_descent" instead of raising. A and B0 are checked by
-    `HpdPair.validated`. Each iterate is the point `evaluate` returned, and
-    its row and `final_b`, returned to the pair's units, are read from it.
+    reason "no_descent" instead of raising. A trial point that is not
+    `positive` (`GapObjective`) fails like the Armijo test; a start that
+    is not, which only roundoff makes, is a NumericalError. A and B0 are
+    checked by `HpdPair.validated`. Each iterate is the point `evaluate`
+    returned, and its row and `final_b`, in the pair's units, are read
+    from it.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise ValueError(f"budget must be an integer, got {budget!r}")
@@ -527,8 +523,8 @@ def minimize_gap(
                     t = min(max(bb, 1e-12), 1e6)
         delta = -_hermitian(g)
         for _ in range(MAX_BACKTRACKS):
-            trial = obj.evaluate(pt.s + t * delta)
-            if trial.objective <= pt.objective - ARMIJO_SLOPE * t * gnorm2:
+            trial = obj.evaluate(pt.r + t * delta)
+            if trial.positive and trial.objective <= pt.objective - ARMIJO_SLOPE * t * gnorm2:
                 break
             t /= 2.0
         else:

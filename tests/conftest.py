@@ -103,38 +103,39 @@ def gap_objective(a, b0=None):
 def proof_intermediates(p):
     """X, Y, A^{1/2}, B^{1/2} and A^{-1/2} of a pair, read from its spectral
     context and returned to the pair's units."""
+    root_unit = math.sqrt(p.unit)  # exact: the unit is an even power of two
     return SimpleNamespace(
         x=p.x * p.unit,
         y=p.y * p.unit,
-        sqrt_a=p.sqrt_a * p.root_unit,
-        sqrt_b=p.sqrt_b * p.root_unit,
-        inv_sqrt_a=p.inv_sqrt_a / p.root_unit,
+        sqrt_a=p.sqrt_a * root_unit,
+        sqrt_b=p.sqrt_b * root_unit,
+        inv_sqrt_a=p.inv_sqrt_a / root_unit,
     )
 
 
-def gradient_central(obj, s):
+def gradient_central(obj, r):
     """Central-difference gradient of a GapObjective in the coordinates of
     its exact gradient, an independent check on both it and forward
     differences, with the forward differences' step."""
-    h = FD_STEP_SCALE * (1.0 + frobenius_norm(s))
+    h = FD_STEP_SCALE * (1.0 + frobenius_norm(r))
     g = np.empty(obj.n * obj.n)
     for k, e in enumerate(np.eye(obj.n * obj.n)):
         step = h * _hermitian(e)
-        g[k] = (obj.evaluate(s + step).objective - obj.evaluate(s - step).objective) / (2.0 * h)
+        g[k] = (obj.evaluate(r + step).objective - obj.evaluate(r - step).objective) / (2.0 * h)
     return g
 
 
 def minimize_with_states(a, b0, **kwargs):
-    """`minimize_gap` and the chart point S of each iterate. Every point the
-    objective evaluates is recorded; an iterate's S is that of the last one,
+    """`minimize_gap` and the chart point R of each iterate. Every point the
+    objective evaluates is recorded; an iterate's R is that of the last one,
     before the next iterate's, whose (objective, mean_gap) equals the
     iterate's bit for bit."""
     evaluated = []
     evaluate = GapObjective.evaluate
 
-    def recording(obj, s):
-        pt = evaluate(obj, s)
-        evaluated.append((pt.s, pt.objective, pt.gap))
+    def recording(obj, r):
+        pt = evaluate(obj, r)
+        evaluated.append((pt.r, pt.objective, pt.gap))
         return pt
 
     GapObjective.evaluate = recording

@@ -608,17 +608,19 @@ class TestNamedCalculus:
         with pytest.raises(NotPositiveDefinite, match="^matrix a is not positive definite$"):
             HpdPair.validated(mat([[1.0, 0.0], [0.0, 0.0]]), np.eye(2, dtype=complex))
 
-    def test_exp_log_roundtrip(self):
-        # exp(H) from eigh, the test oracle; the descent's start, the log of
-        # B0 = exp(H) from the pair's context, must give H back
+    def test_root_chart_start_roundtrip(self):
+        # B0 = exp(H) from eigh, the test oracle; the descent's start, the
+        # fourth root R0 = (B0 / nu)^{1/4} from the pair's context, must give
+        # B0 back as nu R0^4, to roundoff
         h = random_hermitian(4, 11)
         w, v = np.linalg.eigh(h)
         b = (v * np.exp(w)) @ v.conj().T
-        start = gap_objective(np.eye(4, dtype=complex), b).start
-        assert frobenius_norm(start - h) <= 1e-9 * max(1.0, frobenius_norm(h))
+        obj = gap_objective(np.eye(4, dtype=complex), b)
+        back = obj.nu * obj.unit * np.linalg.matrix_power(obj.start, 4)
+        assert frobenius_norm(back - b) <= 1e-14 * frobenius_norm(b)
 
     def test_logm_rejects_singular(self):
-        # log B0, the descent's start, is taken of a B0 validated with A
+        # R0, the descent's start, is taken of a B0 validated with A
         with pytest.raises(NotPositiveDefinite, match="^matrix b is not positive definite$"):
             minimize_gap(np.eye(2, dtype=complex), mat([[1.0, 0.0], [0.0, 0.0]]))
 

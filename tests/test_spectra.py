@@ -145,12 +145,13 @@ class TestEigendecompositionCounts:
         trace_criterion(q)
         assert len(eigen_calls) == 1
 
-    def test_gap_objective_evaluate_uses_two(self, eigen_calls):
+    def test_gap_objective_evaluate_uses_one(self, eigen_calls):
+        # the core's: B^{1/2} = sqrt(nu) R^2 and B are products
         obj = gap_objective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0)),
                             random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0)))
         del eigen_calls[:]
         obj.evaluate(obj.start)
-        assert len(eigen_calls) == 2
+        assert len(eigen_calls) == 1
 
     @pytest.mark.parametrize("eps, count, passes", [(0.0, 1, [1]), (0.3, 2, [1, 1])],
                              ids=["0.0-1", "0.3-2"])
@@ -163,14 +164,14 @@ class TestEigendecompositionCounts:
         assert len(eigen_calls) == count
         assert eigen_calls.passes == passes
 
-    def test_minimize_converged_at_start_uses_four(self, eigen_calls):
+    def test_minimize_converged_at_start_uses_three(self, eigen_calls):
         # set-up takes A and B0 in the pair context's one pass, the one
-        # evaluation S and the core
+        # evaluation the core
         b0 = random_hpd(GenSpec(dim=3, seed=2, cond_target=5.0))
         trace = verify.minimize_gap(np.eye(3, dtype=complex), b0)
         assert trace.stop_reason == "converged" and len(trace.iterates) == 1
-        assert len(eigen_calls) == 4
-        assert eigen_calls.passes == [2, 1, 1]
+        assert len(eigen_calls) == 3
+        assert eigen_calls.passes == [2, 1]
 
     def test_gradient_at_evaluated_point_uses_none(self, eigen_calls):
         obj = gap_objective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)),
@@ -180,23 +181,23 @@ class TestEigendecompositionCounts:
         obj.gradient(pt)
         assert len(eigen_calls) == 0
 
-    def test_minimize_takes_two_per_evaluation(self, eigen_calls, monkeypatch):
-        # set-up takes A and B0 in one pass; every evaluation S and the core,
-        # and the gradient reads the spectra of the point that accepted S
+    def test_minimize_takes_one_per_evaluation(self, eigen_calls, monkeypatch):
+        # set-up takes A and B0 in one pass; every evaluation the core, and
+        # the gradient reads the spectrum of the point that accepted R
         evaluations = []
         real = GapObjective.evaluate
 
-        def counted(obj, s):
-            evaluations.append(s)
-            return real(obj, s)
+        def counted(obj, r):
+            evaluations.append(r)
+            return real(obj, r)
 
         monkeypatch.setattr(GapObjective, "evaluate", counted)
         a = random_hpd(GenSpec(dim=3, seed=6, cond_target=3.0))
         b0 = random_hpd(GenSpec(dim=3, seed=7, cond_target=3.0))
         trace = verify.minimize_gap(a, b0, budget=1)
         assert trace.stop_reason == "budget" and len(trace.iterates) == 2
-        assert len(eigen_calls) == 2 + 2 * len(evaluations)
-        assert eigen_calls.passes == [2] + [1] * (2 * len(evaluations))
+        assert len(eigen_calls) == 2 + len(evaluations)
+        assert eigen_calls.passes == [2] + [1] * len(evaluations)
         # the start and one accepted trial; forward differences would add 9
         assert len(evaluations) == 2
 

@@ -20,10 +20,11 @@ from conftest import (
     svd_abs,
 )
 
-from opmeans.linalg import NotPositiveDefinite, NumericalError, Singular, frobenius_norm
+from opmeans.linalg import POSITIVITY_FLOOR, NotPositiveDefinite, NumericalError, Singular, frobenius_norm
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
+    ARMIJO_SLOPE,
     MAX_BACKTRACKS,
     GapObjective,
     TriangleEqualityFails,
@@ -55,25 +56,27 @@ def random_unitary(seed, n):
 
 def near_commutant_point(n, seed, offset):
     """Diagonal A on a jittered eigenvalue ladder in [1/sqrt(3), sqrt(3)] and
-    a chart point S at Frobenius distance `offset` from the diagonal ones,
-    whose exp(S) commute with A."""
+    a root chart point R at Frobenius distance `offset` from the positive
+    diagonal ones, whose B = nu R^4 commute with A."""
     rng = SplitMix64(seed)
     ladder = np.linspace(-0.5, 0.5, n) * math.log(3.0)
     a = np.diag(np.exp(ladder + [rng.uniform(-0.1, 0.1) for _ in range(n)])).astype(complex)
-    mu = np.diag([rng.uniform(-0.5, 0.5) for _ in range(n)])
+    root = np.diag(np.exp([rng.uniform(-0.5, 0.5) / 4.0 for _ in range(n)]))
     g = rng.complex_gaussian_matrix(n)
     k = (g + g.conj().T) / 2.0
-    return a, mu + offset * k / np.linalg.norm(k)
+    return a, root + offset * k / np.linalg.norm(k)
 
 
-def eigh_gap(a, s):
-    """The mean gap at B = exp(S) with every spectrum from np.linalg.eigh."""
+def eigh_gap(a, r, nu):
+    """The mean gap at B^{1/2} = sqrt(nu) R^2, B = nu R^4 with the spectra
+    of A and of the core from np.linalg.eigh."""
 
     def spectral(h, f):
         w, v = np.linalg.eigh(h)
         return (v * f(w)) @ v.conj().T
 
-    b, sqrt_b = spectral(s, np.exp), spectral(s / 2.0, np.exp)
+    sqrt_b = math.sqrt(nu) * (r @ r)
+    b = sqrt_b @ sqrt_b
     sqrt_a, inv_sqrt_a = spectral(a, np.sqrt), spectral(a, lambda w: 1.0 / np.sqrt(w))
     core = sqrt_a @ b @ sqrt_a
     x = spectral((core + core.conj().T) / 2.0, np.sqrt)
@@ -323,10 +326,10 @@ class TestGapObjective:
     def test_matches_means_api(self):
         a = hpd(3, 6, cond=10.0)
         obj = gap_objective(a)
-        s = SplitMix64(8).complex_gaussian_matrix(3)
-        s = (s + s.conj().T) / 2.0
-        pt = obj.evaluate(s)
-        f, gap, b = pt.objective, pt.gap, pt.b * obj.unit  # exp(S), in the pair's units
+        r = SplitMix64(8).complex_gaussian_matrix(3)
+        r = (r + r.conj().T) / 2.0
+        pt = obj.evaluate(r)
+        f, gap, b = pt.objective, pt.gap, pt.b * obj.unit  # nu R^4, in the pair's units
         p = HpdPair.validated(a, b)
         direct = frobenius_norm(heron_mean(p) - wasserstein_mean(p))
         direct /= frobenius_norm(a) + frobenius_norm(b)
@@ -334,43 +337,58 @@ class TestGapObjective:
         assert f == pytest.approx(gap * gap, rel=1e-12)
 
     def test_exp_point_positive(self):
-        obj = gap_objective(hpd(3, 7, cond=10.0))
-        s = np.zeros((3, 3), dtype=complex)
-        assert np.allclose(obj.evaluate(s).b * obj.unit, np.eye(3), atol=1e-13)
+        # R = I is the point B = nu I, nu the largest eigenvalue of B0
+        b0 = hpd(3, 7, cond=10.0)
+        obj = gap_objective(np.eye(3, dtype=complex), b0)
+        nu = np.linalg.eigvalsh(b0)[-1]
+        assert np.allclose(obj.evaluate(np.eye(3)).b * obj.unit, nu * np.eye(3), rtol=0.0, atol=1e-13 * nu)
 
     def test_forward_close_to_central_away_from_minimum(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
         obj = gap_objective(a, random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0)))
-        s = obj.start
-        gf = obj.gradient_forward(s)
-        gc = gradient_central(obj, s)
+        r = obj.start
+        gf = obj.gradient_forward(r)
+        gc = gradient_central(obj, r)
         assert np.linalg.norm(gf - gc) <= 1e-4 * np.linalg.norm(gc)
 
     def test_gradient_matches_central_on_generic_pairs(self):
         for seed in range(16):
             n, cond = 2 + seed % 4, 3.0 + seed % 8
             obj = gap_objective(hpd(n, mix_seed(seed, 0), cond), hpd(n, mix_seed(seed, 1), cond))
-            s = obj.start
-            g, gc = obj.gradient(obj.evaluate(s)), gradient_central(obj, s)
+            r = obj.start
+            g, gc = obj.gradient(obj.evaluate(r)), gradient_central(obj, r)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
 
     def test_gradient_matches_central_near_commutant(self):
         for seed in range(6):
-            a, s = near_commutant_point(3 + seed % 2, seed, offset=0.01)
+            a, r = near_commutant_point(3 + seed % 2, seed, offset=0.01)
             obj = gap_objective(a)
-            g, gc = obj.gradient(obj.evaluate(s)), gradient_central(obj, s)
+            g, gc = obj.gradient(obj.evaluate(r)), gradient_central(obj, r)
             assert np.linalg.norm(g - gc) <= 1e-6 * np.linalg.norm(gc), seed
+
+    def test_gradient_matches_central_at_indefinite_points(self):
+        # R with eigenvalues of both signs: B = nu R^4 is positive definite
+        # all the same, and R^2 is not R's positive square
+        for seed in range(8):
+            n = 2 + seed % 3
+            a, b0 = hpd(n, mix_seed(seed, 70), 5.0), hpd(n, mix_seed(seed, 71), 5.0)
+            obj = gap_objective(a, b0)
+            r = obj.start @ np.diag([(-1.0) ** k for k in range(n)])
+            r = (r + r.conj().T) / 2.0
+            assert np.linalg.eigvalsh(r)[0] < 0.0 < np.linalg.eigvalsh(r)[-1], seed
+            g, gc = obj.gradient(obj.evaluate(r)), gradient_central(obj, r)
+            assert np.linalg.norm(g - gc) <= 1e-7 * np.linalg.norm(gc), seed
 
     def test_gradient_does_not_depend_on_the_last_evaluation(self):
         a, b0 = hpd(3, 11, cond=5.0), hpd(3, 12, cond=5.0)
         obj = gap_objective(a, b0)
-        s = obj.start
-        pt = obj.evaluate(s)
-        at_s = obj.gradient(pt)
-        obj.evaluate(s + 0.1 * np.eye(3))
-        assert np.array_equal(obj.gradient(pt), at_s)
+        r = obj.start
+        pt = obj.evaluate(r)
+        at_r = obj.gradient(pt)
+        obj.evaluate(r + 0.1 * np.eye(3))
+        assert np.array_equal(obj.gradient(pt), at_r)
         fresh = gap_objective(a, b0)
-        assert np.array_equal(fresh.gradient(fresh.evaluate(s)), at_s)
+        assert np.array_equal(fresh.gradient(fresh.evaluate(r)), at_r)
 
     def test_gap_near_commutant_matches_eigh_reference(self):
         # gaps near 1e-9 are differences of O(1) terms, so the core's
@@ -378,36 +396,37 @@ class TestGapObjective:
         # keep its leading digits; 5e-7 leaves room for the reference's own
         # roundoff of about 1e-16 / 1e-9
         for seed in range(40):
-            a, s = near_commutant_point(3 + seed % 2, seed, offset=1e-6)
-            gap = gap_objective(a).evaluate(s).gap
-            ref = eigh_gap(a, s)
+            a, r = near_commutant_point(3 + seed % 2, seed, offset=1e-6)
+            obj = gap_objective(a)
+            gap = obj.evaluate(r).gap
+            ref = eigh_gap(a, r, obj.nu)
             assert abs(gap - ref) <= 5e-7 * ref, seed
 
     def test_norm_product_overflow_is_numerical_error(self):
         # B = 7e307 I3 keeps the core in range, while ||A||_F ||B||_F, the
         # commutator gap's denominator, is 2.1e308: not a commutator gap of 0
-        obj = gap_objective(np.eye(3, dtype=complex))
+        obj = gap_objective(np.eye(3, dtype=complex))  # nu = 1
         with pytest.raises(NumericalError, match=re.escape("||A||_F ||B||_F = ")):
-            obj.evaluate(math.log(7e307) * np.eye(3))
+            obj.evaluate(7e307**0.25 * np.eye(3))
 
     def test_gradient_normalization_overflow_is_numerical_error(self):
         # B = e^400 I3 evaluates, but (||A||_F + ||B||_F)^2 overflows
         obj = gap_objective(np.eye(3, dtype=complex))
-        pt = obj.evaluate(400.0 * np.eye(3, dtype=complex))
+        pt = obj.evaluate(math.exp(100.0) * np.eye(3, dtype=complex))
         with pytest.raises(NumericalError, match="gradient normalization"):
             obj.gradient(pt)
 
     def test_core_overflow_is_numerical_error_without_warning(self):
-        # exp(750) overflows to inf while B is assembled; the core's range
-        # check reports it, with no numpy warning on the way
+        # B = e^750 I3 overflows to inf while B^{1/2} = e^375 I3 is squared;
+        # the core's range check reports it, with no numpy warning on the way
         obj = gap_objective(np.eye(3, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match=re.escape("core A^{1/2} B A^{1/2} leaves the double range")):
-                obj.evaluate(750.0 * np.eye(3, dtype=complex))
+                obj.evaluate(math.exp(187.5) * np.eye(3, dtype=complex))
 
     def test_b0_not_positive_definite_is_refused_without_warning(self):
-        # a pair built without `validated`: B0's log would be nan
+        # a pair built without `validated`: B0's fourth root would be nan
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NotPositiveDefinite, match="^matrix b is not positive definite$"):
@@ -418,7 +437,7 @@ class TestGapObjective:
         obj = gap_objective(np.eye(3, dtype=complex))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pt = obj.evaluate(-800.0 * np.eye(3, dtype=complex))
+            pt = obj.evaluate(math.exp(-200.0) * np.eye(3, dtype=complex))
             with pytest.raises(NumericalError, match="gradient normalization"):
                 obj.gradient(pt)
 
@@ -455,8 +474,8 @@ class TestMinimizeGap:
 
     def test_descent_at_1e_minus_170_follows_unscaled(self):
         # (||A||_F + ||B||_F)^2 underflows in the pair's units, not in the
-        # context's, where the gradient is taken; the chart S moves by
-        # log(1e-170) I, so the runs part by roundoff, slowly
+        # context's, where the gradient is taken; nu and the start R0 move
+        # by roundoff, so the runs part by roundoff, slowly
         a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
         b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         ref, tiny = minimize_gap(a, b0, budget=20), minimize_gap(a * 1e-170, b0 * 1e-170, budget=20)
@@ -501,9 +520,65 @@ class TestMinimizeGap:
         assert tr.iterates[0][0] == 0
         assert len(states) == len(tr.iterates)
         assert tr.final_b.shape == (2, 2)
-        # final_b is exp of the last accepted state
+        # final_b is nu R^4 at the last accepted state
         obj = gap_objective(a, b0)
         assert frobenius_norm(obj.evaluate(states[-1]).b * obj.unit - tr.final_b) <= 1e-12
+
+    @pytest.mark.parametrize("j", [-300, -20, 1, 7, 250])
+    def test_powers_of_four_move_no_trajectory_bit(self, j):
+        # the pair's context divides out 4^j exactly, and nu and R are
+        # taken in the context's units, so every row is the unscaled one
+        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        ref, scaled = minimize_gap(a, b0, budget=20), minimize_gap(a * 4.0**j, b0 * 4.0**j, budget=20)
+        assert scaled.iterates == ref.iterates
+        assert np.array_equal(scaled.final_b, ref.final_b * 4.0**j)
+
+    def test_singular_trial_is_rejected(self, monkeypatch):
+        # the first gradient is bent so that the first trial lands on the
+        # singular R = diag(0, 1), where B = nu diag(0, 1) commutes with A:
+        # its gap is 0, so the Armijo test alone would accept it; the
+        # halved step, R0 + (R - R0) / 2, passes both tests
+        a = np.diag([1.0, 4.0]).astype(complex)
+        b0 = random_hpd(GenSpec(dim=2, seed=1, cond_target=5.0))
+        singular = np.diag([0.0, 1.0]).astype(complex)
+        gradient, evaluate = GapObjective.gradient, GapObjective.evaluate
+        bent, evaluated = [], []
+
+        def steer(obj, pt):
+            if bent:
+                return gradient(obj, pt)
+            g = _coords(pt.r - singular)
+            g[2:] /= 2.0  # _hermitian(g) = R0 - diag(0, 1)
+            bent.append(g)
+            return g
+
+        monkeypatch.setattr(GapObjective, "gradient", steer)
+        monkeypatch.setattr(GapObjective, "evaluate",
+                            lambda obj, r: evaluated.append(evaluate(obj, r)) or evaluated[-1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = minimize_gap(a, b0, budget=10)
+        start, landed = evaluated[:2]
+        assert frobenius_norm(landed.r - singular) <= 1e-15 and not landed.positive
+        assert landed.objective <= start.objective - ARMIJO_SLOPE * float(bent[0] @ bent[0])
+        assert tr.iterates[1][1::2] == (evaluated[2].gap, evaluated[2].objective)
+        assert tr.stop_reason == "converged"
+        rows = {(gap, f) for _, gap, _, f in tr.iterates}
+        accepted = [pt for pt in evaluated if (pt.gap, pt.objective) in rows]
+        assert len(accepted) >= len(tr.iterates) and all(pt.positive for pt in accepted)
+        w = np.linalg.eigvalsh(tr.final_b)
+        assert w[0] > POSITIVITY_FLOOR * w[-1]
+
+    def test_start_below_the_floor_is_numerical_error_without_warning(self):
+        # cond(A) = cond(B0) = 1e10: the core's smallest eigenvalue is lost
+        # to roundoff, so the gradient's divided differences are out of reach
+        a = random_hpd(GenSpec(dim=4, seed=102, cond_target=1e10))
+        b0 = random_hpd(GenSpec(dim=4, seed=202, cond_target=1e10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NumericalError, match="^core eigenvalues .* below the floor 1.0e-22$"):
+                minimize_gap(a, b0, budget=5)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     @pytest.mark.parametrize("ca, cb", [(1.0, 1.0), (1e100, 1e100), (1e-100, 1e-100), (2.0**-600, 2.0**-600),
