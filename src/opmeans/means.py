@@ -8,23 +8,25 @@ Three two-variable means of Hermitian positive-definite matrices:
 
 plus the intermediates X = (A^{1/2} B A^{1/2})^{1/2} and Y = B^{1/2} A^{1/2}
 that the equality analysis in `verify` is phrased in. Since A^{-1} # B =
-A^{-1/2} X A^{-1/2}, the Wasserstein mean is evaluated as
+A^{-1/2} X A^{-1/2}, the Wasserstein mean is
 (A + B + A^{1/2} X A^{-1/2} + A^{-1/2} X A^{1/2}) / 4.
 
-All of these come from three spectra, of A, of B and of the core
-A^{1/2} B A^{1/2}, which an `HpdPair`, the pair and its spectral context in
-one, computes at most once each, in two passes of the eigensolver: A and B
-as one stack on construction, then the core on first use. A full `verify`
-report decomposes four matrices in those two passes, since (A+Y)*(A+Y),
-for residual r4, joins the core's. The second pass starts from A's frame:
-both of its matrices are congruences through A^{1/2}, so in that frame
-they are graded, Lambda^{1/2} M Lambda^{1/2}, and diagonal for a commuting
-pair. A pair from the random generators is built with the spectra of A
-and B it was drawn from, and takes the second pass alone, from A's drawn
-frame. A pair read from files that carry the frames `gen` drew starts its
-first pass from them, which leaves each matrix diagonal up to roundoff:
-the pass runs to the same target, and a frame of some other matrix only
-costs sweeps.
+All but the geometric mean are formed in A's eigenframe (Q, a), s = sqrt(a),
+where A^{1/2} and A^{-1/2} are diagonal and each product with them is an
+entrywise scaling: B~ = Q* B Q, B^{1/2}~ = W diag(sqrt b) W* with
+W = Q* Q_B, the core s_i B~_ij s_j, X~ from its spectrum, Y~ = B^{1/2}~ diag(s),
+and 4(H - W)~_ij = (s_i + s_j) B^{1/2}~_ij - ((a_i + a_j)/(s_i s_j)) X~_ij.
+No A^{-1/2} is formed, and only the two means returned go back to the
+original frame, by one congruence Q . Q*. The geometric mean takes A's roots.
+
+These come from three spectra, of A, of B and of the core, which an
+`HpdPair`, the pair and its spectral context in one, computes at most once
+each, in two passes of the eigensolver: A and B as one stack on
+construction, then the core on first use, with (A+Y)*(A+Y) for `verify`'s
+r4; in A's frame both are graded, and diagonal for a commuting pair. A
+generated pair carries the spectra of A and B it was drawn from and takes
+the second pass alone; one read from files that carry the frames `gen`
+drew starts its first pass from them.
 """
 
 from __future__ import annotations
@@ -44,42 +46,39 @@ from .linalg import (
     hermitian_eigen,
     require_hermitian,
     sqrtm,
+    _assemble,
     _positive,
     _roots,
     _exponent,
     _scale_exponent,
     _sqrt_from,
+    _sqrt_values,
 )
 
 __all__ = ["HpdPair", "geometric_mean", "heron_mean", "wasserstein_mean"]
 
 
-def _core(root: np.ndarray, b: np.ndarray, name: str = "core A^{1/2} B A^{1/2}") -> np.ndarray:
-    """The symmetrized congruence root @ B @ root, by default the core
-    A^{1/2} B A^{1/2}, or NumericalError, naming it, where it leaves the
-    double range."""
+def _graded(s: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The core A^{1/2} B A^{1/2} in A's frame, s_i B~_ij s_j, from B~
+    symmetrized, or NumericalError where it leaves the double range."""
     with np.errstate(over="ignore", invalid="ignore"):
-        core = root @ b @ root
-        core = (core + core.conj().T) / 2.0
+        core = (b + b.conj().T) / 2.0 * np.outer(s, s)
     if not np.isfinite(core).all():
-        raise NumericalError(f"{name} leaves the double range")
+        raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range")
     return core
 
 
-def _heron_form(sqrt_a: np.ndarray, sqrt_b: np.ndarray) -> np.ndarray:
-    """((A^{1/2} + B^{1/2}) / 2)^2, not yet symmetrized."""
-    avg = (sqrt_a + sqrt_b) / 2.0
-    return avg @ avg
+def _gap(weights: tuple[np.ndarray, np.ndarray], sqrt_b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """4(H - W) in A's frame, from B^{1/2} and X there and the pair's
+    `weights` (s_i + s_j, (a_i + a_j) / (s_i s_j))."""
+    return weights[0] * sqrt_b - weights[1] * x
 
 
-def _cross_terms(sqrt_a, inv_sqrt_a, x) -> tuple[np.ndarray, np.ndarray]:
-    """A^{1/2} X A^{-1/2} and A^{-1/2} X A^{1/2}, the Wasserstein mean's cross terms."""
-    return sqrt_a @ x @ inv_sqrt_a, inv_sqrt_a @ x @ sqrt_a
-
-
-def _wasserstein_form(a, b, cross) -> np.ndarray:
-    """(A + B + the two cross terms) / 4, not yet symmetrized."""
-    return (a + b + cross[0] + cross[1]) / 4.0
+def _from_frame(q: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Q M Q*, symmetrized against roundoff: M given in the frame Q, back in
+    the original one."""
+    m = q @ m @ q.conj().T
+    return (m + m.conj().T) / 2.0
 
 
 class HpdPair:
@@ -97,13 +96,11 @@ class HpdPair:
     degree, are unchanged. A's and B's spectra are taken on construction,
     in one pass, started from the unitary `frames` of A and of B where
     given (either may be None), unless they are `known` (in the pair's
-    units), as the random generators pass the spectra they drew. A's roots
-    are formed on first use, once its spectrum clears the positivity
-    floor, so that a drawn pair below the floor can still be written; the
-    core's spectrum too, alone or beside another matrix
-    (`spectrum_beside_core`), from A's frame on every route, so both give
-    the same bits. Checks of computed matrices run at the default
-    identity_tol.
+    units), as the random generators pass the spectra they drew. Every
+    matrix derived from them is in A's eigenframe, and is taken on first
+    use, so that a drawn pair below the positivity floor can still be
+    written; the core's spectrum too, alone or beside another matrix
+    (`spectrum_beside_core`), with the same bits either way.
     """
 
     def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None,
@@ -145,36 +142,39 @@ class HpdPair:
             raise NumericalError("matrices a and b are more than 2^1022 apart in scale")
 
     @cached_property
-    def _roots_a(self) -> tuple[np.ndarray, np.ndarray]:
-        return _roots(_positive(self.eig_a, "a"))
+    def root_a(self) -> np.ndarray:
+        """s = sqrt(a), A^{1/2} in its own frame."""
+        return np.sqrt(_positive(self.eig_a, "a").eigenvalues)
 
-    @property
-    def sqrt_a(self) -> np.ndarray:
-        return self._roots_a[0]
+    @cached_property
+    def weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """(s_i + s_j, (a_i + a_j) / (s_i s_j)), the weights of B^{1/2} and of
+        X in 4(H - W) (`_gap`)."""
+        lam, s = self.eig_a.eigenvalues, self.root_a
+        return s[:, None] + s, (lam[:, None] + lam) / np.outer(s, s)
 
-    @property
-    def inv_sqrt_a(self) -> np.ndarray:
-        return self._roots_a[1]
+    @cached_property
+    def b_t(self) -> np.ndarray:
+        """B~ = Q* B Q."""
+        return _from_frame(self.eig_a.frame.conj().T, self.b_u)
 
     @cached_property
     def sqrt_b(self) -> np.ndarray:
-        return _sqrt_from(self.eig_b)
+        """B^{1/2}~ = W diag(sqrt b) W*, W = Q* Q_B."""
+        return _assemble(self.eig_a.frame.conj().T @ self.eig_b.frame, _sqrt_values(self.eig_b))
 
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
-        """Spectrum of the core A^{1/2} B A^{1/2} and X, its square root."""
-        eig = hermitian_eigen(_core(self.sqrt_a, self.b_u), frame=self.eig_a.frame)
+        """Spectrum of the core s_i B~_ij s_j and X~, its square root."""
+        eig = hermitian_eigen(_graded(self.root_a, self.b_t))
         return eig, _sqrt_from(eig)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
-        """Spectrum of h, a congruence through A^{1/2} like the core, taken
-        from A's frame in one pass with the core's unless that is already
-        known."""
-        frame = self.eig_a.frame
+        """Spectrum of h, taken in one pass with the core's unless that is
+        already known."""
         if "core" in self.__dict__:
-            return hermitian_eigen(h, frame=frame)
-        core = _core(self.sqrt_a, self.b_u)
-        eig_core, eig = hermitian_eigen((core, h), frame=(frame, frame))
+            return hermitian_eigen(h)
+        eig_core, eig = hermitian_eigen((_graded(self.root_a, self.b_t), h))
         self.core = eig_core, _sqrt_from(eig_core)  # fills the cached property
         return eig
 
@@ -184,27 +184,29 @@ class HpdPair:
 
     @cached_property
     def y(self) -> np.ndarray:
-        """Y = B^{1/2} A^{1/2}, whose |Y| is X: Y*Y is the core."""
-        return self.sqrt_b @ self.sqrt_a
+        """Y~ = B^{1/2}~ diag(s), whose |Y~| is X~: Y~*Y~ is the core."""
+        return self.sqrt_b * self.root_a
 
     @cached_property
-    def cross(self) -> tuple[np.ndarray, np.ndarray]:
-        """A^{1/2} X A^{-1/2} and A^{-1/2} X A^{1/2}, for the Wasserstein mean and r1."""
-        return _cross_terms(self.sqrt_a, self.inv_sqrt_a, self.x)
+    def gap(self) -> np.ndarray:
+        """4(H - W)~, `_gap`."""
+        return _gap(self.weights, self.sqrt_b, self.x)
 
     @cached_property
     def heron(self) -> np.ndarray:
-        return require_hermitian(_heron_form(self.sqrt_a, self.sqrt_b))
+        avg = (np.diag(self.root_a) + self.sqrt_b) / 2.0
+        h = avg @ avg
+        return (h + h.conj().T) / 2.0
 
     @cached_property
     def wasserstein(self) -> np.ndarray:
-        return require_hermitian(_wasserstein_form(self.a_u, self.b_u, self.cross))
+        """(A + B + the cross terms) / 4, whose sum is (a_i + a_j)/(s_i s_j) X~_ij."""
+        return (np.diag(self.eig_a.eigenvalues) + self.b_t + self.weights[1] * self.x) / 4.0
 
     @property
     def mean_gap(self) -> float:
-        """||heron - wasserstein||_F / (||A||_F + ||B||_F)."""
-        diff = frobenius_norm(self.heron - self.wasserstein)
-        return diff / (frobenius_norm(self.a_u) + frobenius_norm(self.b_u))
+        """||heron - wasserstein||_F / (||A||_F + ||B||_F), from `gap`."""
+        return frobenius_norm(self.gap) / (4.0 * (frobenius_norm(self.a_u) + frobenius_norm(self.b_u)))
 
     @property
     def trace_x(self) -> float:
@@ -213,14 +215,19 @@ class HpdPair:
     @property
     def trace_gap(self) -> float:
         """tr X - tr(A^{1/2} B^{1/2}), in units of the scaled pair."""
-        return self.trace_x - float(np.einsum("ij,ji->", self.sqrt_a, self.sqrt_b).real)
+        return self.trace_x - float(self.root_a @ self.sqrt_b.diagonal().real)
 
 
 def geometric_mean(p: HpdPair) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
     p._common_frame()
-    inner = _core(p.inv_sqrt_a, p.b_u, "congruence A^{-1/2} B A^{-1/2}")
-    g = p.sqrt_a @ sqrtm(inner) @ p.sqrt_a
+    sqrt_a, inv_sqrt_a = _roots(_positive(p.eig_a, "a"))
+    with np.errstate(over="ignore", invalid="ignore"):
+        inner = inv_sqrt_a @ p.b_u @ inv_sqrt_a
+        inner = (inner + inner.conj().T) / 2.0
+    if not np.isfinite(inner).all():
+        raise NumericalError("congruence A^{-1/2} B A^{-1/2} leaves the double range")
+    g = sqrt_a @ sqrtm(inner) @ sqrt_a
     return require_hermitian(g) * p.unit
 
 
@@ -229,7 +236,7 @@ def heron_mean(p: HpdPair) -> np.ndarray:
 
     Equals (A + B + A^{1/2} B^{1/2} + B^{1/2} A^{1/2}) / 4 when expanded.
     """
-    return p.heron * p.unit
+    return _from_frame(p.eig_a.frame, p.heron) * p.unit
 
 
 def wasserstein_mean(p: HpdPair) -> np.ndarray:
@@ -238,5 +245,4 @@ def wasserstein_mean(p: HpdPair) -> np.ndarray:
     Hermitian in exact arithmetic; the result is symmetrized, but unlike
     the other two means it is not certified positive definite here.
     """
-    return p.wasserstein * p.unit
-
+    return _from_frame(p.eig_a.frame, p.wasserstein) * p.unit

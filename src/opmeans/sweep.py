@@ -1,15 +1,15 @@
 """Batch sweeps over the near-commuting perturbation size.
 
 A row carries the two gaps and the trace gap of one generated pair, all
-taken from the pair's spectral context. The pair is built with the
-spectra of A and B it was drawn from, so a row decomposes the core alone
-at epsilon = 0, and the generator's perturbed logarithm and then the core
-at epsilon > 0. Both start from a drawn frame, B0's for the logarithm and
-A's for the core, which diagonalize them to O(epsilon), so the core takes
-no rotating sweep at epsilon = 0. `verify` on the same matrices read back
-from `gen` files decomposes A and B itself, and starts the core from the
-frame that pass gives A, so its gaps can differ from the row's in the last digits.
-The residual report is not built, since a row does not print it.
+taken from the pair's spectral context, in A's eigenframe. The pair is
+built with the spectra of A and B it was drawn from, so a row decomposes
+the core alone at epsilon = 0, and the generator's perturbed logarithm,
+started from B0's drawn frame, and then the core at epsilon > 0. In A's
+drawn frame the core is diagonal to O(epsilon), so at epsilon = 0 it takes
+no rotating sweep. `verify` on the same matrices read back from `gen`
+files decomposes A and B itself, so its gaps can differ from the row's in
+the last digits. The residual report is not built, since a row does not
+print it.
 """
 
 from __future__ import annotations

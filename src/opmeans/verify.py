@@ -19,25 +19,20 @@ scale of the terms entering its own left-hand side (never by a difference
 that can itself vanish, so commuting pairs do not divide zero by zero).
 
 Everything about a pair derives from the spectral context an `HpdPair`
-holds: the spectra of A, B and the core A^{1/2} B A^{1/2}, and each
-caller takes only what it emits. `pair_gaps` and `trace_criterion` need
-nothing beyond the pair: two passes of the eigensolver, over A and B as
-one stack and then the core. The full report adds (A+Y)*(A+Y), for r4,
-to the core's pass, since it needs no X: two passes over four matrices.
-The second pass starts from A's frame: the core and (A+Y)*(A+Y) =
-A^{1/2}(A^{1/2} + B^{1/2})^2 A^{1/2}, the two sides of the triangle
-equality r4, are congruences through A^{1/2}, graded in that frame and
-diagonal for a commuting pair. A generated pair is built with the spectra
-of A and B it was drawn from and skips the first pass; a pair read from
-files, as `opmeans verify` reads it, takes both, and its second pass
-starts from the frame the first gave A. Since Y*Y is the core, r5 takes
-the polar factor of Y from the core's spectrum, by `_isometry`, the one
-polar route, which `ando_hayashi_witness` takes too. The descent starts
-from its validated pair (A, B0), one pass over A and B0, then evaluates
-its objective in a root chart, B = nu R^4, with one eigendecomposition, of
-the core. Each evaluation returns its point, which carries that spectrum;
-the descent passes that point, not a cache, to the exact gradient, which
-reads it alone.
+holds, in A's eigenframe, where A^{1/2} is diagonal and each product with
+it is an entrywise scaling; the Frobenius norms and traces that make up
+the report are unitarily invariant, so nothing returns to the original
+frame. Each caller takes only what it emits. `pair_gaps` and
+`trace_criterion` need two passes of the eigensolver, over A and B as one
+stack and then the core; the full report adds (A+Y)*(A+Y), for r4, to the
+core's pass. A generated pair carries the spectra of A and B it was drawn
+from and skips the first pass. Since Y*Y is the core, r5 takes the polar
+factor of Y from the core's spectrum, by `_isometry`, the one polar route,
+which `ando_hayashi_witness` takes too. The descent starts from its
+validated pair (A, B0), one pass over A and B0, then evaluates its
+objective in a root chart, B = nu R^4, with one eigendecomposition, of the
+core in A's frame. Each evaluation returns its point, which carries that
+spectrum, to the exact gradient, which reads it alone.
 """
 
 from __future__ import annotations
@@ -68,7 +63,7 @@ from .linalg import (
     _sqrt_values,
     _upper_plan,
 )
-from .means import HpdPair, _core, _cross_terms, _heron_form, _wasserstein_form
+from .means import HpdPair, _from_frame, _gap, _graded
 
 __all__ = [
     "Verdict",
@@ -166,11 +161,7 @@ def commutator_gap(a, b) -> float:
     each matrix by 2^`_exponent`, so that the gap of (2^j A, 2^k B) is
     that of (A, B), bit for bit."""
     a, b = (m / math.ldexp(1.0, _exponent(m)) for m in (as_matrix(a), as_matrix(b)))
-    return _commutator_gap(a, b, frobenius_norm(a) * frobenius_norm(b))
-
-
-def _commutator_gap(a: np.ndarray, b: np.ndarray, denom: float) -> float:
-    """`commutator_gap` with the product of the Frobenius norms given."""
+    denom = frobenius_norm(a) * frobenius_norm(b)
     return frobenius_norm(a @ b - b @ a) / denom if denom != 0.0 else 0.0
 
 
@@ -192,16 +183,18 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context, which the means of
-    the same pair share, r1's cross terms among them;
-    the gram of A+Y, for r4, is decomposed in the pass that takes the core,
-    or alone when the context already holds the core, from A's frame
-    either way, so both give the same bits. The residuals are computed on
-    the scaled pair, which leaves them unchanged; the trace gap is
-    converted back to the pair's units. A balanced pair is refused.
+    the same pair share, and stays in A's eigenframe, where A is diag(a)
+    and A^{1/2} is diag(s): the Frobenius norms that make up the
+    residuals are unitarily invariant, and each product with A or A^{1/2}
+    is an entrywise scaling. The gram of A+Y, for r4, is decomposed in the
+    pass that takes the core, or alone when the context already holds the
+    core, so both give the same bits. The residuals are computed on the
+    scaled pair, which leaves them unchanged; the trace gap is converted
+    back to the pair's units. A balanced pair is refused.
     """
     p._common_frame()
-    a, b, n = p.a_u, p.b_u, p.dim
-    sqrt_a, sqrt_b, y = p.sqrt_a, p.sqrt_b, p.y
+    lam, s, n = p.eig_a.eigenvalues, p.root_a, p.dim
+    a, y = np.diag(lam), p.y
     apy = a + y
     # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
     gram = apy.conj().T @ apy
@@ -209,18 +202,18 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     x = p.x
     diff = p.heron - p.wasserstein
 
-    # r1: cross-term identity for 4(heron - wasserstein)
-    sab = sqrt_a @ sqrt_b
-    sxs_r, sxs_l = p.cross
-    r1 = _relative(4.0 * diff - (sab + y - sxs_r - sxs_l), "r1", sab, y, sxs_r, sxs_l)
+    # r1: 4(heron - wasserstein) is the gap formula, whose terms are
+    # A^{1/2}B^{1/2} = Y*, Y, A^{1/2}XA^{-1/2} and its adjoint
+    cross = x * (s[:, None] / s)
+    r1 = _relative(4.0 * diff - p.gap, "r1", y.conj().T, y, cross, cross.conj().T)
 
     # r2: the same identity conjugated by A^{1/2}
-    ay = a @ y
-    ya = y.conj().T @ a
-    ax = a @ x
-    xa = x @ a
+    ay = lam[:, None] * y
+    ya = y.conj().T * lam
+    ax = lam[:, None] * x
+    xa = x * lam
     lhs2 = ay + ya - ax - xa
-    r2 = _relative(lhs2 - 4.0 * (sqrt_a @ diff @ sqrt_a), "r2", ay, ya, ax, xa)
+    r2 = _relative(lhs2 - 4.0 * np.outer(s, s) * diff, "r2", ay, ya, ax, xa)
 
     # r3: expansion of (A+Y)*(A+Y) - (A+X)^2 using Y*Y = X^2
     apx = a + x
@@ -244,7 +237,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
 
     return GapReport(
         mean_gap=p.mean_gap,
-        commutator_gap=commutator_gap(a, b),
+        commutator_gap=commutator_gap(p.a_u, p.b_u),
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
         trace_gap=p.trace_gap * p.unit,
         polar_singular=polar_singular,
@@ -352,11 +345,11 @@ def _hermitian(coords: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class _ChartPoint:
     """One evaluation of the gap objective at R: the objective, the mean gap,
-    B^{1/2} = sqrt(nu) R^2 and B = nu R^4, with the core's spectrum and the
-    terms the gradient at R reads, so that it takes no eigendecomposition of
-    its own, and whether it is `positive` (`GapObjective`)."""
+    whether it is `positive` (`GapObjective`), and, in A's frame, R~, B~,
+    B^{1/2}~, 4(H - W)~ and the core's spectrum, which the gradient at R reads."""
 
     r: np.ndarray
+    r_t: np.ndarray
     b: np.ndarray
     sqrt_b: np.ndarray
     eig_core: HermitianEigen
@@ -373,7 +366,9 @@ class GapObjective:
 
     The free variable is a Hermitian R, with B^{1/2} = sqrt(nu) R^2 and
     B = nu R^4, so B is only semidefinite; nu is B0's largest eigenvalue in
-    the context's units, and `start` is R0 = (B0 / nu)^{1/4}. A point is
+    the context's units, and `start` is R0 = (B0 / nu)^{1/4}. An evaluation
+    takes R~ = Q* R Q to A's frame (Q, a), where the core and the gap are
+    the pair's entrywise forms (`means._graded`, `means._gap`). A point is
     `positive` where the core C's eigenvalue ratio clears the positivity
     floor over cond(A), as it does wherever B's clears the floor, since
     ratio(B) >= ratio(C) / cond(A) >= ratio(B) / cond(A)^2. `evaluate`
@@ -385,11 +380,12 @@ class GapObjective:
     """
 
     def __init__(self, pair: HpdPair):
-        self.a, self.sqrt_a, self.inv_sqrt_a = pair.a_u, pair.sqrt_a, pair.inv_sqrt_a
+        self.a, self.frame = pair.a_u, pair.eig_a.frame
+        self.root_a, self.weights = pair.root_a, pair.weights
         self.unit = pair.unit
         self.norm_a = frobenius_norm(self.a)
         self.n = pair.dim
-        lam_a = pair.eig_a.eigenvalues  # positive: the pair gave sqrt_a
+        lam_a = pair.eig_a.eigenvalues  # positive: the pair gave root_a
         self.core_floor = POSITIVITY_FLOOR * float(lam_a[0]) / float(lam_a[-1])
         eig_b = _positive(pair.eig_b, "b")
         self.nu = float(eig_b.eigenvalues[-1])
@@ -399,34 +395,34 @@ class GapObjective:
         self.start = _assemble(eig_b.frame, np.sqrt(np.sqrt(eig_b.eigenvalues / self.nu)))
 
     def evaluate(self, r) -> _ChartPoint:
-        """The point at R: the objective, the mean gap, B^{1/2} and B."""
+        """The point at R: the objective, the mean gap, B^{1/2}~ and B~."""
         r = np.array(r, dtype=np.complex128)
-        # a B past DBL_MAX / 2 has inf or nan entries, which _core reports
+        r_t = self.frame.conj().T @ r @ self.frame
+        # a B past DBL_MAX / 2 has inf or nan entries, which _graded reports
         with np.errstate(over="ignore", invalid="ignore"):
-            sqrt_b = (r @ r) * self.root_nu
+            sqrt_b = (r_t @ r_t) * self.root_nu
             b = sqrt_b @ sqrt_b
-        eig_core = hermitian_eigen(_core(self.sqrt_a, b))
+        eig_core = hermitian_eigen(_graded(self.root_a, b))
         roots = _sqrt_values(eig_core)
-        cross = _cross_terms(self.sqrt_a, self.inv_sqrt_a, _assemble(eig_core.frame, roots))
-        diff = _heron_form(self.sqrt_a, sqrt_b) - _wasserstein_form(self.a, b, cross)
+        diff = _gap(self.weights, sqrt_b, _assemble(eig_core.frame, roots))
         norm_b = frobenius_norm(b)
         if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
             raise NumericalError(f"||A||_F ||B||_F = {self.norm_a!r} * {norm_b!r} leaves the double range")
-        gap = frobenius_norm(diff) / (self.norm_a + norm_b)
+        gap = frobenius_norm(diff) / (4.0 * (self.norm_a + norm_b))
         lam = eig_core.eigenvalues
         positive = float(lam[0]) > self.core_floor * float(lam[-1])
-        return _ChartPoint(r, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap, positive)
+        return _ChartPoint(r, r_t, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap, positive)
 
     def gradient(self, pt: _ChartPoint) -> np.ndarray:
         """Exact gradient at the point `evaluate` returned, in the
         coordinates of `_coords`.
 
-        One reverse pass through f = ||D||_F^2 / N^2, D = heron - wasserstein,
-        N = ||A||_F + ||B||_F: the core's square root by the Daleckii-Krein
-        formula on the spectrum the point holds, then B^{1/2} = sqrt(nu) P,
-        B = nu P^2 and P = R^2 by the product rule.
+        One reverse pass through f = ||G||_F^2 / (4N)^2, G = 4(H - W)~ =
+        w1 o B^{1/2}~ - w2 o X~, N = ||A||_F + ||B||_F: the weights and the
+        core's s_i s_j are their own adjoints, the core's square root takes
+        the Daleckii-Krein formula on the point's spectrum, B~ = nu P~^2
+        and P~ = R~^2 the product rule, and R~ = Q* R Q goes back by Q . Q*.
         """
-        sqrt_a = self.sqrt_a
         norm = self.norm_a + pt.norm_b
         # N ||B||_F <= N^2: the one underflows first, the other overflows first
         if not (0.0 < norm * pt.norm_b and norm * norm < math.inf):
@@ -439,20 +435,16 @@ class GapObjective:
             raise NumericalError(
                 f"core eigenvalues {float(lam[0]):.3e} / {float(lam[-1]):.3e} below the floor {self.core_floor:.1e}"
             )
-        g_d = pt.diff * (2.0 / (norm * norm))
-        avg = (sqrt_a + pt.sqrt_b) / 2.0
-        g_sqrt_b = (g_d @ avg + avg @ g_d) / 2.0
-        # X -> each cross term is its own adjoint
-        g_x = -np.add(*_cross_terms(sqrt_a, self.inv_sqrt_a, g_d)) / 4.0
-        # Daleckii-Krein: Q (L o Q* G Q) Q* with the square root's divided
+        g_diff = pt.diff * (0.125 / (norm * norm))
+        # Daleckii-Krein: V (L o V* G V) V* with the square root's divided
         # differences L_ij = 1 / (roots_i + roots_j), its own adjoint
-        q, qh = pt.eig_core.frame, pt.eig_core.frame.conj().T
-        g_core = q @ ((qh @ g_x @ q) / (pt.roots[:, None] + pt.roots)) @ qh
+        v, vh = pt.eig_core.frame, pt.eig_core.frame.conj().T
+        g_core = v @ ((vh @ (-self.weights[1] * g_diff) @ v) / (pt.roots[:, None] + pt.roots)) @ vh
         # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
-        g_b = sqrt_a @ g_core @ sqrt_a - g_d / 4.0 - norm_term * pt.b
-        g_p = (g_sqrt_b + g_b @ pt.sqrt_b + pt.sqrt_b @ g_b) * self.root_nu
-        return _coords(g_p @ pt.r + pt.r @ g_p)
+        g_b = np.outer(self.root_a, self.root_a) * g_core - norm_term * pt.b
+        g_p = (self.weights[0] * g_diff + g_b @ pt.sqrt_b + pt.sqrt_b @ g_b) * self.root_nu
+        return _coords(self.frame @ (g_p @ pt.r_t + pt.r_t @ g_p) @ self.frame.conj().T)
 
     def gradient_forward(self, r) -> np.ndarray:
         """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||R||_F),
@@ -502,7 +494,8 @@ def minimize_gap(
     prev_g: np.ndarray | None = None
     prev_move: np.ndarray | None = None
     for step in range(budget + 1):
-        iterates.append((step, pt.gap, _commutator_gap(obj.a, pt.b, obj.norm_a * pt.norm_b), pt.objective))
+        b = _from_frame(obj.frame, pt.b)
+        iterates.append((step, pt.gap, commutator_gap(obj.a, b), pt.objective))
         if pt.objective <= OBJECTIVE_FLOOR:
             stop_reason = "converged"
             break
@@ -534,4 +527,4 @@ def minimize_gap(
         prev_move = -t * g
         pt = trial
         trial_scale = min(t * 2.0, 1e6)
-    return DescentTrace(iterates=iterates, final_b=pt.b * obj.unit, stop_reason=stop_reason)
+    return DescentTrace(iterates=iterates, final_b=b * obj.unit, stop_reason=stop_reason)

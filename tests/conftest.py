@@ -15,7 +15,7 @@ from opmeans.linalg import (
     _roots,
     _sqrt_from,
 )
-from opmeans.means import HpdPair
+from opmeans.means import HpdPair, _from_frame
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
 from opmeans.verify import FD_STEP_SCALE, GapObjective, minimize_gap, _hermitian
 
@@ -84,7 +84,7 @@ def polar(t):
 
 def sqrt_and_inv_sqrt(h):
     """A^{1/2} and A^{-1/2} of a positive definite A from one spectrum, as
-    the pair's context takes them."""
+    the geometric mean takes them."""
     return _roots(hermitian_eigen(h))
 
 
@@ -102,14 +102,16 @@ def gap_objective(a, b0=None):
 
 def proof_intermediates(p):
     """X, Y, A^{1/2}, B^{1/2} and A^{-1/2} of a pair, read from its spectral
-    context and returned to the pair's units."""
-    root_unit = math.sqrt(p.unit)  # exact: the unit is an even power of two
+    context, which holds them in A's frame (Q, a), and returned to the
+    original frame and the pair's units."""
+    q, root_unit = p.eig_a.frame, math.sqrt(p.unit)  # exact: the unit is an even power of two
+    sqrt_a, inv_sqrt_a = _roots(p.eig_a)
     return SimpleNamespace(
-        x=p.x * p.unit,
-        y=p.y * p.unit,
-        sqrt_a=p.sqrt_a * root_unit,
-        sqrt_b=p.sqrt_b * root_unit,
-        inv_sqrt_a=p.inv_sqrt_a / root_unit,
+        x=_from_frame(q, p.x) * p.unit,
+        y=q @ p.y @ q.conj().T * p.unit,
+        sqrt_a=sqrt_a * root_unit,
+        sqrt_b=_from_frame(q, p.sqrt_b) * root_unit,
+        inv_sqrt_a=inv_sqrt_a / root_unit,
     )
 
 

@@ -3,6 +3,7 @@
 import base64
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,9 +14,10 @@ import pytest
 
 import opmeans.cli as cli
 from opmeans.cli import cli_main
-from opmeans.matio import load_matrix, save_matrix
+from opmeans.linalg import DEFAULT_CONFIG
+from opmeans.matio import load_matrix, save_json, save_matrix
 from opmeans.randgen import GenSpec, SplitMix64, random_hpd
-from opmeans.verify import GapObjective, Verdict, commutator_gap
+from opmeans.verify import GapObjective, GapReport, Verdict, commutator_gap
 
 
 def run(*argv):
@@ -327,11 +329,15 @@ class TestVerify:
                                                    (3, "commuting", "1e10"), (4, "generic", "9e11")],
                              ids=["1", "2", "3", "4"])
     def test_singular_y_report_is_json(self, tmp_path, seed, family, cond):
-        # Y is singular within the floor: r5 is null, which polar_singular
-        # explains, not an Infinity literal, which JSON does not have. For
-        # a valid pair sigma_min(Y) / sigma_max(Y) > 1e-12 in exact
-        # arithmetic, so only roundoff in the core's smallest eigenvalue
-        # reaches the floor; a generic pair takes its B from seed + 10
+        # For a valid pair sigma_min(Y) / sigma_max(Y) > 1e-12 in exact
+        # arithmetic. These four pairs, at cond 1e10 and 9e11, reached the
+        # floor through roundoff in the core's smallest eigenvalue while the
+        # core was formed through A^{1/2} products; the graded core in A's
+        # frame keeps it, so they report a finite r5 (about 1e-12 for the
+        # commuting pairs, about 1 for the generic ones). A report where Y
+        # is singular within the floor writes r5 as null, which
+        # polar_singular explains, not an Infinity literal, which JSON does
+        # not have. A generic pair takes its B from seed + 10.
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
         if family == "commuting":
             assert run("gen", "--n", "8", "--seed", str(seed), "--cond", cond, "--family", "commuting",
@@ -344,8 +350,31 @@ class TestVerify:
         def refuse(literal):
             raise AssertionError(f"{literal} is not JSON")
         payload = json.loads(fo.read_text(), parse_constant=refuse)
-        assert payload["polar_singular"] is True
-        assert payload["residuals"]["r5"] is None
+        assert payload["polar_singular"] is False
+        assert 0.0 <= payload["residuals"]["r5"] < (1e-11 if family == "commuting" else 2.0)
+        singular = GapReport(payload["mean_gap"], payload["commutator_gap"],
+                             dict(payload["residuals"], r5=math.inf), payload["trace_gap"], polar_singular=True)
+        text = save_json(None, cli._report_payload(singular, Verdict(payload["verdict"]), DEFAULT_CONFIG, None))
+        written = json.loads(text, parse_constant=refuse)
+        assert written["polar_singular"] is True
+        assert written["residuals"]["r5"] is None
+
+    @pytest.mark.parametrize("cond", ["1e4", "1e6", "1e8", "1e10"])
+    def test_commuting_pairs_read_from_files_commute(self, tmp_path, cond):
+        # exactly commuting n = 8 pairs: in A's frame B and the core are
+        # diagonal up to roundoff and A and B cancel from H - W exactly, so
+        # the gap stays at roundoff (at most 1.8e-16 over these 80 pairs)
+        # and r5 far below u cond, where the route through A^{-1/2} read
+        # gaps up to 1.1e-9 and `Indeterminate` from cond 1e8 on
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        for seed in range(20):
+            assert run("gen", "--n", "8", "--seed", str(seed), "--cond", cond, "--family", "commuting",
+                       "--out-a", str(fa), "--out-b", str(fb)) == 0
+            assert run("verify", "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
+            rep = json.loads(fo.read_text())
+            assert rep["verdict"] == "MeansEqualAndCommute" and rep["polar_singular"] is False, seed
+            assert rep["mean_gap"] <= 1e-14, seed
+            assert rep["residuals"]["r5"] < 2.0**-52 * float(cond), seed
 
     def test_bad_tol_is_usage_error(self, tmp_path):
         fa = tmp_path / "a.json"
@@ -676,17 +705,25 @@ class TestMinimize:
         assert np.allclose(final_b, scale * eye, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("sa, sb, row", [
-        (1e160, 1e-160, [0.0, 2.8574020342809495e-16, 0.04849646046477999, 8.164746385512909e-32]),
-        (1e300, 1e-300, [0.0, 1.1157157987553182e-16, 0.048496460464780025, 1.2448217435922177e-32]),
+        (1e160, 1e-160, [0.0, 2.6002352913010667e-163, 0.04849646046478, 0.0]),
+        (1e300, 1e-300, [0.0, 2.6002352913010718e-303, 0.04849646046478006, 0.0]),
     ], ids=["1e160-1e-160", "1e300-1e-300"])
     def test_far_apart_scales_keep_the_unscaled_frame_result(self, tmp_path, sa, sb, row):
         # A and B0 are 1e320 and 1e600 apart: the context's unit leaves
         # neither subnormal, so step 0 reads what the descent computed in
-        # the pair's own units, bit for bit, and stops there converged
+        # the pair's own units, bit for bit, and stops there converged. In
+        # A's frame A and B cancel exactly from H - W, whose terms are of
+        # order sqrt(sa sb) = 1, so the gap is that of the unscaled pair's
+        # H - W over sa ||A||_F, not roundoff of A
         a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
         b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         code, rows, final_b = self.run_on(tmp_path, a * sa, b0 * sb)
         assert code == 0 and rows == [row]
+        sqrt_a, sqrt_b = eigh_function(a, np.sqrt), eigh_function(b0, np.sqrt)
+        inv_sqrt_a, x = eigh_function(a, lambda w: 1.0 / np.sqrt(w)), eigh_function(sqrt_a @ b0 @ sqrt_a, np.sqrt)
+        diff = (sqrt_a @ sqrt_b + sqrt_b @ sqrt_a - sqrt_a @ x @ inv_sqrt_a - inv_sqrt_a @ x @ sqrt_a) / 4.0
+        ref = np.linalg.norm(diff) / np.linalg.norm(a) / sa
+        assert abs(row[1] - ref) <= 1e-12 * ref
         # final_b = nu R0^4, returned to the pair's units, is B0 to roundoff
         assert np.linalg.norm(final_b / sb - b0) <= 1e-14 * np.linalg.norm(b0)
 
@@ -976,24 +1013,25 @@ class TestBytesPinned:
     """sha256 of outputs and texts, taken before the eigensolver's fixed
     costs and the parser's build were cut: that work changed no byte."""
 
-    # re-taken when the descent moved from the log chart to the root chart
+    # re-taken when the descent moved from the log chart to the root chart,
+    # and when it came to evaluate in A's eigenframe
     MINIMIZE = {
-        ("generic", 2): ("6b91abbe2f35015fc5a49258483cc8b377b0127766f1d9d1aa706bc60723508c",
-                         "6bd004c630d0ed97ca57310bf54706133025ed052bd1fa8738f97a1b5bdafa17"),
-        ("generic", 3): ("d92a9f4c4193a1e774bbdadc35359d87b57ad2020e7cad6aacd033fc9bdd4322",
-                         "e0e130bc7a216ba01493f887b04051e1c722ec2f7a878ac18546d105f26e9b36"),
-        ("generic", 4): ("8144c0ff91f83361ea5ebb17258d3a4640307ca0e14ccd06e007b737e11867e6",
-                         "3def59554a7f9d8c3976d1474b16f98e4b8ff723e258b6bb4b8fe5a2008ec035"),
-        ("generic", 5): ("6f590e3ce5f65aa8800451ccd52086eb0c93a99558d98714c7d2deeea4fb8d33",
-                         "570b3cfda4a2f697eb77223619785afad9bcaad72810ad149b4b0feb91ba722d"),
-        ("diagonal", 2): ("2018ef7314fa8df1f098332975013a87a6e1831f448d8c79f63831ef0f713993",
-                          "15c764faa6991990d3b6afe4de7fa1b02c1d51b41ec34bf30f897f57f0c7924d"),
-        ("diagonal", 3): ("19b2a90a8e3d14cf61ffd9bbec670f9af6608686238fde7c158b78e155a28618",
-                          "42cb2bd9cd11e8f72d5e0551b6a056dae4ba2d631b6be64d624d9d27fec92a5e"),
-        ("diagonal", 4): ("8f19ee244efdddace166d1e6ced80ee2b2758f4ce8ff016833a86cdc1cf2a6d8",
-                          "fd7b96491c793e549a983635cba30b82d30d5e9b3e11750b00c600ef0cc5c3db"),
-        ("diagonal", 5): ("7c3a77fa78f728b7eb8d4290b6c02b8a6f38b186e3526cb8b4488e5c0c1a7eb5",
-                          "79a34cf2b42b4a0f99462e4d246dddcbdc91d3540b8731382a58218d1a7266a6"),
+        ("generic", 2): ("7933700d5a1cbaac84176286697a650e8f2ba99d8c814beb4fdde882bb62ea31",
+                         "3f350f0b7540ca4635bf73f1fef5a97975a5c34ac109116fd6f7a602598070cc"),
+        ("generic", 3): ("13f2e1e0d9a7b9959e037124f195248f0793c9377d795965c19f2c21d6390a31",
+                         "89f007d1d4d7108aec1d6233e9276515d52436fe0230672f47bad9e6b480581b"),
+        ("generic", 4): ("0691e58792d05860f038742d8453a47be6bc9fb212eb309d5a79597966b526ed",
+                         "3054c0cfb290359fa9a8fcffe35df53f44326330a127f00a9e6692371002bdf4"),
+        ("generic", 5): ("ca612119ecb7cdfbeaf300089355bf2fc8345156d0537d9b0724ad926c7d5cf0",
+                         "c247d0888ac89854812a91b8a1e7b319c6b88714278723b84b1a93168e3b4bb1"),
+        ("diagonal", 2): ("b04e8482b4676076b1cda7ec4ea8384a72a890822a5f0b312de4d244713487ab",
+                          "1552aec8f33829caa1e92997b461206de128d464e2bd2d92371890bcc4d166c9"),
+        ("diagonal", 3): ("8737a6c722215d1a51b5bc7a5b1272defda305b55e7d553a648a19eb7ae8ac2e",
+                          "8ff6e2d743bda7b8032d8d468fd4388aebfad0172a5cbfaa2fd869fecfab5ddb"),
+        ("diagonal", 4): ("25a0bf222d5e02ad4f7289a1dd63d9641690edcba977744eeca5a33c3b297592",
+                          "451bc801ef03cb760482e8dc7f17587bd04ef976b6d18b4f0149d3dbc24c95f7"),
+        ("diagonal", 5): ("c47b930ce02fd33876659f8de57144a5449000faa176f84493bd1f1caf44370a",
+                          "cd04d97f94becabb40246370289b6dbcb8aad61dfd392b674e8612abed7e8b98"),
     }
 
     # (argv, exit code, sha256 of stdout, sha256 of stderr) at 80 columns;
@@ -1036,18 +1074,19 @@ class TestBytesPinned:
         save_matrix(str(fa), random_hpd(GenSpec(dim=24, seed=5, cond_target=100.0)))
         save_matrix(str(fb), random_hpd(GenSpec(dim=24, seed=6, cond_target=100.0)))
         assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
-        assert self.digest(fo) == "f1a5fc887dbec515901b9458e444775e09f49c913a9578963085d2e8af286a08"
+        assert self.digest(fo) == "b4e7d98372a91b7be1e9791dc0878bb97a282b81fb428e00b23319b849f30bd7"
 
     # sha256 of `mean --kind k` and of `lemma-ah` on the pair A, B of `pd_pair`,
     # taken before r5, `polar` and `lemma-ah` came to share one polar factor;
-    # the Wasserstein ones re-taken when the core came to start from A's frame
+    # the Wasserstein ones re-taken when the core came to start from A's frame,
+    # the Heron and Wasserstein ones when the pair came to be formed in it
     MEANS = {
         ("geometric", 4): "afe75e4a73e239bd5e8b6f32c37bc603c9d33548285bc2978a61109c73ba191d",
-        ("heron", 4): "3cd0e7cd9e4a55b7710fcd6b759f65ac1bdbc7174735c18ec19d0f6d2621b2f2",
-        ("wasserstein", 4): "0366114c7520f414eb3ca52f7a11e881852856590152372ec5adeddea02d6547",
+        ("heron", 4): "9e5c47703cf6bbab73041d17ee98b5f0da3bbc8774bfee0b9825e4b491a2c084",
+        ("wasserstein", 4): "2e1914e3e469620a5f18e967f5e2a31274bdd52699edbc629c51fd986b3cbe20",
         ("geometric", 24): "4a46cd53d848e87424d8f1d728e1e33f3b0987443569499fe7903c1cf3791410",
-        ("heron", 24): "fb332d3ba9a8f10815d0ec557c574fa3dbf8db5121f3dd2aa7590f0880d52edd",
-        ("wasserstein", 24): "c27581175b9c62e005c056b4382f1201b31ed2fb05690cb7a0cabf6ba4eee0c9",
+        ("heron", 24): "4b2087c420b94f8bad45c02abac01820102f7a450be29b597ff74aa2f3d134c5",
+        ("wasserstein", 24): "21bcd67897c5c991bc46e84f12ea09bd8b90ccba58380a947499dccc46e19a43",
     }
     LEMMA_AH = {
         4: "ac78550fbd55163042e575f1db27e22117c4b3032389ccac53d33b8a25d1e803",
@@ -1081,13 +1120,13 @@ class TestBytesPinned:
         save_matrix(str(fa), random_hpd(GenSpec(dim=6, seed=5, cond_target=100.0)))
         save_matrix(str(fb), random_hpd(GenSpec(dim=6, seed=6, cond_target=100.0)))
         assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
-        assert self.digest(fo) == "4521e65f2bee891dc698c704e2a51fcb3b1cb712fcc730ade51291a3b3523879"
+        assert self.digest(fo) == "ca0b72630aa125ddd465f1b0f22d36df476c7689f6b8ed87cf53b6370c2583d1"
 
     def test_sweep_csv(self, tmp_path):
         out = tmp_path / "s.csv"
         assert run("sweep", "--n", "4", "--seed", "3", "--cond", "10", "--epsilons", "0,0.01,0.1,1",
                    "--trials", "3", "--out", str(out)) == 0
-        assert self.digest(out) == "b868831245b31a1286935c45fe2cfd64a3be6d715a1d1759b29612af7ab4458e"
+        assert self.digest(out) == "9ea0c233aaf129122996e29b1a48ba273bf712ee96d69f663f56c629cf28a1e2"
 
     @pytest.mark.parametrize("argv, code, out, err", TEXTS, ids=[" ".join(t[0]) or "none" for t in TEXTS])
     def test_help_and_usage_texts(self, capsys, monkeypatch, argv, code, out, err):

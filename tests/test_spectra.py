@@ -9,13 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, gap_objective, polar, proof_intermediates, random_pair, sqrt_and_inv_sqrt
+from conftest import commuting_pair, gap_objective, polar, proof_intermediates, random_pair
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
 from opmeans.cli import cli_main
 from opmeans.linalg import frobenius_norm, hermitian_eigen, sqrtm
-from opmeans.linalg import _sqrt_from
+from opmeans.linalg import _assemble, _sqrt_from
 from opmeans.matio import save_matrix
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, random_hpd
@@ -57,21 +57,15 @@ def write_pair(tmp_path, p, tag="p"):
     return fa, fb
 
 
-def sqrtm_in_frame_of(h, a):
-    """The square root of h, a congruence through A^{1/2}, decomposed from
-    A's frame as the pair's context decomposes the core."""
-    return _sqrt_from(hermitian_eigen(h, frame=hermitian_eigen(a).frame))
-
-
-def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm, sqrtm_from_a=sqrtm_in_frame_of):
-    """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone, or
-    from the spectral functions given; `sqrtm_from_a(h, a)` takes the
-    square roots of the core and of the gram of A+Y."""
+def reference_report(p, sqrt_and_inv_sqrt, sqrtm):
+    """Gaps, r1-r4, r6 and trace gap in the original frame, by the chain's
+    formulas through A^{1/2} and A^{-1/2}, from the spectral functions
+    given."""
     a, b = p.a, p.b
     sqrt_a, inv_sqrt_a = sqrt_and_inv_sqrt(a)
     sqrt_b = sqrtm(b)
     core = sqrt_a @ b @ sqrt_a
-    x = sqrtm_from_a((core + core.conj().T) / 2.0, a)
+    x = sqrtm((core + core.conj().T) / 2.0)
     y = sqrt_b @ sqrt_a
     avg = (sqrt_a + sqrt_b) / 2.0
     heron = avg @ avg
@@ -89,13 +83,53 @@ def reference_report(p, sqrt_and_inv_sqrt=sqrt_and_inv_sqrt, sqrtm=sqrtm, sqrtm_
     apy, apx = a + y, a + x
     gram = apy.conj().T @ apy
     r3 = frobenius_norm(gram - apx @ apx - lhs2) / frobenius_norm(gram)
-    r4 = frobenius_norm(sqrtm_from_a((gram + gram.conj().T) / 2.0, a) - apx) / frobenius_norm(apx)
+    r4 = frobenius_norm(sqrtm((gram + gram.conj().T) / 2.0) - apx) / frobenius_norm(apx)
     r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
     return {
         "mean_gap": frobenius_norm(heron - wass) / (frobenius_norm(a) + frobenius_norm(b)),
         "commutator_gap": commutator_gap(a, b),
         "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r6": r6,
         "trace_gap": float(np.trace(x).real - np.einsum("ij,ji->", sqrt_a, sqrt_b).real),
+    }
+
+
+def frame_report(p):
+    """Gaps, r1-r4, r6 and trace gap from the linalg primitives alone, in
+    A's eigenframe (Q, a) with s = sqrt(a), as the pair's context forms
+    them: products with A and A^{1/2} are entrywise scalings there, and
+    4(H - W)_ij = (s_i + s_j) B^{1/2}_ij - ((a_i + a_j) / (s_i s_j)) X_ij."""
+    a, b = p.a, p.b
+    eig_a, eig_b = hermitian_eigen(a), hermitian_eigen(b)
+    q, lam = eig_a.frame, eig_a.eigenvalues
+    s, ss = np.sqrt(lam), np.outer(np.sqrt(lam), np.sqrt(lam))
+    bt = q.conj().T @ b @ q
+    bt = (bt + bt.conj().T) / 2.0
+    sqrt_b = _assemble(q.conj().T @ eig_b.frame, np.sqrt(eig_b.eigenvalues))
+    eig_core = hermitian_eigen(bt * ss)
+    x = _sqrt_from(eig_core)
+    y = sqrt_b * s
+    gap = (s[:, None] + s) * sqrt_b - (lam[:, None] + lam) / ss * x
+    avg = (np.diag(s) + sqrt_b) / 2.0
+    heron = avg @ avg
+    heron = (heron + heron.conj().T) / 2.0
+    wass = (np.diag(lam) + bt + (lam[:, None] + lam) / ss * x) / 4.0
+    cross = x * (s[:, None] / s)
+    r1 = frobenius_norm(4.0 * (heron - wass) - gap) / (
+        frobenius_norm(y.conj().T) + frobenius_norm(y) + frobenius_norm(cross) + frobenius_norm(cross.conj().T))
+    ay, ya, ax, xa = lam[:, None] * y, y.conj().T * lam, lam[:, None] * x, x * lam
+    lhs2 = ay + ya - ax - xa
+    r2 = frobenius_norm(lhs2 - 4.0 * ss * (heron - wass)) / (
+        frobenius_norm(ay) + frobenius_norm(ya) + frobenius_norm(ax) + frobenius_norm(xa))
+    apy, apx = np.diag(lam) + y, np.diag(lam) + x
+    gram = apy.conj().T @ apy
+    r3 = frobenius_norm(gram - apx @ apx - lhs2) / frobenius_norm(gram)
+    r4 = frobenius_norm(sqrtm((gram + gram.conj().T) / 2.0) - apx) / frobenius_norm(apx)
+    r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
+    return {
+        "mean_gap": frobenius_norm(gap) / (4.0 * (frobenius_norm(a) + frobenius_norm(b))),
+        "commutator_gap": commutator_gap(a, b),
+        "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r6": r6,
+        "trace_gap": float(np.trace(x).real - s @ sqrt_b.diagonal().real),
     }
 
 
@@ -233,8 +267,7 @@ def eigh_report(p):
         return eigh_function(h, lambda w: np.sqrt(np.maximum(w, 0.0)))
 
     values = reference_report(
-        p, sqrt_and_inv_sqrt=lambda a: (root(a), eigh_function(a, lambda w: 1.0 / np.sqrt(w))),
-        sqrtm=root, sqrtm_from_a=lambda h, a: root(h))
+        p, sqrt_and_inv_sqrt=lambda a: (root(a), eigh_function(a, lambda w: 1.0 / np.sqrt(w))), sqrtm=root)
     y = root(p.b) @ root(p.a)
     u = y @ eigh_function(y.conj().T @ y, lambda w: 1.0 / np.sqrt(w))
     values["r5"] = frobenius_norm(u - np.eye(p.dim)) / math.sqrt(p.dim)
@@ -390,12 +423,12 @@ class TestPolarFromCore:
 class TestAgreementWithPrimitives:
     def test_report_equals_reference_exactly(self):
         for p in sample_pairs():
-            assert report_values(proof_chain_report(p)) == reference_report(p)
+            assert report_values(proof_chain_report(p)) == frame_report(p)
 
     def test_trace_criterion_is_report_trace_gap(self):
         for p in sample_pairs():
             gap, flag = trace_criterion(p)
-            assert gap == reference_report(p)["trace_gap"]
+            assert gap == frame_report(p)["trace_gap"]
             assert flag == (gap <= 1e-10 * np.trace(proof_intermediates(p).x).real)
 
     @pytest.mark.parametrize("e", [330, -330, 600, -600])
@@ -403,7 +436,7 @@ class TestAgreementWithPrimitives:
         p = random_pair(5, 12, cond=300.0)
         c = 2.0**e
         scaled = HpdPair.validated(p.a * c, p.b * c)
-        ref = reference_report(p)
+        ref = frame_report(p)
         got = report_values(proof_chain_report(scaled))
         assert got.pop("trace_gap") == ref.pop("trace_gap") * c
         assert got == ref

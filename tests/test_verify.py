@@ -21,7 +21,7 @@ from conftest import (
 )
 
 from opmeans.linalg import POSITIVITY_FLOOR, NotPositiveDefinite, NumericalError, Singular, frobenius_norm
-from opmeans.means import HpdPair, heron_mean, wasserstein_mean
+from opmeans.means import HpdPair, _from_frame, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd
 from opmeans.verify import (
     ARMIJO_SLOPE,
@@ -329,7 +329,7 @@ class TestGapObjective:
         r = SplitMix64(8).complex_gaussian_matrix(3)
         r = (r + r.conj().T) / 2.0
         pt = obj.evaluate(r)
-        f, gap, b = pt.objective, pt.gap, pt.b * obj.unit  # nu R^4, in the pair's units
+        f, gap, b = pt.objective, pt.gap, _from_frame(obj.frame, pt.b) * obj.unit  # nu R^4, in the pair's units
         p = HpdPair.validated(a, b)
         direct = frobenius_norm(heron_mean(p) - wasserstein_mean(p))
         direct /= frobenius_norm(a) + frobenius_norm(b)
@@ -571,10 +571,16 @@ class TestMinimizeGap:
         assert w[0] > POSITIVITY_FLOOR * w[-1]
 
     def test_start_below_the_floor_is_numerical_error_without_warning(self):
-        # cond(A) = cond(B0) = 1e10: the core's smallest eigenvalue is lost
-        # to roundoff, so the gradient's divided differences are out of reach
-        a = random_hpd(GenSpec(dim=4, seed=102, cond_target=1e10))
-        b0 = random_hpd(GenSpec(dim=4, seed=202, cond_target=1e10))
+        # B0's eigenvalue ratio is one ulp above the floor, its least and
+        # largest eigenvectors are A's, and its middle block does not
+        # commute with A: the core's ratio clears POSITIVITY_FLOOR / cond(A)
+        # by that ulp, which B = nu R0^4 loses to roundoff, so the
+        # gradient's divided differences are out of reach at the start.
+        # Generic cond-1e10 pairs no longer get here: the core, graded in
+        # A's frame, keeps its smallest eigenvalue
+        a = np.diag([1.0, 1e9, 3e9, 1e10]).astype(complex)
+        b0 = np.diag([1e-2 * (1.0 + 2.0**-52), 4e9, 2e9, 1e10]).astype(complex)
+        b0[1, 2], b0[2, 1] = 1e9 + 1e9j, 1e9 - 1e9j
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(NumericalError, match="^core eigenvalues .* below the floor 1.0e-22$"):
