@@ -17,7 +17,8 @@ entrywise scaling: B~ = Q* B Q, B^{1/2}~ = W diag(sqrt b) W* with
 W = Q* Q_B, the core s_i B~_ij s_j, X~ from its spectrum, Y~ = B^{1/2}~ diag(s),
 and 4(H - W)~_ij = (s_i + s_j) B^{1/2}~_ij - ((a_i + a_j)/(s_i s_j)) X~_ij.
 No A^{-1/2} is formed, and only the two means returned go back to the
-original frame, by one congruence Q . Q*. The geometric mean takes A's roots.
+original frame, by one congruence Q . Q*. The commutator AB - BA is
+(a_i - a_j) B~_ij there. The geometric mean takes A's roots.
 
 These come from three spectra, of A, of B and of the core, which an
 `HpdPair`, the pair and its spectral context in one, computes at most once
@@ -72,6 +73,13 @@ def _gap(weights: tuple[np.ndarray, np.ndarray], sqrt_b: np.ndarray, x: np.ndarr
     """4(H - W) in A's frame, from B^{1/2} and X there and the pair's
     `weights` (s_i + s_j, (a_i + a_j) / (s_i s_j))."""
     return weights[0] * sqrt_b - weights[1] * x
+
+
+def _commutator(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
+    """||AB - BA||_F / (||A||_F ||B||_F) in A's frame, from A's eigenvalues
+    `a` and B~, where the commutator's entries are (a_i - a_j) B~_ij."""
+    denom = norm_a * norm_b
+    return frobenius_norm((a[:, None] - a) * b) / denom if denom != 0.0 else 0.0
 
 
 def _from_frame(q: np.ndarray, m: np.ndarray) -> np.ndarray:
@@ -207,6 +215,11 @@ class HpdPair:
     def mean_gap(self) -> float:
         """||heron - wasserstein||_F / (||A||_F + ||B||_F), from `gap`."""
         return frobenius_norm(self.gap) / (4.0 * (frobenius_norm(self.a_u) + frobenius_norm(self.b_u)))
+
+    @property
+    def commutator_gap(self) -> float:
+        """||AB - BA||_F / (||A||_F ||B||_F), `_commutator`."""
+        return _commutator(self.eig_a.eigenvalues, self.b_t, frobenius_norm(self.a_u), frobenius_norm(self.b_u))
 
     @property
     def trace_x(self) -> float:

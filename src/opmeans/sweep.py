@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .randgen import GenSpec, InvalidSpec, mix_seed, near_commuting_pair
-from .verify import classify_gaps, pair_gaps, trace_criterion
+from .verify import classify_gaps, trace_criterion
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 
@@ -78,7 +78,7 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
             gspec = replace(spec.base, seed=seed, family="near_commuting", epsilon=eps)
             try:
                 pair = near_commuting_pair(gspec)
-                mean_gap, comm_gap = pair_gaps(pair)
+                mean_gap, comm_gap = pair.mean_gap, pair.commutator_gap
                 trace_gap = trace_criterion(pair)[0]
                 verdict = classify_gaps(mean_gap, comm_gap, cfg).value
             except NumericalError as exc:

@@ -22,17 +22,20 @@ Everything about a pair derives from the spectral context an `HpdPair`
 holds, in A's eigenframe, where A^{1/2} is diagonal and each product with
 it is an entrywise scaling; the Frobenius norms and traces that make up
 the report are unitarily invariant, so nothing returns to the original
-frame. Each caller takes only what it emits. `pair_gaps` and
-`trace_criterion` need two passes of the eigensolver, over A and B as one
-stack and then the core; the full report adds (A+Y)*(A+Y), for r4, to the
-core's pass. A generated pair carries the spectra of A and B it was drawn
-from and skips the first pass. Since Y*Y is the core, r5 takes the polar
-factor of Y from the core's spectrum, by `_isometry`, the one polar route,
-which `ando_hayashi_witness` takes too. The descent starts from its
-validated pair (A, B0), one pass over A and B0, then evaluates its
-objective in a root chart, B = nu R^4, with one eigendecomposition, of the
-core in A's frame. Each evaluation returns its point, which carries that
-spectrum, to the exact gradient, which reads it alone.
+frame; the commutator gap is ||(a_i - a_j) B~_ij||_F / (||A||_F ||B||_F)
+(`HpdPair.commutator_gap`). Each caller takes only what it emits. The
+pair's two gaps and `trace_criterion` need two passes of the eigensolver,
+over A and B as one stack and then the core; the full report adds
+(A+Y)*(A+Y), for r4, to the core's pass. A generated pair carries the
+spectra of A and B it was drawn from and skips the first pass. Since Y*Y
+is the core, r5 takes the polar factor of Y from the core's spectrum, by
+`_isometry`, the one polar route, which `ando_hayashi_witness` takes too.
+The descent starts from its validated pair (A, B0), one pass over A and
+B0, then runs in A's frame, in a root chart B~ = nu R~^4 under the
+Frobenius inner product, with one eigendecomposition, of the core, per
+evaluation. Each evaluation returns its point, which carries that
+spectrum, to the exact gradient, which reads it alone; B returns to the
+original frame once, at the end.
 """
 
 from __future__ import annotations
@@ -54,7 +57,6 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigen,
     _assemble,
-    _exponent,
     _gram,
     _isometry,
     _positive,
@@ -63,7 +65,7 @@ from .linalg import (
     _sqrt_values,
     _upper_plan,
 )
-from .means import HpdPair, _from_frame, _gap, _graded
+from .means import HpdPair, _commutator, _from_frame, _gap, _graded
 
 __all__ = [
     "Verdict",
@@ -71,8 +73,6 @@ __all__ = [
     "WitnessReport",
     "DescentTrace",
     "TriangleEqualityFails",
-    "commutator_gap",
-    "pair_gaps",
     "proof_chain_report",
     "trace_criterion",
     "ando_hayashi_witness",
@@ -142,7 +142,8 @@ class DescentTrace:
 
     iterates     (step, mean_gap, commutator_gap, objective) per accepted
                  step, starting with the initial point at step 0
-    final_b      B = nu R^4 at the last accepted iterate, in the pair's units
+    final_b      B = Q (nu R~^4) Q* at the last accepted iterate, in the
+                 units of the input A and B0
     stop_reason  "converged", "budget", or "no_descent"
     """
 
@@ -154,20 +155,6 @@ class DescentTrace:
     def no_descent(self) -> bool:
         """A zero gradient, or MAX_BACKTRACKS failed halvings in a row."""
         return self.stop_reason == "no_descent"
-
-
-def commutator_gap(a, b) -> float:
-    """||AB - BA||_F / (||A||_F ||B||_F), taken after the exact division of
-    each matrix by 2^`_exponent`, so that the gap of (2^j A, 2^k B) is
-    that of (A, B), bit for bit."""
-    a, b = (m / math.ldexp(1.0, _exponent(m)) for m in (as_matrix(a), as_matrix(b)))
-    denom = frobenius_norm(a) * frobenius_norm(b)
-    return frobenius_norm(a @ b - b @ a) / denom if denom != 0.0 else 0.0
-
-
-def pair_gaps(p: HpdPair) -> tuple[float, float]:
-    """(mean_gap, commutator_gap) without the full residual report."""
-    return p.mean_gap, commutator_gap(p.a_u, p.b_u)
 
 
 def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
@@ -237,7 +224,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
 
     return GapReport(
         mean_gap=p.mean_gap,
-        commutator_gap=commutator_gap(p.a_u, p.b_u),
+        commutator_gap=p.commutator_gap,
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
         trace_gap=p.trace_gap * p.unit,
         polar_singular=polar_singular,
@@ -316,22 +303,10 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     return WitnessReport(triangle_residual=residual, witness=u, factor_residuals=(rx, ry))
 
 
-def _coords(g: np.ndarray) -> np.ndarray:
-    """Re <G, E> for each coordinate direction E of the n^2-dimensional real
+def _hermitian(coords: np.ndarray) -> np.ndarray:
+    """sum_k c_k E_k over the directions E_k of the n^2-dimensional real
     space of Hermitian matrices: diagonal units, then (E_ij + E_ji) and
     i (E_ij - E_ji) for i < j."""
-    n = g.shape[0]
-    i, j = _upper_plan(n)
-    upper, lower = g[i, j], g[j, i]
-    coords = np.empty(n * n)
-    coords[:n] = np.diag(g).real
-    coords[n::2] = upper.real + lower.real
-    coords[n + 1::2] = upper.imag - lower.imag
-    return coords
-
-
-def _hermitian(coords: np.ndarray) -> np.ndarray:
-    """sum_k c_k E_k over the directions of `_coords`: Re <G, H(c)> = coords(G) . c."""
     n = math.isqrt(len(coords))
     i, j = _upper_plan(n)
     c = coords + 0.0  # -0.0 -> +0.0, the zeros that sum has
@@ -344,12 +319,12 @@ def _hermitian(coords: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _ChartPoint:
-    """One evaluation of the gap objective at R: the objective, the mean gap,
-    whether it is `positive` (`GapObjective`), and, in A's frame, R~, B~,
-    B^{1/2}~, 4(H - W)~ and the core's spectrum, which the gradient at R reads."""
+    """One evaluation of the gap objective at the chart point R~ of A's frame:
+    the objective, the mean gap, whether it is `positive` (`GapObjective`),
+    and R~, B~, B^{1/2}~, ||B||_F, 4(H - W)~ and the core's spectrum, which
+    the gradient there and the trajectory's row read."""
 
     r: np.ndarray
-    r_t: np.ndarray
     b: np.ndarray
     sqrt_b: np.ndarray
     eig_core: HermitianEigen
@@ -364,43 +339,44 @@ class _ChartPoint:
 class GapObjective:
     """Squared normalized mean gap as a function of the root chart of B.
 
-    The free variable is a Hermitian R, with B^{1/2} = sqrt(nu) R^2 and
-    B = nu R^4, so B is only semidefinite; nu is B0's largest eigenvalue in
-    the context's units, and `start` is R0 = (B0 / nu)^{1/4}. An evaluation
-    takes R~ = Q* R Q to A's frame (Q, a), where the core and the gap are
-    the pair's entrywise forms (`means._graded`, `means._gap`). A point is
-    `positive` where the core C's eigenvalue ratio clears the positivity
-    floor over cond(A), as it does wherever B's clears the floor, since
+    The free variable is a Hermitian R~ in A's frame (Q, a), with
+    B^{1/2}~ = sqrt(nu) R~^2 and B~ = nu R~^4, so B is only semidefinite;
+    nu is B0's largest eigenvalue in the context's units, and `start` is
+    R~0 = W diag((b / nu)^{1/4}) W*, W = Q* Q_B, from the pair's spectrum
+    of B0. The core and the gap are the pair's entrywise forms
+    (`means._graded`, `means._gap`); Q is kept only for `minimize_gap` to
+    return B to the original frame. A point is `positive` where the core
+    C's eigenvalue ratio clears the positivity floor over cond(A), as it
+    does wherever B's clears the floor, since
     ratio(B) >= ratio(C) / cond(A) >= ratio(B) / cond(A)^2. `evaluate`
     takes one eigendecomposition, of the core, and returns its point;
-    `gradient` is exact at a positive point, polynomial in R but for the
+    `gradient` is exact at a positive point, polynomial in R~ but for the
     Daleckii-Krein formula on the core's spectrum, and is what the
-    optimizer uses; the forward differences in the n^2 real coordinates of
-    R (`gradient_forward`) are an independent check.
+    optimizer uses; forward differences along the n^2 real directions of
+    R~ (`gradient_forward`) are an independent check. Both are Hermitian
+    G with df = Re <G, dR~>, the Frobenius inner product.
     """
 
     def __init__(self, pair: HpdPair):
-        self.a, self.frame = pair.a_u, pair.eig_a.frame
-        self.root_a, self.weights = pair.root_a, pair.weights
+        self.frame, self.lam_a = pair.eig_a.frame, pair.eig_a.eigenvalues
+        self.root_a, self.weights = pair.root_a, pair.weights  # lam_a is positive: the pair gave root_a
         self.unit = pair.unit
-        self.norm_a = frobenius_norm(self.a)
+        self.norm_a = frobenius_norm(pair.a_u)
         self.n = pair.dim
-        lam_a = pair.eig_a.eigenvalues  # positive: the pair gave root_a
-        self.core_floor = POSITIVITY_FLOOR * float(lam_a[0]) / float(lam_a[-1])
+        self.core_floor = POSITIVITY_FLOOR * float(self.lam_a[0]) / float(self.lam_a[-1])
         eig_b = _positive(pair.eig_b, "b")
         self.nu = float(eig_b.eigenvalues[-1])
         if not self.nu * self.unit < math.inf:  # final_b returns to the pair's units
             raise NumericalError(f"an eigenvalue leaves the double range (n = {self.n})")
         self.root_nu = math.sqrt(self.nu)
-        self.start = _assemble(eig_b.frame, np.sqrt(np.sqrt(eig_b.eigenvalues / self.nu)))
+        self.start = _assemble(self.frame.conj().T @ eig_b.frame, np.sqrt(np.sqrt(eig_b.eigenvalues / self.nu)))
 
     def evaluate(self, r) -> _ChartPoint:
-        """The point at R: the objective, the mean gap, B^{1/2}~ and B~."""
+        """The point at R~: the objective, the mean gap, B^{1/2}~ and B~."""
         r = np.array(r, dtype=np.complex128)
-        r_t = self.frame.conj().T @ r @ self.frame
         # a B past DBL_MAX / 2 has inf or nan entries, which _graded reports
         with np.errstate(over="ignore", invalid="ignore"):
-            sqrt_b = (r_t @ r_t) * self.root_nu
+            sqrt_b = (r @ r) * self.root_nu
             b = sqrt_b @ sqrt_b
         eig_core = hermitian_eigen(_graded(self.root_a, b))
         roots = _sqrt_values(eig_core)
@@ -411,17 +387,18 @@ class GapObjective:
         gap = frobenius_norm(diff) / (4.0 * (self.norm_a + norm_b))
         lam = eig_core.eigenvalues
         positive = float(lam[0]) > self.core_floor * float(lam[-1])
-        return _ChartPoint(r, r_t, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap, positive)
+        return _ChartPoint(r, b, sqrt_b, eig_core, roots, diff, norm_b, gap, gap * gap, positive)
 
     def gradient(self, pt: _ChartPoint) -> np.ndarray:
-        """Exact gradient at the point `evaluate` returned, in the
-        coordinates of `_coords`.
+        """Exact gradient at the point `evaluate` returned, the Hermitian
+        G~ with df = Re <G~, dR~>.
 
         One reverse pass through f = ||G||_F^2 / (4N)^2, G = 4(H - W)~ =
         w1 o B^{1/2}~ - w2 o X~, N = ||A||_F + ||B||_F: the weights and the
         core's s_i s_j are their own adjoints, the core's square root takes
-        the Daleckii-Krein formula on the point's spectrum, B~ = nu P~^2
-        and P~ = R~^2 the product rule, and R~ = Q* R Q goes back by Q . Q*.
+        the Daleckii-Krein formula on the point's spectrum, and B~ = nu P~^2
+        and P~ = R~^2 the product rule, G~ = g_P R~ + R~ g_P, formed as
+        M + M* with M = g_P R~, so that it is Hermitian to the last bit.
         """
         norm = self.norm_a + pt.norm_b
         # N ||B||_F <= N^2: the one underflows first, the other overflows first
@@ -444,16 +421,18 @@ class GapObjective:
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
         g_b = np.outer(self.root_a, self.root_a) * g_core - norm_term * pt.b
         g_p = (self.weights[0] * g_diff + g_b @ pt.sqrt_b + pt.sqrt_b @ g_b) * self.root_nu
-        return _coords(self.frame @ (g_p @ pt.r_t + pt.r_t @ g_p) @ self.frame.conj().T)
+        g_r = g_p @ pt.r
+        return g_r + g_r.conj().T
 
     def gradient_forward(self, r) -> np.ndarray:
-        """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||R||_F),
-        an independent check on `gradient`."""
+        """Forward-difference gradient with step FD_STEP_SCALE * (1 + ||R~||_F),
+        an independent check on `gradient`, as a Hermitian matrix like it."""
         f0, h = self.evaluate(r).objective, FD_STEP_SCALE * (1.0 + frobenius_norm(r))
         g = np.empty(self.n * self.n)
         for k, e in enumerate(np.eye(self.n * self.n)):
             g[k] = (self.evaluate(r + h * _hermitian(e)).objective - f0) / h
-        return g
+        g[self.n:] /= 2.0  # ||E_k||_F^2 = 2 off the diagonal
+        return _hermitian(g)
 
 
 def minimize_gap(
@@ -464,23 +443,26 @@ def minimize_gap(
 ) -> DescentTrace:
     """Drive the squared mean gap toward zero over B with A held fixed.
 
-    Steepest descent in the Hermitian root chart R (B = nu R^4) with the
-    exact gradient (`GapObjective.gradient`, taken at the point whose
-    evaluation accepted each iterate, so a step costs about one
-    evaluation) and a halving backtracking line search (Armijo slope
-    ARMIJO_SLOPE, at most MAX_BACKTRACKS halvings). The
+    Steepest descent R~ - t G~ in the Hermitian root chart of A's frame
+    (B~ = nu R~^4) with the exact gradient (`GapObjective.gradient`, taken
+    at the point whose evaluation accepted each iterate, so a step costs
+    about one evaluation) and a halving backtracking line search (Armijo
+    slope ARMIJO_SLOPE on ||G~||_F^2, at most MAX_BACKTRACKS halvings). The
     initial trial step of each line search is the Barzilai-Borwein
-    estimate from the last accepted move (falling back to twice the last
-    accepted step), which is what lets the descent cross the
-    ill-conditioned valley floor within realistic budgets. Stops when the
-    objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
+    estimate from the last accepted move, in Frobenius inner products
+    (falling back to twice the last accepted step), which is what lets the
+    descent cross the ill-conditioned valley floor within realistic
+    budgets. No unitary congruence changes these inner products, so the
+    descent on (UAU*, UB0U*) is that on (A, B0) up to roundoff. Stops when
+    the objective reaches OBJECTIVE_FLOOR, the accepted-step budget is
     exhausted, or no descent step can be found; the last case stops with
     reason "no_descent" instead of raising. A trial point that is not
     `positive` (`GapObjective`) fails like the Armijo test; a start that
     is not, which only roundoff makes, is a NumericalError. A and B0 are
     checked by `HpdPair.validated`. Each iterate is the point `evaluate`
-    returned, and its row and `final_b`, in the pair's units, are read
-    from it.
+    returned, and its row is read from it, the commutator gap by
+    `means._commutator`; `final_b`, in the input's units, is the last
+    one's B~ taken back by Q . Q*, once, after the loop.
     """
     if not isinstance(budget, int) or isinstance(budget, bool):
         raise ValueError(f"budget must be an integer, got {budget!r}")
@@ -494,29 +476,27 @@ def minimize_gap(
     prev_g: np.ndarray | None = None
     prev_move: np.ndarray | None = None
     for step in range(budget + 1):
-        b = _from_frame(obj.frame, pt.b)
-        iterates.append((step, pt.gap, commutator_gap(obj.a, b), pt.objective))
+        iterates.append((step, pt.gap, _commutator(obj.lam_a, pt.b, obj.norm_a, pt.norm_b), pt.objective))
         if pt.objective <= OBJECTIVE_FLOOR:
             stop_reason = "converged"
             break
         if step == budget:
             break
         g = obj.gradient(pt)
-        gnorm2 = float(g @ g)
+        gnorm2 = float(np.vdot(g, g).real)
         if gnorm2 == 0.0:
             stop_reason = "no_descent"
             break
         t = trial_scale
         if prev_g is not None:
             dg = g - prev_g
-            dgg = float(dg @ dg)
+            dgg = float(np.vdot(dg, dg).real)
             if dgg > 0.0:
-                bb = float(prev_move @ dg) / dgg
+                bb = float(np.vdot(prev_move, dg).real) / dgg
                 if bb > 0.0:
                     t = min(max(bb, 1e-12), 1e6)
-        delta = -_hermitian(g)
         for _ in range(MAX_BACKTRACKS):
-            trial = obj.evaluate(pt.r + t * delta)
+            trial = obj.evaluate(pt.r - t * g)
             if trial.positive and trial.objective <= pt.objective - ARMIJO_SLOPE * t * gnorm2:
                 break
             t /= 2.0
@@ -527,4 +507,4 @@ def minimize_gap(
         prev_move = -t * g
         pt = trial
         trial_scale = min(t * 2.0, 1e6)
-    return DescentTrace(iterates=iterates, final_b=b * obj.unit, stop_reason=stop_reason)
+    return DescentTrace(iterates=iterates, final_b=_from_frame(obj.frame, pt.b) * obj.unit, stop_reason=stop_reason)

@@ -10,6 +10,7 @@ from opmeans.linalg import (
     as_matrix,
     frobenius_norm,
     hermitian_eigen,
+    _exponent,
     _gram,
     _isometry,
     _roots,
@@ -115,16 +116,28 @@ def proof_intermediates(p):
     )
 
 
+def commutator_gap(a, b):
+    """||AB - BA||_F / (||A||_F ||B||_F) in the original frame, the reference
+    for the library's A-frame gap: taken after the exact division of each
+    matrix by 2^`_exponent`, so that the gap of (2^j A, 2^k B) is that of
+    (A, B), bit for bit."""
+    a, b = (m / math.ldexp(1.0, _exponent(m)) for m in (as_matrix(a), as_matrix(b)))
+    denom = frobenius_norm(a) * frobenius_norm(b)
+    return frobenius_norm(a @ b - b @ a) / denom if denom != 0.0 else 0.0
+
+
 def gradient_central(obj, r):
-    """Central-difference gradient of a GapObjective in the coordinates of
-    its exact gradient, an independent check on both it and forward
-    differences, with the forward differences' step."""
+    """Central-difference gradient of a GapObjective, as the Hermitian
+    matrix G with Re <G, E> the derivative along each direction E, an
+    independent check on both the exact gradient and forward differences,
+    with the forward differences' step."""
     h = FD_STEP_SCALE * (1.0 + frobenius_norm(r))
     g = np.empty(obj.n * obj.n)
     for k, e in enumerate(np.eye(obj.n * obj.n)):
         step = h * _hermitian(e)
         g[k] = (obj.evaluate(r + step).objective - obj.evaluate(r - step).objective) / (2.0 * h)
-    return g
+    g[obj.n:] /= 2.0  # ||E||_F^2 = 2 off the diagonal
+    return _hermitian(g)
 
 
 def minimize_with_states(a, b0, **kwargs):

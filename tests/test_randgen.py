@@ -7,7 +7,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import eigh_positive_definite, gaussians
+from conftest import commutator_gap, eigh_positive_definite, gaussians
 
 from opmeans.linalg import NumericalError, _assemble, frobenius_norm
 from opmeans.randgen import (
@@ -20,7 +20,6 @@ from opmeans.randgen import (
     random_hpd,
     _hermitian_unit,
 )
-from opmeans.verify import commutator_gap
 
 MASK64 = (1 << 64) - 1
 # 0, and seeds whose state wraps modulo 2^64 within the first words
@@ -258,11 +257,9 @@ class TestNearCommutingPair:
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_epsilon_half_both_gaps_positive(self):
-        from opmeans.verify import pair_gaps
-
         spec = GenSpec(dim=3, seed=4, cond_target=10.0, family="near_commuting", epsilon=0.5)
         p = near_commuting_pair(spec)
-        mg, cg = pair_gaps(p)
+        mg, cg = p.mean_gap, p.commutator_gap
         assert mg > 1e-6
         assert cg > 1e-6
 

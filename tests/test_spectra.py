@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, gap_objective, polar, proof_intermediates, random_pair
+from conftest import commutator_gap, commuting_pair, gap_objective, polar, proof_intermediates, random_pair
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
@@ -19,7 +19,7 @@ from opmeans.linalg import _assemble, _sqrt_from
 from opmeans.matio import save_matrix
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, random_hpd
-from opmeans.verify import GapObjective, commutator_gap, proof_chain_report, trace_criterion
+from opmeans.verify import GapObjective, proof_chain_report, trace_criterion
 
 
 class EigenCalls(list):
@@ -127,7 +127,7 @@ def frame_report(p):
     r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
     return {
         "mean_gap": frobenius_norm(gap) / (4.0 * (frobenius_norm(a) + frobenius_norm(b))),
-        "commutator_gap": commutator_gap(a, b),
+        "commutator_gap": means._commutator(lam, bt, frobenius_norm(a), frobenius_norm(b)),
         "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r6": r6,
         "trace_gap": float(np.trace(x).real - s @ sqrt_b.diagonal().real),
     }
@@ -355,13 +355,13 @@ class TestSecondPassFromAFrame:
 
     @pytest.mark.parametrize("n", [6, 24])
     def test_report_does_not_depend_on_a_cached_core(self, n):
-        # the gram decomposed alone, after pair_gaps took the core, starts
+        # the gram decomposed alone, after the gaps took the core, starts
         # from A's frame as it does beside the core
         for seed in range(3):
             for p in (random_pair(n, seed, cond=100.0), commuting_pair(n, seed, cond=100.0)):
                 beside = proof_chain_report(HpdPair(a=p.a, b=p.b))
                 alone = HpdPair(a=p.a, b=p.b)
-                verify.pair_gaps(alone)
+                alone.mean_gap  # takes the core, as a sweep row does
                 assert proof_chain_report(alone) == beside
 
 
@@ -391,7 +391,7 @@ class TestDrawnRoute:
         del eigen_calls[:], eigen_calls.passes[:]  # the set-up pair's own pass
         p = HpdPair.validated(q.a, q.b, linalg.ToleranceConfig(identity_tol=1e-8))
         report = proof_chain_report(p)
-        assert verify.pair_gaps(p) == (report.mean_gap, report.commutator_gap)
+        assert (p.mean_gap, p.commutator_gap) == (report.mean_gap, report.commutator_gap)
         assert trace_criterion(p, linalg.ToleranceConfig())[0] == report.trace_gap
         assert eigen_calls.passes == [2, 2]  # A and B, then the core and the gram of A+Y
         assert p.core is p.core
