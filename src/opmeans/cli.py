@@ -139,7 +139,7 @@ def _cmd_sweep(args) -> int:
     spec = SweepSpec(base=base, epsilons=epsilons, trials_per_epsilon=args.trials)
     rows = run_sweep(spec, cfg)
     header = [f.name for f in dataclasses.fields(SweepRow)]
-    write_csv(args.out, header, [dataclasses.astuple(r) for r in rows])
+    write_csv(args.out, header, [[getattr(r, name) for name in header] for r in rows])
     counterexamples = sum(r.verdict == Verdict.COUNTEREXAMPLE_TO_THEOREM.value for r in rows)
     return 3 if counterexamples else 0
 

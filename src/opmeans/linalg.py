@@ -3,8 +3,8 @@
 Everything downstream (operator means, identity residuals, the descent
 experiment) is built on the handful of primitives in this module: a
 Jacobi eigensolver for Hermitian matrices (cyclic order on scalars for
-small matrices, round-robin order on numpy arrays for larger ones, where a
-stack of independent matrices shares each round's numpy calls), square
+small matrices, round-robin order on numpy arrays for larger ones and large
+stacks, where independent matrices share each round's numpy calls), square
 roots and the exponential through the spectrum, the polar factor of an
 invertible matrix, and norms.
 
@@ -123,16 +123,16 @@ def frobenius_norm(t) -> float:
         return float(np.ldexp(math.sqrt(np.vdot(s, s).real), exp))
 
 
-def _scale_exponent(a: np.ndarray, b: np.ndarray) -> int:
+def _scale_exponent(ea: int, eb: int) -> int:
     """k for which 2^-2k brings the largest entry of A and B into [1, 4), from
-    their larger `_exponent`: a zero matrix has no say, and k >= -511.
+    their `_exponent`s ea and eb: a zero matrix has no say, and k >= -511.
 
     An even power of two scales exactly and commutes with square roots, so
     results computed on the scaled matrices are the unscaled ones times
     powers of two, bit for bit, wherever those neither overflow nor
     underflow.
     """
-    return (max(_exponent(a), _exponent(b)) - 1) // 2
+    return (max(ea, eb) - 1) // 2
 
 
 def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
@@ -268,6 +268,14 @@ def _jacobi(m: np.ndarray, v0: np.ndarray, target: float) -> _Solution:
 _ROUNDS_MIN_N = 12
 
 
+def _round_robin_for(k: int, n: int) -> bool:
+    """Whether a stack of k matrices of size n runs round-robin. Below
+    `_ROUNDS_MIN_N` it beat k cyclic runs on a sweep's matrices from k = 8
+    at n >= 4 and near k = 16 at n = 3, never up to 64 at n = 2; the pairs'
+    own passes, of at most 3, stay cyclic."""
+    return n >= _ROUNDS_MIN_N or (k >= 8 and k * (n - 2) >= 16)
+
+
 def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
     """The rounds of the circle-method tournament on n indices, as (p, q).
 
@@ -397,8 +405,8 @@ def _checked_frame(q, shape: tuple[int, int]) -> np.ndarray:
 def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
-    Below `_ROUNDS_MIN_N` the rotations run in cyclic order, from that
-    size on in round-robin order; both stop at the same target. Raises
+    Below `_ROUNDS_MIN_N` a lone matrix's rotations run in cyclic order,
+    from that size on in round-robin order; both stop at the same target. Raises
     NotHermitian when the input asymmetry exceeds the default identity_tol,
     1e-10, and NoConvergence when the off-diagonal mass has not dropped below
     EIG_OFF_DIAG_TOL * ||H||_F within MAX_JACOBI_SWEEPS sweeps. Jacobi
@@ -415,14 +423,16 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     raises ValueError.
 
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
-    matrices, gives the list of their k decompositions, each bit for bit
-    what the member alone gives; its `frame` is None or a sequence of k
-    frames, each a frame or None. Every member is checked before any runs,
-    so the error raised is the NotHermitian or ValueError of the first
-    member with a bad matrix or frame, else the NoConvergence of the first
-    that does not converge, each with a single call's message. From
-    `_ROUNDS_MIN_N` on the members share each round's numpy calls; below,
-    the cyclic loop runs once per member.
+    matrices, gives the list of their k decompositions; its `frame` is None
+    or a sequence of k frames, each a frame or None. Every member is checked
+    before any runs, so the error raised is the NotHermitian or ValueError
+    of the first member with a bad matrix or frame, else the NoConvergence
+    of the first that does not converge, each with a single call's message.
+    Where `_round_robin_for(k, n)` holds, the members share each round's
+    numpy calls, and each gets the bits round-robin order gives it alone,
+    whatever its companions: below `_ROUNDS_MIN_N` they differ from its
+    lone call's in the last digits. Otherwise the cyclic loop runs once per
+    member.
     """
     stack = np.ndim(h) == 3
     members = h if stack else (h,)
@@ -443,7 +453,7 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
             scaled = q.conj().T @ scaled @ q
             scaled = (scaled + scaled.conj().T) / 2.0
         runs.append((e, scaled, q, target))
-    if n >= _ROUNDS_MIN_N:
+    if _round_robin_for(len(runs), n):
         solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), np.stack([run[2] for run in runs]),
                                    [run[3] for run in runs])
     else:

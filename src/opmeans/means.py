@@ -26,13 +26,15 @@ each, in two passes of the eigensolver: A and B as one stack on
 construction, then the core on first use, with (A+Y)*(A+Y) for `verify`'s
 r4; in A's frame both are graded, and diagonal for a commuting pair. A
 generated pair carries the spectra of A and B it was drawn from and takes
-the second pass alone; one read from files that carry the frames `gen`
+the second pass alone, or in a sweep with other pairs' cores
+(`_take_cores`); one read from files that carry the frames `gen`
 drew starts its first pass from them.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from functools import cached_property
 
 import numpy as np
@@ -117,7 +119,8 @@ class HpdPair:
         a, b = as_matrix(a), as_matrix(b)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        k, ea, eb = _scale_exponent(a, b), _exponent(a), _exponent(b)
+        ea, eb = _exponent(a), _exponent(b)
+        k = _scale_exponent(ea, eb)
         self.balanced = min(ea, eb) - 2 * k <= -1022
         k = (ea + eb - 2) // 4 if self.balanced else k
         self.unit = math.ldexp(1.0, 2 * k)
@@ -229,6 +232,21 @@ class HpdPair:
     def trace_gap(self) -> float:
         """tr X - tr(A^{1/2} B^{1/2}), in units of the scaled pair."""
         return self.trace_x - float(self.root_a @ self.sqrt_b.diagonal().real)
+
+
+def _take_cores(pairs: list[HpdPair]) -> None:
+    """Fill each pair's `core` from one pass over their cores, as
+    `spectrum_beside_core` does. A pair whose core or its root raises a
+    NumericalError here, or all where the pass does, take theirs on first
+    use."""
+    cores = []
+    for p in pairs:
+        with suppress(NumericalError):
+            cores.append((p, _graded(p.root_a, p.b_t)))
+    with suppress(NumericalError):
+        for (p, _), eig in zip(cores, hermitian_eigen([core for _, core in cores]) if cores else []):
+            with suppress(NumericalError):
+                p.core = eig, _sqrt_from(eig)  # fills the cached property
 
 
 def geometric_mean(p: HpdPair) -> np.ndarray:

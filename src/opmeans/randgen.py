@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -249,14 +250,38 @@ def near_commuting_pair(spec: GenSpec) -> HpdPair:
     assembled; an eigenvalue whose exponential overflows, or a B with an
     entry past the double range, raises DomainError.
     """
+    return _near_commuting_finish(_near_commuting_draw(spec))
+
+
+class _Draw(NamedTuple):
+    """`near_commuting_pair` up to its eigendecomposition: A, B0, their
+    drawn spectra, and log B0 + epsilon K, or None at epsilon = 0."""
+
+    a: np.ndarray
+    b0: np.ndarray
+    eig_a: HermitianEigen
+    eig_b0: HermitianEigen
+    log_b: np.ndarray | None
+
+
+def _near_commuting_draw(spec: GenSpec) -> _Draw:
+    """The draw of `near_commuting_pair(spec)`, before any eigendecomposition."""
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
     rng = SplitMix64(spec.seed)
     a, b0, log_b0, eig_a, eig_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
     k = _hermitian_unit(rng, spec.dim)
-    if spec.epsilon == 0.0:
+    return _Draw(a, b0, eig_a, eig_b0, None if spec.epsilon == 0.0 else log_b0 + spec.epsilon * k)
+
+
+def _near_commuting_finish(draw: _Draw, eig_log: HermitianEigen | None = None) -> HpdPair:
+    """The pair of a draw, from `eig_log`, its logarithm's spectrum, taken
+    here from B0's frame unless given."""
+    a, b0, eig_a, eig_b0, log_b = draw
+    if log_b is None:
         return HpdPair(a, b0, (eig_a, eig_b0))
-    eig_log = hermitian_eigen(log_b0 + spec.epsilon * k, frame=eig_b0.frame)
+    if eig_log is None:
+        eig_log = hermitian_eigen(log_b, frame=eig_b0.frame)
     values = _exp_values(eig_log)
     with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
         b = _assemble(eig_log.frame, values)

@@ -57,6 +57,7 @@ from .linalg import (
     frobenius_norm,
     hermitian_eigen,
     _assemble,
+    _exponent,
     _gram,
     _isometry,
     _positive,
@@ -284,7 +285,7 @@ def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> Witness
     y = as_matrix(y)
     if x.shape != y.shape:
         raise ValueError(f"dimension mismatch: {x.shape} vs {y.shape}")
-    unit = math.ldexp(1.0, 2 * _scale_exponent(x, y))
+    unit = math.ldexp(1.0, 2 * _scale_exponent(_exponent(x), _exponent(y)))
     x, y = x / unit, y / unit
     total = x + y
     # one pass: the grams of X and Y, and that of X+Y for both |X+Y| and

@@ -502,8 +502,31 @@ def stack_hints(mats, seed):
             np.eye(n)]
 
 
+def round_robin_size(n, limit=64):
+    """The least stack size that runs round-robin at size n, or None up to `limit`."""
+    return next((k for k in range(1, limit + 1) if linalg._round_robin_for(k, n)), None)
+
+
+def mixed_members(n, k):
+    """k members and their hints, `stack_members` and `stack_hints` over
+    successive seeds."""
+    mats, hints = [], []
+    for seed in range(n, n + k, 3):
+        batch = stack_members(n, seed)
+        mats += batch
+        hints += stack_hints(batch, seed)
+    return mats[:k], hints[:k]
+
+
+def bits(e):
+    """The bytes of a decomposition's eigenvalues and frame."""
+    return e.eigenvalues.tobytes() + e.frame.tobytes()
+
+
 class TestStackedEigen:
-    """A stack gives each member the bits of a single call, on both orders."""
+    """A stack gives each member the bits of a single call, on both orders,
+    unless it runs round-robin below n = 12, where each member's bits
+    depend on it alone."""
 
     @pytest.mark.parametrize("n", [1, 2, 5, 11, 12, 13, 16, 24, 32])
     def test_members_match_single_calls(self, n):
@@ -525,6 +548,35 @@ class TestStackedEigen:
         (got,), ref = hermitian_eigen(h[None]), hermitian_eigen(h)
         assert np.array_equal(got.eigenvalues, ref.eigenvalues)
         assert np.array_equal(got.frame, ref.frame)
+
+    @pytest.mark.parametrize("n", range(2, 12))
+    def test_stack_below_the_round_robin_size_is_lone_calls(self, n, monkeypatch):
+        # one member short of the size from which a stack runs round-robin
+        # (none up to 64 at n = 2), the cyclic loop runs once per member
+        k = round_robin_size(n)
+        mats, hints = mixed_members(n, (k or 65) - 1)
+        singles = [hermitian_eigen(m, frame=q) for m, q in zip(mats, hints)]
+        stacks = []
+        real = linalg._jacobi_rounds
+        monkeypatch.setattr(linalg, "_jacobi_rounds", lambda m, v, t: stacks.append(len(m)) or real(m, v, t))
+        got = hermitian_eigen(np.stack(mats), frame=hints)
+        assert stacks == [] and [bits(e) for e in got] == [bits(e) for e in singles]
+        if k is not None:
+            hermitian_eigen(np.stack(mats + mats[:1]), frame=hints + hints[:1])
+            assert stacks == [k]
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_round_robin_stack_members_keep_their_bits(self, n):
+        # each member of a round-robin stack below n = 12 gets the same bits
+        # whatever its place and companions: k members in order, then the
+        # same members reversed behind k others
+        k = round_robin_size(n)
+        mats, hints = mixed_members(n, 2 * k)
+        first = hermitian_eigen(np.stack(mats[:k]), frame=hints[:k])
+        second = hermitian_eigen(mats[k:] + mats[k - 1 :: -1], frame=hints[k:] + hints[k - 1 :: -1])
+        assert [bits(e) for e in first] == [bits(e) for e in second[: k - 1 : -1]]
+        # not the cyclic loop's bits: the stack did run round-robin
+        assert [bits(e) for e in first] != [bits(hermitian_eigen(m, frame=q)) for m, q in zip(mats[:k], hints)]
 
     @pytest.mark.parametrize("n", [5, 24])
     def test_failing_member_raises_its_single_call_error(self, n, monkeypatch):

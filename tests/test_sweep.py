@@ -2,11 +2,13 @@
 
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import opmeans.linalg as linalg
+import opmeans.means as means
 import opmeans.sweep as sweep
 from opmeans.cli import cli_main
 from opmeans.randgen import GenSpec, InvalidSpec, near_commuting_pair
@@ -45,7 +47,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("epsilons", ["0,nan", "nan", "0,inf"])
     def test_cli_draws_nothing_for_nan_or_inf(self, tmp_path, monkeypatch, capsys, epsilons):
         calls = []
-        monkeypatch.setattr(sweep, "near_commuting_pair", lambda *args: calls.append(args))
+        monkeypatch.setattr(sweep, "_near_commuting_draw", lambda *args: calls.append(args))
         out = tmp_path / "s.csv"
         code = cli_main(["sweep", "--n", "2", "--epsilons", epsilons, "--trials", "2", "--out", str(out)])
         assert code == 1 and calls == [] and not out.exists()
@@ -115,6 +117,58 @@ class TestRunSweep:
                 rep.mean_gap, rep.commutator_gap, rep.trace_gap)
             assert row.verdict == classify_gaps(rep.mean_gap, rep.commutator_gap).value
 
+    def test_stacked_rows_equal_the_reports_of_their_pairs(self):
+        # 12 rows, 8 of them perturbed: at n = 4 both passes run round-robin
+        spec = SweepSpec(base=base_spec(n=4, seed=17, cond=100.0), epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=4)
+        rows = run_sweep(spec)
+        specs = [replace(spec.base, seed=row.seed, epsilon=row.epsilon) for row in rows]
+        moved = 0
+        for row, pair, gspec in zip(rows, sweep._pairs(specs), specs):
+            gaps = (row.mean_gap, row.commutator_gap, row.trace_gap)
+            rep = proof_chain_report(pair)
+            assert gaps == (rep.mean_gap, rep.commutator_gap, rep.trace_gap)
+            # the pair built alone takes the cyclic loop: within 1e-14, where
+            # 1344 rows (n = 3-9, cond 10 and 100, 4 master seeds, the
+            # benchmark's epsilons and trials) moved by at most 4.4e-16 (mean
+            # gap), 1.9e-15 (commutator gap) and 2.8e-15 tr X (trace gap),
+            # and no row at epsilon = 0 moved
+            lone_pair = near_commuting_pair(gspec)
+            lone = proof_chain_report(lone_pair)
+            assert abs(row.mean_gap - lone.mean_gap) <= 1e-14
+            assert abs(row.commutator_gap - lone.commutator_gap) <= 1e-14
+            assert abs(row.trace_gap - lone.trace_gap) <= 1e-14 * lone_pair.trace_x * lone_pair.unit
+            assert row.epsilon > 0.0 or gaps == (lone.mean_gap, lone.commutator_gap, lone.trace_gap)
+            moved += gaps != (lone.mean_gap, lone.commutator_gap, lone.trace_gap)
+        assert moved > 0
+
+    @pytest.mark.parametrize("stage", [0, 1], ids=["logarithms", "cores"])
+    def test_error_in_a_stacked_pass_stays_in_its_row(self, monkeypatch, stage):
+        # the fifth member of a round-robin pass does not converge, alone or
+        # stacked; the pass falls back to lone calls, and only its row fails
+        spec = SweepSpec(base=base_spec(n=4, seed=17), epsilons=(0.01, 0.1, 0.5), trials_per_epsilon=4)
+        real_rounds, real_jacobi = linalg._jacobi_rounds, linalg._jacobi
+        targets = []
+        monkeypatch.setattr(linalg, "_jacobi_rounds", lambda m, v, t: targets.append(t) or real_rounds(m, v, t))
+        clean = run_sweep(spec)
+        assert [len(t) for t in targets] == [12, 12]
+        doomed = targets[stage][4]
+
+        def rounds(m, v, t):
+            solutions = real_rounds(m, v, t)
+            return [(lam, w, math.inf if target == doomed else mass) for (lam, w, mass), target in zip(solutions, t)]
+
+        def jacobi(m, v, target):
+            lam, w, mass = real_jacobi(m, v, target)
+            return lam, w, math.inf if target == doomed else mass
+
+        monkeypatch.setattr(linalg, "_jacobi_rounds", rounds)
+        monkeypatch.setattr(linalg, "_jacobi", jacobi)
+        rows = run_sweep(spec)
+        assert rows[4].verdict == "error:NoConvergence" and math.isnan(rows[4].mean_gap)
+        for row, ref in zip(rows[:4] + rows[5:], clean[:4] + clean[5:]):
+            assert row.verdict == ref.verdict
+            assert abs(row.mean_gap - ref.mean_gap) <= 1e-14 and abs(row.commutator_gap - ref.commutator_gap) <= 1e-14
+
 
 class TestWarmStartedSweeps:
     """The generator hints log B0 + eps K with B0's drawn frame and the
@@ -125,35 +179,52 @@ class TestWarmStartedSweeps:
 
     def test_sweeps_per_call_on_the_benchmark_grid(self, monkeypatch):
         # the grid of the sweep-small workload, at one fixed master seed
-        sweeps, current = [], []  # (epsilon, rotating sweeps) per _jacobi call
-        real_mass, real_jacobi, real_pair = linalg._off_diagonal_mass, linalg._jacobi, sweep.near_commuting_pair
-        masses = []
+        passes, sweeps = [], []  # members per pass; per pass, the stack size of each rotating sweep
+        real_eigen, real_plan = linalg.hermitian_eigen, linalg._rounds_plan
 
-        def counted_mass(a, n):
-            masses.append(n)
-            return real_mass(a, n)
+        def counted_eigen(h, frame=None):
+            passes.append(len(h))
+            sweeps.append([])
+            return real_eigen(h, frame)
 
-        def counted_jacobi(*args):
-            start = len(masses)
-            solution = real_jacobi(*args)
-            sweeps.append((current[-1], len(masses) - start - 1))
-            return solution
+        class Plan(list):
+            """A round-robin plan whose every pass over its rounds is one sweep."""
 
-        def pair(gspec):
-            current.append(gspec.epsilon)
-            return real_pair(gspec)
+            def __iter__(self):
+                sweeps[-1].append(self.members)
+                return super().__iter__()
 
-        monkeypatch.setattr(linalg, "_off_diagonal_mass", counted_mass)
-        monkeypatch.setattr(linalg, "_jacobi", counted_jacobi)
-        monkeypatch.setattr(sweep, "near_commuting_pair", pair)
-        rows = 0
+        def plan(n, k):
+            rounds = Plan(real_plan(n, k))
+            rounds.members = k
+            return rounds
+
+        monkeypatch.setattr(sweep, "hermitian_eigen", counted_eigen)
+        monkeypatch.setattr(means, "hermitian_eigen", counted_eigen)
+        monkeypatch.setattr(linalg, "_rounds_plan", plan)
         for n in (3, 4, 5, 6):
-            rows += len(run_sweep(SweepSpec(base=base_spec(n=n, seed=1), epsilons=self.EPSILONS,
-                                            trials_per_epsilon=4)))
-        # 11/6 calls per row: the core alone at epsilon = 0, else the
-        # generator's logarithm and then the core
-        assert (rows, len(sweeps)) == (96, 176)
-        # each call's last mass check finds it converged: 515 rotating
-        # sweeps, 2.93 per call, where cold starts took 783 (4.45)
-        assert len(masses) == 515 + 176
-        assert [s for eps, s in sweeps if eps == 0.0] == [0] * 16
+            assert len(run_sweep(SweepSpec(base=base_spec(n=n, seed=1), epsilons=self.EPSILONS,
+                                           trials_per_epsilon=4))) == 24
+        # two passes per 24-row call, where rows one by one took 44 calls:
+        # the 20 logarithms at epsilon > 0, then the 24 cores
+        assert passes == [20, 24] * 4
+        # both run round-robin; a member leaves the stack at the start of
+        # the sweep where it would stop alone, the 4 cores at epsilon = 0
+        # before the first
+        assert sweeps == [[20, 20, 12], [20, 20, 5], [20, 20, 13, 1], [20, 20, 11],
+                          [20, 20, 20, 4], [20, 20, 17, 3], [20, 20, 20, 10, 1], [20, 20, 20, 7]]
+        # 464 rotating sweeps of one member, 2.64 per warm-started matrix,
+        # where the cyclic loop took 515 (2.93) and cold starts 783 (4.45)
+        assert sum(map(sum, sweeps)) == 464
+
+    def test_a_block_bounds_each_pass(self, monkeypatch):
+        # 70 rows at epsilon > 0 take three blocks of at most 32 rows, each
+        # of two passes
+        passes = []
+        real = sweep.hermitian_eigen
+        monkeypatch.setattr(sweep, "hermitian_eigen", lambda h, frame=None: passes.append(len(h)) or real(h, frame))
+        monkeypatch.setattr(means, "hermitian_eigen", lambda h, frame=None: passes.append(len(h)) or real(h, frame))
+        epsilons = tuple(0.01 * (i + 1) for i in range(7))
+        rows = run_sweep(SweepSpec(base=base_spec(n=2), epsilons=epsilons, trials_per_epsilon=10))
+        assert sweep._BLOCK == 32 and len(rows) == 70
+        assert passes == [32, 32, 32, 32, 6, 6]
