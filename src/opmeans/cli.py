@@ -3,10 +3,8 @@
 Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
 0 success, 1 usage or input-format error or an output file that cannot be
 opened or is named twice (checked before any work), 2 numerical error, 3
-a `CounterexampleToTheorem` verdict from verify or sweep. It occurs on
-valid pairs: near a commuting pair whose eigenvalue ratios tie, the mean
-gap is second order in the commutator gap, so small perturbations of n = 2
-pairs get it (ROADMAP, "Verdicts the theorem supports"). A command line
+a `CounterexampleToTheorem` verdict from verify or sweep, which small
+perturbations of n = 2 pairs get (`verify.classify_gaps`). A command line
 that names its subcommand first and asks for no help builds that
 subcommand's parser alone.
 """

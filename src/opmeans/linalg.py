@@ -182,15 +182,16 @@ def _upper_plan(n: int) -> tuple[np.ndarray, np.ndarray]:
     return plan
 
 
-def _off_diagonal_mass(a: list, n: int) -> float:
-    """Frobenius mass of the off-diagonal part (both triangles)."""
-    total = 0.0
-    for i in range(n - 1):
-        row = a[i]
-        for j in range(i + 1, n):
-            x = row[j]
-            total += x.real * x.real + x.imag * x.imag
-    return math.sqrt(2.0 * total)
+@functools.lru_cache(maxsize=64)
+def _identity(n: int) -> np.ndarray:
+    """The complex `np.eye(n)` as a read-only view shared between calls."""
+    return np.broadcast_to(np.eye(n, dtype=np.complex128), (n, n))
+
+
+@functools.lru_cache(maxsize=64)
+def _others(n: int) -> list[list[tuple[int, ...]]]:
+    """`_others(n)[p][q]`, the indices other than p and q, shared between calls."""
+    return [[tuple(i for i in range(n) if i not in (p, q)) for q in range(n)] for p in range(n)]
 
 
 _Solution = tuple[np.ndarray, np.ndarray, float]
@@ -206,17 +207,26 @@ def _jacobi(m: np.ndarray, v0: np.ndarray, target: float) -> _Solution:
     target / 4n, which cannot lift the mass back above target, are skipped.
     Returns the diagonal, the frame and the final off-diagonal mass, which
     is above `target` only when the sweep budget ran out.
+
+    A rotation updates columns p and q of the other rows and writes rows p
+    and q as their conjugates in one pass, the (p, q) block two-sided. The
+    matrix being Hermitian, CPython gives conj(x cu - y s) the bits of the
+    rows' own update cu* x* - s y* but for a zero's sign, after which the
+    diagonal, frame and mass were byte-equal on every tested input.
     """
     n = m.shape[0]
-    skip = target / (4.0 * n)
-    a = m.tolist()
-    v = v0.tolist()
+    skip, rest = target / (4.0 * n), _others(n)
+    a, v = m.tolist(), v0.tolist()
     for sweep in range(MAX_JACOBI_SWEEPS + 1):
-        mass = _off_diagonal_mass(a, n)
+        total = 0.0  # the off-diagonal mass from the upper triangle
+        for i in range(n - 1):
+            for x in a[i][i + 1:]:
+                total += x.real * x.real + x.imag * x.imag
+        mass = math.sqrt(2.0 * total)
         if mass <= target or sweep == MAX_JACOBI_SWEEPS:
             break
         for p in range(n - 1):
-            ap = a[p]
+            ap, others = a[p], rest[p]
             for q in range(p + 1, n):
                 h = ap[q]
                 r = abs(h)
@@ -236,25 +246,20 @@ def _jacobi(m: np.ndarray, v0: np.ndarray, target: float) -> _Solution:
                 s = t * c
                 cu = c * u
                 su = s * u
-                cu_c = cu.conjugate()
-                su_c = su.conjugate()
                 # A <- V* A V with V the identity outside the (p, q) plane,
-                # V[p,p] = c*u, V[p,q] = s*u, V[q,p] = -s, V[q,q] = c.
-                for i in range(n):
+                # V[p,p] = c*u, V[p,q] = s*u, V[q,p] = -s, V[q,q] = c
+                for i in others[q]:
                     ai = a[i]
                     x = ai[p]
                     y = ai[q]
-                    ai[p] = x * cu - y * s
-                    ai[q] = x * su + y * c
-                for i in range(n):
-                    x = ap[i]
-                    y = aq[i]
-                    ap[i] = cu_c * x - s * y
-                    aq[i] = su_c * x + c * y
-                ap[q] = 0j
-                aq[p] = 0j
-                ap[p] = complex(ap[p].real, 0.0)
-                aq[q] = complex(aq[q].real, 0.0)
+                    ai[p] = xp = x * cu - y * s
+                    ai[q] = yq = x * su + y * c
+                    ap[i] = xp.conjugate()
+                    aq[i] = yq.conjugate()
+                x, y = ap[p], aq[p]
+                ap[p] = complex((cu.conjugate() * (x * cu - h * s) - s * (y * cu - aq[q] * s)).real, 0.0)
+                aq[q] = complex((su.conjugate() * (x * su + h * c) + c * (y * su + aq[q] * c)).real, 0.0)
+                ap[q] = aq[p] = 0j
                 for vi in v:
                     x = vi[p]
                     y = vi[q]
@@ -296,29 +301,33 @@ def _round_robin(n: int) -> list[tuple[np.ndarray, np.ndarray]]:
 
 
 @functools.lru_cache(maxsize=64)
+def _round_entries(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """`_rounds_plan(n, 1)` as one (rounds, 13, 1, n // 2) array of its
+    13 kinds of position, and each kind's stride from one member to the
+    next, shared between calls and read-only."""
+    e = np.array([(q * n + p, p * n + q, p * (n + 1), q * (n + 1)) for p, q in _round_robin(n)])
+    base = np.concatenate((e, e[:, 1:], 2 * e[:, :2], 2 * e + 1), axis=1)[:, :, None]
+    stride = np.repeat([n * n, 2 * n * n, 4 * n * n], [4, 3, 6])[:, None, None]
+    base.setflags(write=False)
+    stride.setflags(write=False)
+    return base, stride
+
+
 def _rounds_plan(n: int, k: int) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Flat positions of each round of `_round_robin(n)`: where J's entries
     go in a stack of k n x n matrices, and those a round gathers and, in
-    the float view, sets to zero in a stack of k 2n x n buffers, A over V.
+    the float view, sets to zero in a stack of k 2n x n buffers, A over V:
+    `_round_entries(n)` plus each member's offset.
 
     J's entries go to (q, p), (p, q), (p, p) and (q, q), one segment of all
     members' pairs per kind of entry, so a round's scalar work runs on flat
     vectors whatever the stack size. A round gathers A's entries of the
     last three kinds, zeroes both parts of the first two and the imaginary
-    part of the last two. The arrays are shared between calls and read-only.
+    part of the last two.
     """
-    members = np.arange(k)[:, None]
-    plan = []
-    for p, q in _round_robin(n):
-        entries = np.stack((q * n + p, p * n + q, p * (n + 1), q * (n + 1)))[:, None, :]
-        place = (entries + members * (n * n)).ravel()
-        spot = (entries + members * (2 * n * n)).ravel()
-        zero = np.concatenate((2 * spot[: len(spot) // 2], 2 * spot + 1))
-        gather = spot[len(spot) // 4 :]
-        for index in (place, gather, zero):
-            index.setflags(write=False)
-        plan.append((place, gather, zero))
-    return plan
+    base, stride = _round_entries(n)
+    flat, segment = (base + np.arange(k)[:, None] * stride).reshape(len(base), -1), k * (n // 2)
+    return list(zip(flat[:, : 4 * segment], flat[:, 4 * segment : 7 * segment], flat[:, 7 * segment :]))
 
 
 def _jacobi_rounds(m: np.ndarray, v: np.ndarray, targets: list[float]) -> list[_Solution]:
@@ -359,7 +368,7 @@ def _jacobi_rounds(m: np.ndarray, v: np.ndarray, targets: list[float]) -> list[_
             w, members = stack[pick], [members[i] for i in stay]
             plan = _rounds_plan(n, len(members))
             k = len(members) * (n // 2)  # pairs per round in the stack
-            eye = np.broadcast_to(np.eye(n, dtype=np.complex128), (*w.shape[:-2], n, n)).copy()
+            eye = np.broadcast_to(_identity(n), (*w.shape[:-2], n, n)).copy()
             skip = np.repeat([targets[i] / (4.0 * n) for i in members], n // 2)
         for place, gather, zero in plan:
             g = w.take(gather)
@@ -405,8 +414,8 @@ def _checked_frame(q, shape: tuple[int, int]) -> np.ndarray:
 def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     """Eigendecomposition of a Hermitian matrix by Jacobi rotations.
 
-    Below `_ROUNDS_MIN_N` a lone matrix's rotations run in cyclic order,
-    from that size on in round-robin order; both stop at the same target. Raises
+    Rotations run in cyclic or round-robin order (`_round_robin_for`, with
+    k = 1 for a lone matrix), which stop at the same target. Raises
     NotHermitian when the input asymmetry exceeds the default identity_tol,
     1e-10, and NoConvergence when the off-diagonal mass has not dropped below
     EIG_OFF_DIAG_TOL * ||H||_F within MAX_JACOBI_SWEEPS sweeps. Jacobi
@@ -428,11 +437,10 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     before any runs, so the error raised is the NotHermitian or ValueError
     of the first member with a bad matrix or frame, else the NoConvergence
     of the first that does not converge, each with a single call's message.
-    Where `_round_robin_for(k, n)` holds, the members share each round's
-    numpy calls, and each gets the bits round-robin order gives it alone,
-    whatever its companions: below `_ROUNDS_MIN_N` they differ from its
-    lone call's in the last digits. Otherwise the cyclic loop runs once per
-    member.
+    In round-robin order the members share each round's numpy calls, and
+    each gets the bits that order gives it alone, whatever its companions:
+    below `_ROUNDS_MIN_N` they differ from its lone call's in the last
+    digits. Otherwise the cyclic loop runs once per member.
     """
     stack = np.ndim(h) == 3
     members = h if stack else (h,)
@@ -447,7 +455,7 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
         scaled = hm * math.ldexp(1.0, -e)
         target = EIG_OFF_DIAG_TOL * frobenius_norm(scaled)
         if q is None:
-            q = np.eye(n, dtype=np.complex128)
+            q = _identity(n)
         else:
             q = _checked_frame(q, hm.shape)
             scaled = q.conj().T @ scaled @ q

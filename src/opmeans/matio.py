@@ -135,14 +135,11 @@ def format_float(x: float) -> str:
 def write_csv(path: str, header: Iterable[str], rows: Iterable[Iterable]) -> None:
     """Write rows of floats/ints/strings; floats via format_float."""
     def cell(x) -> str:
-        if isinstance(x, float):
-            return format_float(x)
-        return str(x)
+        return format_float(x) if isinstance(x, float) else str(x)
 
+    text = "\n".join([",".join(header), *(",".join(map(cell, row)) for row in rows)]) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(cell(x) for x in row) + "\n")
+        fh.write(text)
 
 
 def save_json(path: str | None, obj) -> str:

@@ -22,13 +22,9 @@ original frame, by one congruence Q . Q*. The commutator AB - BA is
 
 These come from three spectra, of A, of B and of the core, which an
 `HpdPair`, the pair and its spectral context in one, computes at most once
-each, in two passes of the eigensolver: A and B as one stack on
-construction, then the core on first use, with (A+Y)*(A+Y) for `verify`'s
-r4; in A's frame both are graded, and diagonal for a commuting pair. A
-generated pair carries the spectra of A and B it was drawn from and takes
-the second pass alone, or in a sweep with other pairs' cores
-(`_take_cores`); one read from files that carry the frames `gen`
-drew starts its first pass from them.
+each, in two passes of the eigensolver: A and B as one stack, then the
+core, with (A+Y)*(A+Y) for `verify`'s r4 or with other pairs' cores in a
+sweep (`_take_cores`); in A's frame the core is graded.
 """
 
 from __future__ import annotations
@@ -61,17 +57,17 @@ from .linalg import (
 __all__ = ["HpdPair", "geometric_mean", "heron_mean", "wasserstein_mean"]
 
 
-def _graded(s: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The core A^{1/2} B A^{1/2} in A's frame, s_i B~_ij s_j, from B~
-    symmetrized, or NumericalError where it leaves the double range."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        core = (b + b.conj().T) / 2.0 * np.outer(s, s)
+def _graded(ss: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The core A^{1/2} B A^{1/2} in A's frame, ss o B~ symmetrized with
+    ss = (s_i s_j), or NumericalError where it leaves the double range (to be
+    called under np.errstate where B~ can overflow)."""
+    core = (b + b.conj().T) / 2.0 * ss
     if not np.isfinite(core).all():
         raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range")
     return core
 
 
-def _gap(weights: tuple[np.ndarray, np.ndarray], sqrt_b: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _gap(weights: tuple[np.ndarray, ...], sqrt_b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """4(H - W) in A's frame, from B^{1/2} and X there and the pair's
     `weights` (s_i + s_j, (a_i + a_j) / (s_i s_j))."""
     return weights[0] * sqrt_b - weights[1] * x
@@ -158,11 +154,11 @@ class HpdPair:
         return np.sqrt(_positive(self.eig_a, "a").eigenvalues)
 
     @cached_property
-    def weights(self) -> tuple[np.ndarray, np.ndarray]:
-        """(s_i + s_j, (a_i + a_j) / (s_i s_j)), the weights of B^{1/2} and of
-        X in 4(H - W) (`_gap`)."""
-        lam, s = self.eig_a.eigenvalues, self.root_a
-        return s[:, None] + s, (lam[:, None] + lam) / np.outer(s, s)
+    def weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(s_i + s_j, (a_i + a_j) / (s_i s_j), s_i s_j), the weights of
+        B^{1/2} and of X in 4(H - W) (`_gap`) and of B~ in the core (`_graded`)."""
+        lam, s, ss = self.eig_a.eigenvalues, self.root_a, np.outer(self.root_a, self.root_a)
+        return s[:, None] + s, (lam[:, None] + lam) / ss, ss
 
     @cached_property
     def b_t(self) -> np.ndarray:
@@ -177,7 +173,7 @@ class HpdPair:
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
         """Spectrum of the core s_i B~_ij s_j and X~, its square root."""
-        eig = hermitian_eigen(_graded(self.root_a, self.b_t))
+        eig = hermitian_eigen(_graded(self.weights[2], self.b_t))
         return eig, _sqrt_from(eig)
 
     def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
@@ -185,7 +181,7 @@ class HpdPair:
         already known."""
         if "core" in self.__dict__:
             return hermitian_eigen(h)
-        eig_core, eig = hermitian_eigen((_graded(self.root_a, self.b_t), h))
+        eig_core, eig = hermitian_eigen((_graded(self.weights[2], self.b_t), h))
         self.core = eig_core, _sqrt_from(eig_core)  # fills the cached property
         return eig
 
@@ -242,7 +238,7 @@ def _take_cores(pairs: list[HpdPair]) -> None:
     cores = []
     for p in pairs:
         with suppress(NumericalError):
-            cores.append((p, _graded(p.root_a, p.b_t)))
+            cores.append((p, _graded(p.weights[2], p.b_t)))
     with suppress(NumericalError):
         for (p, _), eig in zip(cores, hermitian_eigen([core for _, core in cores]) if cores else []):
             with suppress(NumericalError):

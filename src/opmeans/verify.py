@@ -19,23 +19,14 @@ scale of the terms entering its own left-hand side (never by a difference
 that can itself vanish, so commuting pairs do not divide zero by zero).
 
 Everything about a pair derives from the spectral context an `HpdPair`
-holds, in A's eigenframe, where A^{1/2} is diagonal and each product with
-it is an entrywise scaling; the Frobenius norms and traces that make up
-the report are unitarily invariant, so nothing returns to the original
-frame; the commutator gap is ||(a_i - a_j) B~_ij||_F / (||A||_F ||B||_F)
-(`HpdPair.commutator_gap`). Each caller takes only what it emits. The
-pair's two gaps and `trace_criterion` need two passes of the eigensolver,
-over A and B as one stack and then the core; the full report adds
-(A+Y)*(A+Y), for r4, to the core's pass. A generated pair carries the
-spectra of A and B it was drawn from and skips the first pass. Since Y*Y
-is the core, r5 takes the polar factor of Y from the core's spectrum, by
-`_isometry`, the one polar route, which `ando_hayashi_witness` takes too.
-The descent starts from its validated pair (A, B0), one pass over A and
-B0, then runs in A's frame, in a root chart B~ = nu R~^4 under the
-Frobenius inner product, with one eigendecomposition, of the core, per
-evaluation. Each evaluation returns its point, which carries that
-spectrum, to the exact gradient, which reads it alone; B returns to the
-original frame once, at the end.
+holds, in A's eigenframe, where the Frobenius norms and traces that make
+up the report are unitarily invariant, so nothing returns to the original
+frame. Each caller takes only what it emits. The pair's two gaps and
+`trace_criterion` need two passes of the eigensolver, over A and B as one
+stack (none for a generated pair) and then the core; the full report adds
+(A+Y)*(A+Y), for r4, to the core's pass. Since Y*Y is the core, r5 takes
+the polar factor of Y from the core's spectrum, by `_isometry`, the one
+polar route, which `ando_hayashi_witness` takes too.
 """
 
 from __future__ import annotations
@@ -171,10 +162,9 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     """Evaluate every identity residual for one pair.
 
     Everything comes from the pair's spectral context, which the means of
-    the same pair share, and stays in A's eigenframe, where A is diag(a)
-    and A^{1/2} is diag(s): the Frobenius norms that make up the
-    residuals are unitarily invariant, and each product with A or A^{1/2}
-    is an entrywise scaling. The gram of A+Y, for r4, is decomposed in the
+    the same pair share, and stays in A's eigenframe, where A is diag(a),
+    A^{1/2} is diag(s) and each product with either is an entrywise
+    scaling. The gram of A+Y, for r4, is decomposed in the
     pass that takes the core, or alone when the context already holds the
     core, so both give the same bits. The residuals are computed on the
     scaled pair, which leaves them unchanged; the trace gap is converted
@@ -345,8 +335,9 @@ class GapObjective:
     nu is B0's largest eigenvalue in the context's units, and `start` is
     R~0 = W diag((b / nu)^{1/4}) W*, W = Q* Q_B, from the pair's spectrum
     of B0. The core and the gap are the pair's entrywise forms
-    (`means._graded`, `means._gap`); Q is kept only for `minimize_gap` to
-    return B to the original frame. A point is `positive` where the core
+    (`means._graded`, `means._gap`), whose weights s_i s_j and -w2 are
+    taken once per objective. Q is kept only for `minimize_gap` to return
+    B to the original frame. A point is `positive` where the core
     C's eigenvalue ratio clears the positivity floor over cond(A), as it
     does wherever B's clears the floor, since
     ratio(B) >= ratio(C) / cond(A) >= ratio(B) / cond(A)^2. `evaluate`
@@ -360,7 +351,8 @@ class GapObjective:
 
     def __init__(self, pair: HpdPair):
         self.frame, self.lam_a = pair.eig_a.frame, pair.eig_a.eigenvalues
-        self.root_a, self.weights = pair.root_a, pair.weights  # lam_a is positive: the pair gave root_a
+        self.weights = pair.weights  # lam_a is positive: the weights take root_a
+        self.neg_w2 = -self.weights[1]
         self.unit = pair.unit
         self.norm_a = frobenius_norm(pair.a_u)
         self.n = pair.dim
@@ -379,7 +371,8 @@ class GapObjective:
         with np.errstate(over="ignore", invalid="ignore"):
             sqrt_b = (r @ r) * self.root_nu
             b = sqrt_b @ sqrt_b
-        eig_core = hermitian_eigen(_graded(self.root_a, b))
+            core = _graded(self.weights[2], b)
+        eig_core = hermitian_eigen(core)
         roots = _sqrt_values(eig_core)
         diff = _gap(self.weights, sqrt_b, _assemble(eig_core.frame, roots))
         norm_b = frobenius_norm(b)
@@ -417,10 +410,10 @@ class GapObjective:
         # Daleckii-Krein: V (L o V* G V) V* with the square root's divided
         # differences L_ij = 1 / (roots_i + roots_j), its own adjoint
         v, vh = pt.eig_core.frame, pt.eig_core.frame.conj().T
-        g_core = v @ ((vh @ (-self.weights[1] * g_diff) @ v) / (pt.roots[:, None] + pt.roots)) @ vh
+        g_core = v @ ((vh @ (self.neg_w2 * g_diff) @ v) / (pt.roots[:, None] + pt.roots)) @ vh
         # N depends on B through d||B||_F = Re <B, dB> / ||B||_F
         norm_term = 2.0 * pt.gap * pt.gap / (norm * pt.norm_b)
-        g_b = np.outer(self.root_a, self.root_a) * g_core - norm_term * pt.b
+        g_b = self.weights[2] * g_core - norm_term * pt.b
         g_p = (self.weights[0] * g_diff + g_b @ pt.sqrt_b + pt.sqrt_b @ g_b) * self.root_nu
         g_r = g_p @ pt.r
         return g_r + g_r.conj().T
