@@ -22,9 +22,10 @@ original frame, by one congruence Q . Q*. The commutator AB - BA is
 
 These come from three spectra, of A, of B and of the core, which an
 `HpdPair`, the pair and its spectral context in one, computes at most once
-each, in two passes of the eigensolver: A and B as one stack, then the
-core, with (A+Y)*(A+Y) for `verify`'s r4 or with other pairs' cores in a
-sweep (`_take_cores`); in A's frame the core is graded.
+each, in two passes of the eigensolver: A and B as one stack, unless the
+pair carries them, then the core, with (A+Y)*(A+Y) for `verify`'s r4 or
+with the cores of other pairs (`_take_cores`); in A's frame the core is
+graded.
 """
 
 from __future__ import annotations

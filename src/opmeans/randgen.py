@@ -25,8 +25,11 @@ bit for bit, across machines and reruns:
   * near-commuting pairs: B = exp(log B0 + epsilon K), with log B0 =
     Q diag(log lambda_B) Q* built from B0's own frame and eigenvalues.
     Taking log B0 by an eigendecomposition of B0 instead gives B in other
-    last bits. The one eigendecomposition of log B0 + epsilon K starts
-    from B0's sorted drawn frame, which diagonalizes it to O(epsilon);
+    last bits. K is drawn only at epsilon > 0, after the commuting pair,
+    so every epsilon at one seed shares (A, B0, K), and epsilon = 0 is the
+    commuting pair. The one eigendecomposition of log B0 + epsilon K
+    starts from B0's sorted drawn frame, which diagonalizes it to
+    O(epsilon);
   * a generated pair is built with the spectra it was drawn from, sorted
     ascending, as its `HpdPair`'s known spectra, so it decomposes neither
     A nor B, and `random_hpd` returns its drawn spectrum on request; `gen`
@@ -40,8 +43,8 @@ finalizer applied to master XOR ((index + 1) * golden ratio increment).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import NamedTuple
+from contextlib import suppress
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,77 +217,73 @@ def random_hpd(spec: GenSpec, with_spectrum: bool = False):
     return (m, _drawn_spectrum(q, lam)) if with_spectrum else m
 
 
-def _commuting_parts(rng: SplitMix64, n: int, cond: float) -> tuple:
-    """Shared-frame pair: eigenvalues of A, then of B, then one frame.
-
-    Returns A, B and log B, each Q diag(values) Q* symmetrized in the
-    drawn order, then the spectra of A and of B as drawn.
-    """
-    lam_a = _eigenvalue_draw(rng, n, cond)
-    lam_b = _eigenvalue_draw(rng, n, cond)
-    q = _orthonormal_frame(rng.complex_gaussian_matrix(n))
-    a, b, log_b = (_assemble(q, lam) for lam in (lam_a, lam_b, np.log(lam_b)))
-    return a, b, log_b, _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
-
-
 def random_commuting_pair(spec: GenSpec) -> HpdPair:
     """Pair with a shared random eigenframe and independent eigenvalues,
-    carrying the spectra it was drawn from."""
-    rng = SplitMix64(spec.seed)
-    a, b, _, eig_a, eig_b = _commuting_parts(rng, spec.dim, spec.cond_target)
-    return HpdPair(a, b, (eig_a, eig_b))
+    carrying the spectra it was drawn from: `near_commuting_pair`, so
+    `_drawn_pairs`, at epsilon = 0."""
+    return near_commuting_pair(replace(spec, family="near_commuting", epsilon=0.0))
 
 
 def near_commuting_pair(spec: GenSpec) -> HpdPair:
     """Commuting pair with B perturbed by epsilon in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
-    direction K, so positivity is structural. log(B0) is built from B0's
-    drawn frame and eigenvalues, not from an eigendecomposition of B0.
-    epsilon = 0 returns the commuting pair itself (no log/exp round trip),
-    and the draw of K happens regardless of epsilon so that sweeps over
-    epsilon at a fixed seed perturb one and the same triple (A, B0, K).
-    The pair carries A's spectrum as drawn and B's as drawn at epsilon =
-    0, else (P, e^mu) from the one eigendecomposition P diag(mu) P* of
-    log B0 + epsilon K, warm-started from B0's frame, from which B is
-    assembled; an eigenvalue whose exponential overflows, or a B with an
-    entry past the double range, raises DomainError.
+    direction K, so positivity is structural: the pair `_drawn_pairs`
+    builds for a block of this one spec. epsilon = 0 returns the commuting
+    pair itself, with no log/exp round trip and no K drawn. An eigenvalue
+    whose exponential overflows, or a B with an entry past the double
+    range, raises DomainError.
     """
-    return _near_commuting_finish(_near_commuting_draw(spec))
-
-
-class _Draw(NamedTuple):
-    """`near_commuting_pair` up to its eigendecomposition: A, B0, their
-    drawn spectra, and log B0 + epsilon K, or None at epsilon = 0."""
-
-    a: np.ndarray
-    b0: np.ndarray
-    eig_a: HermitianEigen
-    eig_b0: HermitianEigen
-    log_b: np.ndarray | None
-
-
-def _near_commuting_draw(spec: GenSpec) -> _Draw:
-    """The draw of `near_commuting_pair(spec)`, before any eigendecomposition."""
     if spec.family != "near_commuting":
         raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
-    rng = SplitMix64(spec.seed)
-    a, b0, log_b0, eig_a, eig_b0 = _commuting_parts(rng, spec.dim, spec.cond_target)
-    k = _hermitian_unit(rng, spec.dim)
-    return _Draw(a, b0, eig_a, eig_b0, None if spec.epsilon == 0.0 else log_b0 + spec.epsilon * k)
+    (pair,) = _drawn_pairs([spec])
+    if isinstance(pair, NumericalError):
+        raise pair
+    return pair
 
 
-def _near_commuting_finish(draw: _Draw, eig_log: HermitianEigen | None = None) -> HpdPair:
-    """The pair of a draw, from `eig_log`, its logarithm's spectrum, taken
-    here from B0's frame unless given."""
-    a, b0, eig_a, eig_b0, log_b = draw
-    if log_b is None:
-        return HpdPair(a, b0, (eig_a, eig_b0))
-    if eig_log is None:
-        eig_log = hermitian_eigen(log_b, frame=eig_b0.frame)
-    values = _exp_values(eig_log)
-    with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
-        b = _assemble(eig_log.frame, values)
-    if not np.isfinite(b).all():
-        raise DomainError(f"B leaves the double range at its largest eigenvalue {float(values[-1])!r}")
-    return HpdPair(a, b, (eig_a, HermitianEigen(frame=eig_log.frame, eigenvalues=values)))
+def _drawn_pairs(specs: list[GenSpec]) -> list:
+    """The pair of each spec, commuting at epsilon = 0 and near-commuting
+    above, or the NumericalError raised in its place: the one builder of
+    every generated pair but `random_hpd`'s.
+
+    A spec draws lambda_A, lambda_B and the frame Q, then K at epsilon > 0
+    only. At epsilon = 0 the pair is (A, B0) with their drawn spectra.
+    Above, the logarithms log B0 + epsilon K = P diag(mu) P* of all the
+    specs are decomposed in one stacked pass, each started from B0's sorted
+    drawn frame, and B = P diag(e^mu) P* carries (P, e^mu); where that
+    pass raises, each logarithm is taken alone.
+    """
+    pairs = []  # per spec: its pair, the error raised, or at epsilon > 0 (A, eig_a, eig_b0, log B0 + epsilon K)
+    for spec in specs:
+        try:
+            rng = SplitMix64(spec.seed)
+            lam_a, lam_b = (_eigenvalue_draw(rng, spec.dim, spec.cond_target) for _ in range(2))
+            q = _orthonormal_frame(rng.complex_gaussian_matrix(spec.dim))
+            a, eig_a, eig_b0 = _assemble(q, lam_a), _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
+            if spec.epsilon == 0.0:
+                pairs.append(HpdPair(a, _assemble(q, lam_b), (eig_a, eig_b0)))
+            else:
+                log_b = _assemble(q, np.log(lam_b)) + spec.epsilon * _hermitian_unit(rng, spec.dim)
+                pairs.append((a, eig_a, eig_b0, log_b))
+        except NumericalError as exc:
+            pairs.append(exc)
+    stack = [i for i, p in enumerate(pairs) if isinstance(p, tuple)]
+    logs = [None] * len(stack)  # None: taken alone, as a stack of one would be
+    if len(stack) > 1:
+        with suppress(NumericalError):
+            logs = hermitian_eigen([pairs[i][3] for i in stack], frame=[pairs[i][2].frame for i in stack])
+    for i, eig_log in zip(stack, logs):
+        a, eig_a, eig_b0, log_b = pairs[i]
+        try:
+            eig_log = eig_log or hermitian_eigen(log_b, frame=eig_b0.frame)
+            eig_b = HermitianEigen(frame=eig_log.frame, eigenvalues=_exp_values(eig_log))
+            with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
+                b = _assemble(eig_b.frame, eig_b.eigenvalues)
+            if not np.isfinite(b).all():
+                raise DomainError(
+                    f"B leaves the double range at its largest eigenvalue {float(eig_b.eigenvalues[-1])!r}")
+            pairs[i] = HpdPair(a, b, (eig_a, eig_b))
+        except NumericalError as exc:
+            pairs[i] = exc
+    return pairs

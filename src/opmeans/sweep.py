@@ -1,27 +1,28 @@
 """Batch sweeps over the near-commuting perturbation size.
 
 A row carries the two gaps and the trace gap of one generated pair, all
-taken from the pair's spectral context, in A's eigenframe. The pair is
-built with the spectra of A and B it was drawn from, so a row decomposes
-the generator's perturbed logarithm at epsilon > 0, started from B0's
-drawn frame, and the core, which in A's drawn frame is diagonal to
-O(epsilon) and at epsilon = 0 takes no rotating sweep. A block of rows
-takes these in two passes, the logarithms, then the cores; a large stack
-runs round-robin, whose last digits differ from a lone call's. `verify`
-on the same matrices read back from `gen` files decomposes A and B itself,
-so its gaps can differ from the row's in the last digits. The residual
-report is not built, since a row does not print it.
+taken from the pair's spectral context, in A's eigenframe. The pairs come
+from the generators' one builder, `randgen._drawn_pairs`, with the
+spectra of A and B they were drawn from, so a row decomposes the
+generator's perturbed logarithm at epsilon > 0, started from B0's drawn
+frame, and the core, which in A's drawn frame is diagonal to O(epsilon)
+and at epsilon = 0 takes no rotating sweep. A block of rows takes these
+in two passes, the logarithms in the builder, then the cores in
+`means._take_cores`; a large stack runs round-robin, whose last digits
+differ from a lone call's. `verify` on the same matrices read back from
+`gen` files decomposes A and B itself, so its gaps can differ from the
+row's in the last digits. The residual report is not built, since a row
+does not print it.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass, replace
 
-from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig, hermitian_eigen
+from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .means import _take_cores
-from .randgen import GenSpec, InvalidSpec, mix_seed, _near_commuting_draw, _near_commuting_finish
+from .randgen import GenSpec, InvalidSpec, mix_seed, _drawn_pairs
 from .verify import classify_gaps, trace_criterion
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
@@ -72,36 +73,10 @@ class SweepRow:
 _BLOCK = 32
 
 
-def _guarded(f, *args):
-    """f(*args), or the NumericalError it raises, in its place."""
-    try:
-        return f(*args)
-    except NumericalError as exc:
-        return exc
-
-
-def _pairs(specs: list[GenSpec]) -> list:
-    """`near_commuting_pair` of each spec, with its core, or the NumericalError
-    in its place, from one pass over the logarithms and one over the cores;
-    where a pass raises, each member is taken alone."""
-    draws = [_guarded(_near_commuting_draw, spec) for spec in specs]
-    perturbed = [d for d in draws if not isinstance(d, NumericalError) and d.log_b is not None]
-    logs = [None] * len(perturbed)  # None: taken alone
-    if perturbed:
-        with suppress(NumericalError):
-            logs = hermitian_eigen([d.log_b for d in perturbed], frame=[d.eig_b0.frame for d in perturbed])
-    logs, pairs = iter(logs), []
-    for d in draws:
-        if not isinstance(d, NumericalError):
-            d = _guarded(_near_commuting_finish, d, None if d.log_b is None else next(logs))
-        pairs.append(d)
-    _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
-    return pairs
-
-
 def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One row per (epsilon, trial), in deterministic grid order, read from
-    the pairs `_pairs` builds for each block of `_BLOCK` rows.
+    the pairs `randgen._drawn_pairs` builds for each block of `_BLOCK`
+    rows, whose cores `means._take_cores` then takes in one pass.
 
     Numerical failures are recorded per row rather than aborting the
     batch.
@@ -111,7 +86,9 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
     rows: list[SweepRow] = []
     for start in range(0, len(grid), _BLOCK):
         block = grid[start : start + _BLOCK]
-        pairs = _pairs([replace(spec.base, seed=seed, family="near_commuting", epsilon=eps) for eps, seed in block])
+        pairs = _drawn_pairs([replace(spec.base, seed=seed, family="near_commuting", epsilon=eps)
+                              for eps, seed in block])
+        _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
         for (eps, seed), pair in zip(block, pairs):
             try:
                 if isinstance(pair, NumericalError):

@@ -9,6 +9,7 @@ import pytest
 
 from conftest import commutator_gap, eigh_positive_definite, gaussians
 
+import opmeans.randgen as randgen
 from opmeans.linalg import NumericalError, _assemble, frobenius_norm
 from opmeans.randgen import (
     GenSpec,
@@ -271,6 +272,56 @@ class TestNearCommutingPair:
         ]
         assert np.array_equal(ps[0].a, ps[1].a)
         assert np.array_equal(ps[1].a, ps[2].a)
+
+    def test_commuting_pair_is_the_draw_at_epsilon_zero(self, monkeypatch):
+        # the same draw, bit for bit: the matrices and both carried spectra
+        def same(p, q):
+            return all(x.tobytes() == y.tobytes() for x, y in (
+                (p.a, q.a), (p.b, q.b), (p.eig_a.frame, q.eig_a.frame), (p.eig_a.eigenvalues, q.eig_a.eigenvalues),
+                (p.eig_b.frame, q.eig_b.frame), (p.eig_b.eigenvalues, q.eig_b.eigenvalues)))
+
+        def draws():
+            for n in range(1, 7):
+                for cond in (1.0, 10.0, 1e6):
+                    for seed in (0, 3, 11, MASK64):
+                        yield (random_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, family="commuting")),
+                               near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond,
+                                                           family="near_commuting", epsilon=0.0)))
+
+        pairs = list(draws())
+        assert all(same(p, q) for p, q in pairs)
+
+        # K is drawn only at epsilon > 0: a direction that cannot be drawn
+        # stops neither family at epsilon = 0, and stops epsilon > 0
+        def collapsed(rng, n):
+            raise NumericalError("direction not drawn")
+
+        monkeypatch.setattr(randgen, "_hermitian_unit", collapsed)
+        for (c, nc), (c2, nc2) in zip(pairs, draws()):
+            assert same(c, c2) and same(nc, nc2)
+        with pytest.raises(NumericalError, match="^direction not drawn$"):
+            near_commuting_pair(GenSpec(dim=3, seed=3, cond_target=10.0, family="near_commuting", epsilon=0.1))
+
+    def test_one_direction_at_every_epsilon(self):
+        # log B from the carried spectrum (P, e^mu): (log B(eps) - log B0) / eps
+        # is the one K of the seed at every eps, to roundoff in log B over
+        # eps. Over n = 1-8, cond 1-1e6 and 30 seeds that roundoff was at
+        # most 2.8e-15 of (||log B0||_F + 1) / 1e-2
+        def log_b(p):
+            frame, values = p.eig_b.frame, p.eig_b.eigenvalues * p.unit
+            return (frame * np.log(values)) @ frame.conj().T
+
+        epsilons = (1e-2, 0.1, 1.0)
+        for n in range(1, 7):
+            for cond in (10.0, 1e6):
+                for seed in (1, 5, 29):
+                    log_b0, *logs = (log_b(near_commuting_pair(GenSpec(
+                        dim=n, seed=seed, cond_target=cond, family="near_commuting", epsilon=eps)))
+                        for eps in (0.0, *epsilons))
+                    k1, k2, k3 = ((log - log_b0) / eps for log, eps in zip(logs, epsilons))
+                    bound = 1e-14 * (frobenius_norm(log_b0) + 1.0) / epsilons[0]
+                    assert frobenius_norm(k1 - k3) <= bound and frobenius_norm(k2 - k3) <= bound
+                    assert abs(frobenius_norm(k3) - 1.0) <= bound
 
 
 def drawn_pairs():

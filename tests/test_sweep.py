@@ -9,6 +9,7 @@ import pytest
 
 import opmeans.linalg as linalg
 import opmeans.means as means
+import opmeans.randgen as randgen
 import opmeans.sweep as sweep
 from opmeans.cli import cli_main
 from opmeans.randgen import GenSpec, InvalidSpec, near_commuting_pair
@@ -47,7 +48,7 @@ class TestSweepSpec:
     @pytest.mark.parametrize("epsilons", ["0,nan", "nan", "0,inf"])
     def test_cli_draws_nothing_for_nan_or_inf(self, tmp_path, monkeypatch, capsys, epsilons):
         calls = []
-        monkeypatch.setattr(sweep, "_near_commuting_draw", lambda *args: calls.append(args))
+        monkeypatch.setattr(sweep, "_drawn_pairs", lambda *args: calls.append(args))
         out = tmp_path / "s.csv"
         code = cli_main(["sweep", "--n", "2", "--epsilons", epsilons, "--trials", "2", "--out", str(out)])
         assert code == 1 and calls == [] and not out.exists()
@@ -123,7 +124,9 @@ class TestRunSweep:
         rows = run_sweep(spec)
         specs = [replace(spec.base, seed=row.seed, epsilon=row.epsilon) for row in rows]
         moved = 0
-        for row, pair, gspec in zip(rows, sweep._pairs(specs), specs):
+        pairs = randgen._drawn_pairs(specs)
+        means._take_cores(pairs)
+        for row, pair, gspec in zip(rows, pairs, specs):
             gaps = (row.mean_gap, row.commutator_gap, row.trace_gap)
             rep = proof_chain_report(pair)
             assert gaps == (rep.mean_gap, rep.commutator_gap, rep.trace_gap)
@@ -169,6 +172,20 @@ class TestRunSweep:
             assert row.verdict == ref.verdict
             assert abs(row.mean_gap - ref.mean_gap) <= 1e-14 and abs(row.commutator_gap - ref.commutator_gap) <= 1e-14
 
+    def test_overflowing_rows_leave_their_block_unchanged(self, monkeypatch):
+        # at eps = 1e308 the exponential of log B0 + eps K overflows: those
+        # rows fail, and the rest of the block reads as the sweep without them
+        stacks = []
+        real_rounds = linalg._jacobi_rounds
+        monkeypatch.setattr(linalg, "_jacobi_rounds", lambda m, v, t: stacks.append(len(t)) or real_rounds(m, v, t))
+        rows = run_sweep(SweepSpec(base=base_spec(n=4, seed=17), epsilons=(0.01, 0.1, 1e308), trials_per_epsilon=4))
+        ref = run_sweep(SweepSpec(base=base_spec(n=4, seed=17), epsilons=(0.01, 0.1), trials_per_epsilon=4))
+        # both passes run round-robin in both sweeps
+        assert stacks == [12, 8, 8, 8]
+        assert [r.verdict for r in rows[8:]] == ["error:DomainError"] * 4
+        assert all(math.isnan(r.mean_gap) for r in rows[8:])
+        assert rows[:8] == ref
+
 
 class TestWarmStartedSweeps:
     """The generator hints log B0 + eps K with B0's drawn frame and the
@@ -199,7 +216,7 @@ class TestWarmStartedSweeps:
             rounds.members = k
             return rounds
 
-        monkeypatch.setattr(sweep, "hermitian_eigen", counted_eigen)
+        monkeypatch.setattr(randgen, "hermitian_eigen", counted_eigen)
         monkeypatch.setattr(means, "hermitian_eigen", counted_eigen)
         monkeypatch.setattr(linalg, "_rounds_plan", plan)
         for n in (3, 4, 5, 6):
@@ -221,8 +238,8 @@ class TestWarmStartedSweeps:
         # 70 rows at epsilon > 0 take three blocks of at most 32 rows, each
         # of two passes
         passes = []
-        real = sweep.hermitian_eigen
-        monkeypatch.setattr(sweep, "hermitian_eigen", lambda h, frame=None: passes.append(len(h)) or real(h, frame))
+        real = randgen.hermitian_eigen
+        monkeypatch.setattr(randgen, "hermitian_eigen", lambda h, frame=None: passes.append(len(h)) or real(h, frame))
         monkeypatch.setattr(means, "hermitian_eigen", lambda h, frame=None: passes.append(len(h)) or real(h, frame))
         epsilons = tuple(0.01 * (i + 1) for i in range(7))
         rows = run_sweep(SweepSpec(base=base_spec(n=2), epsilons=epsilons, trials_per_epsilon=10))
