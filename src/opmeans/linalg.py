@@ -92,19 +92,28 @@ DEFAULT_CONFIG = ToleranceConfig()
 
 def as_matrix(values) -> np.ndarray:
     """Coerce input to a square complex matrix with finite entries."""
+    return _as_matrices(values, 2)[0]
+
+
+def _as_matrices(values, ndim: int) -> tuple[np.ndarray, list[float]]:
+    """`as_matrix` at ndim 2, or of a stack (k, n, n) at 3, with each matrix's largest |entry|."""
     m = np.asarray(values, dtype=np.complex128)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
+    if m.ndim != ndim or m.shape[-1] != m.shape[-2] or m.shape[-1] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    top = np.abs(m).max(axis=(1, 2)).tolist() if ndim == 3 else [float(np.abs(m).max())]
+    # the sum is NaN or inf for a NaN or inf entry, or for a finite one whose |z| passes DBL_MAX
+    if not sum(top) < math.inf and not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
-    return m
+    return m, top
 
 
-def _exponent(t: np.ndarray) -> int:
-    """e for which the largest |entry| of 2^-e T lies in [1/2, 1), at
-    least -1021, so that 2^-e stays finite for subnormal T. T = 0 counts as
-    the least subnormal, so a zero matrix never raises a larger exponent."""
-    return max(math.frexp(np.abs(t).max() or math.ulp(0.0))[1], -1021)
+def _exponent(t: np.ndarray | float) -> int:
+    """e for which the largest |entry| of 2^-e T, which T may give as a
+    number, lies in [1/2, 1), at least -1021, so that 2^-e stays finite for
+    subnormal T. T = 0 counts as the least subnormal, so a zero matrix never
+    raises a larger exponent."""
+    top = np.abs(t).max() if isinstance(t, np.ndarray) else t
+    return max(math.frexp(top or math.ulp(0.0))[1], -1021)
 
 
 def frobenius_norm(t) -> float:
@@ -139,26 +148,36 @@ def require_hermitian(h, cfg: ToleranceConfig = DEFAULT_CONFIG) -> np.ndarray:
     """Symmetrize a nearly-Hermitian matrix, or raise NotHermitian.
 
     Asymmetry below identity_tol (relative to ||H||_F) is treated as
-    roundoff and absorbed by returning (H + H*)/2, without either norm when
-    H = H* exactly; anything larger is a genuine contract violation. Where
-    H + H* overflows, for entries past DBL_MAX / 2, H/2 + H*/2 is returned.
+    roundoff and absorbed by returning (H + H*)/2, without either norm for
+    an exact H = H* below 2^1023; anything larger is a genuine contract
+    violation. Where H + H* overflows, H/2 + H*/2 is returned.
     """
-    h = as_matrix(h)
-    h_star = h.conj().T
-    if not (h == h_star).all():
-        scale = frobenius_norm(h)
-        with np.errstate(over="ignore"):  # an asymmetry past DBL_MAX is inf
-            asym = frobenius_norm(h - h_star)
-        if asym > cfg.identity_tol * scale:
-            raise NotHermitian(
-                f"asymmetry {asym:.3e} exceeds {cfg.identity_tol:.1e} * ||H||_F = "
-                f"{cfg.identity_tol * scale:.3e}"
-            )
+    return _symmetrized(*_as_matrices(h, 2), cfg)[0]
+
+
+def _symmetrized(h: np.ndarray, top: list[float], cfg: ToleranceConfig = DEFAULT_CONFIG):
+    """`require_hermitian` of a finite matrix, with its largest |entry| given
+    and returned, or of a stack (k, n, n) of them with each one's: a stack
+    raises NotHermitian unless all are exactly Hermitian below 2^1023."""
+    h_star = h.conj().swapaxes(-1, -2)
+    if (h == h_star).all() and max(top) < 2.0**1023:  # then H + H* cannot overflow
+        return (h + h_star) / 2.0, top
+    if h.ndim == 3:
+        raise NotHermitian("a member is to be taken alone")
+    scale = frobenius_norm(h)
+    with np.errstate(over="ignore"):  # an asymmetry past DBL_MAX is inf
+        asym = frobenius_norm(h - h_star)
+    if asym > cfg.identity_tol * scale:
+        raise NotHermitian(
+            f"asymmetry {asym:.3e} exceeds {cfg.identity_tol:.1e} * ||H||_F = "
+            f"{cfg.identity_tol * scale:.3e}"
+        )
     try:
         with np.errstate(over="raise"):
-            return (h + h_star) / 2.0
+            h = (h + h_star) / 2.0
     except FloatingPointError:
-        return h / 2.0 + h_star / 2.0
+        h = h / 2.0 + h_star / 2.0
+    return h, _as_matrices(h, 2)[1]
 
 
 @dataclass(frozen=True)
@@ -395,20 +414,40 @@ def _jacobi_rounds(m: np.ndarray, v: np.ndarray, targets: list[float]) -> list[_
     return solutions
 
 
-def _checked_frame(q, shape: tuple[int, int]) -> np.ndarray:
-    """The hint q as a complex matrix, or ValueError unless it has the
-    shape of H, finite entries and ||Q*Q - I||_F <= the default identity_tol."""
-    q = np.asarray(q, dtype=np.complex128)
-    if q.shape != shape:
-        raise ValueError(f"frame has shape {q.shape}, expected {shape}")
-    if not np.isfinite(q).all():
-        raise ValueError("frame entries must be finite")
-    with np.errstate(over="ignore", invalid="ignore"):  # a huge frame's defect is inf or nan
-        defect = frobenius_norm(q.conj().T @ q - np.eye(shape[0]))
+def _checked_frames(frames: list, n: int) -> np.ndarray:
+    """The hints as a stack of complex matrices, or ValueError unless each has
+    shape (n, n), finite entries and ||Q*Q - I||_F <= the default identity_tol."""
+    q = np.asarray(frames, dtype=np.complex128)
+    if q.shape[1:] != (n, n):
+        raise ValueError(f"frame has shape {q.shape[1:]}, expected {(n, n)}")
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or non-finite frame's defect is inf or nan
+        defects = [frobenius_norm(d) for d in q.conj().swapaxes(1, 2) @ q - _identity(n)]
     tol = DEFAULT_CONFIG.identity_tol
-    if not defect <= tol:
-        raise ValueError(f"frame is not unitary: ||Q*Q - I||_F = {defect:.3e} exceeds {tol:.1e}")
+    for defect in defects:
+        if not defect <= tol:
+            if not np.isfinite(q).all():
+                raise ValueError("frame entries must be finite")
+            raise ValueError(f"frame is not unitary: ||Q*Q - I||_F = {defect:.3e} exceeds {tol:.1e}")
     return q
+
+
+def _prepared(h: np.ndarray, top: list[float], frames: list) -> list[tuple[int, np.ndarray, np.ndarray, float]]:
+    """(e, the matrix Jacobi runs on, the frame it starts from, its target)
+    of a finite matrix or of each member of a stack (k, n, n), given the
+    largest |entry| and a frame or None of each, each step once per stack."""
+    h, top = _symmetrized(h, top)
+    e, n = [_exponent(t) for t in top], h.shape[-1]
+    h = h * (math.ldexp(1.0, -e[0]) if h.ndim == 2 else np.ldexp(1.0, [[[-x]] for x in e]))
+    mats = list(h) if h.ndim == 3 else [h]
+    targets = [EIG_OFF_DIAG_TOL * frobenius_norm(m) for m in mats]
+    starts = [_identity(n)] * len(mats)
+    framed = [i for i, q in enumerate(frames) if q is not None]
+    if framed:
+        q = _checked_frames([frames[i] for i in framed], n)
+        w = q.conj().swapaxes(1, 2) @ (h[framed] if h.ndim == 3 else h) @ q
+        for i, qi, wi in zip(framed, q, (w + w.conj().swapaxes(1, 2)) / 2.0):
+            mats[i], starts[i] = wi, qi
+    return list(zip(e, mats, starts, targets))
 
 
 def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
@@ -433,10 +472,10 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
 
     A stack of k matrices of one size, a (k, n, n) array or a sequence of
     matrices, gives the list of their k decompositions; its `frame` is None
-    or a sequence of k frames, each a frame or None. Every member is checked
-    before any runs, so the error raised is the NotHermitian or ValueError
-    of the first member with a bad matrix or frame, else the NoConvergence
-    of the first that does not converge, each with a single call's message.
+    or a sequence of k frames, each a frame or None, prepared in (k, n, n)
+    operations, else member by member: the error raised is the NotHermitian
+    or ValueError of the first member with a bad matrix or frame, else the
+    NoConvergence of the first not to converge, with a single call's message.
     In round-robin order the members share each round's numpy calls, and
     each gets the bits that order gives it alone, whatever its companions:
     below `_ROUNDS_MIN_N` they differ from its lone call's in the last
@@ -447,20 +486,12 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     frames = [None] * len(members) if frame is None else frame if stack else (frame,)
     if len(frames) != len(members):
         raise ValueError(f"a stack of {len(members)} matrices takes {len(members)} frames, got {len(frames)}")
-    # runs: (e, the matrix Jacobi runs on, the frame it starts from, target) of each member
-    runs, n = [], 0
-    for m, q in zip(members, frames):
-        hm = require_hermitian(m)
-        n, e = hm.shape[0], _exponent(hm)
-        scaled = hm * math.ldexp(1.0, -e)
-        target = EIG_OFF_DIAG_TOL * frobenius_norm(scaled)
-        if q is None:
-            q = _identity(n)
-        else:
-            q = _checked_frame(q, hm.shape)
-            scaled = q.conj().T @ scaled @ q
-            scaled = (scaled + scaled.conj().T) / 2.0
-        runs.append((e, scaled, q, target))
+    try:  # at once, else member by member, so that the first bad member raises its own error
+        runs = _prepared(*_as_matrices(members, 3), frames) if len(members) > 1 else None
+    except (NumericalError, ValueError):
+        runs = None
+    runs = runs or [run for m, q in zip(members, frames) for run in _prepared(*_as_matrices(m, 2), [q])]
+    n = runs[-1][1].shape[0] if runs else 0
     if _round_robin_for(len(runs), n):
         solutions = _jacobi_rounds(np.stack([run[1] for run in runs]), np.stack([run[2] for run in runs]),
                                    [run[3] for run in runs])
@@ -473,7 +504,7 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
                 f"off-diagonal mass {math.ldexp(mass, e):.3e} above "
                 f"{math.ldexp(target, e):.3e} after {MAX_JACOBI_SWEEPS} sweeps (n = {n})"
             )
-        order = np.argsort(lam, kind="stable")
+        order = lam.argsort(kind="stable")
         # |lam| < n < 2^bit_length(n), so 2^e lam can overflow only from here on
         if e + n.bit_length() > 1024 and float(np.max(np.abs(lam))) >= math.ldexp(1.0, 1024 - e):
             raise NumericalError(f"an eigenvalue leaves the double range (n = {n})")

@@ -29,7 +29,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import as_matrix, _checked_frame
+from .linalg import as_matrix, _checked_frames
 
 __all__ = [
     "MatrixFormatError",
@@ -105,7 +105,7 @@ def _frame(path: str, text, n: int) -> np.ndarray | None:
         raise MatrixFormatError(
             f"{path}: field 'frame' must hold n^2 = {n * n} complex128 values, got {len(raw)} bytes")
     try:
-        return _checked_frame(np.frombuffer(raw, dtype="<c16").reshape(n, n), (n, n))
+        return _checked_frames([np.frombuffer(raw, dtype="<c16").reshape(n, n)], n)[0]
     except ValueError as exc:
         raise MatrixFormatError(f"{path}: field 'frame': {exc}") from exc
 

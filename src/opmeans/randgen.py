@@ -3,9 +3,9 @@
 The whole pipeline is pinned down so that a fixed seed reproduces matrices
 bit for bit, across machines and reruns:
 
-  * stream: splitmix64 (64-bit additive state walk plus finalizer). A
-    request for many words draws them in one numpy uint64 pass, whose
-    wrap modulo 2^64 is the scalar walk's mask;
+  * stream: splitmix64 (64-bit additive state walk plus finalizer). The
+    words of a request, or of all the seeds of a block of pairs, are drawn
+    in one numpy uint64 pass, whose wrap modulo 2^64 is the walk's mask;
   * uniforms: top 53 bits of each 64-bit word, so u = (word >> 11) * 2^-53
     lies in [0, 1);
   * gaussians: Box-Muller pairs, cosine value first, sine value second;
@@ -45,6 +45,7 @@ from __future__ import annotations
 import math
 from contextlib import suppress
 from dataclasses import dataclass, replace
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,29 +97,37 @@ class SplitMix64:
         """Uniform in [0, 1)."""
         return (self.next_u64() >> 11) * 2.0**-53
 
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.next_double()
-
-    def words(self, count: int) -> np.ndarray:
-        """The next `count` words in one uint64 pass, which wraps as next_u64 masks."""
-        z = np.arange(1, count + 1, dtype=np.uint64) * np.uint64(GOLDEN) + np.uint64(self._state)
-        self._state = (self._state + count * GOLDEN) & MASK64
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-        return z ^ (z >> np.uint64(31))
-
-    def _gauss_pairs(self, pairs: int) -> np.ndarray:
-        """`pairs` Box-Muller pairs as rows (cosine, sine), with math's log, cos and sin."""
-        top = (self.words(2 * pairs) >> np.uint64(11)).astype(np.float64)
-        u1 = (top[0::2] + 1.0) * 2.0**-53
-        ang = (2.0 * math.pi) * (top[1::2] * 2.0**-53)
-        rad = np.sqrt(-2.0 * np.fromiter(map(math.log, u1.tolist()), np.float64, pairs))
-        cos, sin = (np.fromiter(map(f, ang.tolist()), np.float64, pairs) for f in (math.cos, math.sin))
-        return np.column_stack((rad * cos, rad * sin))
-
     def complex_gaussian_matrix(self, n: int) -> np.ndarray:
         """n x n matrix of z0 + i z1 entries, one pair per entry, row-major."""
-        return self._gauss_pairs(n * n).view(np.complex128).reshape(n, n)
+        return _draws([self], [0], [n * n])[1][0].view(np.complex128).reshape(n, n)
+
+
+def _words(rngs: list[SplitMix64], counts: list[int]) -> np.ndarray:
+    """The next counts[i] words of each stream rngs[i] in turn, in one uint64
+    pass, which wraps as next_u64 masks; each stream moves past its words."""
+    starts = [0, *accumulate(counts)]  # the pass's word starts[i] + j is stream i's word j
+    bases = [(rng._state + (1 - start) * GOLDEN) & MASK64 for rng, start in zip(rngs, starts)]
+    for rng, count in zip(rngs, counts):
+        rng._state = (rng._state + count * GOLDEN) & MASK64
+    z = np.arange(starts[-1], dtype=np.uint64) * np.uint64(GOLDEN) + np.array(bases, np.uint64).repeat(counts)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def _draws(rngs: list[SplitMix64], uniforms: list[int], pairs: list[int]) -> tuple[list, list]:
+    """The next uniforms[i] uniforms, as floats, then the next pairs[i]
+    Box-Muller pairs, as rows (cosine, sine), of each stream rngs[i]: one
+    word pass over all the streams, one pass of uniforms and one of pairs."""
+    top = (_words(rngs, [u + 2 * p for u, p in zip(uniforms, pairs)]) >> np.uint64(11)).astype(np.float64)
+    is_u = np.repeat([True, False] * len(rngs), [c for u, p in zip(uniforms, pairs) for c in (u, 2 * p)])
+    u, g = (top[is_u] * 2.0**-53).tolist(), top[~is_u]
+    rad = np.sqrt(-2.0 * np.fromiter(map(math.log, ((g[0::2] + 1.0) * 2.0**-53).tolist()), np.float64, len(g) // 2))
+    ang = ((2.0 * math.pi) * (g[1::2] * 2.0**-53)).tolist()
+    cos, sin = (np.fromiter(map(f, ang), np.float64, len(ang)) for f in (math.cos, math.sin))
+    z = np.column_stack((rad * cos, rad * sin))
+    return ([u[e - c : e] for e, c in zip(accumulate(uniforms), uniforms)],
+            [z[e - c : e] for e, c in zip(accumulate(pairs), pairs)])
 
 
 def mix_seed(master: int, index: int) -> int:
@@ -183,17 +192,15 @@ def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
     return q
 
 
-def _eigenvalue_draw(rng: SplitMix64, n: int, cond: float) -> np.ndarray:
-    """Eigenvalues in [1/sqrt(cond), sqrt(cond)], endpoints pinned for n >= 2."""
+def _eigenvalue_draw(n: int, cond: float, u: list[float]) -> np.ndarray:
+    """Eigenvalues in [1/sqrt(cond), sqrt(cond)], endpoints pinned for n >= 2, the rest log-uniform at u."""
     half = 0.5 * math.log(cond)
-    logs = [-half, half] if n > 1 else []
-    logs += [rng.uniform(-half, half) for _ in range(n - len(logs))]
+    logs = ([-half, half] if n > 1 else []) + [-half + (half - -half) * x for x in u]
     return np.array([math.exp(x) for x in logs])
 
 
-def _hermitian_unit(rng: SplitMix64, n: int) -> np.ndarray:
-    """Random Hermitian direction with unit Frobenius norm."""
-    g = rng.complex_gaussian_matrix(n)
+def _hermitian_unit(g: np.ndarray) -> np.ndarray:
+    """The Hermitian direction of a gaussian matrix, with unit Frobenius norm."""
     k = (g + g.conj().T) / 2.0
     norm = math.sqrt(np.vdot(k, k).real)
     if norm == 0.0:
@@ -211,7 +218,7 @@ def random_hpd(spec: GenSpec, with_spectrum: bool = False):
     """One Hermitian positive-definite matrix from the given spec, or, with
     `with_spectrum`, the matrix and the spectrum it was drawn from."""
     rng = SplitMix64(spec.seed)
-    lam = _eigenvalue_draw(rng, spec.dim, spec.cond_target)
+    lam = _eigenvalue_draw(spec.dim, spec.cond_target, [rng.next_double() for _ in range(abs(spec.dim - 2))])
     q = _orthonormal_frame(rng.complex_gaussian_matrix(spec.dim))
     m = _assemble(q, lam)
     return (m, _drawn_spectrum(q, lam)) if with_spectrum else m
@@ -247,24 +254,26 @@ def _drawn_pairs(specs: list[GenSpec]) -> list:
     above, or the NumericalError raised in its place: the one builder of
     every generated pair but `random_hpd`'s.
 
-    A spec draws lambda_A, lambda_B and the frame Q, then K at epsilon > 0
-    only. At epsilon = 0 the pair is (A, B0) with their drawn spectra.
-    Above, the logarithms log B0 + epsilon K = P diag(mu) P* of all the
-    specs are decomposed in one stacked pass, each started from B0's sorted
-    drawn frame, and B = P diag(e^mu) P* carries (P, e^mu); where that
-    pass raises, each logarithm is taken alone.
+    A spec draws lambda_A, lambda_B and Q, then K at epsilon > 0 only, all
+    specs at once (`_draws`). At epsilon = 0 the pair is (A, B0) with their
+    drawn spectra. Above, the logarithms log B0 + epsilon K = P diag(mu) P*
+    of all the specs are decomposed in one stacked pass, each started from
+    B0's sorted drawn frame, and B = P diag(e^mu) P* carries (P, e^mu);
+    where that pass raises, each logarithm is taken alone.
     """
+    rngs, free = [SplitMix64(s.seed) for s in specs], [abs(s.dim - 2) for s in specs]
+    uniforms, gauss = _draws(rngs, [2 * f for f in free], [(1 + (s.epsilon > 0.0)) * s.dim**2 for s in specs])
     pairs = []  # per spec: its pair, the error raised, or at epsilon > 0 (A, eig_a, eig_b0, log B0 + epsilon K)
-    for spec in specs:
+    for spec, f, u, g in zip(specs, free, uniforms, gauss):
+        n, g = spec.dim, g.view(np.complex128).reshape(-1, spec.dim, spec.dim)
+        lam_a, lam_b = (_eigenvalue_draw(n, spec.cond_target, x) for x in (u[:f], u[f:]))
         try:
-            rng = SplitMix64(spec.seed)
-            lam_a, lam_b = (_eigenvalue_draw(rng, spec.dim, spec.cond_target) for _ in range(2))
-            q = _orthonormal_frame(rng.complex_gaussian_matrix(spec.dim))
+            q = _orthonormal_frame(g[0])
             a, eig_a, eig_b0 = _assemble(q, lam_a), _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
             if spec.epsilon == 0.0:
                 pairs.append(HpdPair(a, _assemble(q, lam_b), (eig_a, eig_b0)))
             else:
-                log_b = _assemble(q, np.log(lam_b)) + spec.epsilon * _hermitian_unit(rng, spec.dim)
+                log_b = _assemble(q, np.log(lam_b)) + spec.epsilon * _hermitian_unit(g[1])
                 pairs.append((a, eig_a, eig_b0, log_b))
         except NumericalError as exc:
             pairs.append(exc)

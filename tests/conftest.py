@@ -17,7 +17,7 @@ from opmeans.linalg import (
     _sqrt_from,
 )
 from opmeans.means import HpdPair, _from_frame
-from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd, _draws
 from opmeans.verify import FD_STEP_SCALE, GapObjective, minimize_gap, _hermitian
 
 
@@ -51,13 +51,18 @@ def random_hermitian(n, seed, scale=1.0):
     return scale * (g + g.conj().T) / 2.0
 
 
+def uniform(rng, lo, hi):
+    """A uniform draw in [lo, hi) from a SplitMix64 stream, by its next double."""
+    return lo + (hi - lo) * rng.next_double()
+
+
 def random_invertible(n, seed, cond=50.0):
     """Q1 diag(s) Q2* with singular values spread up to cond."""
     q1 = np.linalg.qr(SplitMix64(mix_seed(seed, 0)).complex_gaussian_matrix(n))[0]
     q2 = np.linalg.qr(SplitMix64(mix_seed(seed, 1)).complex_gaussian_matrix(n))[0]
     half = 0.5 * math.log(cond)
     rng = SplitMix64(mix_seed(seed, 2))
-    s = np.array([math.exp(rng.uniform(-half, half)) for _ in range(n)])
+    s = np.array([math.exp(uniform(rng, -half, half)) for _ in range(n)])
     return q1 @ np.diag(s).astype(complex) @ q2.conj().T
 
 
@@ -92,7 +97,7 @@ def sqrt_and_inv_sqrt(h):
 def gaussians(rng, count):
     """`count` standard normal draws from a SplitMix64 stream: Box-Muller
     pairs, cosine value first; an odd count discards the trailing sine."""
-    return rng._gauss_pairs(max(count + 1, 0) // 2).ravel()[:count].tolist()
+    return _draws([rng], [0], [max(count + 1, 0) // 2])[1][0].ravel()[:count].tolist()
 
 
 def gap_objective(a, b0=None):

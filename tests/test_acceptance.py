@@ -33,6 +33,7 @@ from conftest import (
     random_hermitian,
     random_invertible,
     svd_abs,
+    uniform,
 )
 
 from opmeans.linalg import frobenius_norm, hermitian_eigen
@@ -171,8 +172,8 @@ def test_criterion_1_scalar_closed_form():
     rng = SplitMix64(MASTER_SCALARS)
     worst = 0.0
     for _ in range(100):
-        a = math.exp(rng.uniform(-4.0, 4.0))
-        b = math.exp(rng.uniform(-4.0, 4.0))
+        a = math.exp(uniform(rng, -4.0, 4.0))
+        b = math.exp(uniform(rng, -4.0, 4.0))
         target = ((math.sqrt(a) + math.sqrt(b)) / 2.0) ** 2
         p = HpdPair.validated(np.array([[a]], dtype=complex), np.array([[b]], dtype=complex))
         h = heron_mean(p)[0, 0].real

@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian
+from conftest import random_hermitian, uniform
 from opmeans import linalg
 from opmeans.linalg import EIG_OFF_DIAG_TOL, MAX_JACOBI_SWEEPS, frobenius_norm, hermitian_eigen
 from opmeans.randgen import SplitMix64, mix_seed
@@ -82,7 +82,7 @@ def pre_mirror_jacobi(m, v0, target):
 def integers(n, seed, lo=-3, hi=3):
     """An n x n matrix of integers in [lo, hi], drawn from the seed."""
     rng = SplitMix64(seed)
-    return np.array([[math.floor(rng.uniform(lo, hi + 1)) for _ in range(n)] for _ in range(n)], dtype=float)
+    return np.array([[math.floor(uniform(rng, lo, hi + 1)) for _ in range(n)] for _ in range(n)], dtype=float)
 
 
 def hermitian_inputs(n, seed):

@@ -14,7 +14,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, eigh_positive_definite, hpd, mat, proof_intermediates, random_pair, svd_abs
+from conftest import commuting_pair, eigh_positive_definite, hpd, mat, proof_intermediates, random_pair, svd_abs, uniform
 
 from opmeans.linalg import (
     NotHermitian,
@@ -204,8 +204,8 @@ class TestMeanFamilyProperties:
     def test_one_dimensional_collapse(self):
         rng = SplitMix64(77)
         for _ in range(50):
-            a = math.exp(rng.uniform(-3, 3))
-            b = math.exp(rng.uniform(-3, 3))
+            a = math.exp(uniform(rng, -3, 3))
+            b = math.exp(uniform(rng, -3, 3))
             target = ((math.sqrt(a) + math.sqrt(b)) / 2.0) ** 2
             p = scalar_pair(a, b)
             assert heron_mean(p)[0, 0].real == pytest.approx(target, rel=1e-14)

@@ -100,7 +100,7 @@ class TestVectorizedStream:
     def test_words_match_scalar(self, seed):
         for count in (0, 1, 2, 7, 100):
             vec, ref = SplitMix64(seed), SplitMix64(seed)
-            assert vec.words(count).tolist() == [ref.next_u64() for _ in range(count)]
+            assert randgen._words([vec], [count]).tolist() == [ref.next_u64() for _ in range(count)]
             assert vec.next_u64() == ref.next_u64()
 
     @pytest.mark.parametrize("seed", WRAP_SEEDS)
@@ -202,7 +202,7 @@ class TestRandomHpd:
 
     @pytest.mark.parametrize("draw, message", [
         (lambda: random_hpd(GenSpec(dim=3, seed=1)), "frame column collapsed"),
-        (lambda: _hermitian_unit(SplitMix64(1), 3), "hermitian direction collapsed"),
+        (lambda: _hermitian_unit(SplitMix64(1).complex_gaussian_matrix(3)), "hermitian direction collapsed"),
     ])
     def test_collapsed_draw_is_numerical_error(self, monkeypatch, draw, message):
         # no seed is known to draw a zero gaussian matrix, so one is patched in
@@ -293,7 +293,7 @@ class TestNearCommutingPair:
 
         # K is drawn only at epsilon > 0: a direction that cannot be drawn
         # stops neither family at epsilon = 0, and stops epsilon > 0
-        def collapsed(rng, n):
+        def collapsed(g):
             raise NumericalError("direction not drawn")
 
         monkeypatch.setattr(randgen, "_hermitian_unit", collapsed)

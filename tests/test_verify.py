@@ -19,6 +19,7 @@ from conftest import (
     proof_intermediates,
     random_pair,
     svd_abs,
+    uniform,
 )
 
 from opmeans.linalg import POSITIVITY_FLOOR, NotPositiveDefinite, NumericalError, Singular, frobenius_norm, _assemble
@@ -59,8 +60,8 @@ def near_commutant_point(n, seed, offset):
     A's eigenframe is the identity and R is a point of it as it stands."""
     rng = SplitMix64(seed)
     ladder = np.linspace(-0.5, 0.5, n) * math.log(3.0)
-    a = np.diag(np.exp(ladder + [rng.uniform(-0.1, 0.1) for _ in range(n)])).astype(complex)
-    root = np.diag(np.exp([rng.uniform(-0.5, 0.5) / 4.0 for _ in range(n)]))
+    a = np.diag(np.exp(ladder + [uniform(rng, -0.1, 0.1) for _ in range(n)])).astype(complex)
+    root = np.diag(np.exp([uniform(rng, -0.5, 0.5) / 4.0 for _ in range(n)]))
     g = rng.complex_gaussian_matrix(n)
     k = (g + g.conj().T) / 2.0
     return a, root + offset * k / np.linalg.norm(k)
