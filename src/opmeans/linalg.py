@@ -470,18 +470,23 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
     shape, with a non-finite entry or with ||Q*Q - I||_F above 1e-10
     raises ValueError.
 
-    A stack of k matrices of one size, a (k, n, n) array or a sequence of
-    matrices, gives the list of their k decompositions; its `frame` is None
-    or a sequence of k frames, each a frame or None, prepared in (k, n, n)
-    operations, else member by member: the error raised is the NotHermitian
-    or ValueError of the first member with a bad matrix or frame, else the
-    NoConvergence of the first not to converge, with a single call's message.
+    A stack of k matrices of one size, a (k, n, n) array or a list or tuple
+    of matrices (of mixed sizes, a ValueError), gives the list of their k
+    decompositions; its `frame` is None or a sequence of k frames, each a
+    frame or None, prepared in (k, n, n) operations, else member by member:
+    the error raised is the NotHermitian or ValueError of the first member
+    with a bad matrix or frame, else the NoConvergence of the first not to
+    converge, with a single call's message.
     In round-robin order the members share each round's numpy calls, and
     each gets the bits that order gives it alone, whatever its companions:
     below `_ROUNDS_MIN_N` they differ from its lone call's in the last
     digits. Otherwise the cyclic loop runs once per member.
     """
-    stack = np.ndim(h) == 3
+    # a sequence of matrices is told by its first item, not converted whole
+    seq = isinstance(h, (list, tuple)) and len(h) > 0 and np.ndim(h[0]) == 2
+    if seq and len(shapes := list(dict.fromkeys(map(np.shape, h)))) > 1:
+        raise ValueError(f"a stack takes matrices of one size, got shapes {shapes}")
+    stack = seq or np.ndim(h) == 3
     members = h if stack else (h,)
     frames = [None] * len(members) if frame is None else frame if stack else (frame,)
     if len(frames) != len(members):

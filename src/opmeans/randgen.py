@@ -3,9 +3,10 @@
 The whole pipeline is pinned down so that a fixed seed reproduces matrices
 bit for bit, across machines and reruns:
 
-  * stream: splitmix64 (64-bit additive state walk plus finalizer). The
-    words of a request, or of all the seeds of a block of pairs, are drawn
-    in one numpy uint64 pass, whose wrap modulo 2^64 is the walk's mask;
+  * stream: splitmix64 (64-bit additive state walk from the seed, plus
+    finalizer). A seed's stream is drawn once, from its start; the words
+    of all the seeds of a request come in one numpy uint64 pass (`_words`),
+    whose wrap modulo 2^64 is the walk's mask;
   * uniforms: top 53 bits of each 64-bit word, so u = (word >> 11) * 2^-53
     lies in [0, 1);
   * gaussians: Box-Muller pairs, cosine value first, sine value second;
@@ -36,8 +37,8 @@ bit for bit, across machines and reruns:
     writes the frames of these spectra into its files. The matrices are
     assembled in the drawn order, so the sort moves no bit.
 
-Per-trial seeds for batch runs come from `mix_seed`, the splitmix64
-finalizer applied to master XOR ((index + 1) * golden ratio increment).
+Per-trial seeds for batch runs come from `_trial_seeds`, in one pass: trial
+i's is the first word of the stream at master XOR ((i + 1) * golden).
 """
 
 from __future__ import annotations
@@ -61,8 +62,6 @@ from .means import HpdPair
 
 __all__ = [
     "InvalidSpec",
-    "SplitMix64",
-    "mix_seed",
     "GenSpec",
     "FAMILIES",
     "random_hpd",
@@ -78,49 +77,23 @@ class InvalidSpec(ValueError):
     """Generation spec violates its invariants."""
 
 
-class SplitMix64:
-    """splitmix64 stream: state += golden; output = finalizer(state)."""
-
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int):
-        self._state = seed & MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        z = self._state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
-
-    def next_double(self) -> float:
-        """Uniform in [0, 1)."""
-        return (self.next_u64() >> 11) * 2.0**-53
-
-    def complex_gaussian_matrix(self, n: int) -> np.ndarray:
-        """n x n matrix of z0 + i z1 entries, one pair per entry, row-major."""
-        return _draws([self], [0], [n * n])[1][0].view(np.complex128).reshape(n, n)
-
-
-def _words(rngs: list[SplitMix64], counts: list[int]) -> np.ndarray:
-    """The next counts[i] words of each stream rngs[i] in turn, in one uint64
-    pass, which wraps as next_u64 masks; each stream moves past its words."""
+def _words(seeds: list[int], counts: list[int]) -> np.ndarray:
+    """The first counts[i] words of the stream of each seeds[i] in turn, in one
+    uint64 pass: word j is the finalizer of seed + (j + 1) golden, mod 2^64."""
     starts = [0, *accumulate(counts)]  # the pass's word starts[i] + j is stream i's word j
-    bases = [(rng._state + (1 - start) * GOLDEN) & MASK64 for rng, start in zip(rngs, starts)]
-    for rng, count in zip(rngs, counts):
-        rng._state = (rng._state + count * GOLDEN) & MASK64
+    bases = [(seed + (1 - start) * GOLDEN) & MASK64 for seed, start in zip(seeds, starts)]
     z = np.arange(starts[-1], dtype=np.uint64) * np.uint64(GOLDEN) + np.array(bases, np.uint64).repeat(counts)
     z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
     return z ^ (z >> np.uint64(31))
 
 
-def _draws(rngs: list[SplitMix64], uniforms: list[int], pairs: list[int]) -> tuple[list, list]:
-    """The next uniforms[i] uniforms, as floats, then the next pairs[i]
-    Box-Muller pairs, as rows (cosine, sine), of each stream rngs[i]: one
-    word pass over all the streams, one pass of uniforms and one of pairs."""
-    top = (_words(rngs, [u + 2 * p for u, p in zip(uniforms, pairs)]) >> np.uint64(11)).astype(np.float64)
-    is_u = np.repeat([True, False] * len(rngs), [c for u, p in zip(uniforms, pairs) for c in (u, 2 * p)])
+def _draws(seeds: list[int], uniforms: list[int], pairs: list[int]) -> tuple[list, list]:
+    """The first uniforms[i] uniforms, as floats, then the next pairs[i]
+    Box-Muller pairs, as rows (cosine, sine), of the stream of each seeds[i]:
+    one word pass over all the streams, one pass of uniforms and one of pairs."""
+    top = (_words(seeds, [u + 2 * p for u, p in zip(uniforms, pairs)]) >> np.uint64(11)).astype(np.float64)
+    is_u = np.repeat([True, False] * len(seeds), [c for u, p in zip(uniforms, pairs) for c in (u, 2 * p)])
     u, g = (top[is_u] * 2.0**-53).tolist(), top[~is_u]
     rad = np.sqrt(-2.0 * np.fromiter(map(math.log, ((g[0::2] + 1.0) * 2.0**-53).tolist()), np.float64, len(g) // 2))
     ang = ((2.0 * math.pi) * (g[1::2] * 2.0**-53)).tolist()
@@ -130,9 +103,9 @@ def _draws(rngs: list[SplitMix64], uniforms: list[int], pairs: list[int]) -> tup
             [z[e - c : e] for e, c in zip(accumulate(pairs), pairs)])
 
 
-def mix_seed(master: int, index: int) -> int:
-    """Per-trial seed from a master seed and a trial index."""
-    return SplitMix64((master ^ ((index + 1) * GOLDEN)) & MASK64).next_u64()
+def _trial_seeds(master: int, count: int) -> list[int]:
+    """The seeds of trials 0 to count - 1: trial i's is word 0 of the stream at master XOR ((i + 1) golden)."""
+    return _words([(master ^ ((i + 1) * GOLDEN)) & MASK64 for i in range(count)], [1] * count).tolist()
 
 
 FAMILIES = ("generic", "commuting", "near_commuting")
@@ -217,9 +190,9 @@ def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
 def random_hpd(spec: GenSpec, with_spectrum: bool = False):
     """One Hermitian positive-definite matrix from the given spec, or, with
     `with_spectrum`, the matrix and the spectrum it was drawn from."""
-    rng = SplitMix64(spec.seed)
-    lam = _eigenvalue_draw(spec.dim, spec.cond_target, [rng.next_double() for _ in range(abs(spec.dim - 2))])
-    q = _orthonormal_frame(rng.complex_gaussian_matrix(spec.dim))
+    (u,), (g,) = _draws([spec.seed], [abs(spec.dim - 2)], [spec.dim**2])
+    lam = _eigenvalue_draw(spec.dim, spec.cond_target, u)
+    q = _orthonormal_frame(g.view(np.complex128).reshape(spec.dim, spec.dim))
     m = _assemble(q, lam)
     return (m, _drawn_spectrum(q, lam)) if with_spectrum else m
 
@@ -259,10 +232,10 @@ def _drawn_pairs(specs: list[GenSpec]) -> list:
     drawn spectra. Above, the logarithms log B0 + epsilon K = P diag(mu) P*
     of all the specs are decomposed in one stacked pass, each started from
     B0's sorted drawn frame, and B = P diag(e^mu) P* carries (P, e^mu);
-    where that pass raises, each logarithm is taken alone.
+    where that pass raises, as on mixed sizes, each logarithm is taken alone.
     """
-    rngs, free = [SplitMix64(s.seed) for s in specs], [abs(s.dim - 2) for s in specs]
-    uniforms, gauss = _draws(rngs, [2 * f for f in free], [(1 + (s.epsilon > 0.0)) * s.dim**2 for s in specs])
+    seeds, free = [s.seed for s in specs], [abs(s.dim - 2) for s in specs]
+    uniforms, gauss = _draws(seeds, [2 * f for f in free], [(1 + (s.epsilon > 0.0)) * s.dim**2 for s in specs])
     pairs = []  # per spec: its pair, the error raised, or at epsilon > 0 (A, eig_a, eig_b0, log B0 + epsilon K)
     for spec, f, u, g in zip(specs, free, uniforms, gauss):
         n, g = spec.dim, g.view(np.complex128).reshape(-1, spec.dim, spec.dim)
@@ -280,7 +253,7 @@ def _drawn_pairs(specs: list[GenSpec]) -> list:
     stack = [i for i, p in enumerate(pairs) if isinstance(p, tuple)]
     logs = [None] * len(stack)  # None: taken alone, as a stack of one would be
     if len(stack) > 1:
-        with suppress(NumericalError):
+        with suppress(NumericalError, ValueError):
             logs = hermitian_eigen([pairs[i][3] for i in stack], frame=[pairs[i][2].frame for i in stack])
     for i, eig_log in zip(stack, logs):
         a, eig_a, eig_b0, log_b = pairs[i]

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .means import _take_cores
-from .randgen import GenSpec, InvalidSpec, mix_seed, _drawn_pairs
+from .randgen import GenSpec, InvalidSpec, _drawn_pairs, _trial_seeds
 from .verify import classify_gaps, trace_criterion
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
@@ -32,8 +32,8 @@ __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 class SweepSpec:
     """A grid of perturbation sizes with repeated trials per size.
 
-    base.seed acts as the master seed; trial (i, t) runs with
-    mix_seed(base.seed, i * trials_per_epsilon + t).
+    base.seed acts as the master seed; trial (i, t) runs with seed k of
+    `randgen._trial_seeds(base.seed, ...)`, k = i * trials_per_epsilon + t.
     """
 
     base: GenSpec
@@ -81,8 +81,8 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
     Numerical failures are recorded per row rather than aborting the
     batch.
     """
-    grid = [(eps, mix_seed(spec.base.seed, ei * spec.trials_per_epsilon + trial))
-            for ei, eps in enumerate(spec.epsilons) for trial in range(spec.trials_per_epsilon)]
+    epsilons = [eps for eps in spec.epsilons for _ in range(spec.trials_per_epsilon)]
+    grid = list(zip(epsilons, _trial_seeds(spec.base.seed, len(epsilons))))
     rows: list[SweepRow] = []
     for start in range(0, len(grid), _BLOCK):
         block = grid[start : start + _BLOCK]

@@ -17,8 +17,51 @@ from opmeans.linalg import (
     _sqrt_from,
 )
 from opmeans.means import HpdPair, _from_frame
-from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd, _draws
+from opmeans.randgen import GenSpec, random_commuting_pair, random_hpd
 from opmeans.verify import FD_STEP_SCALE, GapObjective, minimize_gap, _hermitian
+
+
+MASK64 = (1 << 64) - 1
+GOLDEN = 0x9E3779B97F4A7C15
+
+
+class SplitMix64:
+    """The scalar splitmix64 stream, one word at a time: the reference that
+    the package's one-pass draws (`randgen._words`, `_draws`) are checked
+    against, and the tests' own source of random numbers."""
+
+    def __init__(self, seed: int):
+        self._state = seed & MASK64
+
+    def next_u64(self) -> int:
+        self._state = (self._state + GOLDEN) & MASK64
+        z = self._state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
+
+    def next_double(self) -> float:
+        """Uniform in [0, 1)."""
+        return (self.next_u64() >> 11) * 2.0**-53
+
+    def gauss_pair(self) -> tuple[float, float]:
+        """A Box-Muller pair, cosine value first; the radius's uniform is in
+        (0, 1], so its log is finite."""
+        u1 = ((self.next_u64() >> 11) + 1) * 2.0**-53
+        u2 = self.next_double()
+        rad = math.sqrt(-2.0 * math.log(u1))
+        ang = 2.0 * math.pi * u2
+        return rad * math.cos(ang), rad * math.sin(ang)
+
+    def complex_gaussian_matrix(self, n: int) -> np.ndarray:
+        """n x n matrix of z0 + i z1 entries, one pair per entry, row-major."""
+        return np.array([complex(*self.gauss_pair()) for _ in range(n * n)], np.complex128).reshape(n, n)
+
+
+def mix_seed(master: int, index: int) -> int:
+    """Per-trial seed from a master seed and a trial index: the scalar
+    reference for `randgen._trial_seeds`."""
+    return SplitMix64((master ^ ((index + 1) * GOLDEN)) & MASK64).next_u64()
 
 
 @pytest.fixture
@@ -97,7 +140,7 @@ def sqrt_and_inv_sqrt(h):
 def gaussians(rng, count):
     """`count` standard normal draws from a SplitMix64 stream: Box-Muller
     pairs, cosine value first; an odd count discards the trailing sine."""
-    return _draws([rng], [0], [max(count + 1, 0) // 2])[1][0].ravel()[:count].tolist()
+    return [x for _ in range(max(count + 1, 0) // 2) for x in rng.gauss_pair()][:count]
 
 
 def gap_objective(a, b0=None):

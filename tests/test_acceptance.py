@@ -25,9 +25,11 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SplitMix64,
     gap_objective,
     gradient_central,
     minimize_with_states,
+    mix_seed,
     polar,
     proof_intermediates,
     random_hermitian,
@@ -38,7 +40,7 @@ from conftest import (
 
 from opmeans.linalg import frobenius_norm, hermitian_eigen
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, SplitMix64, mix_seed, near_commuting_pair, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
 from opmeans.verify import (
     TriangleEqualityFails,
     Verdict,

@@ -3,8 +3,8 @@
 `randgen._drawn_pairs` takes the words of every spec of a block in one
 uint64 pass over their streams, then one pass of uniforms and one of
 Box-Muller pairs (`randgen._draws`). Each spec must get the eigenvalues
-and gaussian matrices that `SplitMix64.next_u64`, one word at a time, gives
-its seed (`reference_draw`), and each pair must be the one
+and gaussian matrices that the scalar `conftest.SplitMix64`, one word at a
+time, gives its seed (`reference_draw`), and each pair must be the one
 `near_commuting_pair` draws alone, bit for bit.
 """
 
@@ -13,12 +13,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import uniform
-from test_randgen import gauss_pair, reference_complex_gaussian_matrix
+from conftest import SplitMix64, uniform
 
 import opmeans.randgen as randgen
 from opmeans.linalg import _assemble
-from opmeans.randgen import GenSpec, SplitMix64, near_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, near_commuting_pair, random_hpd
 
 MASK64 = (1 << 64) - 1
 SIZES = (1, 2, 3, 6, 8)
@@ -47,7 +46,7 @@ def reference_draw(spec):
     K's, from the scalar stream."""
     rng = SplitMix64(spec.seed)
     lam_a, lam_b = (reference_spectrum(rng, spec.dim, spec.cond_target) for _ in range(2))
-    g = [reference_complex_gaussian_matrix(rng, spec.dim) for _ in range(1 + (spec.epsilon > 0.0))]
+    g = [rng.complex_gaussian_matrix(spec.dim) for _ in range(1 + (spec.epsilon > 0.0))]
     return lam_a, lam_b, g
 
 
@@ -59,23 +58,21 @@ def test_words_of_many_streams_match_scalar():
     # mixed sizes and counts, 0 among them, and seeds whose state wraps
     seeds = [0, 1 << 63, MASK64, 12345, 7]
     counts = [3, 0, 17, 1, 128]
-    rngs, refs = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
-    words = randgen._words(rngs, counts).tolist()
+    refs = [SplitMix64(s) for s in seeds]
+    words = randgen._words(seeds, counts).tolist()
     assert words == [r.next_u64() for r, c in zip(refs, counts) for _ in range(c)]
-    assert [r.next_u64() for r in rngs] == [r.next_u64() for r in refs]
 
 
 def test_uniforms_and_pairs_of_many_streams_match_scalar():
     # each stream's uniforms, then its pairs; counts of 0 on either side
     seeds = [MASK64, 0, 1 << 63, 99, 5, 2024]
     uniforms, pairs = [2, 0, 5, 1, 0, 3], [3, 4, 0, 1, 0, 64]
-    rngs, refs = [SplitMix64(s) for s in seeds], [SplitMix64(s) for s in seeds]
-    got_u, got_p = randgen._draws(rngs, uniforms, pairs)
-    for ref, nu, npair, u, p in zip(refs, uniforms, pairs, got_u, got_p):
+    got_u, got_p = randgen._draws(seeds, uniforms, pairs)
+    for seed, nu, npair, u, p in zip(seeds, uniforms, pairs, got_u, got_p):
+        ref = SplitMix64(seed)
         assert [x.hex() for x in u] == [ref.next_double().hex() for _ in range(nu)]
         assert p.shape == (npair, 2)
-        assert [x.hex() for x in p.ravel().tolist()] == [x.hex() for _ in range(npair) for x in gauss_pair(ref)]
-    assert [r.next_u64() for r in rngs] == [r.next_u64() for r in refs]
+        assert [x.hex() for x in p.ravel().tolist()] == [x.hex() for _ in range(npair) for x in ref.gauss_pair()]
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -112,7 +109,7 @@ def test_random_hpd_draws_the_scalar_stream(n):
             m, eig = random_hpd(GenSpec(dim=n, seed=seed, cond_target=cond), with_spectrum=True)
             rng = SplitMix64(seed)
             lam = reference_spectrum(rng, n, cond)
-            q = randgen._orthonormal_frame(reference_complex_gaussian_matrix(rng, n))
+            q = randgen._orthonormal_frame(rng.complex_gaussian_matrix(n))
             assert m.tobytes() == _assemble(q, lam).tobytes()
             assert eig.eigenvalues.tobytes() == np.sort(lam, kind="stable").tobytes()
 
@@ -123,3 +120,10 @@ def test_block_pairs_are_the_lone_pairs(seed):
         specs = mixed_specs(n, seed)
         block = randgen._drawn_pairs(specs)
         assert [pair_bits(p) for p in block] == [pair_bits(near_commuting_pair(s)) for s in specs], n
+
+
+def test_a_block_of_mixed_sizes_is_the_lone_pairs():
+    # logarithms of different sizes make no stack: each is taken alone
+    specs = [GenSpec(dim=n, seed=n, cond_target=10.0, family="near_commuting", epsilon=0.1 * (n % 3))
+             for n in range(1, 9)]
+    assert [pair_bits(p) for p in randgen._drawn_pairs(specs)] == [pair_bits(near_commuting_pair(s)) for s in specs]

@@ -12,13 +12,13 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import commutator_gap
+from conftest import SplitMix64, commutator_gap
 
 import opmeans.cli as cli
 from opmeans.cli import cli_main
 from opmeans.linalg import DEFAULT_CONFIG
 from opmeans.matio import load_matrix, save_json, save_matrix
-from opmeans.randgen import GenSpec, SplitMix64, random_hpd
+from opmeans.randgen import GenSpec, random_hpd
 from opmeans.verify import GapObjective, GapReport, Verdict
 
 
@@ -796,8 +796,6 @@ def eigh_gaps(a, b):
 
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):
-        from opmeans.randgen import SplitMix64
-
         w = np.linalg.qr(SplitMix64(3).complex_gaussian_matrix(3))[0]
         p = random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))
         q = random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))

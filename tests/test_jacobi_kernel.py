@@ -12,10 +12,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_hermitian, uniform
+from conftest import SplitMix64, mix_seed, random_hermitian, uniform
 from opmeans import linalg
 from opmeans.linalg import EIG_OFF_DIAG_TOL, MAX_JACOBI_SWEEPS, frobenius_norm, hermitian_eigen
-from opmeans.randgen import SplitMix64, mix_seed
 
 
 def pre_mirror_jacobi(m, v0, target):

@@ -15,10 +15,12 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SplitMix64,
     commuting_pair,
     gap_objective,
     hpd,
     mat,
+    mix_seed,
     polar,
     random_hermitian,
     random_invertible,
@@ -42,7 +44,6 @@ from opmeans.linalg import (
 import opmeans.linalg as linalg
 from opmeans.linalg import _round_robin
 from opmeans.means import HpdPair
-from opmeans.randgen import SplitMix64, mix_seed
 from opmeans.verify import minimize_gap
 
 SQ3 = math.sqrt(3.0)
@@ -542,6 +543,16 @@ class TestStackedEigen:
                     for e, ref in zip(got, expected):
                         assert np.array_equal(e.eigenvalues, ref.eigenvalues)
                         assert np.array_equal(e.frame, ref.frame)
+
+    def test_stack_of_mixed_sizes_names_them(self):
+        with pytest.raises(ValueError, match=re.escape("one size, got shapes [(3, 3), (5, 5)]")):
+            hermitian_eigen([np.eye(3), np.eye(5), np.eye(3)])
+        with pytest.raises(ValueError, match=re.escape("one size, got shapes [(2, 2), (2,)]")):
+            hermitian_eigen((np.eye(2), [1.0, 2.0]))
+        # a matrix given as nested lists is one matrix, and an empty sequence none
+        assert hermitian_eigen([[2.0, 0.0], [0.0, 1.0]]).eigenvalues.tolist() == [1.0, 2.0]
+        with pytest.raises(ValueError, match=re.escape("expected a square matrix, got shape (0,)")):
+            hermitian_eigen([])
 
     def test_one_member_stack(self):
         h = hpd(24, 2, cond=100.0)

@@ -15,8 +15,9 @@ where the commutator's entry (a_i - a_j) t E_ij does not.
 import numpy as np
 import pytest
 
+from conftest import SplitMix64
+
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
-from opmeans.randgen import SplitMix64
 
 # eigenvalues with distinct entries and distinct ratios b_i / a_i
 A_VALUES = np.array([1.0, 2.0, 4.0, 8.0])

@@ -14,7 +14,18 @@ import re
 import numpy as np
 import pytest
 
-from conftest import commuting_pair, eigh_positive_definite, hpd, mat, proof_intermediates, random_pair, svd_abs, uniform
+from conftest import (
+    SplitMix64,
+    commuting_pair,
+    eigh_positive_definite,
+    hpd,
+    mat,
+    mix_seed,
+    proof_intermediates,
+    random_pair,
+    svd_abs,
+    uniform,
+)
 
 from opmeans.linalg import (
     NotHermitian,
@@ -28,7 +39,6 @@ from opmeans.means import (
     heron_mean,
     wasserstein_mean,
 )
-from opmeans.randgen import SplitMix64, mix_seed
 
 EXAMPLE_A = mat([[2.0, 1.0], [1.0, 2.0]])
 EXAMPLE_B = mat([[3.0, 0.0], [0.0, 1.0]])

@@ -11,10 +11,10 @@ pairs, with u = 2^-52; the bounds below sit 10 to 26 times above those.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from conftest import proof_intermediates
+from conftest import SplitMix64, mix_seed, proof_intermediates
 
 from opmeans.means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, random_commuting_pair, random_hpd
 from opmeans.verify import proof_chain_report, trace_criterion
 
 U = 2.0**-52

@@ -7,15 +7,13 @@ import re
 import numpy as np
 import pytest
 
-from conftest import commutator_gap, eigh_positive_definite, gaussians
+from conftest import SplitMix64, commutator_gap, eigh_positive_definite, gaussians, mix_seed
 
 import opmeans.randgen as randgen
 from opmeans.linalg import NumericalError, _assemble, frobenius_norm
 from opmeans.randgen import (
     GenSpec,
     InvalidSpec,
-    SplitMix64,
-    mix_seed,
     near_commuting_pair,
     random_commuting_pair,
     random_hpd,
@@ -27,28 +25,10 @@ MASK64 = (1 << 64) - 1
 WRAP_SEEDS = [0, 1 << 63, MASK64]
 
 
-def gauss_pair(rng):
-    """The scalar Box-Muller pair that the vectorized draws reproduce."""
-    u1 = ((rng.next_u64() >> 11) + 1) * 2.0**-53
-    u2 = rng.next_double()
-    rad = math.sqrt(-2.0 * math.log(u1))
-    ang = 2.0 * math.pi * u2
-    return rad * math.cos(ang), rad * math.sin(ang)
-
-
-def reference_gaussians(rng, count):
-    out = []
-    while len(out) < count:
-        out.extend(gauss_pair(rng))
-    return out[:count]
-
-
-def reference_complex_gaussian_matrix(rng, n):
-    m = np.empty((n, n), dtype=np.complex128)
-    for i in range(n):
-        for j in range(n):
-            m[i, j] = complex(*gauss_pair(rng))
-    return m
+def drawn_gaussians(seed, count):
+    """The first `count` gaussians of a seed's stream by the package's word
+    pass; an odd count discards the trailing sine."""
+    return randgen._draws([seed], [0], [(count + 1) // 2])[1][0].ravel()[:count].tolist()
 
 
 class TestSplitMix64:
@@ -67,8 +47,7 @@ class TestSplitMix64:
             assert 0.0 <= u < 1.0
 
     def test_gauss_pairs_finite_and_centered(self):
-        rng = SplitMix64(7)
-        vals = gaussians(rng, 4000)
+        vals = drawn_gaussians(7, 4000)
         assert all(math.isfinite(v) for v in vals)
         mean = sum(vals) / len(vals)
         var = sum(v * v for v in vals) / len(vals)
@@ -86,8 +65,7 @@ class TestSplitMix64:
 
 
 class TestVectorizedStream:
-    """One uint64 pass per request gives the scalar stream's bits, and
-    leaves the state where the scalar draws would."""
+    """One uint64 pass from a seed gives the scalar stream's bits."""
 
     def test_published_vectors(self):
         rng = SplitMix64(1234567)
@@ -99,27 +77,22 @@ class TestVectorizedStream:
     @pytest.mark.parametrize("seed", WRAP_SEEDS)
     def test_words_match_scalar(self, seed):
         for count in (0, 1, 2, 7, 100):
-            vec, ref = SplitMix64(seed), SplitMix64(seed)
-            assert randgen._words([vec], [count]).tolist() == [ref.next_u64() for _ in range(count)]
-            assert vec.next_u64() == ref.next_u64()
+            ref = SplitMix64(seed)
+            assert randgen._words([seed], [count]).tolist() == [ref.next_u64() for _ in range(count)]
 
     @pytest.mark.parametrize("seed", WRAP_SEEDS)
     def test_gaussians_match_scalar(self, seed):
         for count in (0, 1, 2, 5, 6, 101):
-            vec, ref = SplitMix64(seed), SplitMix64(seed)
-            got = gaussians(vec, count)
-            assert [x.hex() for x in got] == [x.hex() for x in reference_gaussians(ref, count)]
+            got = drawn_gaussians(seed, count)
+            assert [x.hex() for x in got] == [x.hex() for x in gaussians(SplitMix64(seed), count)]
             assert all(type(x) is float for x in got)
-            assert vec.next_u64() == ref.next_u64()
 
     @pytest.mark.parametrize("seed", WRAP_SEEDS)
     def test_complex_gaussian_matrix_matches_scalar(self, seed):
         for n in range(1, 33):
-            vec, ref = SplitMix64(seed), SplitMix64(seed)
-            got = vec.complex_gaussian_matrix(n)
+            got = randgen._draws([seed], [0], [n * n])[1][0].view(np.complex128).reshape(n, n)
             assert got.shape == (n, n) and got.dtype == np.complex128
-            assert got.tobytes() == reference_complex_gaussian_matrix(ref, n).tobytes()
-            assert vec.next_u64() == ref.next_u64()
+            assert got.tobytes() == SplitMix64(seed).complex_gaussian_matrix(n).tobytes()
 
 
 class TestGenSpec:
@@ -202,11 +175,14 @@ class TestRandomHpd:
 
     @pytest.mark.parametrize("draw, message", [
         (lambda: random_hpd(GenSpec(dim=3, seed=1)), "frame column collapsed"),
-        (lambda: _hermitian_unit(SplitMix64(1).complex_gaussian_matrix(3)), "hermitian direction collapsed"),
+        (lambda: _hermitian_unit(randgen._draws([1], [0], [9])[1][0].view(complex).reshape(3, 3)),
+         "hermitian direction collapsed"),
     ])
     def test_collapsed_draw_is_numerical_error(self, monkeypatch, draw, message):
-        # no seed is known to draw a zero gaussian matrix, so one is patched in
-        monkeypatch.setattr(SplitMix64, "complex_gaussian_matrix", lambda self, n: np.zeros((n, n), complex))
+        # no seed is known to draw a zero gaussian matrix, so zero pairs are patched in
+        draws = randgen._draws
+        monkeypatch.setattr(randgen, "_draws", lambda seeds, uniforms, pairs: (
+            draws(seeds, uniforms, pairs)[0], [np.zeros((p, 2)) for p in pairs]))
         with pytest.raises(NumericalError, match=message):
             draw()
 

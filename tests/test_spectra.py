@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commutator_gap, commuting_pair, gap_objective, polar, proof_intermediates, random_pair
+from conftest import commutator_gap, commuting_pair, gap_objective, mix_seed, polar, proof_intermediates, random_pair
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
@@ -339,7 +339,7 @@ class TestSecondPassFromAFrame:
         for seed, ((family, cond), _, _) in enumerate(self.ROUNDS):
             if family == "generic":
                 for path, k in ((fa, 0), (fb, 1)):
-                    assert cli_main(["gen", "--n", "24", "--seed", str(randgen.mix_seed(seed, k)),
+                    assert cli_main(["gen", "--n", "24", "--seed", str(mix_seed(seed, k)),
                                      "--cond", str(cond), "--out", str(path)]) == 0
             else:
                 assert cli_main(["gen", "--n", "24", "--seed", str(seed), "--cond", str(cond), "--family",

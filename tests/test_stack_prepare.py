@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import hpd, random_hermitian
+from conftest import SplitMix64, hpd, random_hermitian
 from opmeans import linalg
 from opmeans.linalg import (
     DEFAULT_CONFIG,
@@ -24,7 +24,6 @@ from opmeans.linalg import (
     frobenius_norm,
     hermitian_eigen,
 )
-from opmeans.randgen import SplitMix64
 
 SIZES = [*range(1, 14), 24]
 STACKS = [1, 2, 7, 8, 33]

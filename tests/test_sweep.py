@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import mix_seed
+
 import opmeans.linalg as linalg
 import opmeans.means as means
 import opmeans.randgen as randgen
@@ -80,6 +82,17 @@ class TestRunSweep:
         spec = SweepSpec(base=base_spec(), epsilons=(0.0, 0.05, 0.2, 1.0), trials_per_epsilon=5)
         rows = run_sweep(spec)
         assert all(r.verdict != Verdict.COUNTEREXAMPLE_TO_THEOREM.value for r in rows)
+
+    @pytest.mark.parametrize("master", [0, 1 << 63, (1 << 64) - 1])
+    def test_seeds_are_the_scalar_trial_seeds(self, master):
+        # 3 x 13 rows cross the 32-row block; these masters' states wrap modulo 2^64
+        spec = SweepSpec(base=base_spec(n=2, seed=master), epsilons=(0.0, 0.1, 0.5), trials_per_epsilon=13)
+        rows = run_sweep(spec)
+        assert [r.seed for r in rows] == [mix_seed(master, i) for i in range(39)]
+        assert [r.epsilon for r in rows] == [0.0] * 13 + [0.1] * 13 + [0.5] * 13
+
+    def test_an_empty_grid_draws_no_seeds(self):
+        assert randgen._trial_seeds(12345, 0) == []
 
     def test_deterministic(self):
         spec = SweepSpec(base=base_spec(), epsilons=(0.0, 0.3), trials_per_epsilon=3)

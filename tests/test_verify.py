@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    SplitMix64,
     commutator_gap,
     commuting_pair,
     gap_objective,
@@ -16,6 +17,7 @@ from conftest import (
     hpd,
     mat,
     minimize_with_states,
+    mix_seed,
     proof_intermediates,
     random_pair,
     svd_abs,
@@ -24,7 +26,7 @@ from conftest import (
 
 from opmeans.linalg import POSITIVITY_FLOOR, NotPositiveDefinite, NumericalError, Singular, frobenius_norm, _assemble
 from opmeans.means import HpdPair, _from_frame, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, SplitMix64, mix_seed, random_hpd, _orthonormal_frame
+from opmeans.randgen import GenSpec, random_hpd, _orthonormal_frame
 from opmeans.verify import (
     ARMIJO_SLOPE,
     MAX_BACKTRACKS,
