@@ -88,7 +88,7 @@ def _cmd_gen(args) -> int:
     _check_outputs(*outs)
     _config(args)  # refuses a bad --tol, though no draw reads it
     if generic:
-        m, eig = random_hpd(spec, with_spectrum=True)
+        m, eig = random_hpd(spec)
         drawn = [(m, eig.frame)]
     else:
         pair = (random_commuting_pair(spec) if family == "commuting"

@@ -562,12 +562,6 @@ def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
     return _assemble(eig.frame, _sqrt_values(eig))
 
 
-def _roots(eig: HermitianEigen) -> tuple[np.ndarray, np.ndarray]:
-    """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
-    roots = np.sqrt(eig.eigenvalues)
-    return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
-
-
 def _gram(t: np.ndarray) -> np.ndarray:
     """T*T, Hermitian positive semidefinite up to roundoff, symmetrized."""
     gram = t.conj().T @ t

@@ -23,9 +23,9 @@ original frame, by one congruence Q . Q*. The commutator AB - BA is
 These come from three spectra, of A, of B and of the core, which an
 `HpdPair`, the pair and its spectral context in one, computes at most once
 each, in two passes of the eigensolver: A and B as one stack, unless the
-pair carries them, then the core, with (A+Y)*(A+Y) for `verify`'s r4 or
-with the cores of other pairs (`_take_cores`); in A's frame the core is
-graded.
+pair carries them, then the core. The one stacked second pass is
+`_take_cores`, over the cores of a sweep block's pairs or of one pair
+beside (A+Y)*(A+Y) for `verify`'s r4; in A's frame the core is graded.
 """
 
 from __future__ import annotations
@@ -48,7 +48,6 @@ from .linalg import (
     sqrtm,
     _assemble,
     _positive,
-    _roots,
     _exponent,
     _scale_exponent,
     _sqrt_from,
@@ -106,8 +105,8 @@ class HpdPair:
     units), as the random generators pass the spectra they drew. Every
     matrix derived from them is in A's eigenframe, and is taken on first
     use, so that a drawn pair below the positivity floor can still be
-    written; the core's spectrum too, alone or beside another matrix
-    (`spectrum_beside_core`), with the same bits either way.
+    written; the core's spectrum too, alone or in `_take_cores`'s pass,
+    with the same bits either way.
     """
 
     def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None,
@@ -177,15 +176,6 @@ class HpdPair:
         eig = hermitian_eigen(_graded(self.weights[2], self.b_t))
         return eig, _sqrt_from(eig)
 
-    def spectrum_beside_core(self, h: np.ndarray) -> HermitianEigen:
-        """Spectrum of h, taken in one pass with the core's unless that is
-        already known."""
-        if "core" in self.__dict__:
-            return hermitian_eigen(h)
-        eig_core, eig = hermitian_eigen((_graded(self.weights[2], self.b_t), h))
-        self.core = eig_core, _sqrt_from(eig_core)  # fills the cached property
-        return eig
-
     @property
     def x(self) -> np.ndarray:
         return self.core[1]
@@ -231,25 +221,29 @@ class HpdPair:
         return self.trace_x - float(self.root_a @ self.sqrt_b.diagonal().real)
 
 
-def _take_cores(pairs: list[HpdPair]) -> None:
-    """Fill each pair's `core` from one pass over their cores, as
-    `spectrum_beside_core` does. A pair whose core or its root raises a
-    NumericalError here, or all where the pass does, take theirs on first
-    use."""
+def _take_cores(pairs: list[HpdPair], beside: tuple[np.ndarray, ...] = ()) -> list[HermitianEigen]:
+    """The spectra of `beside`, taken in one pass with the cores of the
+    pairs that have not cached theirs, which it fills. A pair whose core or
+    its root raises a NumericalError here takes its core on first use; an
+    error of the pass is raised."""
     cores = []
     for p in pairs:
-        with suppress(NumericalError):
-            cores.append((p, _graded(p.weights[2], p.b_t)))
-    with suppress(NumericalError):
-        for (p, _), eig in zip(cores, hermitian_eigen([core for _, core in cores]) if cores else []):
+        if "core" not in p.__dict__:
             with suppress(NumericalError):
-                p.core = eig, _sqrt_from(eig)  # fills the cached property
+                cores.append((p, _graded(p.weights[2], p.b_t)))
+    stack = [core for _, core in cores] + list(beside)
+    eigs = hermitian_eigen(stack) if stack else []
+    for (p, _), eig in zip(cores, eigs):
+        with suppress(NumericalError):
+            p.core = eig, _sqrt_from(eig)  # fills the cached property
+    return eigs[len(cores):]
 
 
 def geometric_mean(p: HpdPair) -> np.ndarray:
     """Geometric mean A # B, the unique positive solution G of G A^{-1} G = B."""
     p._common_frame()
-    sqrt_a, inv_sqrt_a = _roots(_positive(p.eig_a, "a"))
+    q, s = p.eig_a.frame, p.root_a
+    sqrt_a, inv_sqrt_a = _assemble(q, s), _assemble(q, 1.0 / s)
     with np.errstate(over="ignore", invalid="ignore"):
         inner = inv_sqrt_a @ p.b_u @ inv_sqrt_a
         inner = (inner + inner.conj().T) / 2.0

@@ -33,7 +33,7 @@ bit for bit, across machines and reruns:
     O(epsilon);
   * a generated pair is built with the spectra it was drawn from, sorted
     ascending, as its `HpdPair`'s known spectra, so it decomposes neither
-    A nor B, and `random_hpd` returns its drawn spectrum on request; `gen`
+    A nor B, and `random_hpd` returns its drawn spectrum too; `gen`
     writes the frames of these spectra into its files. The matrices are
     assembled in the drawn order, so the sort moves no bit.
 
@@ -187,14 +187,14 @@ def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
     return HermitianEigen(frame=q[:, order], eigenvalues=lam[order])
 
 
-def random_hpd(spec: GenSpec, with_spectrum: bool = False):
-    """One Hermitian positive-definite matrix from the given spec, or, with
-    `with_spectrum`, the matrix and the spectrum it was drawn from."""
+def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
+    """One Hermitian positive-definite matrix from the given spec, and the
+    spectrum it was drawn from."""
     (u,), (g,) = _draws([spec.seed], [abs(spec.dim - 2)], [spec.dim**2])
     lam = _eigenvalue_draw(spec.dim, spec.cond_target, u)
     q = _orthonormal_frame(g.view(np.complex128).reshape(spec.dim, spec.dim))
     m = _assemble(q, lam)
-    return (m, _drawn_spectrum(q, lam)) if with_spectrum else m
+    return m, _drawn_spectrum(q, lam)
 
 
 def random_commuting_pair(spec: GenSpec) -> HpdPair:

@@ -7,17 +7,18 @@ spectra of A and B they were drawn from, so a row decomposes the
 generator's perturbed logarithm at epsilon > 0, started from B0's drawn
 frame, and the core, which in A's drawn frame is diagonal to O(epsilon)
 and at epsilon = 0 takes no rotating sweep. A block of rows takes these
-in two passes, the logarithms in the builder, then the cores in
-`means._take_cores`; a large stack runs round-robin, whose last digits
-differ from a lone call's. `verify` on the same matrices read back from
-`gen` files decomposes A and B itself, so its gaps can differ from the
-row's in the last digits. The residual report is not built, since a row
-does not print it.
+in two passes, the logarithms in the builder, then the cores in the one
+second pass, `means._take_cores`, as a `verify` report does; a large
+stack runs round-robin, whose last digits differ from a lone call's.
+`verify` on the same matrices read back from `gen` files decomposes A and
+B itself, so its gaps can differ from the row's in the last digits. The
+residual report is not built, since a row does not print it.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import suppress
 from dataclasses import dataclass, replace
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
@@ -76,10 +77,9 @@ _BLOCK = 32
 def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One row per (epsilon, trial), in deterministic grid order, read from
     the pairs `randgen._drawn_pairs` builds for each block of `_BLOCK`
-    rows, whose cores `means._take_cores` then takes in one pass.
-
-    Numerical failures are recorded per row rather than aborting the
-    batch.
+    rows, whose cores `means._take_cores` then takes in one pass, or, where
+    that fails, each alone. Numerical failures are recorded per row rather
+    than aborting the batch.
     """
     epsilons = [eps for eps in spec.epsilons for _ in range(spec.trials_per_epsilon)]
     grid = list(zip(epsilons, _trial_seeds(spec.base.seed, len(epsilons))))
@@ -88,7 +88,8 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
         block = grid[start : start + _BLOCK]
         pairs = _drawn_pairs([replace(spec.base, seed=seed, family="near_commuting", epsilon=eps)
                               for eps, seed in block])
-        _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
+        with suppress(NumericalError):
+            _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
         for (eps, seed), pair in zip(block, pairs):
             try:
                 if isinstance(pair, NumericalError):

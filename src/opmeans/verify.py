@@ -24,9 +24,10 @@ up the report are unitarily invariant, so nothing returns to the original
 frame. Each caller takes only what it emits. The pair's two gaps and
 `trace_criterion` need two passes of the eigensolver, over A and B as one
 stack (none for a generated pair) and then the core; the full report adds
-(A+Y)*(A+Y), for r4, to the core's pass. Since Y*Y is the core, r5 takes
-the polar factor of Y from the core's spectrum, by `_isometry`, the one
-polar route, which `ando_hayashi_witness` takes too.
+(A+Y)*(A+Y), for r4, to the core's pass, `means._take_cores`, the one
+second pass of a report and of a sweep block. Since Y*Y is the core, r5
+takes the polar factor of Y from the core's spectrum, by `_isometry`, the
+one polar route, which `ando_hayashi_witness` takes too.
 """
 
 from __future__ import annotations
@@ -57,7 +58,7 @@ from .linalg import (
     _sqrt_values,
     _upper_plan,
 )
-from .means import HpdPair, _commutator, _from_frame, _gap, _graded
+from .means import HpdPair, _commutator, _from_frame, _gap, _graded, _take_cores
 
 __all__ = [
     "Verdict",
@@ -164,9 +165,9 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     Everything comes from the pair's spectral context, which the means of
     the same pair share, and stays in A's eigenframe, where A is diag(a),
     A^{1/2} is diag(s) and each product with either is an entrywise
-    scaling. The gram of A+Y, for r4, is decomposed in the
-    pass that takes the core, or alone when the context already holds the
-    core, so both give the same bits. The residuals are computed on the
+    scaling. The gram of A+Y, for r4, is decomposed by `_take_cores` in
+    the pass that takes the core, or alone when the context already holds
+    the core, so both give the same bits. The residuals are computed on the
     scaled pair, which leaves them unchanged; the trace gap is converted
     back to the pair's units. A balanced pair is refused.
     """
@@ -176,7 +177,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     apy = a + y
     # (A+Y)*(A+Y) needs Y but no X, so its spectrum, for r4, joins the core's pass
     gram = apy.conj().T @ apy
-    eig_gram = p.spectrum_beside_core((gram + gram.conj().T) / 2.0)
+    (eig_gram,) = _take_cores([p], ((gram + gram.conj().T) / 2.0,))
     x = p.x
     diff = p.heron - p.wasserstein
 

@@ -10,10 +10,10 @@ from opmeans.linalg import (
     as_matrix,
     frobenius_norm,
     hermitian_eigen,
+    _assemble,
     _exponent,
     _gram,
     _isometry,
-    _roots,
     _sqrt_from,
 )
 from opmeans.means import HpdPair, _from_frame
@@ -70,7 +70,7 @@ def cfg():
 
 
 def hpd(n, seed, cond=10.0):
-    return random_hpd(GenSpec(dim=n, seed=seed, cond_target=cond))
+    return random_hpd(GenSpec(dim=n, seed=seed, cond_target=cond))[0]
 
 
 def random_pair(n, seed, cond=10.0):
@@ -129,6 +129,12 @@ def polar(t):
     t = as_matrix(t)
     eig = hermitian_eigen(_gram(t))
     return SimpleNamespace(isometry=_isometry(t, eig), positive=_sqrt_from(eig))
+
+
+def _roots(eig):
+    """A^{1/2} and A^{-1/2} from the spectrum of a positive definite A."""
+    roots = np.sqrt(eig.eigenvalues)
+    return _assemble(eig.frame, roots), _assemble(eig.frame, 1.0 / roots)
 
 
 def sqrt_and_inv_sqrt(h):

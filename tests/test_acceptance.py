@@ -103,8 +103,8 @@ def generic_suite_a():
     for i in range(500):
         n = 2 + i % 7
         cond = log_uniform_cond(rng, 1e3, lo=2.0)
-        a = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_A, 2 * i), cond_target=cond))
-        b = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_A, 2 * i + 1), cond_target=cond))
+        a, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_A, 2 * i), cond_target=cond))
+        b, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_A, 2 * i + 1), cond_target=cond))
         records.append(analyze_pair(HpdPair(a=a, b=b)))
     return records, time.perf_counter() - t0
 
@@ -145,8 +145,8 @@ def generic_suite_e():
     for i in range(500):
         n = 2 + i % 5
         cond = log_uniform_cond(rng, 100.0, lo=2.0)
-        a = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_E, 2 * i), cond_target=cond))
-        b = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_E, 2 * i + 1), cond_target=cond))
+        a, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_E, 2 * i), cond_target=cond))
+        b, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_GENERIC_E, 2 * i + 1), cond_target=cond))
         records.append(analyze_pair(HpdPair(a=a, b=b)))
     return records
 
@@ -164,7 +164,7 @@ def descent_runs():
     a = np.diag([1.0, 1.5, 2.25]).astype(complex)
     runs = []
     for seed in range(1, 11):
-        b0 = random_hpd(GenSpec(dim=3, seed=seed, cond_target=2.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=seed, cond_target=2.0))
         runs.append(minimize_with_states(a, b0, budget=5000))
     return a, runs, time.perf_counter() - t0
 
@@ -273,8 +273,8 @@ def test_criterion_6_witness_construction():
     for i in range(200):
         n = 2 + i % 4
         w = np.linalg.qr(SplitMix64(mix_seed(MASTER_WITNESS, 3 * i)).complex_gaussian_matrix(n))[0]
-        p = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_WITNESS, 3 * i + 1), cond_target=100.0))
-        q = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_WITNESS, 3 * i + 2), cond_target=100.0))
+        p, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_WITNESS, 3 * i + 1), cond_target=100.0))
+        q, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(MASTER_WITNESS, 3 * i + 2), cond_target=100.0))
         rep = ando_hayashi_witness(w @ p, w @ q)
         worst_triangle = max(worst_triangle, rep.triangle_residual)
         worst_factor = max(worst_factor, *rep.factor_residuals)
@@ -404,7 +404,7 @@ def test_criterion_9_cli_determinism(tmp_path):
         ah = str(d / "ah.json")
         assert cli_main(["lemma-ah", "--x", fa, "--y", fb, "--out", ah]) == 0
         b0 = str(d / "b0.json")
-        save_matrix(b0, random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0)))
+        save_matrix(b0, random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0))[0])
         amat = str(d / "adiag.json")
         save_matrix(amat, np.diag([1.0, 2.0]).astype(complex))
         traj = str(d / "t.csv")

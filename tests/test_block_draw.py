@@ -106,7 +106,7 @@ def test_random_hpd_draws_the_scalar_stream(n):
     # the one-seed draw: a spectrum, then the frame's gaussian matrix
     for cond in (1.0, 10.0, 1e6):
         for seed in (0, 17, MASK64):
-            m, eig = random_hpd(GenSpec(dim=n, seed=seed, cond_target=cond), with_spectrum=True)
+            m, eig = random_hpd(GenSpec(dim=n, seed=seed, cond_target=cond))
             rng = SplitMix64(seed)
             lam = reference_spectrum(rng, n, cond)
             q = randgen._orthonormal_frame(rng.complex_gaussian_matrix(n))

@@ -36,7 +36,7 @@ class TestGen:
     def test_generic_matches_library(self, tmp_path):
         out = tmp_path / "m.json"
         run("gen", "--n", "4", "--seed", "7", "--cond", "100", "--out", str(out))
-        expected = random_hpd(GenSpec(dim=4, seed=7, cond_target=100.0))
+        expected, _ = random_hpd(GenSpec(dim=4, seed=7, cond_target=100.0))
         assert np.array_equal(load_matrix(str(out)), expected)
 
     def test_commuting_pair(self, tmp_path):
@@ -194,8 +194,8 @@ class TestMean:
 
     def test_all_kinds_run(self, tmp_path):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0))[0])
         for kind in ("heron", "wasserstein", "geometric"):
             fo = tmp_path / f"{kind}.json"
             assert run("mean", "--kind", kind, "--a", str(fa), "--b", str(fb), "--out", str(fo)) == 0
@@ -294,8 +294,8 @@ class TestVerify:
 
     def test_underflowed_residual_scale_exits_2(self, tmp_path, capsys):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0)) * 1e300)
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))[0] * 1e300)
         assert run("verify", "--a", str(fa), "--b", str(fb)) == 2
         assert "residual r2" in capsys.readouterr().err
 
@@ -304,8 +304,8 @@ class TestVerify:
         # balanced between the two; verify and the geometric mean, whose
         # A^{-1/2} B A^{-1/2} is 1e-320, refuse it, while the other two means
         # are sums of terms of order 1e160, 1 and 1e-160 and keep their digits
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "m.json"
         save_matrix(str(fa), a * 1e160)
         save_matrix(str(fb), b * 1e-160)
@@ -558,7 +558,7 @@ class TestComputedMatricesCheckedAtDefault:
             if framed:
                 assert run("gen", "--n", "6", "--cond", "9e11", "--seed", str(seed), "--out", path) == 0
             else:
-                save_matrix(path, random_hpd(GenSpec(dim=6, seed=seed, cond_target=9e11)))
+                save_matrix(path, random_hpd(GenSpec(dim=6, seed=seed, cond_target=9e11))[0])
         return ["--a", str(d / "a.json"), "--b", str(d / "b.json")]
 
     @pytest.fixture(scope="class")
@@ -621,7 +621,7 @@ class TestMinimize:
     def test_descent_collapses_commutator(self, tmp_path):
         fa, fb, fo, ff = (tmp_path / x for x in ("a.json", "b0.json", "t.csv", "bf.json"))
         save_matrix(str(fa), np.diag([1.0, 2.0]).astype(complex))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0))[0])
         code = run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "2000",
                    "--out", str(fo), "--out-b", str(ff))
         assert code == 0
@@ -646,7 +646,7 @@ class TestMinimize:
         monkeypatch.setattr(GapObjective, "gradient", lambda self, pt: -gradient(self, pt))
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b0.json", tmp_path / "t.csv"
         save_matrix(str(fa), np.diag([1.0, 10.0]).astype(complex))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0))[0])
         assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "5", "--out", str(fo)) == 0
         assert len(fo.read_text().splitlines()) == 2  # the header and step 0
         assert capsys.readouterr().err == "warning: line search stalled before the budget was used\n"
@@ -695,8 +695,8 @@ class TestMinimize:
         # as they are; nu and the start R0 = (B0 / nu)^{1/4} move by
         # roundoff, so the iterates agree to roundoff, not bit for bit
         for seed in range(3):
-            a = random_hpd(GenSpec(dim=3, seed=2 * seed + 11, cond_target=3.0))
-            b0 = random_hpd(GenSpec(dim=3, seed=2 * seed + 12, cond_target=3.0))
+            a, _ = random_hpd(GenSpec(dim=3, seed=2 * seed + 11, cond_target=3.0))
+            b0, _ = random_hpd(GenSpec(dim=3, seed=2 * seed + 12, cond_target=3.0))
             code, ref, _ = self.run_on(tmp_path, a, b0, budget=20)
             assert code == 0
             code, rows, final_b = self.run_on(tmp_path, a * scale, b0 * scale, budget=20)
@@ -727,8 +727,8 @@ class TestMinimize:
         # A's frame A and B cancel exactly from H - W, whose terms are of
         # order sqrt(sa sb) = 1, so the gap is that of the unscaled pair's
         # H - W over sa ||A||_F, not roundoff of A
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         code, rows, final_b = self.run_on(tmp_path, a * sa, b0 * sb)
         assert code == 0 and rows == [row]
         sqrt_a, sqrt_b = eigh_function(a, np.sqrt), eigh_function(b0, np.sqrt)
@@ -755,8 +755,8 @@ class TestMinimize:
         # context's; B is negligible beside A in the gap's normalization, so
         # the run stops at step 0 as (1e20 A, B) does, with the commutator
         # gap of the pair
-        a = random_hpd(GenSpec(dim=8, seed=3, cond_target=3.0))
-        b = random_hpd(GenSpec(dim=8, seed=4, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=8, seed=3, cond_target=3.0))
+        b, _ = random_hpd(GenSpec(dim=8, seed=4, cond_target=3.0))
         a, b = a / np.max(np.linalg.eigvalsh(a)), b / np.max(np.linalg.eigvalsh(b))
         code, rows, _ = self.run_on(tmp_path, a * 1e308, b)
         assert code == 0 and len(rows) == 1 and rows[0][3] <= 1e-16
@@ -797,8 +797,8 @@ def eigh_gaps(a, b):
 class TestLemmaAh:
     def test_aligned_triple(self, tmp_path, capsys):
         w = np.linalg.qr(SplitMix64(3).complex_gaussian_matrix(3))[0]
-        p = random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))
-        q = random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
+        p, _ = random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))
+        q, _ = random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
         fx, fy = tmp_path / "x.json", tmp_path / "y.json"
         save_matrix(str(fx), w @ p)
         save_matrix(str(fy), w @ q)
@@ -818,7 +818,7 @@ class TestLemmaAh:
     def test_opposite_pair_fails_the_triangle_equality(self, tmp_path, capsys, n):
         # |X + Y| = 0 but |X| + |Y| = 2|A|: a failed triangle equality, not
         # a singular sum
-        a = random_hpd(GenSpec(dim=n, seed=4, cond_target=10.0))
+        a, _ = random_hpd(GenSpec(dim=n, seed=4, cond_target=10.0))
         fx, fy, fo = tmp_path / "x.json", tmp_path / "y.json", tmp_path / "w.json"
         save_matrix(str(fx), a)
         save_matrix(str(fy), -a)
@@ -844,8 +844,8 @@ class TestLemmaAh:
     @pytest.mark.parametrize("e", [330, -330, 600, -600])
     def test_scaled_triple_matches_twin(self, tmp_path, capsys, e):
         w = np.linalg.qr(SplitMix64(3).complex_gaussian_matrix(3))[0]
-        x = w @ random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))
-        y = w @ random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
+        x = w @ random_hpd(GenSpec(dim=3, seed=4, cond_target=10.0))[0]
+        y = w @ random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))[0]
         reports = []
         for tag, c in (("twin", 1.0), ("scaled", 2.0**e)):
             fx, fy = tmp_path / f"{tag}_x.json", tmp_path / f"{tag}_y.json"
@@ -892,7 +892,7 @@ class TestModuleEntryPoint:
     def test_gen_writes_its_file(self, tmp_path, module):
         done = self.python_m(module, "gen", "--n", "3", "--seed", "42", "--out", "m.json", cwd=tmp_path)
         assert (done.returncode, done.stdout, done.stderr) == (0, "", "")
-        assert np.array_equal(load_matrix(str(tmp_path / "m.json")), random_hpd(GenSpec(dim=3, seed=42)))
+        assert np.array_equal(load_matrix(str(tmp_path / "m.json")), random_hpd(GenSpec(dim=3, seed=42))[0])
 
     @pytest.mark.parametrize("module", ["opmeans", "opmeans.cli"])
     def test_missing_option_is_usage_error(self, tmp_path, module):
@@ -927,8 +927,8 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_exit_1_naming_the_path(self, tmp_path, capsys, command, where):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0))[0])
         bad = {"missing-dir": tmp_path / "missing" / "out", "directory": tmp_path, "empty": ""}[where]
         paths = {"a": fa, "b": fb, "ok": tmp_path / "ok.out", "bad": bad}
         assert run(*(arg.format(**paths) for arg in self.COMMANDS[command])) == 1
@@ -943,8 +943,8 @@ class TestOutputsCheckedFirst:
     @pytest.fixture
     def pair(self, tmp_path):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=3, seed=1, cond_target=10.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=3, seed=2, cond_target=10.0))[0])
         return str(fa), str(fb)
 
     @staticmethod
@@ -1071,19 +1071,19 @@ class TestBytesPinned:
     def test_minimize_trajectory_and_final_b(self, tmp_path, kind, n):
         fa, fb, fo, ff = (tmp_path / x for x in ("a.json", "b0.json", "t.csv", "bf.json"))
         if kind == "generic":
-            a = random_hpd(GenSpec(dim=n, seed=10 + n, cond_target=10.0))
+            a, _ = random_hpd(GenSpec(dim=n, seed=10 + n, cond_target=10.0))
         else:
             a = np.diag(np.arange(1.0, n + 1.0)).astype(complex)
         save_matrix(str(fa), a)
-        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=20 + n, cond_target=10.0)))
+        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=20 + n, cond_target=10.0))[0])
         assert run("minimize", "--a", str(fa), "--b0", str(fb), "--budget", "40",
                    "--out", str(fo), "--out-b", str(ff)) == 0
         assert (self.digest(fo), self.digest(ff)) == self.MINIMIZE[kind, n]
 
     def test_verify_report_n24(self, tmp_path):
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=24, seed=5, cond_target=100.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=24, seed=6, cond_target=100.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=24, seed=5, cond_target=100.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=24, seed=6, cond_target=100.0))[0])
         assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
         assert self.digest(fo) == "d7f3c8a6ea88b78e5bd3b9a835f8295cd2bf191f0d4c9c8867c11fd9527bea0f"
 
@@ -1107,8 +1107,8 @@ class TestBytesPinned:
     @staticmethod
     def pd_pair(tmp_path, n):
         fa, fb = tmp_path / "a.json", tmp_path / "b.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=n, seed=30 + n, cond_target=10.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=40 + n, cond_target=10.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=n, seed=30 + n, cond_target=10.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=n, seed=40 + n, cond_target=10.0))[0])
         return str(fa), str(fb)
 
     @pytest.mark.parametrize("kind, n", sorted(MEANS), ids=[f"{k}-{n}" for k, n in sorted(MEANS)])
@@ -1128,8 +1128,8 @@ class TestBytesPinned:
     def test_verify_report_n6(self, tmp_path):
         # below the round-robin size: the scalar Jacobi loop
         fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
-        save_matrix(str(fa), random_hpd(GenSpec(dim=6, seed=5, cond_target=100.0)))
-        save_matrix(str(fb), random_hpd(GenSpec(dim=6, seed=6, cond_target=100.0)))
+        save_matrix(str(fa), random_hpd(GenSpec(dim=6, seed=5, cond_target=100.0))[0])
+        save_matrix(str(fb), random_hpd(GenSpec(dim=6, seed=6, cond_target=100.0))[0])
         assert run("verify", "--a", str(fa), "--b", str(fb), "--seed", "5", "--out", str(fo)) == 0
         assert self.digest(fo) == "65cc83b4ce66e3bd56c88cf54b021690f784f89938ae49a7eaf5eeac915c4c60"
 

@@ -43,7 +43,7 @@ EDGE_MATRIX = np.array([[-0.0 + 1j * SUBNORMAL, 1e308 - 0.0j, 2.5e-310 - 1e-300j
 
 class TestRoundTrip:
     def test_save_load_bitwise(self, tmp_path):
-        m = random_hpd(GenSpec(dim=4, seed=8, cond_target=30.0))
+        m, _ = random_hpd(GenSpec(dim=4, seed=8, cond_target=30.0))
         f = tmp_path / "m.json"
         save_matrix(str(f), m)
         assert np.array_equal(load_matrix(str(f)), m)
@@ -61,7 +61,7 @@ class TestRoundTrip:
         assert data == {"entries": [[1.0, 2.0]], "n": 1}
 
     def test_deterministic_bytes(self, tmp_path):
-        m = random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
+        m, _ = random_hpd(GenSpec(dim=3, seed=5, cond_target=10.0))
         f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
         save_matrix(str(f1), m)
         save_matrix(str(f2), m)
@@ -71,8 +71,8 @@ class TestRoundTrip:
 class TestOneStepFormat:
     """The C encoder and the one-step reader keep the per-entry bytes and bits."""
 
-    @pytest.mark.parametrize("m", [EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=3, cond_target=100.0)),
-                                   random_hpd(GenSpec(dim=5, seed=4, cond_target=10.0)).T],
+    @pytest.mark.parametrize("m", [EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=3, cond_target=100.0))[0],
+                                   random_hpd(GenSpec(dim=5, seed=4, cond_target=10.0))[0].T],
                              ids=["edges", "n24", "transposed"])
     def test_writer_matches_pure_python_encoder(self, tmp_path, m):
         f, ref = tmp_path / "m.json", tmp_path / "ref.json"
@@ -81,7 +81,7 @@ class TestOneStepFormat:
         assert f.read_bytes() == ref.read_bytes()
 
     def test_save_load_round_trip_byte_stable(self, tmp_path):
-        for m in (EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=9, cond_target=1e6))):
+        for m in (EDGE_MATRIX, random_hpd(GenSpec(dim=24, seed=9, cond_target=1e6))[0]):
             f1, f2 = tmp_path / "1.json", tmp_path / "2.json"
             save_matrix(str(f1), m)
             back = load_matrix(str(f1))
@@ -203,7 +203,7 @@ class TestFrame:
 
     @staticmethod
     def framed(path, n=3, frame=None):
-        m, eig = random_hpd(GenSpec(dim=n, seed=8, cond_target=30.0), with_spectrum=True)
+        m, eig = random_hpd(GenSpec(dim=n, seed=8, cond_target=30.0))
         save_matrix(str(path), m, eig.frame if frame is None else frame)
         return m, eig.frame
 
@@ -224,7 +224,7 @@ class TestFrame:
 
     def test_absent_frame_is_none(self, tmp_path):
         f = tmp_path / "m.json"
-        m = random_hpd(GenSpec(dim=3, seed=8, cond_target=30.0))
+        m, _ = random_hpd(GenSpec(dim=3, seed=8, cond_target=30.0))
         save_matrix(str(f), m)
         got, frame = load_matrix(str(f), with_frame=True)
         assert np.array_equal(got, m) and frame is None

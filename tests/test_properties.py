@@ -30,8 +30,8 @@ def pairs(draw):
     n = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**64 - 1))
     cond_a, cond_b = (10.0 ** draw(st.floats(0.0, 4.0)) for _ in range(2))
-    a = random_hpd(GenSpec(dim=n, seed=mix_seed(seed, 0), cond_target=cond_a))
-    b = random_hpd(GenSpec(dim=n, seed=mix_seed(seed, 1), cond_target=cond_b))
+    a, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(seed, 0), cond_target=cond_a))
+    b, _ = random_hpd(GenSpec(dim=n, seed=mix_seed(seed, 1), cond_target=cond_b))
     return a, b, max(cond_a, cond_b)
 
 

@@ -143,38 +143,38 @@ class TestGenSpec:
 class TestRandomHpd:
     def test_bit_identical_reruns(self):
         spec = GenSpec(dim=5, seed=77, cond_target=30.0)
-        assert np.array_equal(random_hpd(spec), random_hpd(spec))
+        assert np.array_equal(random_hpd(spec)[0], random_hpd(spec)[0])
 
     def test_positive_definite(self):
         for seed in range(10):
-            m = random_hpd(GenSpec(dim=2 + seed % 6, seed=seed, cond_target=1000.0))
+            m, _ = random_hpd(GenSpec(dim=2 + seed % 6, seed=seed, cond_target=1000.0))
             assert eigh_positive_definite(m)
 
     def test_condition_number_hits_target(self):
-        m = random_hpd(GenSpec(dim=4, seed=42, cond_target=100.0))
+        m, _ = random_hpd(GenSpec(dim=4, seed=42, cond_target=100.0))
         lam = np.linalg.eigvalsh(m)
         realized = lam[-1] / lam[0]
         assert abs(realized - 100.0) <= 5.0
 
     def test_cond_one_is_identity(self):
-        m = random_hpd(GenSpec(dim=3, seed=11, cond_target=1.0))
+        m, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=1.0))
         assert frobenius_norm(m - np.eye(3)) <= 1e-10 * math.sqrt(3)
 
     def test_spectrum_inside_band(self):
         cond = 50.0
-        m = random_hpd(GenSpec(dim=6, seed=13, cond_target=cond))
+        m, _ = random_hpd(GenSpec(dim=6, seed=13, cond_target=cond))
         lam = np.linalg.eigvalsh(m)
         lo, hi = 1 / math.sqrt(cond), math.sqrt(cond)
         assert lam[0] >= lo * (1 - 1e-10)
         assert lam[-1] <= hi * (1 + 1e-10)
 
     def test_dim_one(self):
-        m = random_hpd(GenSpec(dim=1, seed=3, cond_target=9.0))
+        m, _ = random_hpd(GenSpec(dim=1, seed=3, cond_target=9.0))
         assert m.shape == (1, 1)
         assert m[0, 0].real > 0
 
     @pytest.mark.parametrize("draw, message", [
-        (lambda: random_hpd(GenSpec(dim=3, seed=1)), "frame column collapsed"),
+        (lambda: random_hpd(GenSpec(dim=3, seed=1))[0], "frame column collapsed"),
         (lambda: _hermitian_unit(randgen._draws([1], [0], [9])[1][0].view(complex).reshape(3, 3)),
          "hermitian direction collapsed"),
     ])

@@ -181,8 +181,8 @@ class TestEigendecompositionCounts:
 
     def test_gap_objective_evaluate_uses_one(self, eigen_calls):
         # the core's: B^{1/2} = sqrt(nu) R^2 and B are products
-        obj = gap_objective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0)),
-                            random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0)))
+        obj = gap_objective(random_hpd(GenSpec(dim=3, seed=4, cond_target=5.0))[0],
+                            random_hpd(GenSpec(dim=3, seed=5, cond_target=5.0))[0])
         del eigen_calls[:]
         obj.evaluate(obj.start)
         assert len(eigen_calls) == 1
@@ -201,15 +201,15 @@ class TestEigendecompositionCounts:
     def test_minimize_converged_at_start_uses_three(self, eigen_calls):
         # set-up takes A and B0 in the pair context's one pass, the one
         # evaluation the core
-        b0 = random_hpd(GenSpec(dim=3, seed=2, cond_target=5.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=2, cond_target=5.0))
         trace = verify.minimize_gap(np.eye(3, dtype=complex), b0)
         assert trace.stop_reason == "converged" and len(trace.iterates) == 1
         assert len(eigen_calls) == 3
         assert eigen_calls.passes == [2, 1]
 
     def test_gradient_at_evaluated_point_uses_none(self, eigen_calls):
-        obj = gap_objective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0)),
-                            random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0)))
+        obj = gap_objective(random_hpd(GenSpec(dim=4, seed=4, cond_target=5.0))[0],
+                            random_hpd(GenSpec(dim=4, seed=5, cond_target=5.0))[0])
         pt = obj.evaluate(obj.start)
         del eigen_calls[:]
         obj.gradient(pt)
@@ -226,8 +226,8 @@ class TestEigendecompositionCounts:
             return real(obj, r)
 
         monkeypatch.setattr(GapObjective, "evaluate", counted)
-        a = random_hpd(GenSpec(dim=3, seed=6, cond_target=3.0))
-        b0 = random_hpd(GenSpec(dim=3, seed=7, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=6, cond_target=3.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=7, cond_target=3.0))
         trace = verify.minimize_gap(a, b0, budget=1)
         assert trace.stop_reason == "budget" and len(trace.iterates) == 2
         assert len(eigen_calls) == 2 + len(evaluations)
@@ -253,6 +253,62 @@ class TestEigendecompositionCounts:
         # the core is cached by the intermediates, so each report's gram
         # takes a pass of its own
         assert eigen_calls.passes == [2, 1, 1, 1]
+
+
+class TestTakeCores:
+    """`means._take_cores`, the one second pass: the cores a pair has not
+    cached, beside other matrices, in one stack."""
+
+    @staticmethod
+    def pairs_and_beside(n):
+        return random_pair(n, 1, cond=30.0), random_pair(n, 2, cond=30.0), random_pair(n, 3).a
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_one_pass_fills_cores_and_returns_beside(self, eigen_calls, n):
+        p, q, h = self.pairs_and_beside(n)
+        del eigen_calls[:], eigen_calls.passes[:]  # the set-up pairs' own passes
+        (eig,) = means._take_cores([p, q], (h,))
+        assert eigen_calls.passes == [3]
+        ref = hermitian_eigen(h)
+        assert np.array_equal(eig.eigenvalues, ref.eigenvalues) and np.array_equal(eig.frame, ref.frame)
+        for pair in (p, q):
+            twin = HpdPair(a=pair.a, b=pair.b)
+            assert np.array_equal(pair.core[0].eigenvalues, twin.core[0].eigenvalues)
+            assert np.array_equal(pair.core[0].frame, twin.core[0].frame)
+            assert np.array_equal(pair.x, twin.x)
+
+    def test_cached_core_is_left_out(self, eigen_calls):
+        p, q, h = self.pairs_and_beside(4)
+        core = p.core
+        del eigen_calls[:], eigen_calls.passes[:]
+        assert len(means._take_cores([p, q], (h,))) == 1
+        assert eigen_calls.passes == [2]  # q's core and h
+        assert p.core is core
+        del eigen_calls[:], eigen_calls.passes[:]
+        assert means._take_cores([p, q]) == []
+        assert eigen_calls.passes == []
+
+    def test_nothing_to_take_calls_no_eigensolver(self, eigen_calls):
+        assert means._take_cores([]) == []
+        assert eigen_calls.passes == []
+
+    def test_pair_whose_core_raises_is_skipped(self, eigen_calls):
+        p, q, h = self.pairs_and_beside(4)
+        p.b_t = np.full_like(p.b_t, 1e308)  # its core leaves the double range
+        del eigen_calls[:], eigen_calls.passes[:]
+        with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
+            (eig,) = means._take_cores([p, q], (h,))
+            assert eigen_calls.passes == [2]  # q's core and h
+            assert "core" not in p.__dict__ and "core" in q.__dict__
+            assert np.array_equal(eig.eigenvalues, hermitian_eigen(h).eigenvalues)
+            with pytest.raises(linalg.NumericalError, match=r"core A\^\{1/2\} B A\^\{1/2\} leaves the double range"):
+                p.x
+
+    def test_error_of_the_pass_is_raised(self):
+        p, q, h = self.pairs_and_beside(4)
+        with pytest.raises(linalg.NotHermitian):
+            means._take_cores([p, q], (h + np.triu(np.ones((4, 4)), 1),))
+        assert "core" not in p.__dict__ and "core" not in q.__dict__
 
 
 def eigh_function(h, f):
@@ -352,6 +408,37 @@ class TestSecondPassFromAFrame:
             assert rounds_per_pass[0] <= 23, (family, cond)
         assert counts == self.ROUNDS_FROM_GEN
         assert sum(map(sum, counts)) == 782
+
+    # the core's and the gram's member of the second pass, and both: the
+    # error is the first failing member's
+    FAILED_SECOND_PASS = [
+        ([0], "off-diagonal mass inf above 1.006e-14 after 100 sweeps (n = 24)"),
+        ([1], "off-diagonal mass inf above 5.328e-14 after 100 sweeps (n = 24)"),
+        ([0, 1], "off-diagonal mass inf above 1.006e-14 after 100 sweeps (n = 24)"),
+    ]
+
+    @pytest.mark.parametrize("members, message", FAILED_SECOND_PASS, ids=["core", "gram", "both"])
+    def test_failed_second_pass_exits_2(self, tmp_path, capsys, monkeypatch, members, message):
+        # `gen` files carry the drawn frames, so the first pass takes no
+        # rounds; members of the second, over the core and the gram of A+Y,
+        # are forced not to converge
+        fa, fb, fo = tmp_path / "a.json", tmp_path / "b.json", tmp_path / "r.json"
+        for path, k in ((fa, 0), (fb, 1)):
+            assert cli_main(["gen", "--n", "24", "--seed", str(mix_seed(0, k)), "--cond", "10",
+                             "--out", str(path)]) == 0
+        real_rounds, passes = linalg._jacobi_rounds, []
+
+        def rounds(m, v, t):
+            passes.append(len(t))
+            doomed = members if len(passes) == 2 else []
+            return [(lam, w, math.inf if i in doomed else mass)
+                    for i, (lam, w, mass) in enumerate(real_rounds(m, v, t))]
+
+        monkeypatch.setattr(linalg, "_jacobi_rounds", rounds)
+        assert cli_main(["verify", "--a", str(fa), "--b", str(fb), "--out", str(fo)]) == 2
+        assert passes == [2, 2]
+        assert capsys.readouterr().err == f"numerical error: {message}\n"
+        assert not fo.exists()
 
     @pytest.mark.parametrize("n", [6, 24])
     def test_report_does_not_depend_on_a_cached_core(self, n):

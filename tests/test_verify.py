@@ -163,8 +163,8 @@ class TestProofChainReport:
     def test_underflowed_scale_is_numerical_error(self, ca, cb):
         # the pair is scaled so that B's entries are near 1, and A Y then
         # underflows to zero: r2 has nothing to normalize by
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         with pytest.raises(NumericalError, match="residual r2"):
             proof_chain_report(HpdPair.validated(a * ca, b * cb))
 
@@ -351,7 +351,7 @@ class TestGapObjective:
 
     def test_forward_close_to_central_away_from_minimum(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
-        obj = gap_objective(a, random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0)))
+        obj = gap_objective(a, random_hpd(GenSpec(dim=3, seed=5, cond_target=3.0))[0])
         r = obj.start
         gf = obj.gradient_forward(r)
         gc = gradient_central(obj, r)
@@ -461,8 +461,8 @@ class TestMinimizeGap:
     def test_step_zero_gap_at_tiny_scale(self):
         # at 2^-300 the core's entries are near 2^-600; the eigensolver
         # scales them back, so the gap matches the unscaled twin
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         ref = minimize_gap(a, b0, budget=1).iterates[0][1]
         tiny = minimize_gap(a * 2.0**-300, b0 * 2.0**-300, budget=1).iterates[0][1]
         assert abs(tiny - ref) <= 1e-10 * ref
@@ -471,8 +471,8 @@ class TestMinimizeGap:
         # (||A||_F + ||B||_F)^2 underflows in the pair's units, not in the
         # context's, where the gradient is taken; nu and the start R0 move
         # by roundoff, so the runs part by roundoff, slowly
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         ref, tiny = minimize_gap(a, b0, budget=20), minimize_gap(a * 1e-170, b0 * 1e-170, budget=20)
         assert len(tiny.iterates) == len(ref.iterates) == 21
         assert all(abs(x - y) <= 1e-6 * y for x, y in zip(tiny.iterates[-1][1:], ref.iterates[-1][1:]))
@@ -495,7 +495,7 @@ class TestMinimizeGap:
 
     def test_diag_example_collapses_commutator(self):
         a = np.diag([1.0, 2.0]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0))
+        b0, _ = random_hpd(GenSpec(dim=2, seed=3, cond_target=5.0))
         assert commutator_gap(a, b0) > 1e-3
         tr = minimize_gap(a, b0, budget=2000)
         final = tr.iterates[-1]
@@ -503,14 +503,14 @@ class TestMinimizeGap:
 
     def test_objective_non_increasing(self):
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=3, seed=2, cond_target=2.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=2, cond_target=2.0))
         tr = minimize_gap(a, b0, budget=200)
         objs = [it[3] for it in tr.iterates]
         assert all(objs[i + 1] <= objs[i] for i in range(len(objs) - 1))
 
     def test_trace_shape_and_final_b(self):
         a = np.diag([1.0, 2.0]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=2, seed=4, cond_target=5.0))
+        b0, _ = random_hpd(GenSpec(dim=2, seed=4, cond_target=5.0))
         tr, states = minimize_with_states(a, b0, budget=50)
         assert tr.iterates[0][0] == 0
         assert len(states) == len(tr.iterates)
@@ -523,8 +523,8 @@ class TestMinimizeGap:
     def test_powers_of_four_move_no_trajectory_bit(self, j):
         # the pair's context divides out 4^j exactly, and nu and R are
         # taken in the context's units, so every row is the unscaled one
-        a = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
-        b0 = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
+        a, _ = random_hpd(GenSpec(dim=3, seed=11, cond_target=3.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         ref, scaled = minimize_gap(a, b0, budget=20), minimize_gap(a * 4.0**j, b0 * 4.0**j, budget=20)
         assert scaled.iterates == ref.iterates
         assert np.array_equal(scaled.final_b, ref.final_b * 4.0**j)
@@ -535,7 +535,7 @@ class TestMinimizeGap:
         # its gap is 0, so the Armijo test alone would accept it; the
         # halved step, R0 + (R - R0) / 2, passes both tests
         a = np.diag([1.0, 4.0]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=2, seed=1, cond_target=5.0))
+        b0, _ = random_hpd(GenSpec(dim=2, seed=1, cond_target=5.0))
         singular = np.diag([0.0, 1.0]).astype(complex)
         gradient, evaluate = GapObjective.gradient, GapObjective.evaluate
         bent, evaluated = [], []
@@ -599,7 +599,7 @@ class TestMinimizeGap:
         # kernels); the bounds leave a factor of 5
         for seed in range(12):
             n = 3 + seed % 2
-            a, b0 = (random_hpd(GenSpec(dim=n, seed=mix_seed(seed, k), cond_target=3.0)) for k in (0, 1))
+            a, b0 = (random_hpd(GenSpec(dim=n, seed=mix_seed(seed, k), cond_target=3.0))[0] for k in (0, 1))
             u = _orthonormal_frame(SplitMix64(mix_seed(seed, 2)).complex_gaussian_matrix(n))
             ref = minimize_gap(a, b0, budget=40)
             turned = minimize_gap(u @ a @ u.conj().T, u @ b0 @ u.conj().T, budget=40)
@@ -611,7 +611,7 @@ class TestMinimizeGap:
 
     def test_budget_exhaustion_reported(self):
         a = np.diag([1.0, 2.0, 4.0]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=3, seed=8, cond_target=20.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=8, cond_target=20.0))
         tr = minimize_gap(a, b0, budget=3)
         assert tr.stop_reason in ("budget", "no_descent", "converged")
         assert len(tr.iterates) <= 4
@@ -622,7 +622,7 @@ class TestMinimizeGap:
         # roundoff of the objective; the run must end with the flag set
         # rather than an exception
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
-        b0 = random_hpd(GenSpec(dim=3, seed=5, cond_target=4.0))
+        b0, _ = random_hpd(GenSpec(dim=3, seed=5, cond_target=4.0))
         tr = minimize_gap(a, b0, budget=300)
         if tr.stop_reason == "no_descent":
             assert tr.no_descent
@@ -639,7 +639,7 @@ class TestMinimizeGap:
         evaluate = GapObjective.evaluate
         monkeypatch.setattr(GapObjective, "evaluate", lambda self, s: calls.append(s) or evaluate(self, s))
         monkeypatch.setattr(GapObjective, "gradient", gradient)
-        b0 = random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0))
+        b0, _ = random_hpd(GenSpec(dim=2, seed=3, cond_target=100.0))
         return minimize_gap(np.diag([1.0, 10.0]).astype(complex), b0, budget=5), len(calls)
 
     # no seeded run was found to stop without descent (generic and diagonal
