@@ -4,9 +4,9 @@ Subcommands: gen, mean, verify, sweep, minimize, lemma-ah. Exit codes:
 0 success, 1 usage or input-format error or an output file that cannot be
 opened or is named twice (checked before any work), 2 numerical error, 3
 a `CounterexampleToTheorem` verdict from verify or sweep, which small
-perturbations of n = 2 pairs get (`verify.classify_gaps`). A command line
-that names its subcommand first and asks for no help builds that
-subcommand's parser alone.
+perturbations of n = 2 pairs and large ones get (`verify.classify_gaps`).
+A command line that names its subcommand first and asks for no help
+builds that subcommand's parser alone.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import math
 import os
 import sys
 
@@ -21,7 +22,7 @@ from . import linalg
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .matio import load_matrix, matrix_payload, save_json, save_matrix, write_csv
 from .means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
-from .randgen import FAMILIES, GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
+from .randgen import GenSpec, InvalidSpec, near_commuting_pair, random_hpd
 from .sweep import SweepRow, SweepSpec, run_sweep
 from .verify import Verdict, ando_hayashi_witness, classify_gaps, minimize_gap, proof_chain_report
 
@@ -62,14 +63,15 @@ def _check_outputs(*paths) -> None:
 
 def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dict:
     residuals = dict(report.residuals)
-    if report.polar_singular:  # r5 is inf, which JSON has no literal for
+    polar_singular = residuals["r5"] == math.inf  # Y singular within the floor
+    if polar_singular:  # JSON has no literal for inf
         residuals["r5"] = None
     return {
         "mean_gap": report.mean_gap,
         "commutator_gap": report.commutator_gap,
         "residuals": residuals,
         "trace_gap": report.trace_gap,
-        "polar_singular": report.polar_singular,
+        "polar_singular": polar_singular,
         "verdict": verdict.value,
         "tolerances": {"identity_tol": cfg.identity_tol, "positivity_floor": linalg.POSITIVITY_FLOOR,
                        "eig_off_diag_tol": linalg.EIG_OFF_DIAG_TOL, "max_jacobi_sweeps": linalg.MAX_JACOBI_SWEEPS},
@@ -78,9 +80,10 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
 
 
 def _cmd_gen(args) -> int:
-    family = args.family.replace("-", "_")
-    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family=family, epsilon=args.epsilon)
-    generic = family == "generic"
+    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, epsilon=args.epsilon)
+    if spec.epsilon != 0.0 and args.family != "near-commuting":
+        raise InvalidSpec("epsilon is only meaningful for the near_commuting family")
+    generic = args.family == "generic"
     outs, needs = (([args.out], "--out") if generic
                    else ([args.out_a, args.out_b], "--out-a and --out-b"))
     if None in outs:
@@ -91,8 +94,7 @@ def _cmd_gen(args) -> int:
         m, eig = random_hpd(spec)
         drawn = [(m, eig.frame)]
     else:
-        pair = (random_commuting_pair(spec) if family == "commuting"
-                else near_commuting_pair(spec))
+        pair = near_commuting_pair(spec)  # --family commuting: the pair at epsilon 0
         drawn = [(pair.a, pair.eig_a.frame), (pair.b, pair.eig_b.frame)]
     for path, (m, frame) in zip(outs, drawn):
         save_matrix(path, m, frame)
@@ -133,7 +135,7 @@ def _cmd_sweep(args) -> int:
         epsilons = tuple(float(tok) for tok in args.epsilons.split(","))
     except ValueError as exc:
         raise _UsageError(f"--epsilons must be a comma-separated list of numbers: {exc}") from exc
-    base = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, family="near_commuting")
+    base = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond)
     spec = SweepSpec(base=base, epsilons=epsilons, trials_per_epsilon=args.trials)
     rows = run_sweep(spec, cfg)
     header = [f.name for f in dataclasses.fields(SweepRow)]
@@ -196,7 +198,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--cond", type=float, default=10.0,
                        help="target ratio of largest to smallest eigenvalue")
-        p.add_argument("--family", choices=sorted(f.replace("_", "-") for f in FAMILIES), default="generic")
+        p.add_argument("--family", choices=["commuting", "generic", "near-commuting"], default="generic")
         p.add_argument("--epsilon", type=float, default=0.0,
                        help="perturbation size for --family near-commuting")
         p.add_argument("--out", default=None, help="output file (generic family)")

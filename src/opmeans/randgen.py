@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -63,9 +63,7 @@ from .means import HpdPair
 __all__ = [
     "InvalidSpec",
     "GenSpec",
-    "FAMILIES",
     "random_hpd",
-    "random_commuting_pair",
     "near_commuting_pair",
 ]
 
@@ -108,27 +106,21 @@ def _trial_seeds(master: int, count: int) -> list[int]:
     return _words([(master ^ ((i + 1) * GOLDEN)) & MASK64 for i in range(count)], [1] * count).tolist()
 
 
-FAMILIES = ("generic", "commuting", "near_commuting")
-
-
 @dataclass(frozen=True)
 class GenSpec:
     """Parameters of one random draw.
 
     dim          matrix size, an int >= 1 (not a bool)
     seed         64-bit unsigned seed, an int (not a bool)
-    cond_target  ratio of largest to smallest eigenvalue, >= 1
-    family       "generic" (one matrix), "commuting" (shared-frame pair),
-                 or "near_commuting" (commuting pair perturbed by epsilon
-                 in the log chart of B)
-    epsilon      perturbation size, >= 0, only meaningful (and only
-                 allowed nonzero) for the near_commuting family
+    cond_target  ratio of largest to smallest eigenvalue, >= 1, finite
+    epsilon      size of B's perturbation in its log chart, >= 0, finite:
+                 `near_commuting_pair` draws the commuting pair at 0;
+                 `random_hpd` draws one matrix and reads no epsilon
     """
 
     dim: int
     seed: int
     cond_target: float = 10.0
-    family: str = "generic"
     epsilon: float = 0.0
 
     def __post_init__(self) -> None:
@@ -138,12 +130,8 @@ class GenSpec:
             raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not self.cond_target >= 1.0:
             raise InvalidSpec(f"cond_target must be >= 1, got {self.cond_target!r}")
-        if self.family not in FAMILIES:
-            raise InvalidSpec(f"family must be one of {FAMILIES}, got {self.family!r}")
         if not self.epsilon >= 0.0:
             raise InvalidSpec(f"epsilon must be >= 0, got {self.epsilon!r}")
-        if self.family != "near_commuting" and self.epsilon != 0.0:
-            raise InvalidSpec("epsilon is only meaningful for the near_commuting family")
         for name in ("cond_target", "epsilon"):
             if getattr(self, name) == math.inf:
                 raise InvalidSpec(f"{name} must be finite, got inf")
@@ -197,15 +185,9 @@ def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
     return m, _drawn_spectrum(q, lam)
 
 
-def random_commuting_pair(spec: GenSpec) -> HpdPair:
-    """Pair with a shared random eigenframe and independent eigenvalues,
-    carrying the spectra it was drawn from: `near_commuting_pair`, so
-    `_drawn_pairs`, at epsilon = 0."""
-    return near_commuting_pair(replace(spec, family="near_commuting", epsilon=0.0))
-
-
 def near_commuting_pair(spec: GenSpec) -> HpdPair:
-    """Commuting pair with B perturbed by epsilon in its log chart.
+    """Commuting pair (A, B0), a shared random eigenframe with independent
+    eigenvalues, with B0 perturbed by epsilon in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
     direction K, so positivity is structural: the pair `_drawn_pairs`
@@ -214,8 +196,6 @@ def near_commuting_pair(spec: GenSpec) -> HpdPair:
     whose exponential overflows, or a B with an entry past the double
     range, raises DomainError.
     """
-    if spec.family != "near_commuting":
-        raise InvalidSpec(f"near_commuting_pair needs the near_commuting family, got {spec.family!r}")
     (pair,) = _drawn_pairs([spec])
     if isinstance(pair, NumericalError):
         raise pair

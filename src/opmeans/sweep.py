@@ -33,8 +33,9 @@ __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 class SweepSpec:
     """A grid of perturbation sizes with repeated trials per size.
 
-    base.seed acts as the master seed; trial (i, t) runs with seed k of
-    `randgen._trial_seeds(base.seed, ...)`, k = i * trials_per_epsilon + t.
+    base.seed acts as the master seed; trial (i, t) runs with epsilons[i],
+    not base.epsilon, and seed k of `randgen._trial_seeds(base.seed, ...)`,
+    k = i * trials_per_epsilon + t.
     """
 
     base: GenSpec
@@ -77,17 +78,16 @@ _BLOCK = 32
 def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One row per (epsilon, trial), in deterministic grid order, read from
     the pairs `randgen._drawn_pairs` builds for each block of `_BLOCK`
-    rows, whose cores `means._take_cores` then takes in one pass, or, where
-    that fails, each alone. Numerical failures are recorded per row rather
-    than aborting the batch.
+    rows, commuting at epsilon = 0, whose cores `means._take_cores` then
+    takes in one pass, or, where that fails, each alone. Numerical failures
+    are recorded per row rather than aborting the batch.
     """
     epsilons = [eps for eps in spec.epsilons for _ in range(spec.trials_per_epsilon)]
     grid = list(zip(epsilons, _trial_seeds(spec.base.seed, len(epsilons))))
     rows: list[SweepRow] = []
     for start in range(0, len(grid), _BLOCK):
         block = grid[start : start + _BLOCK]
-        pairs = _drawn_pairs([replace(spec.base, seed=seed, family="near_commuting", epsilon=eps)
-                              for eps, seed in block])
+        pairs = _drawn_pairs([replace(spec.base, seed=seed, epsilon=eps) for eps, seed in block])
         with suppress(NumericalError):
             _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
         for (eps, seed), pair in zip(block, pairs):

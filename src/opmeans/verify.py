@@ -107,17 +107,15 @@ class GapReport:
 
     mean_gap        ||heron - wasserstein||_F / (||A||_F + ||B||_F)
     commutator_gap  ||AB - BA||_F / (||A||_F ||B||_F)
-    residuals       r1..r6 as described in the module docstring
+    residuals       r1..r6 as described in the module docstring; r5 is
+                    inf when the polar factor of Y was unavailable
     trace_gap       tr X - tr(A^{1/2} B^{1/2}), nonnegative up to roundoff
-    polar_singular  True when the polar factor of Y was unavailable and r6's
-                    companion residual r5 is reported as inf
     """
 
     mean_gap: float
     commutator_gap: float
     residuals: dict[str, float]
     trace_gap: float
-    polar_singular: bool = False
 
 
 @dataclass(frozen=True)
@@ -203,12 +201,10 @@ def proof_chain_report(p: HpdPair) -> GapReport:
 
     # r5: polar factor of Y collapses to the identity (conditional); Y*Y
     # is the core, so it comes from the core's spectrum
-    polar_singular = False
     try:
         u = _isometry(y, p.core[0])
         r5 = frobenius_norm(u - np.eye(n)) / math.sqrt(n)
     except Singular:
-        polar_singular = True
         r5 = math.inf
 
     # r6: self-adjointness of Y, the commutativity conclusion
@@ -219,7 +215,6 @@ def proof_chain_report(p: HpdPair) -> GapReport:
         commutator_gap=p.commutator_gap,
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
         trace_gap=p.trace_gap * p.unit,
-        polar_singular=polar_singular,
     )
 
 
@@ -230,8 +225,10 @@ def classify_gaps(mean_gap: float, comm_gap: float, cfg: ToleranceConfig = DEFAU
     together with an equality-band mean gap is CounterexampleToTheorem. It
     occurs on valid pairs: near a commuting pair whose eigenvalue ratios
     tie, the mean gap is second order in the commutator gap (ROADMAP,
-    "Verdicts the theorem supports"). Anything straddling the band in
-    between is Indeterminate.
+    "Verdicts the theorem supports"); where B's spectrum spans many orders,
+    as exp(log B0 + epsilon K) at a large epsilon, ||B||_F swamps the mean
+    gap's normalization ("Scale-free verdicts"). Anything straddling the
+    band in between is Indeterminate.
     """
     tol = cfg.identity_tol
     means_equal = mean_gap <= tol

@@ -17,7 +17,7 @@ from opmeans.linalg import (
     _sqrt_from,
 )
 from opmeans.means import HpdPair, _from_frame
-from opmeans.randgen import GenSpec, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, near_commuting_pair, random_hpd
 from opmeans.verify import FD_STEP_SCALE, GapObjective, minimize_gap, _hermitian
 
 
@@ -81,7 +81,7 @@ def random_pair(n, seed, cond=10.0):
 
 
 def commuting_pair(n, seed, cond=10.0):
-    return random_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, family="commuting"))
+    return near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond))
 
 
 def mat(rows):
@@ -113,6 +113,12 @@ def svd_abs(t):
     """|T| = V diag(s) V* from np.linalg.svd, the test oracle."""
     _, s, vh = np.linalg.svd(t)
     return (vh.conj().T * s) @ vh
+
+
+def eigh_function(h, f):
+    """f of the Hermitian part of h through np.linalg.eigh, the test oracle."""
+    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
+    return (v * f(w)) @ v.conj().T
 
 
 def eigh_positive_definite(h):

@@ -40,7 +40,7 @@ from conftest import (
 
 from opmeans.linalg import frobenius_norm, hermitian_eigen
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, near_commuting_pair, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, near_commuting_pair, random_hpd
 from opmeans.verify import (
     TriangleEqualityFails,
     Verdict,
@@ -117,8 +117,8 @@ def commuting_suite(request):
     for i in range(500):
         n = 2 + i % 7
         cond = log_uniform_cond(rng, 1e3)
-        pair = random_commuting_pair(
-            GenSpec(dim=n, seed=mix_seed(MASTER_COMMUTING, i), cond_target=cond, family="commuting")
+        pair = near_commuting_pair(
+            GenSpec(dim=n, seed=mix_seed(MASTER_COMMUTING, i), cond_target=cond)
         )
         records.append(analyze_pair(pair))
     return records, time.perf_counter() - t0
@@ -132,7 +132,7 @@ def near_commuting_suite():
         for t in range(100):
             seed = mix_seed(MASTER_NEAR_COMM, ei * 100 + t)
             pair = near_commuting_pair(
-                GenSpec(dim=3, seed=seed, cond_target=30.0, family="near_commuting", epsilon=eps)
+                GenSpec(dim=3, seed=seed, cond_target=30.0, epsilon=eps)
             )
             records.append(analyze_pair(pair))
     return records
@@ -252,8 +252,8 @@ def test_criterion_5_trace_criterion(all_records):
     # the library operation agrees with the suite-side evaluation
     spot = 0
     for i in range(0, 100, 10):
-        pair = random_commuting_pair(
-            GenSpec(dim=3, seed=mix_seed(MASTER_COMMUTING, i), cond_target=10.0, family="commuting")
+        pair = near_commuting_pair(
+            GenSpec(dim=3, seed=mix_seed(MASTER_COMMUTING, i), cond_target=10.0)
         )
         gap, flag = trace_criterion(pair)
         assert flag == (gap <= 1e-10 * np.trace(proof_intermediates(pair).x).real)

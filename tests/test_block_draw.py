@@ -28,7 +28,7 @@ def mixed_specs(n, seed):
     six of nine perturbed, so the logarithms' stacked pass stays cyclic and
     gives each member its lone bits."""
     return [GenSpec(dim=n, seed=(seed * 7919 + 31 * i) & MASK64 if i else MASK64 - seed, cond_target=cond,
-                    family="near_commuting", epsilon=eps)
+                    epsilon=eps)
             for i, (eps, cond) in enumerate((e, c) for e in (0.0, 1e-3, 0.5) for c in (1.0, 10.0, 1e6))]
 
 
@@ -124,6 +124,6 @@ def test_block_pairs_are_the_lone_pairs(seed):
 
 def test_a_block_of_mixed_sizes_is_the_lone_pairs():
     # logarithms of different sizes make no stack: each is taken alone
-    specs = [GenSpec(dim=n, seed=n, cond_target=10.0, family="near_commuting", epsilon=0.1 * (n % 3))
+    specs = [GenSpec(dim=n, seed=n, cond_target=10.0, epsilon=0.1 * (n % 3))
              for n in range(1, 9)]
     assert [pair_bits(p) for p in randgen._drawn_pairs(specs)] == [pair_bits(near_commuting_pair(s)) for s in specs]

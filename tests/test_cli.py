@@ -12,7 +12,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import SplitMix64, commutator_gap
+from conftest import SplitMix64, commutator_gap, eigh_function
 
 import opmeans.cli as cli
 from opmeans.cli import cli_main
@@ -176,12 +176,32 @@ class TestGen:
 
     @pytest.mark.parametrize("family", ["generic", "commuting"])
     def test_epsilon_refused_outside_near_commuting(self, tmp_path, capsys, family):
-        # GenSpec refuses the spec, as it does in the library, and nothing is written
+        # gen refuses it, though a spec names no family, and nothing is written
         outs = ["--out", str(tmp_path / "g.json"), "--out-a", str(tmp_path / "ga.json"),
                 "--out-b", str(tmp_path / "gb.json")]
         assert run("gen", "--n", "3", "--family", family, "--epsilon", "0.5", *outs) == 1
         assert capsys.readouterr().err == "input error: epsilon is only meaningful for the near_commuting family\n"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("args, name", [(["--epsilon", "inf"], "epsilon"),
+                                            (["--cond", "inf", "--epsilon", "0.5"], "cond_target")])
+    def test_non_finite_spec_named_before_the_family(self, tmp_path, capsys, args, name):
+        # the spec is checked first, so its non-finite value is named
+        assert run("gen", "--n", "3", *args, "--out", str(tmp_path / "g.json")) == 1
+        assert capsys.readouterr().err == f"input error: {name} must be finite, got inf\n"
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 24])
+    def test_commuting_is_near_commuting_at_epsilon_zero(self, tmp_path, n):
+        # both families draw `near_commuting_pair`, the commuting one at epsilon 0
+        for seed in (0, 3, 11, 2**64 - 1):
+            for family, extra in (("commuting", []), ("near-commuting", ["--epsilon", "0"])):
+                assert run("gen", "--n", str(n), "--seed", str(seed), "--cond", "100", "--family", family, *extra,
+                           "--out-a", str(tmp_path / f"{family}_a.json"),
+                           "--out-b", str(tmp_path / f"{family}_b.json")) == 0
+            for m in "ab":
+                assert ((tmp_path / f"commuting_{m}.json").read_bytes()
+                        == (tmp_path / f"near-commuting_{m}.json").read_bytes()), (seed, m)
 
 
 class TestMean:
@@ -355,7 +375,7 @@ class TestVerify:
         assert payload["polar_singular"] is False
         assert 0.0 <= payload["residuals"]["r5"] < (1e-11 if family == "commuting" else 2.0)
         singular = GapReport(payload["mean_gap"], payload["commutator_gap"],
-                             dict(payload["residuals"], r5=math.inf), payload["trace_gap"], polar_singular=True)
+                             dict(payload["residuals"], r5=math.inf), payload["trace_gap"])
         text = save_json(None, cli._report_payload(singular, Verdict(payload["verdict"]), DEFAULT_CONFIG, None))
         written = json.loads(text, parse_constant=refuse)
         assert written["polar_singular"] is True
@@ -769,25 +789,15 @@ class TestMinimize:
         assert capsys.readouterr().err == "numerical error: an eigenvalue leaves the double range (n = 2)\n"
 
 
-def eigh_function(h, f):
-    """f(H) through np.linalg.eigh, the test oracle."""
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (v * f(w)) @ v.conj().T
-
-
 def eigh_gaps(a, b):
     """(mean_gap, commutator_gap) with every spectrum from np.linalg.eigh,
     the test oracle, on the pair divided by its largest entry: both gaps
     are unchanged by a common scale."""
     top = max(np.abs(a).max(), np.abs(b).max())
     a, b = a / top, b / top
-
-    def spectral(h, f):
-        w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-        return (v * f(w)) @ v.conj().T
-
-    sqrt_a, inv_sqrt_a, sqrt_b = spectral(a, np.sqrt), spectral(a, lambda w: 1.0 / np.sqrt(w)), spectral(b, np.sqrt)
-    x = spectral(sqrt_a @ b @ sqrt_a, np.sqrt)
+    sqrt_a, sqrt_b = eigh_function(a, np.sqrt), eigh_function(b, np.sqrt)
+    inv_sqrt_a = eigh_function(a, lambda w: 1.0 / np.sqrt(w))
+    x = eigh_function(sqrt_a @ b @ sqrt_a, np.sqrt)
     avg = (sqrt_a + sqrt_b) / 2.0
     diff = avg @ avg - (a + b + sqrt_a @ x @ inv_sqrt_a + inv_sqrt_a @ x @ sqrt_a) / 4.0
     mean_gap = np.linalg.norm(diff) / (np.linalg.norm(a) + np.linalg.norm(b))
@@ -966,7 +976,7 @@ class TestOutputsCheckedFirst:
         assert capsys.readouterr().err == f"output error: [Errno 2] No such file or directory: '{bad}'\n"
 
     def test_gen_pair_leaves_no_first_file(self, tmp_path, monkeypatch, capsys):
-        self.refuse(monkeypatch, "random_commuting_pair")
+        self.refuse(monkeypatch, "near_commuting_pair")
         fa, bad = tmp_path / "a.json", tmp_path / "missing" / "b.json"
         assert run("gen", "--n", "3", "--family", "commuting", "--out-a", str(fa), "--out-b", str(bad)) == 1
         assert not fa.exists()

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import SplitMix64, mix_seed, proof_intermediates
 
 from opmeans.means import HpdPair, geometric_mean, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, random_commuting_pair, random_hpd
+from opmeans.randgen import GenSpec, near_commuting_pair, random_hpd
 from opmeans.verify import proof_chain_report, trace_criterion
 
 U = 2.0**-52
@@ -41,7 +41,7 @@ def commuting_pairs(draw):
     n = draw(st.integers(1, 6))
     seed = draw(st.integers(0, 2**64 - 1))
     cond = 10.0 ** draw(st.floats(0.0, 4.0))
-    p = random_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, family="commuting"))
+    p = near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond))
     return p.a, p.b, cond
 
 

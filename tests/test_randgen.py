@@ -1,5 +1,5 @@
 """Deterministic generators: stream reproducibility, spectrum placement,
-family construction, and spec validation."""
+pair construction, and spec validation."""
 
 import math
 import re
@@ -15,7 +15,6 @@ from opmeans.randgen import (
     GenSpec,
     InvalidSpec,
     near_commuting_pair,
-    random_commuting_pair,
     random_hpd,
     _hermitian_unit,
 )
@@ -125,19 +124,11 @@ class TestGenSpec:
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=1, cond_target=math.inf)
 
-    def test_rejects_unknown_family(self):
-        with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, family="weird")
-
     def test_rejects_negative_epsilon(self):
         with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, family="near_commuting", epsilon=-0.1)
+            GenSpec(dim=2, seed=1, epsilon=-0.1)
         with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, family="near_commuting", epsilon=math.inf)
-
-    def test_rejects_epsilon_outside_near_commuting(self):
-        with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, family="generic", epsilon=0.1)
+            GenSpec(dim=2, seed=1, epsilon=math.inf)
 
 
 class TestRandomHpd:
@@ -190,43 +181,43 @@ class TestRandomHpd:
 class TestCommutingPair:
     def test_commutator_within_tolerance(self):
         for seed in range(10):
-            p = random_commuting_pair(GenSpec(dim=2 + seed % 6, seed=seed, cond_target=100.0, family="commuting"))
+            p = near_commuting_pair(GenSpec(dim=2 + seed % 6, seed=seed, cond_target=100.0))
             assert commutator_gap(p.a, p.b) <= 1e-10
 
     def test_both_positive(self):
-        p = random_commuting_pair(GenSpec(dim=4, seed=5, cond_target=100.0, family="commuting"))
+        p = near_commuting_pair(GenSpec(dim=4, seed=5, cond_target=100.0))
         assert eigh_positive_definite(p.a)
         assert eigh_positive_definite(p.b)
 
     def test_deterministic(self):
-        spec = GenSpec(dim=3, seed=21, cond_target=10.0, family="commuting")
-        p1 = random_commuting_pair(spec)
-        p2 = random_commuting_pair(spec)
+        spec = GenSpec(dim=3, seed=21, cond_target=10.0)
+        p1 = near_commuting_pair(spec)
+        p2 = near_commuting_pair(spec)
         assert np.array_equal(p1.a, p2.a)
         assert np.array_equal(p1.b, p2.b)
 
     def test_dim_one(self):
-        p = random_commuting_pair(GenSpec(dim=1, seed=2, cond_target=4.0, family="commuting"))
+        p = near_commuting_pair(GenSpec(dim=1, seed=2, cond_target=4.0))
         assert p.a[0, 0].real > 0
         assert p.b[0, 0].real > 0
 
 
 class TestNearCommutingPair:
-    def test_requires_family(self):
-        with pytest.raises(InvalidSpec):
-            near_commuting_pair(GenSpec(dim=2, seed=1, family="generic"))
-
     def test_epsilon_zero_exactly_commuting(self):
-        spec0 = GenSpec(dim=3, seed=9, cond_target=20.0, family="near_commuting", epsilon=0.0)
+        spec0 = GenSpec(dim=3, seed=9, cond_target=20.0, epsilon=0.0)
         p0 = near_commuting_pair(spec0)
-        base = random_commuting_pair(GenSpec(dim=3, seed=9, cond_target=20.0, family="commuting"))
+        base = near_commuting_pair(GenSpec(dim=3, seed=9, cond_target=20.0))
         assert np.array_equal(p0.a, base.a)
         assert np.array_equal(p0.b, base.b)
+        # A and B are assembled on one drawn frame: their carried frames
+        # hold the same columns, bit for bit
+        columns = [sorted(col.tobytes() for col in eig.frame.T) for eig in (p0.eig_a, p0.eig_b)]
+        assert columns[0] == columns[1]
 
     def test_small_epsilon_small_gap(self):
         gaps = []
         for eps in (0.0, 1e-3, 1e-1):
-            spec = GenSpec(dim=3, seed=15, cond_target=20.0, family="near_commuting", epsilon=eps)
+            spec = GenSpec(dim=3, seed=15, cond_target=20.0, epsilon=eps)
             p = near_commuting_pair(spec)
             assert eigh_positive_definite(p.b)
             gaps.append(commutator_gap(p.a, p.b))
@@ -234,7 +225,7 @@ class TestNearCommutingPair:
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_epsilon_half_both_gaps_positive(self):
-        spec = GenSpec(dim=3, seed=4, cond_target=10.0, family="near_commuting", epsilon=0.5)
+        spec = GenSpec(dim=3, seed=4, cond_target=10.0, epsilon=0.5)
         p = near_commuting_pair(spec)
         mg, cg = p.mean_gap, p.commutator_gap
         assert mg > 1e-6
@@ -243,14 +234,15 @@ class TestNearCommutingPair:
     def test_shared_base_across_epsilons(self):
         # A is the same matrix for every epsilon at a fixed seed
         ps = [
-            near_commuting_pair(GenSpec(dim=3, seed=31, cond_target=10.0, family="near_commuting", epsilon=e))
+            near_commuting_pair(GenSpec(dim=3, seed=31, cond_target=10.0, epsilon=e))
             for e in (0.0, 0.25, 0.5)
         ]
         assert np.array_equal(ps[0].a, ps[1].a)
         assert np.array_equal(ps[1].a, ps[2].a)
 
     def test_commuting_pair_is_the_draw_at_epsilon_zero(self, monkeypatch):
-        # the same draw, bit for bit: the matrices and both carried spectra
+        # the commuting pair, which `gen --family commuting` writes, reruns
+        # bit for bit: the matrices and both carried spectra
         def same(p, q):
             return all(x.tobytes() == y.tobytes() for x, y in (
                 (p.a, q.a), (p.b, q.b), (p.eig_a.frame, q.eig_a.frame), (p.eig_a.eigenvalues, q.eig_a.eigenvalues),
@@ -260,23 +252,20 @@ class TestNearCommutingPair:
             for n in range(1, 7):
                 for cond in (1.0, 10.0, 1e6):
                     for seed in (0, 3, 11, MASK64):
-                        yield (random_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, family="commuting")),
-                               near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond,
-                                                           family="near_commuting", epsilon=0.0)))
+                        yield near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, epsilon=0.0))
 
         pairs = list(draws())
-        assert all(same(p, q) for p, q in pairs)
+        assert all(same(p, q) for p, q in zip(pairs, draws()))
 
         # K is drawn only at epsilon > 0: a direction that cannot be drawn
-        # stops neither family at epsilon = 0, and stops epsilon > 0
+        # leaves the pair at epsilon = 0 as it was, and stops epsilon > 0
         def collapsed(g):
             raise NumericalError("direction not drawn")
 
         monkeypatch.setattr(randgen, "_hermitian_unit", collapsed)
-        for (c, nc), (c2, nc2) in zip(pairs, draws()):
-            assert same(c, c2) and same(nc, nc2)
+        assert all(same(p, q) for p, q in zip(pairs, draws()))
         with pytest.raises(NumericalError, match="^direction not drawn$"):
-            near_commuting_pair(GenSpec(dim=3, seed=3, cond_target=10.0, family="near_commuting", epsilon=0.1))
+            near_commuting_pair(GenSpec(dim=3, seed=3, cond_target=10.0, epsilon=0.1))
 
     def test_one_direction_at_every_epsilon(self):
         # log B from the carried spectrum (P, e^mu): (log B(eps) - log B0) / eps
@@ -292,7 +281,7 @@ class TestNearCommutingPair:
             for cond in (10.0, 1e6):
                 for seed in (1, 5, 29):
                     log_b0, *logs = (log_b(near_commuting_pair(GenSpec(
-                        dim=n, seed=seed, cond_target=cond, family="near_commuting", epsilon=eps)))
+                        dim=n, seed=seed, cond_target=cond, epsilon=eps)))
                         for eps in (0.0, *epsilons))
                     k1, k2, k3 = ((log - log_b0) / eps for log, eps in zip(logs, epsilons))
                     bound = 1e-14 * (frobenius_norm(log_b0) + 1.0) / epsilons[0]
@@ -301,13 +290,12 @@ class TestNearCommutingPair:
 
 
 def drawn_pairs():
-    """Generated pairs of every family that carries spectra, n = 1..12."""
+    """Generated pairs, commuting (epsilon = 0) and perturbed, n = 1..12."""
     for n in range(1, 13):
         for cond in (10.0, 1e3, 1e6):
-            yield random_commuting_pair(GenSpec(dim=n, seed=n, cond_target=cond, family="commuting"))
             for eps in (0.0, 1e-2, 1.0):
                 yield near_commuting_pair(
-                    GenSpec(dim=n, seed=n, cond_target=cond, family="near_commuting", epsilon=eps))
+                    GenSpec(dim=n, seed=n, cond_target=cond, epsilon=eps))
 
 
 class TestDrawnSpectra:
@@ -326,7 +314,7 @@ class TestDrawnSpectra:
     def test_perturbed_b_is_exp_of_the_perturbed_log(self):
         # B's carried spectrum is (P, e^mu) for the one decomposition
         # P diag(mu) P* the generator takes of log B0 + eps K
-        p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, family="near_commuting", epsilon=0.3))
+        p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, epsilon=0.3))
         frame, values = p.eig_b.frame, p.eig_b.eigenvalues * p.unit
         assert np.array_equal(p.b, _assemble(p.eig_b.frame, values))
         w, v = np.linalg.eigh(p.b)

@@ -9,7 +9,16 @@ import math
 import numpy as np
 import pytest
 
-from conftest import commutator_gap, commuting_pair, gap_objective, mix_seed, polar, proof_intermediates, random_pair
+from conftest import (
+    commutator_gap,
+    commuting_pair,
+    eigh_function,
+    gap_objective,
+    mix_seed,
+    polar,
+    proof_intermediates,
+    random_pair,
+)
 
 import opmeans
 from opmeans import cli, linalg, matio, means, randgen, sweep, verify
@@ -147,7 +156,7 @@ def sample_pairs():
     pairs = [random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3)) for seed in range(14)]
     pairs += [commuting_pair(2 + seed % 7, seed, cond=1000.0) for seed in range(6)]
     pairs += [randgen.near_commuting_pair(
-        GenSpec(dim=4, seed=seed, cond_target=30.0, family="near_commuting", epsilon=eps))
+        GenSpec(dim=4, seed=seed, cond_target=30.0, epsilon=eps))
         for seed, eps in enumerate((0.01, 0.1, 1.0))]
     return [HpdPair(a=p.a, b=p.b) for p in pairs]
 
@@ -193,7 +202,7 @@ class TestEigendecompositionCounts:
         # the core alone: the pair carries the spectra of A and B it was
         # drawn from; a perturbed row first takes the generator's exp,
         # whose one spectrum, of log B0 + eps K, also gives B's
-        base = GenSpec(dim=4, seed=3, cond_target=10.0, family="near_commuting")
+        base = GenSpec(dim=4, seed=3, cond_target=10.0)
         sweep.run_sweep(sweep.SweepSpec(base=base, epsilons=(eps,), trials_per_epsilon=1))
         assert len(eigen_calls) == count
         assert eigen_calls.passes == passes
@@ -309,12 +318,6 @@ class TestTakeCores:
         with pytest.raises(linalg.NotHermitian):
             means._take_cores([p, q], (h + np.triu(np.ones((4, 4)), 1),))
         assert "core" not in p.__dict__ and "core" not in q.__dict__
-
-
-def eigh_function(h, f):
-    """f of a Hermitian matrix through np.linalg.eigh, the test oracle."""
-    w, v = np.linalg.eigh((h + h.conj().T) / 2.0)
-    return (v * f(w)) @ v.conj().T
 
 
 def eigh_report(p):
@@ -462,7 +465,7 @@ class TestDrawnRoute:
             for cond in (10.0, 30.0):
                 for seed in range(3):
                     pairs = [commuting_pair(n, seed, cond)] + [randgen.near_commuting_pair(GenSpec(
-                        dim=n, seed=seed, cond_target=cond, family="near_commuting", epsilon=eps))
+                        dim=n, seed=seed, cond_target=cond, epsilon=eps))
                         for eps in (0.0, 1e-2, 1.0)]
                     for p in pairs:
                         got = proof_chain_report(p)
@@ -502,7 +505,6 @@ class TestPolarFromCore:
         p = HpdPair(a=np.diag([1.0, 2.0, 3.0]).astype(complex),
                     b=np.diag([4.0, 1e-30, 1.0]).astype(complex))
         rep = proof_chain_report(p)
-        assert rep.polar_singular
         assert rep.residuals["r5"] == math.inf
         assert all(math.isfinite(rep.residuals[k]) for k in ("r1", "r2", "r3", "r4", "r6"))
 

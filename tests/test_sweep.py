@@ -20,7 +20,7 @@ from opmeans.verify import Verdict, classify_gaps, proof_chain_report
 
 
 def base_spec(n=3, seed=2024, cond=10.0):
-    return GenSpec(dim=n, seed=seed, cond_target=cond, family="near_commuting")
+    return GenSpec(dim=n, seed=seed, cond_target=cond)
 
 
 class TestSweepSpec:
@@ -126,7 +126,7 @@ class TestRunSweep:
                          epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=2)
         for row in run_sweep(spec):
             rep = proof_chain_report(near_commuting_pair(GenSpec(
-                dim=4, seed=row.seed, cond_target=100.0, family="near_commuting", epsilon=row.epsilon)))
+                dim=4, seed=row.seed, cond_target=100.0, epsilon=row.epsilon)))
             assert (row.mean_gap, row.commutator_gap, row.trace_gap) == (
                 rep.mean_gap, rep.commutator_gap, rep.trace_gap)
             assert row.verdict == classify_gaps(rep.mean_gap, rep.commutator_gap).value
