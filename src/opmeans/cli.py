@@ -157,7 +157,7 @@ def _cmd_minimize(args) -> int:
     )
     if args.out_b is not None:
         save_matrix(args.out_b, trace.final_b)
-    if trace.no_descent:
+    if trace.stop_reason == "no_descent":
         print("warning: line search stalled before the budget was used", file=sys.stderr)
     return 0
 

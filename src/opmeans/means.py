@@ -212,13 +212,11 @@ class HpdPair:
         return _commutator(self.eig_a.eigenvalues, self.b_t, frobenius_norm(self.a_u), frobenius_norm(self.b_u))
 
     @property
-    def trace_x(self) -> float:
-        return float(np.trace(self.x).real)
-
-    @property
     def trace_gap(self) -> float:
-        """tr X - tr(A^{1/2} B^{1/2}), in units of the scaled pair."""
-        return self.trace_x - float(self.root_a @ self.sqrt_b.diagonal().real)
+        """tr X - tr(A^{1/2} B^{1/2}) in the pair's units: 2 (tr wasserstein -
+        tr heron) by the trace's cyclicity, and tr|Y| - tr Y >= 0, zero
+        exactly when A and B commute."""
+        return (float(np.trace(self.x).real) - float(self.root_a @ self.sqrt_b.diagonal().real)) * self.unit
 
 
 def _take_cores(pairs: list[HpdPair], beside: tuple[np.ndarray, ...] = ()) -> list[HermitianEigen]:

@@ -115,7 +115,7 @@ class GenSpec:
     cond_target  ratio of largest to smallest eigenvalue, >= 1, finite
     epsilon      size of B's perturbation in its log chart, >= 0, finite:
                  `near_commuting_pair` draws the commuting pair at 0;
-                 `random_hpd` draws one matrix and reads no epsilon
+                 `random_hpd` draws one matrix and refuses any other
     """
 
     dim: int
@@ -177,7 +177,9 @@ def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
 
 def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
     """One Hermitian positive-definite matrix from the given spec, and the
-    spectrum it was drawn from."""
+    spectrum it was drawn from. It reads no epsilon, so the spec's must be 0."""
+    if spec.epsilon != 0.0:
+        raise InvalidSpec(f"random_hpd reads no epsilon, got {spec.epsilon!r}")
     (u,), (g,) = _draws([spec.seed], [abs(spec.dim - 2)], [spec.dim**2])
     lam = _eigenvalue_draw(spec.dim, spec.cond_target, u)
     q = _orthonormal_frame(g.view(np.complex128).reshape(spec.dim, spec.dim))

@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .means import _take_cores
 from .randgen import GenSpec, InvalidSpec, _drawn_pairs, _trial_seeds
-from .verify import classify_gaps, trace_criterion
+from .verify import classify_gaps
 
 __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 
@@ -33,9 +33,9 @@ __all__ = ["SweepSpec", "SweepRow", "run_sweep"]
 class SweepSpec:
     """A grid of perturbation sizes with repeated trials per size.
 
-    base.seed acts as the master seed; trial (i, t) runs with epsilons[i],
-    not base.epsilon, and seed k of `randgen._trial_seeds(base.seed, ...)`,
-    k = i * trials_per_epsilon + t.
+    base.seed acts as the master seed; trial (i, t) runs with epsilons[i]
+    and seed k of `randgen._trial_seeds(base.seed, ...)`,
+    k = i * trials_per_epsilon + t. base.epsilon is not read, so it must be 0.
     """
 
     base: GenSpec
@@ -43,6 +43,8 @@ class SweepSpec:
     trials_per_epsilon: int
 
     def __post_init__(self) -> None:
+        if self.base.epsilon != 0.0:
+            raise InvalidSpec(f"base.epsilon is not read (trials run at epsilons), got {self.base.epsilon!r}")
         if len(self.epsilons) == 0:
             raise InvalidSpec("epsilons must be non-empty")
         if any(not e >= 0.0 for e in self.epsilons):  # NaN fails too
@@ -94,8 +96,7 @@ def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[Sw
             try:
                 if isinstance(pair, NumericalError):
                     raise pair
-                mean_gap, comm_gap = pair.mean_gap, pair.commutator_gap
-                trace_gap = trace_criterion(pair)[0]
+                mean_gap, comm_gap, trace_gap = pair.mean_gap, pair.commutator_gap, pair.trace_gap
                 verdict = classify_gaps(mean_gap, comm_gap, cfg).value
             except NumericalError as exc:
                 mean_gap = comm_gap = trace_gap = math.nan

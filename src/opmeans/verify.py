@@ -21,9 +21,9 @@ that can itself vanish, so commuting pairs do not divide zero by zero).
 Everything about a pair derives from the spectral context an `HpdPair`
 holds, in A's eigenframe, where the Frobenius norms and traces that make
 up the report are unitarily invariant, so nothing returns to the original
-frame. Each caller takes only what it emits. The pair's two gaps and
-`trace_criterion` need two passes of the eigensolver, over A and B as one
-stack (none for a generated pair) and then the core; the full report adds
+frame. Each caller takes only what it emits. The pair's two gaps and its
+trace gap need two passes of the eigensolver, over A and B as one stack
+(none for a generated pair) and then the core; the full report adds
 (A+Y)*(A+Y), for r4, to the core's pass, `means._take_cores`, the one
 second pass of a report and of a sweep block. Since Y*Y is the core, r5
 takes the polar factor of Y from the core's spectrum, by `_isometry`, the
@@ -67,7 +67,6 @@ __all__ = [
     "DescentTrace",
     "TriangleEqualityFails",
     "proof_chain_report",
-    "trace_criterion",
     "ando_hayashi_witness",
     "GapObjective",
     "minimize_gap",
@@ -109,7 +108,7 @@ class GapReport:
     commutator_gap  ||AB - BA||_F / (||A||_F ||B||_F)
     residuals       r1..r6 as described in the module docstring; r5 is
                     inf when the polar factor of Y was unavailable
-    trace_gap       tr X - tr(A^{1/2} B^{1/2}), nonnegative up to roundoff
+    trace_gap       tr X - tr(A^{1/2} B^{1/2}) >= 0 up to roundoff, `HpdPair.trace_gap`
     """
 
     mean_gap: float
@@ -135,17 +134,13 @@ class DescentTrace:
                  step, starting with the initial point at step 0
     final_b      B = Q (nu R~^4) Q* at the last accepted iterate, in the
                  units of the input A and B0
-    stop_reason  "converged", "budget", or "no_descent"
+    stop_reason  "converged", "budget", or "no_descent" (a zero gradient,
+                 or MAX_BACKTRACKS failed halvings in a row)
     """
 
     iterates: list[tuple[int, float, float, float]]
     final_b: np.ndarray
     stop_reason: str
-
-    @property
-    def no_descent(self) -> bool:
-        """A zero gradient, or MAX_BACKTRACKS failed halvings in a row."""
-        return self.stop_reason == "no_descent"
 
 
 def _relative(diff: np.ndarray, name: str, *terms: np.ndarray) -> float:
@@ -166,8 +161,8 @@ def proof_chain_report(p: HpdPair) -> GapReport:
     scaling. The gram of A+Y, for r4, is decomposed by `_take_cores` in
     the pass that takes the core, or alone when the context already holds
     the core, so both give the same bits. The residuals are computed on the
-    scaled pair, which leaves them unchanged; the trace gap is converted
-    back to the pair's units. A balanced pair is refused.
+    scaled pair, which leaves them unchanged; the trace gap is the pair's,
+    in its units. A balanced pair is refused.
     """
     p._common_frame()
     lam, s, n = p.eig_a.eigenvalues, p.root_a, p.dim
@@ -214,7 +209,7 @@ def proof_chain_report(p: HpdPair) -> GapReport:
         mean_gap=p.mean_gap,
         commutator_gap=p.commutator_gap,
         residuals={"r1": r1, "r2": r2, "r3": r3, "r4": r4, "r5": r5, "r6": r6},
-        trace_gap=p.trace_gap * p.unit,
+        trace_gap=p.trace_gap,
     )
 
 
@@ -239,22 +234,6 @@ def classify_gaps(mean_gap: float, comm_gap: float, cfg: ToleranceConfig = DEFAU
     if mean_gap > 10.0 * tol and comm_gap > 10.0 * tol:
         return Verdict.BOTH_GAPS_POSITIVE
     return Verdict.INDETERMINATE
-
-
-def trace_criterion(p: HpdPair, cfg: ToleranceConfig = DEFAULT_CONFIG) -> tuple[float, bool]:
-    """Trace witness for commutativity: tr X - tr(A^{1/2} B^{1/2}).
-
-    By cyclicity of the trace, tr(heron) = (tr A + tr B)/4 + tr(A^{1/2}B^{1/2})/2
-    and tr(wasserstein) = (tr A + tr B)/4 + tr(X)/2, so this gap equals
-    2 (tr wasserstein - tr heron). It is also tr|Y| - tr Y >= 0, with
-    equality exactly when Y is positive, i.e. when A and B commute.
-
-    Returns (trace_gap, commute_flag) with the flag true when the gap is
-    within identity_tol * tr X of zero. Equals the report's trace gap; on
-    a validated pair it costs one eigendecomposition, of the core.
-    """
-    gap = p.trace_gap
-    return gap * p.unit, gap <= cfg.identity_tol * p.trace_x
 
 
 def ando_hayashi_witness(x, y, cfg: ToleranceConfig = DEFAULT_CONFIG) -> WitnessReport:

@@ -47,7 +47,6 @@ from opmeans.verify import (
     ando_hayashi_witness,
     classify_gaps,
     proof_chain_report,
-    trace_criterion,
 )
 
 MASTER_GENERIC_A = 0x5EED_0001
@@ -249,14 +248,13 @@ def test_criterion_5_trace_criterion(all_records):
         if trace_small != comm_small:
             violations += 1
         assert r.trace_gap >= -1e-10 * r.trace_x
-    # the library operation agrees with the suite-side evaluation
+    # the pair's own trace gap reads commuting on commuting draws
     spot = 0
     for i in range(0, 100, 10):
         pair = near_commuting_pair(
             GenSpec(dim=3, seed=mix_seed(MASTER_COMMUTING, i), cond_target=10.0)
         )
-        gap, flag = trace_criterion(pair)
-        assert flag == (gap <= 1e-10 * np.trace(proof_intermediates(pair).x).real)
+        assert pair.trace_gap <= 1e-10 * np.trace(proof_intermediates(pair).x).real
         spot += 1
     ok = violations == 0
     report_line(

@@ -28,7 +28,7 @@ from opmeans.linalg import _assemble, _sqrt_from
 from opmeans.matio import save_matrix
 from opmeans.means import HpdPair, heron_mean, wasserstein_mean
 from opmeans.randgen import GenSpec, random_hpd
-from opmeans.verify import GapObjective, proof_chain_report, trace_criterion
+from opmeans.verify import GapObjective, proof_chain_report
 
 
 class EigenCalls(list):
@@ -185,7 +185,7 @@ class TestEigendecompositionCounts:
         p = random_pair(4, 6, cond=50.0)
         q = HpdPair.validated(p.a, p.b)
         del eigen_calls[:]
-        trace_criterion(q)
+        q.trace_gap
         assert len(eigen_calls) == 1
 
     def test_gap_objective_evaluate_uses_one(self, eigen_calls):
@@ -482,7 +482,7 @@ class TestDrawnRoute:
         p = HpdPair.validated(q.a, q.b, linalg.ToleranceConfig(identity_tol=1e-8))
         report = proof_chain_report(p)
         assert (p.mean_gap, p.commutator_gap) == (report.mean_gap, report.commutator_gap)
-        assert trace_criterion(p, linalg.ToleranceConfig())[0] == report.trace_gap
+        assert p.trace_gap == report.trace_gap
         assert eigen_calls.passes == [2, 2]  # A and B, then the core and the gram of A+Y
         assert p.core is p.core
 
@@ -516,9 +516,10 @@ class TestAgreementWithPrimitives:
 
     def test_trace_criterion_is_report_trace_gap(self):
         for p in sample_pairs():
-            gap, flag = trace_criterion(p)
-            assert gap == frame_report(p)["trace_gap"]
-            assert flag == (gap <= 1e-10 * np.trace(proof_intermediates(p).x).real)
+            gap, ref = p.trace_gap, frame_report(p)
+            assert gap == ref["trace_gap"]
+            # the 6 commuting pairs, and only they, have a trace gap within tolerance
+            assert (gap <= 1e-10 * np.trace(proof_intermediates(p).x).real) == (ref["commutator_gap"] <= 1e-6)
 
     @pytest.mark.parametrize("e", [330, -330, 600, -600])
     def test_scaled_pair_reproduces_unscaled(self, e):

@@ -56,6 +56,11 @@ class TestSweepSpec:
         assert code == 1 and calls == [] and not out.exists()
         assert capsys.readouterr().err.startswith("input error: epsilons must be")
 
+    def test_rejects_base_epsilon(self):
+        # each trial runs at its entry of epsilons, so base.epsilon is unread
+        with pytest.raises(InvalidSpec, match=r"^base\.epsilon is not read \(trials run at epsilons\), got 0\.3$"):
+            SweepSpec(base=replace(base_spec(), epsilon=0.3), epsilons=(0.1,), trials_per_epsilon=1)
+
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidSpec, match="^trials_per_epsilon must be >= 1$"):
             SweepSpec(base=base_spec(), epsilons=(0.1,), trials_per_epsilon=0)
@@ -152,7 +157,7 @@ class TestRunSweep:
             lone = proof_chain_report(lone_pair)
             assert abs(row.mean_gap - lone.mean_gap) <= 1e-14
             assert abs(row.commutator_gap - lone.commutator_gap) <= 1e-14
-            assert abs(row.trace_gap - lone.trace_gap) <= 1e-14 * lone_pair.trace_x * lone_pair.unit
+            assert abs(row.trace_gap - lone.trace_gap) <= 1e-14 * np.trace(lone_pair.x).real * lone_pair.unit
             assert row.epsilon > 0.0 or gaps == (lone.mean_gap, lone.commutator_gap, lone.trace_gap)
             moved += gaps != (lone.mean_gap, lone.commutator_gap, lone.trace_gap)
         assert moved > 0

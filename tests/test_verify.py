@@ -37,7 +37,6 @@ from opmeans.verify import (
     classify_gaps,
     minimize_gap,
     proof_chain_report,
-    trace_criterion,
     _hermitian,
 )
 
@@ -198,35 +197,41 @@ class TestVerdicts:
         assert p.commutator_gap == pytest.approx(commutator_gap(p.a, p.b), rel=1e-12)
 
 
+def trace_x(p):
+    """tr X in the pair's units, the scale of the trace gap's tolerance."""
+    return np.trace(p.x).real * p.unit
+
+
 class TestTraceCriterion:
     def test_commuting_flag_true(self):
         p = commuting_pair(4, 7, cond=100.0)
-        gap, flag = trace_criterion(p)
-        assert flag
+        gap = p.trace_gap
+        assert gap <= 1e-10 * trace_x(p)
         assert gap >= -1e-12
 
     def test_equal_pair_zero(self):
         c = hpd(3, 11, cond=10.0)
-        gap, flag = trace_criterion(HpdPair.validated(c, c))
+        p = HpdPair.validated(c, c)
+        gap = p.trace_gap
         assert abs(gap) <= 1e-10 * np.trace(c).real
-        assert flag
+        assert gap <= 1e-10 * trace_x(p)
 
     def test_example_pair_positive(self):
-        gap, flag = trace_criterion(HpdPair.validated(EXAMPLE_A, EXAMPLE_B))
+        p = HpdPair.validated(EXAMPLE_A, EXAMPLE_B)
+        gap = p.trace_gap
         assert gap == pytest.approx(0.009606579205064136, rel=1e-9)
-        assert not flag
+        assert not gap <= 1e-10 * trace_x(p)
 
     def test_matches_report_trace_gap(self):
         p = random_pair(4, 5, cond=60.0)
-        gap, _ = trace_criterion(p)
+        gap = p.trace_gap
         rep = proof_chain_report(p)
         assert gap == pytest.approx(rep.trace_gap, rel=1e-10)
 
     def test_nonnegative_random(self):
         for seed in range(10):
             p = random_pair(3, seed, cond=200.0)
-            gap, _ = trace_criterion(p)
-            assert gap >= -1e-12
+            assert p.trace_gap >= -1e-12
 
 
 class TestAndoHayashiWitness:
@@ -619,16 +624,15 @@ class TestMinimizeGap:
     def test_line_search_stall_sets_flag(self):
         # a start whose run may end where the line search finds no descent
         # step above the objective floor, the gradient having reached the
-        # roundoff of the objective; the run must end with the flag set
+        # roundoff of the objective; the run must end with that stop reason
         # rather than an exception
         a = np.diag([1.0, 1.5, 2.25]).astype(complex)
         b0, _ = random_hpd(GenSpec(dim=3, seed=5, cond_target=4.0))
         tr = minimize_gap(a, b0, budget=300)
         if tr.stop_reason == "no_descent":
-            assert tr.no_descent
             assert tr.iterates[-1][3] > 1e-16
         else:
-            assert not tr.no_descent
+            assert tr.stop_reason in ("budget", "converged")
 
     @staticmethod
     def run_counting_evaluations(monkeypatch, gradient):
@@ -646,9 +650,9 @@ class TestMinimizeGap:
     # A, n = 2..4), so both stops are reached through a patched gradient
     def test_zero_gradient_stops_at_step_zero(self, monkeypatch):
         tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, pt: np.zeros((self.n, self.n), complex))
-        assert tr.no_descent and len(tr.iterates) == 1 and calls == 1
+        assert tr.stop_reason == "no_descent" and len(tr.iterates) == 1 and calls == 1
 
     def test_ascent_direction_stops_after_the_backtracks(self, monkeypatch):
         gradient = GapObjective.gradient
         tr, calls = self.run_counting_evaluations(monkeypatch, lambda self, pt: -gradient(self, pt))
-        assert tr.no_descent and len(tr.iterates) == 1 and calls == 1 + MAX_BACKTRACKS
+        assert tr.stop_reason == "no_descent" and len(tr.iterates) == 1 and calls == 1 + MAX_BACKTRACKS
