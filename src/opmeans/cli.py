@@ -80,8 +80,8 @@ def _report_payload(report, verdict: Verdict, cfg: ToleranceConfig, seed) -> dic
 
 
 def _cmd_gen(args) -> int:
-    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond, epsilon=args.epsilon)
-    if spec.epsilon != 0.0 and args.family != "near-commuting":
+    spec = GenSpec(dim=args.n, seed=args.seed, cond_target=args.cond)
+    if args.epsilon != 0.0 and args.family != "near-commuting":
         raise InvalidSpec("epsilon is only meaningful for the near_commuting family")
     generic = args.family == "generic"
     outs, needs = (([args.out], "--out") if generic
@@ -94,7 +94,7 @@ def _cmd_gen(args) -> int:
         m, eig = random_hpd(spec)
         drawn = [(m, eig.frame)]
     else:
-        pair = near_commuting_pair(spec)  # --family commuting: the pair at epsilon 0
+        pair = near_commuting_pair(spec, args.epsilon)  # --family commuting: the pair at epsilon 0
         drawn = [(pair.a, pair.eig_a.frame), (pair.b, pair.eig_b.frame)]
     for path, (m, frame) in zip(outs, drawn):
         save_matrix(path, m, frame)

@@ -113,15 +113,11 @@ class GenSpec:
     dim          matrix size, an int >= 1 (not a bool)
     seed         64-bit unsigned seed, an int (not a bool)
     cond_target  ratio of largest to smallest eigenvalue, >= 1, finite
-    epsilon      size of B's perturbation in its log chart, >= 0, finite:
-                 `near_commuting_pair` draws the commuting pair at 0;
-                 `random_hpd` draws one matrix and refuses any other
     """
 
     dim: int
     seed: int
     cond_target: float = 10.0
-    epsilon: float = 0.0
 
     def __post_init__(self) -> None:
         if not isinstance(self.dim, int) or isinstance(self.dim, bool) or self.dim < 1:
@@ -130,11 +126,8 @@ class GenSpec:
             raise InvalidSpec(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
         if not self.cond_target >= 1.0:
             raise InvalidSpec(f"cond_target must be >= 1, got {self.cond_target!r}")
-        if not self.epsilon >= 0.0:
-            raise InvalidSpec(f"epsilon must be >= 0, got {self.epsilon!r}")
-        for name in ("cond_target", "epsilon"):
-            if getattr(self, name) == math.inf:
-                raise InvalidSpec(f"{name} must be finite, got inf")
+        if self.cond_target == math.inf:
+            raise InvalidSpec("cond_target must be finite, got inf")
 
 
 def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
@@ -177,9 +170,7 @@ def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
 
 def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
     """One Hermitian positive-definite matrix from the given spec, and the
-    spectrum it was drawn from. It reads no epsilon, so the spec's must be 0."""
-    if spec.epsilon != 0.0:
-        raise InvalidSpec(f"random_hpd reads no epsilon, got {spec.epsilon!r}")
+    spectrum it was drawn from."""
     (u,), (g,) = _draws([spec.seed], [abs(spec.dim - 2)], [spec.dim**2])
     lam = _eigenvalue_draw(spec.dim, spec.cond_target, u)
     q = _orthonormal_frame(g.view(np.complex128).reshape(spec.dim, spec.dim))
@@ -187,55 +178,60 @@ def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
     return m, _drawn_spectrum(q, lam)
 
 
-def near_commuting_pair(spec: GenSpec) -> HpdPair:
+def near_commuting_pair(spec: GenSpec, epsilon: float = 0.0) -> HpdPair:
     """Commuting pair (A, B0), a shared random eigenframe with independent
-    eigenvalues, with B0 perturbed by epsilon in its log chart.
+    eigenvalues, with B0 perturbed by epsilon (>= 0, finite) in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
     direction K, so positivity is structural: the pair `_drawn_pairs`
-    builds for a block of this one spec. epsilon = 0 returns the commuting
+    builds for a block of this one draw. epsilon = 0 returns the commuting
     pair itself, with no log/exp round trip and no K drawn. An eigenvalue
     whose exponential overflows, or a B with an entry past the double
     range, raises DomainError.
     """
-    (pair,) = _drawn_pairs([spec])
+    if not epsilon >= 0.0:
+        raise InvalidSpec(f"epsilon must be >= 0, got {epsilon!r}")
+    if epsilon == math.inf:
+        raise InvalidSpec("epsilon must be finite, got inf")
+    (pair,) = _drawn_pairs([spec], [epsilon])
     if isinstance(pair, NumericalError):
         raise pair
     return pair
 
 
-def _drawn_pairs(specs: list[GenSpec]) -> list:
-    """The pair of each spec, commuting at epsilon = 0 and near-commuting
-    above, or the NumericalError raised in its place: the one builder of
-    every generated pair but `random_hpd`'s.
+def _drawn_pairs(specs: list[GenSpec], epsilons: list[float]) -> list:
+    """The pair of each spec at its entry of epsilons, commuting at 0 and
+    near-commuting above, or the NumericalError raised in its place: the one
+    builder of every generated pair but `random_hpd`'s. The specs share one size.
 
     A spec draws lambda_A, lambda_B and Q, then K at epsilon > 0 only, all
     specs at once (`_draws`). At epsilon = 0 the pair is (A, B0) with their
     drawn spectra. Above, the logarithms log B0 + epsilon K = P diag(mu) P*
     of all the specs are decomposed in one stacked pass, each started from
     B0's sorted drawn frame, and B = P diag(e^mu) P* carries (P, e^mu);
-    where that pass raises, as on mixed sizes, each logarithm is taken alone.
+    where that pass raises, each logarithm is taken alone.
     """
     seeds, free = [s.seed for s in specs], [abs(s.dim - 2) for s in specs]
-    uniforms, gauss = _draws(seeds, [2 * f for f in free], [(1 + (s.epsilon > 0.0)) * s.dim**2 for s in specs])
+    uniforms, gauss = _draws(seeds, [2 * f for f in free],
+                             [(1 + (e > 0.0)) * s.dim**2 for s, e in zip(specs, epsilons)])
     pairs = []  # per spec: its pair, the error raised, or at epsilon > 0 (A, eig_a, eig_b0, log B0 + epsilon K)
-    for spec, f, u, g in zip(specs, free, uniforms, gauss):
+    for spec, epsilon, f, u, g in zip(specs, epsilons, free, uniforms, gauss):
         n, g = spec.dim, g.view(np.complex128).reshape(-1, spec.dim, spec.dim)
         lam_a, lam_b = (_eigenvalue_draw(n, spec.cond_target, x) for x in (u[:f], u[f:]))
         try:
             q = _orthonormal_frame(g[0])
             a, eig_a, eig_b0 = _assemble(q, lam_a), _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
-            if spec.epsilon == 0.0:
+            if epsilon == 0.0:
                 pairs.append(HpdPair(a, _assemble(q, lam_b), (eig_a, eig_b0)))
             else:
-                log_b = _assemble(q, np.log(lam_b)) + spec.epsilon * _hermitian_unit(g[1])
+                log_b = _assemble(q, np.log(lam_b)) + epsilon * _hermitian_unit(g[1])
                 pairs.append((a, eig_a, eig_b0, log_b))
         except NumericalError as exc:
             pairs.append(exc)
     stack = [i for i, p in enumerate(pairs) if isinstance(p, tuple)]
     logs = [None] * len(stack)  # None: taken alone, as a stack of one would be
     if len(stack) > 1:
-        with suppress(NumericalError, ValueError):
+        with suppress(NumericalError):
             logs = hermitian_eigen([pairs[i][3] for i in stack], frame=[pairs[i][2].frame for i in stack])
     for i, eig_log in zip(stack, logs):
         a, eig_a, eig_b0, log_b = pairs[i]

@@ -35,7 +35,7 @@ class SweepSpec:
 
     base.seed acts as the master seed; trial (i, t) runs with epsilons[i]
     and seed k of `randgen._trial_seeds(base.seed, ...)`,
-    k = i * trials_per_epsilon + t. base.epsilon is not read, so it must be 0.
+    k = i * trials_per_epsilon + t.
     """
 
     base: GenSpec
@@ -43,8 +43,6 @@ class SweepSpec:
     trials_per_epsilon: int
 
     def __post_init__(self) -> None:
-        if self.base.epsilon != 0.0:
-            raise InvalidSpec(f"base.epsilon is not read (trials run at epsilons), got {self.base.epsilon!r}")
         if len(self.epsilons) == 0:
             raise InvalidSpec("epsilons must be non-empty")
         if any(not e >= 0.0 for e in self.epsilons):  # NaN fails too
@@ -80,16 +78,17 @@ _BLOCK = 32
 def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One row per (epsilon, trial), in deterministic grid order, read from
     the pairs `randgen._drawn_pairs` builds for each block of `_BLOCK`
-    rows, commuting at epsilon = 0, whose cores `means._take_cores` then
-    takes in one pass, or, where that fails, each alone. Numerical failures
-    are recorded per row rather than aborting the batch.
+    rows, base at the trial's seed and epsilon, commuting at epsilon = 0,
+    whose cores `means._take_cores` then takes in one pass, or, where that
+    fails, each alone. Numerical failures are recorded per row rather than
+    aborting the batch.
     """
     epsilons = [eps for eps in spec.epsilons for _ in range(spec.trials_per_epsilon)]
     grid = list(zip(epsilons, _trial_seeds(spec.base.seed, len(epsilons))))
     rows: list[SweepRow] = []
     for start in range(0, len(grid), _BLOCK):
         block = grid[start : start + _BLOCK]
-        pairs = _drawn_pairs([replace(spec.base, seed=seed, epsilon=eps) for eps, seed in block])
+        pairs = _drawn_pairs([replace(spec.base, seed=seed) for _, seed in block], [eps for eps, _ in block])
         with suppress(NumericalError):
             _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
         for (eps, seed), pair in zip(block, pairs):

@@ -130,9 +130,7 @@ def near_commuting_suite():
     for ei, eps in enumerate(epsilons):
         for t in range(100):
             seed = mix_seed(MASTER_NEAR_COMM, ei * 100 + t)
-            pair = near_commuting_pair(
-                GenSpec(dim=3, seed=seed, cond_target=30.0, epsilon=eps)
-            )
+            pair = near_commuting_pair(GenSpec(dim=3, seed=seed, cond_target=30.0), eps)
             records.append(analyze_pair(pair))
     return records
 

@@ -23,13 +23,14 @@ MASK64 = (1 << 64) - 1
 SIZES = (1, 2, 3, 6, 8)
 
 
-def mixed_specs(n, seed):
-    """Specs of one size over epsilon 0 and above and cond 1, 10 and 1e6;
-    six of nine perturbed, so the logarithms' stacked pass stays cyclic and
-    gives each member its lone bits."""
-    return [GenSpec(dim=n, seed=(seed * 7919 + 31 * i) & MASK64 if i else MASK64 - seed, cond_target=cond,
-                    epsilon=eps)
-            for i, (eps, cond) in enumerate((e, c) for e in (0.0, 1e-3, 0.5) for c in (1.0, 10.0, 1e6))]
+def mixed_draws(n, seed):
+    """Specs of one size over cond 1, 10 and 1e6, and their epsilons, 0 and
+    above; six of nine perturbed, so the logarithms' stacked pass stays
+    cyclic and gives each member its lone bits."""
+    grid = [(e, c) for e in (0.0, 1e-3, 0.5) for c in (1.0, 10.0, 1e6)]
+    specs = [GenSpec(dim=n, seed=(seed * 7919 + 31 * i) & MASK64 if i else MASK64 - seed, cond_target=cond)
+             for i, (_, cond) in enumerate(grid)]
+    return specs, [eps for eps, _ in grid]
 
 
 def reference_spectrum(rng, n, cond):
@@ -41,12 +42,12 @@ def reference_spectrum(rng, n, cond):
     return np.array([math.exp(x) for x in logs])
 
 
-def reference_draw(spec):
+def reference_draw(spec, epsilon):
     """The spec's two spectra, its frame's gaussian matrix and, at epsilon > 0,
     K's, from the scalar stream."""
     rng = SplitMix64(spec.seed)
     lam_a, lam_b = (reference_spectrum(rng, spec.dim, spec.cond_target) for _ in range(2))
-    g = [rng.complex_gaussian_matrix(spec.dim) for _ in range(1 + (spec.epsilon > 0.0))]
+    g = [rng.complex_gaussian_matrix(spec.dim) for _ in range(1 + (epsilon > 0.0))]
     return lam_a, lam_b, g
 
 
@@ -84,17 +85,17 @@ def test_block_draws_the_scalar_stream(seed, monkeypatch):
     monkeypatch.setattr(randgen, "_orthonormal_frame", lambda g: seen.append(("frame", g.copy())) or real_frame(g))
     monkeypatch.setattr(randgen, "_hermitian_unit", lambda g: seen.append(("k", g.copy())) or real_unit(g))
     for n in SIZES:
-        specs = mixed_specs(n, seed)
+        specs, epsilons = mixed_draws(n, seed)
         seen.clear()
-        pairs = randgen._drawn_pairs(specs)
+        pairs = randgen._drawn_pairs(specs, epsilons)
         want = []
-        for spec, pair in zip(specs, pairs):
-            lam_a, lam_b, g = reference_draw(spec)
+        for spec, eps, pair in zip(specs, epsilons, pairs):
+            lam_a, lam_b, g = reference_draw(spec, eps)
             want += [("frame", g[0]), *(("k", k) for k in g[1:])]
             q = real_frame(g[0])
             assert pair.a.tobytes() == _assemble(q, lam_a).tobytes()
             assert pair.eig_a.eigenvalues.tobytes() == (np.sort(lam_a, kind="stable") / pair.unit).tobytes()
-            if spec.epsilon == 0.0:
+            if eps == 0.0:
                 assert pair.b.tobytes() == _assemble(q, lam_b).tobytes()
                 assert pair.eig_b.eigenvalues.tobytes() == (np.sort(lam_b, kind="stable") / pair.unit).tobytes()
         assert [kind for kind, _ in seen] == [kind for kind, _ in want]
@@ -117,13 +118,6 @@ def test_random_hpd_draws_the_scalar_stream(n):
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_pairs_are_the_lone_pairs(seed):
     for n in SIZES:
-        specs = mixed_specs(n, seed)
-        block = randgen._drawn_pairs(specs)
-        assert [pair_bits(p) for p in block] == [pair_bits(near_commuting_pair(s)) for s in specs], n
-
-
-def test_a_block_of_mixed_sizes_is_the_lone_pairs():
-    # logarithms of different sizes make no stack: each is taken alone
-    specs = [GenSpec(dim=n, seed=n, cond_target=10.0, epsilon=0.1 * (n % 3))
-             for n in range(1, 9)]
-    assert [pair_bits(p) for p in randgen._drawn_pairs(specs)] == [pair_bits(near_commuting_pair(s)) for s in specs]
+        specs, epsilons = mixed_draws(n, seed)
+        block = randgen._drawn_pairs(specs, epsilons)
+        assert [pair_bits(p) for p in block] == [pair_bits(near_commuting_pair(*d)) for d in zip(specs, epsilons)], n

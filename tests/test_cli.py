@@ -183,12 +183,31 @@ class TestGen:
         assert capsys.readouterr().err == "input error: epsilon is only meaningful for the near_commuting family\n"
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("epsilon, err", [("-1", "epsilon must be >= 0, got -1.0"),
+                                              ("nan", "epsilon must be >= 0, got nan"),
+                                              ("inf", "epsilon must be finite, got inf")])
+    def test_near_commuting_checks_epsilon_after_the_outputs(self, tmp_path, capsys, epsilon, err):
+        # the draw refuses its epsilon, after the output check: exit 1, no file
+        fa, fb = tmp_path / "a.json", tmp_path / "b.json"
+        args = ["gen", "--n", "3", "--family", "near-commuting", "--epsilon", epsilon, "--out-a", str(fa)]
+        assert run(*args, "--out-b", str(fb)) == 1
+        assert capsys.readouterr().err == f"input error: {err}\n"
+        assert list(tmp_path.iterdir()) == []
+        bad = tmp_path / "missing" / "b.json"
+        assert run(*args, "--out-b", str(bad)) == 1
+        assert capsys.readouterr().err == f"output error: [Errno 2] No such file or directory: '{bad}'\n"
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("args, name", [(["--epsilon", "inf"], "epsilon"),
                                             (["--cond", "inf", "--epsilon", "0.5"], "cond_target")])
     def test_non_finite_spec_named_before_the_family(self, tmp_path, capsys, args, name):
-        # the spec is checked first, so its non-finite value is named
+        # the spec (n, seed, cond) is checked first, so its non-finite cond is
+        # named; epsilon, which only the near-commuting draw reads, then meets
+        # the family refusal, even at inf
         assert run("gen", "--n", "3", *args, "--out", str(tmp_path / "g.json")) == 1
-        assert capsys.readouterr().err == f"input error: {name} must be finite, got inf\n"
+        err = ("epsilon is only meaningful for the near_commuting family" if name == "epsilon"
+               else f"{name} must be finite, got inf")
+        assert capsys.readouterr().err == f"input error: {err}\n"
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("n", [1, 2, 4, 24])

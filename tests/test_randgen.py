@@ -124,19 +124,13 @@ class TestGenSpec:
         with pytest.raises(InvalidSpec):
             GenSpec(dim=2, seed=1, cond_target=math.inf)
 
-    def test_rejects_negative_epsilon(self):
-        with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, epsilon=-0.1)
-        with pytest.raises(InvalidSpec):
-            GenSpec(dim=2, seed=1, epsilon=math.inf)
+    def test_has_no_epsilon(self):
+        # a draw is (n, seed, cond); epsilon is an argument of the pair draw
+        with pytest.raises(TypeError):
+            GenSpec(dim=2, seed=1, epsilon=0.1)
 
 
 class TestRandomHpd:
-    def test_rejects_epsilon(self):
-        # a matrix draw reads no epsilon, so a nonzero one is refused
-        with pytest.raises(InvalidSpec, match="^random_hpd reads no epsilon, got 0.3$"):
-            random_hpd(GenSpec(dim=3, seed=1, epsilon=0.3))
-
     def test_bit_identical_reruns(self):
         spec = GenSpec(dim=5, seed=77, cond_target=30.0)
         assert np.array_equal(random_hpd(spec)[0], random_hpd(spec)[0])
@@ -201,8 +195,15 @@ class TestCommutingPair:
 
 
 class TestNearCommutingPair:
+    @pytest.mark.parametrize("epsilon, message", [
+        (-0.1, "epsilon must be >= 0, got -0.1"), (math.nan, "epsilon must be >= 0, got nan"),
+        (math.inf, "epsilon must be finite, got inf")])
+    def test_rejects_bad_epsilon(self, epsilon, message):
+        with pytest.raises(InvalidSpec, match=f"^{re.escape(message)}$"):
+            near_commuting_pair(GenSpec(dim=2, seed=1), epsilon)
+
     def test_epsilon_zero_exactly_commuting(self):
-        p0 = near_commuting_pair(GenSpec(dim=3, seed=9, cond_target=20.0, epsilon=0.0))
+        p0 = near_commuting_pair(GenSpec(dim=3, seed=9, cond_target=20.0), 0.0)
         # A and B are assembled on one drawn frame: their carried frames
         # hold the same columns, bit for bit
         columns = [sorted(col.tobytes() for col in eig.frame.T) for eig in (p0.eig_a, p0.eig_b)]
@@ -211,16 +212,14 @@ class TestNearCommutingPair:
     def test_small_epsilon_small_gap(self):
         gaps = []
         for eps in (0.0, 1e-3, 1e-1):
-            spec = GenSpec(dim=3, seed=15, cond_target=20.0, epsilon=eps)
-            p = near_commuting_pair(spec)
+            p = near_commuting_pair(GenSpec(dim=3, seed=15, cond_target=20.0), eps)
             assert eigh_positive_definite(p.b)
             gaps.append(commutator_gap(p.a, p.b))
         assert gaps[0] <= 1e-12
         assert gaps[0] < gaps[1] < gaps[2]
 
     def test_epsilon_half_both_gaps_positive(self):
-        spec = GenSpec(dim=3, seed=4, cond_target=10.0, epsilon=0.5)
-        p = near_commuting_pair(spec)
+        p = near_commuting_pair(GenSpec(dim=3, seed=4, cond_target=10.0), 0.5)
         mg, cg = p.mean_gap, p.commutator_gap
         assert mg > 1e-6
         assert cg > 1e-6
@@ -228,7 +227,7 @@ class TestNearCommutingPair:
     def test_shared_base_across_epsilons(self):
         # A is the same matrix for every epsilon at a fixed seed
         ps = [
-            near_commuting_pair(GenSpec(dim=3, seed=31, cond_target=10.0, epsilon=e))
+            near_commuting_pair(GenSpec(dim=3, seed=31, cond_target=10.0), e)
             for e in (0.0, 0.25, 0.5)
         ]
         assert np.array_equal(ps[0].a, ps[1].a)
@@ -246,7 +245,7 @@ class TestNearCommutingPair:
             for n in range(1, 7):
                 for cond in (1.0, 10.0, 1e6):
                     for seed in (0, 3, 11, MASK64):
-                        yield near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond, epsilon=0.0))
+                        yield near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond), 0.0)
 
         pairs = list(draws())
         assert all(same(p, q) for p, q in zip(pairs, draws()))
@@ -259,7 +258,7 @@ class TestNearCommutingPair:
         monkeypatch.setattr(randgen, "_hermitian_unit", collapsed)
         assert all(same(p, q) for p, q in zip(pairs, draws()))
         with pytest.raises(NumericalError, match="^direction not drawn$"):
-            near_commuting_pair(GenSpec(dim=3, seed=3, cond_target=10.0, epsilon=0.1))
+            near_commuting_pair(GenSpec(dim=3, seed=3, cond_target=10.0), 0.1)
 
     def test_one_direction_at_every_epsilon(self):
         # log B from the carried spectrum (P, e^mu): (log B(eps) - log B0) / eps
@@ -274,9 +273,8 @@ class TestNearCommutingPair:
         for n in range(1, 7):
             for cond in (10.0, 1e6):
                 for seed in (1, 5, 29):
-                    log_b0, *logs = (log_b(near_commuting_pair(GenSpec(
-                        dim=n, seed=seed, cond_target=cond, epsilon=eps)))
-                        for eps in (0.0, *epsilons))
+                    log_b0, *logs = (log_b(near_commuting_pair(GenSpec(dim=n, seed=seed, cond_target=cond), eps))
+                                     for eps in (0.0, *epsilons))
                     k1, k2, k3 = ((log - log_b0) / eps for log, eps in zip(logs, epsilons))
                     bound = 1e-14 * (frobenius_norm(log_b0) + 1.0) / epsilons[0]
                     assert frobenius_norm(k1 - k3) <= bound and frobenius_norm(k2 - k3) <= bound
@@ -288,8 +286,7 @@ def drawn_pairs():
     for n in range(1, 13):
         for cond in (10.0, 1e3, 1e6):
             for eps in (0.0, 1e-2, 1.0):
-                yield near_commuting_pair(
-                    GenSpec(dim=n, seed=n, cond_target=cond, epsilon=eps))
+                yield near_commuting_pair(GenSpec(dim=n, seed=n, cond_target=cond), eps)
 
 
 class TestDrawnSpectra:
@@ -308,7 +305,7 @@ class TestDrawnSpectra:
     def test_perturbed_b_is_exp_of_the_perturbed_log(self):
         # B's carried spectrum is (P, e^mu) for the one decomposition
         # P diag(mu) P* the generator takes of log B0 + eps K
-        p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0, epsilon=0.3))
+        p = near_commuting_pair(GenSpec(dim=5, seed=8, cond_target=100.0), 0.3)
         frame, values = p.eig_b.frame, p.eig_b.eigenvalues * p.unit
         assert np.array_equal(p.b, _assemble(p.eig_b.frame, values))
         w, v = np.linalg.eigh(p.b)

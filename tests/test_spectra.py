@@ -155,9 +155,8 @@ def sample_pairs():
     take the spectra it was drawn from)."""
     pairs = [random_pair(2 + seed % 7, seed, cond=10.0 ** (1 + seed % 3)) for seed in range(14)]
     pairs += [commuting_pair(2 + seed % 7, seed, cond=1000.0) for seed in range(6)]
-    pairs += [randgen.near_commuting_pair(
-        GenSpec(dim=4, seed=seed, cond_target=30.0, epsilon=eps))
-        for seed, eps in enumerate((0.01, 0.1, 1.0))]
+    pairs += [randgen.near_commuting_pair(GenSpec(dim=4, seed=seed, cond_target=30.0), eps)
+              for seed, eps in enumerate((0.01, 0.1, 1.0))]
     return [HpdPair(a=p.a, b=p.b) for p in pairs]
 
 
@@ -181,7 +180,7 @@ class TestEigendecompositionCounts:
         assert len(eigen_calls) == 4
         assert eigen_calls.passes == [2, 2]
 
-    def test_trace_criterion_on_validated_pair_uses_one(self, eigen_calls):
+    def test_trace_gap_on_validated_pair_uses_one(self, eigen_calls):
         p = random_pair(4, 6, cond=50.0)
         q = HpdPair.validated(p.a, p.b)
         del eigen_calls[:]
@@ -464,9 +463,8 @@ class TestDrawnRoute:
         for n in range(1, 7):
             for cond in (10.0, 30.0):
                 for seed in range(3):
-                    pairs = [commuting_pair(n, seed, cond)] + [randgen.near_commuting_pair(GenSpec(
-                        dim=n, seed=seed, cond_target=cond, epsilon=eps))
-                        for eps in (0.0, 1e-2, 1.0)]
+                    pairs = [commuting_pair(n, seed, cond)] + [randgen.near_commuting_pair(
+                        GenSpec(dim=n, seed=seed, cond_target=cond), eps) for eps in (0.0, 1e-2, 1.0)]
                     for p in pairs:
                         got = proof_chain_report(p)
                         values = report_values(got) | {"r5": got.residuals["r5"]}
@@ -514,7 +512,7 @@ class TestAgreementWithPrimitives:
         for p in sample_pairs():
             assert report_values(proof_chain_report(p)) == frame_report(p)
 
-    def test_trace_criterion_is_report_trace_gap(self):
+    def test_trace_gap_is_frame_report_trace_gap(self):
         for p in sample_pairs():
             gap, ref = p.trace_gap, frame_report(p)
             assert gap == ref["trace_gap"]

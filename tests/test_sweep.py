@@ -56,11 +56,6 @@ class TestSweepSpec:
         assert code == 1 and calls == [] and not out.exists()
         assert capsys.readouterr().err.startswith("input error: epsilons must be")
 
-    def test_rejects_base_epsilon(self):
-        # each trial runs at its entry of epsilons, so base.epsilon is unread
-        with pytest.raises(InvalidSpec, match=r"^base\.epsilon is not read \(trials run at epsilons\), got 0\.3$"):
-            SweepSpec(base=replace(base_spec(), epsilon=0.3), epsilons=(0.1,), trials_per_epsilon=1)
-
     def test_rejects_zero_trials(self):
         with pytest.raises(InvalidSpec, match="^trials_per_epsilon must be >= 1$"):
             SweepSpec(base=base_spec(), epsilons=(0.1,), trials_per_epsilon=0)
@@ -130,8 +125,7 @@ class TestRunSweep:
         spec = SweepSpec(base=base_spec(n=4, seed=17, cond=100.0),
                          epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=2)
         for row in run_sweep(spec):
-            rep = proof_chain_report(near_commuting_pair(GenSpec(
-                dim=4, seed=row.seed, cond_target=100.0, epsilon=row.epsilon)))
+            rep = proof_chain_report(near_commuting_pair(GenSpec(dim=4, seed=row.seed, cond_target=100.0), row.epsilon))
             assert (row.mean_gap, row.commutator_gap, row.trace_gap) == (
                 rep.mean_gap, rep.commutator_gap, rep.trace_gap)
             assert row.verdict == classify_gaps(rep.mean_gap, rep.commutator_gap).value
@@ -140,9 +134,9 @@ class TestRunSweep:
         # 12 rows, 8 of them perturbed: at n = 4 both passes run round-robin
         spec = SweepSpec(base=base_spec(n=4, seed=17, cond=100.0), epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=4)
         rows = run_sweep(spec)
-        specs = [replace(spec.base, seed=row.seed, epsilon=row.epsilon) for row in rows]
+        specs = [replace(spec.base, seed=row.seed) for row in rows]
         moved = 0
-        pairs = randgen._drawn_pairs(specs)
+        pairs = randgen._drawn_pairs(specs, [row.epsilon for row in rows])
         means._take_cores(pairs)
         for row, pair, gspec in zip(rows, pairs, specs):
             gaps = (row.mean_gap, row.commutator_gap, row.trace_gap)
@@ -153,7 +147,7 @@ class TestRunSweep:
             # benchmark's epsilons and trials) moved by at most 4.4e-16 (mean
             # gap), 1.9e-15 (commutator gap) and 2.8e-15 tr X (trace gap),
             # and no row at epsilon = 0 moved
-            lone_pair = near_commuting_pair(gspec)
+            lone_pair = near_commuting_pair(gspec, row.epsilon)
             lone = proof_chain_report(lone_pair)
             assert abs(row.mean_gap - lone.mean_gap) <= 1e-14
             assert abs(row.commutator_gap - lone.commutator_gap) <= 1e-14

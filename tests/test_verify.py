@@ -202,8 +202,8 @@ def trace_x(p):
     return np.trace(p.x).real * p.unit
 
 
-class TestTraceCriterion:
-    def test_commuting_flag_true(self):
+class TestTraceGap:
+    def test_commuting_pair_within_tolerance(self):
         p = commuting_pair(4, 7, cond=100.0)
         gap = p.trace_gap
         assert gap <= 1e-10 * trace_x(p)
@@ -221,12 +221,6 @@ class TestTraceCriterion:
         gap = p.trace_gap
         assert gap == pytest.approx(0.009606579205064136, rel=1e-9)
         assert not gap <= 1e-10 * trace_x(p)
-
-    def test_matches_report_trace_gap(self):
-        p = random_pair(4, 5, cond=60.0)
-        gap = p.trace_gap
-        rep = proof_chain_report(p)
-        assert gap == pytest.approx(rep.trace_gap, rel=1e-10)
 
     def test_nonnegative_random(self):
         for seed in range(10):
