@@ -518,9 +518,26 @@ def hermitian_eigen(h, frame=None) -> HermitianEigen | list[HermitianEigen]:
 
 
 def _assemble(frame: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """frame @ diag(values) @ frame*, symmetrized against roundoff."""
-    m = (frame * values) @ frame.conj().T
-    return (m + m.conj().T) / 2.0
+    """frame @ diag(values) @ frame*, symmetrized against roundoff, or that
+    of each member of a stack of frames (k, n, n) and values (k, n)."""
+    m = (frame * values[..., None, :]) @ frame.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _each(f, *stacks) -> list:
+    """f of stacks of one length, which gives one result per member, or where
+    that raises a NumericalError, f of each member as a stack of one: per
+    member, its result or the NumericalError it raised."""
+    try:
+        return list(f(*stacks))
+    except NumericalError:
+        out = []
+        for i in range(len(stacks[0])):
+            try:
+                out.extend(f(*(s[i : i + 1] for s in stacks)))
+            except NumericalError as exc:
+                out.append(exc)
+        return out
 
 
 def _spectral_radius(eig: HermitianEigen) -> float:
@@ -528,23 +545,27 @@ def _spectral_radius(eig: HermitianEigen) -> float:
     return max(abs(float(lam[0])), abs(float(lam[-1])))
 
 
-def _exp_values(eig: HermitianEigen) -> np.ndarray:
-    """`math.exp` at each eigenvalue (numpy's SIMD exp is not libm's), or
-    DomainError at the first where it overflows."""
+def _exp_values(mu: np.ndarray) -> np.ndarray:
+    """`math.exp` at each eigenvalue of mu, one spectrum or a stack (k, n) of
+    them (numpy's SIMD exp is not libm's), or DomainError at the first where
+    it overflows."""
     values = []
-    for lam in eig.eigenvalues.tolist():
+    for lam in mu.ravel().tolist():
         try:
             values.append(math.exp(lam))
         except OverflowError as exc:
             raise DomainError(f"exponential overflows at eigenvalue {lam!r}") from exc
-    return np.array(values)
+    return np.reshape(values, mu.shape)
 
 
-def _sqrt_values(eig: HermitianEigen) -> np.ndarray:
-    floor = POSITIVITY_FLOOR * _spectral_radius(eig)
-    lam = eig.eigenvalues
-    if float(lam[0]) < -floor:
-        raise DomainError(f"square root undefined at eigenvalue {float(lam[0])!r}")
+def _sqrt_values(lam: np.ndarray) -> np.ndarray:
+    """The square roots of ascending eigenvalues, one spectrum or a stack
+    (k, n) of them, those within the positivity floor of zero clamped to
+    zero, or DomainError where one is further negative."""
+    rows = lam.tolist()
+    for row in rows if lam.ndim > 1 else (rows,):
+        if row[0] < -POSITIVITY_FLOOR * max(abs(row[0]), abs(row[-1])):
+            raise DomainError(f"square root undefined at eigenvalue {row[0]!r}")
     return np.sqrt(np.maximum(lam, 0.0))
 
 
@@ -558,8 +579,9 @@ def sqrtm(h) -> np.ndarray:
 
 
 def _sqrt_from(eig: HermitianEigen) -> np.ndarray:
-    """`sqrtm` of the matrix with spectrum eig."""
-    return _assemble(eig.frame, _sqrt_values(eig))
+    """`sqrtm` of the matrix with spectrum eig, or of each member of a stack
+    of spectra, frames (k, n, n) and eigenvalues (k, n)."""
+    return _assemble(eig.frame, _sqrt_values(eig.eigenvalues))
 
 
 def _gram(t: np.ndarray) -> np.ndarray:

@@ -41,12 +41,13 @@ from .linalg import (
     HermitianEigen,
     NumericalError,
     ToleranceConfig,
-    as_matrix,
     frobenius_norm,
     hermitian_eigen,
     require_hermitian,
     sqrtm,
+    _as_matrices,
     _assemble,
+    _each,
     _positive,
     _exponent,
     _scale_exponent,
@@ -57,11 +58,20 @@ from .linalg import (
 __all__ = ["HpdPair", "geometric_mean", "heron_mean", "wasserstein_mean"]
 
 
+def _weights(lam: np.ndarray, s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(s_i + s_j, (a_i + a_j) / (s_i s_j), s_i s_j) from A's eigenvalues a
+    and s = sqrt(a), or those of each member of a stack (k, n) of them."""
+    si, sj = s[..., :, None], s[..., None, :]
+    ss = si * sj
+    return si + sj, (lam[..., :, None] + lam[..., None, :]) / ss, ss
+
+
 def _graded(ss: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The core A^{1/2} B A^{1/2} in A's frame, ss o B~ symmetrized with
-    ss = (s_i s_j), or NumericalError where it leaves the double range (to be
-    called under np.errstate where B~ can overflow)."""
-    core = (b + b.conj().T) / 2.0 * ss
+    ss = (s_i s_j), or those of a stack (k, n, n), or NumericalError where
+    one leaves the double range (to be called under np.errstate where B~
+    can overflow)."""
+    core = (b + b.conj().swapaxes(-1, -2)) / 2.0 * ss
     if not np.isfinite(core).all():
         raise NumericalError("core A^{1/2} B A^{1/2} leaves the double range")
     return core
@@ -73,18 +83,19 @@ def _gap(weights: tuple[np.ndarray, ...], sqrt_b: np.ndarray, x: np.ndarray) -> 
     return weights[0] * sqrt_b - weights[1] * x
 
 
-def _commutator(a: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
-    """||AB - BA||_F / (||A||_F ||B||_F) in A's frame, from A's eigenvalues
-    `a` and B~, where the commutator's entries are (a_i - a_j) B~_ij."""
+def _commutator(diff: np.ndarray, b: np.ndarray, norm_a: float, norm_b: float) -> float:
+    """||AB - BA||_F / (||A||_F ||B||_F) in A's frame, from the differences
+    a_i - a_j of A's eigenvalues and B~, where the commutator's entries are
+    (a_i - a_j) B~_ij."""
     denom = norm_a * norm_b
-    return frobenius_norm((a[:, None] - a) * b) / denom if denom != 0.0 else 0.0
+    return frobenius_norm(diff * b) / denom if denom != 0.0 else 0.0
 
 
 def _from_frame(q: np.ndarray, m: np.ndarray) -> np.ndarray:
     """Q M Q*, symmetrized against roundoff: M given in the frame Q, back in
-    the original one."""
-    m = q @ m @ q.conj().T
-    return (m + m.conj().T) / 2.0
+    the original one, or that of each member of a stack (k, n, n)."""
+    m = q @ m @ q.conj().swapaxes(-1, -2)
+    return (m + m.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HpdPair:
@@ -112,10 +123,10 @@ class HpdPair:
     def __init__(self, a, b, known: tuple[HermitianEigen, HermitianEigen] | None = None,
                  frames: tuple | None = None):
         self.a, self.b = a, b
-        a, b = as_matrix(a), as_matrix(b)
+        (a, (top_a,)), (b, (top_b,)) = _as_matrices(a, 2), _as_matrices(b, 2)
         if a.shape != b.shape:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        ea, eb = _exponent(a), _exponent(b)
+        ea, eb = _exponent(top_a), _exponent(top_b)
         k = _scale_exponent(ea, eb)
         self.balanced = min(ea, eb) - 2 * k <= -1022
         k = (ea + eb - 2) // 4 if self.balanced else k
@@ -157,8 +168,7 @@ class HpdPair:
     def weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(s_i + s_j, (a_i + a_j) / (s_i s_j), s_i s_j), the weights of
         B^{1/2} and of X in 4(H - W) (`_gap`) and of B~ in the core (`_graded`)."""
-        lam, s, ss = self.eig_a.eigenvalues, self.root_a, np.outer(self.root_a, self.root_a)
-        return s[:, None] + s, (lam[:, None] + lam) / ss, ss
+        return _weights(self.eig_a.eigenvalues, self.root_a)
 
     @cached_property
     def b_t(self) -> np.ndarray:
@@ -168,7 +178,7 @@ class HpdPair:
     @cached_property
     def sqrt_b(self) -> np.ndarray:
         """B^{1/2}~ = W diag(sqrt b) W*, W = Q* Q_B."""
-        return _assemble(self.eig_a.frame.conj().T @ self.eig_b.frame, _sqrt_values(self.eig_b))
+        return _assemble(self.eig_a.frame.conj().T @ self.eig_b.frame, _sqrt_values(self.eig_b.eigenvalues))
 
     @cached_property
     def core(self) -> tuple[HermitianEigen, np.ndarray]:
@@ -201,15 +211,22 @@ class HpdPair:
         """(A + B + the cross terms) / 4, whose sum is (a_i + a_j)/(s_i s_j) X~_ij."""
         return (np.diag(self.eig_a.eigenvalues) + self.b_t + self.weights[1] * self.x) / 4.0
 
+    @cached_property
+    def norms(self) -> tuple[float, float]:
+        """(||A||_F, ||B||_F) of the scaled pair."""
+        return frobenius_norm(self.a_u), frobenius_norm(self.b_u)
+
     @property
     def mean_gap(self) -> float:
         """||heron - wasserstein||_F / (||A||_F + ||B||_F), from `gap`."""
-        return frobenius_norm(self.gap) / (4.0 * (frobenius_norm(self.a_u) + frobenius_norm(self.b_u)))
+        norm_a, norm_b = self.norms
+        return frobenius_norm(self.gap) / (4.0 * (norm_a + norm_b))
 
     @property
     def commutator_gap(self) -> float:
         """||AB - BA||_F / (||A||_F ||B||_F), `_commutator`."""
-        return _commutator(self.eig_a.eigenvalues, self.b_t, frobenius_norm(self.a_u), frobenius_norm(self.b_u))
+        lam = self.eig_a.eigenvalues
+        return _commutator(lam[:, None] - lam, self.b_t, *self.norms)
 
     @property
     def trace_gap(self) -> float:
@@ -221,20 +238,44 @@ class HpdPair:
 
 def _take_cores(pairs: list[HpdPair], beside: tuple[np.ndarray, ...] = ()) -> list[HermitianEigen]:
     """The spectra of `beside`, taken in one pass with the cores of the
-    pairs that have not cached theirs, which it fills. A pair whose core or
-    its root raises a NumericalError here takes its core on first use; an
-    error of the pass is raised."""
-    cores = []
+    pairs that have not cached theirs, which it fills. The pairs' terms,
+    root_a, the weights, B~ and B^{1/2}~, then the cores and X~ from their
+    spectra, are formed for all of them at once, in (k, n, n) operations
+    that give each member the bits of its lone ones, and fill each pair's
+    cached properties where it has not cached them. A pair whose A does not
+    clear the positivity floor, or whose core or its root raises a
+    NumericalError here, takes its core on first use; an error of the pass
+    is raised."""
+    todo = []
     for p in pairs:
         if "core" not in p.__dict__:
             with suppress(NumericalError):
-                cores.append((p, _graded(p.weights[2], p.b_t)))
-    stack = [core for _, core in cores] + list(beside)
+                _positive(p.eig_a, "a")
+                todo.append(p)
+    if todo:
+        lam = np.stack([p.eig_a.eigenvalues for p in todo])
+        qh = np.stack([p.eig_a.frame for p in todo]).conj().swapaxes(-1, -2)
+        s = np.sqrt(lam)
+        terms = {"root_a": s, "weights": zip(*_weights(lam, s)),
+                 "b_t": _from_frame(qh, np.stack([p.b_u for p in todo]))}
+        with suppress(NumericalError):  # a B below the floor takes its root on first use
+            roots = _sqrt_values(np.stack([p.eig_b.eigenvalues for p in todo]))
+            terms["sqrt_b"] = _assemble(qh @ np.stack([p.eig_b.frame for p in todo]), roots)
+        for name, values in terms.items():
+            for p, value in zip(todo, values):
+                p.__dict__.setdefault(name, value)
+        cores = _each(_graded, np.stack([p.weights[2] for p in todo]), np.stack([p.b_t for p in todo]))
+        todo = [(p, core) for p, core in zip(todo, cores) if not isinstance(core, NumericalError)]
+    stack = [core for _, core in todo] + list(beside)
     eigs = hermitian_eigen(stack) if stack else []
-    for (p, _), eig in zip(cores, eigs):
-        with suppress(NumericalError):
-            p.core = eig, _sqrt_from(eig)  # fills the cached property
-    return eigs[len(cores):]
+    if todo:
+        frames = np.stack([e.frame for e in eigs[: len(todo)]])
+        lam = np.stack([e.eigenvalues for e in eigs[: len(todo)]])
+        xs = _each(lambda q, values: _sqrt_from(HermitianEigen(q, values)), frames, lam)
+        for (p, _), eig, x in zip(todo, eigs, xs):
+            if not isinstance(x, NumericalError):
+                p.core = eig, x  # fills the cached property
+    return eigs[len(todo):]
 
 
 def geometric_mean(p: HpdPair) -> np.ndarray:

@@ -16,9 +16,11 @@ bit for bit, across machines and reruns:
   * complex gaussians: one Box-Muller pair per entry, real part first,
     entries in row-major order;
   * unitary frames: modified Gram-Schmidt (two passes) applied to a
-    complex gaussian matrix. The triangular factor's diagonal comes out
-    real and positive, which pins the phase of every column. Columns stay
-    strided views: np.vdot on Fortran-ordered columns moves last bits;
+    complex gaussian matrix, or to a stack of them at once. The
+    triangular factor's diagonal comes out real and positive, which pins
+    the phase of every column. Columns stay strided views, and a stack's
+    dot products stay each member's own np.vdot on its own column views:
+    np.vdot on Fortran-ordered or stacked columns moves last bits;
   * HPD matrices: frame @ diag(eigenvalues) @ frame*. Eigenvalues sit in
     [1/sqrt(c), sqrt(c)] for condition target c: the endpoints are placed
     deterministically (so the realized condition number is c) and the
@@ -35,7 +37,10 @@ bit for bit, across machines and reruns:
     ascending, as its `HpdPair`'s known spectra, so it decomposes neither
     A nor B, and `random_hpd` returns its drawn spectrum too; `gen`
     writes the frames of these spectra into its files. The matrices are
-    assembled in the drawn order, so the sort moves no bit.
+    assembled in the drawn order, so the sort moves no bit;
+  * a block of specs (`_drawn_pairs`) is one stack (k, n, n) from its
+    frames to its matrices, each step of which gives a member the bits
+    of its lone call.
 
 Per-trial seeds for batch runs come from `_trial_seeds`, in one pass: trial
 i's is the first word of the stream at master XOR ((i + 1) * golden).
@@ -44,7 +49,6 @@ i's is the first word of the stream at master XOR ((i + 1) * golden).
 from __future__ import annotations
 
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -56,6 +60,7 @@ from .linalg import (
     NumericalError,
     hermitian_eigen,
     _assemble,
+    _each,
     _exp_values,
 )
 from .means import HpdPair
@@ -131,51 +136,68 @@ class GenSpec:
 
 
 def _orthonormal_frame(g: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt with one re-orthogonalization pass per column."""
-    n = g.shape[0]
+    """Modified Gram-Schmidt with one re-orthogonalization pass per column,
+    of a matrix or of each member of a stack (k, n, n) at once, or
+    NumericalError where a column collapses. Each dot product is its
+    member's own np.vdot, on that member's strided column; each update
+    v - d q_i is one numpy operation for the whole stack, whose d is a
+    scalar where there is one member, as in a lone matrix's loop."""
     q = g.astype(np.complex128, copy=True)
+    n = q.shape[-1]
+    members = q.reshape(-1, n, n)
+    one = len(members) == 1
+    work = members[0] if one else q  # a view of q: one member runs as a plain matrix
+    cols = [[m[:, i] for m in members] for i in range(n)]  # views: they see each column as it is set
     for j in range(n):
-        v = q[:, j]
+        v = work[..., j]
         for _pass in range(2):
             for i in range(j):
-                v = v - (np.vdot(q[:, i], v)) * q[:, i]
-        norm = math.sqrt(np.vdot(v, v).real)
-        if norm == 0.0:
+                if one:
+                    d = np.vdot(cols[i][0], v)
+                else:
+                    d = np.array([np.vdot(c, w) for c, w in zip(cols[i], v)])[:, None]
+                v = v - d * work[..., i]
+        norms = [math.sqrt(np.vdot(w, w).real) for w in ([v] if one else v)]
+        if 0.0 in norms:
             raise NumericalError("gaussian frame column collapsed to zero")
-        q[:, j] = v / norm
+        work[..., j] = v / (norms[0] if one else np.array(norms)[:, None])
     return q
 
 
-def _eigenvalue_draw(n: int, cond: float, u: list[float]) -> np.ndarray:
+def _eigenvalue_draw(n: int, cond: float, u: list[float]) -> list[float]:
     """Eigenvalues in [1/sqrt(cond), sqrt(cond)], endpoints pinned for n >= 2, the rest log-uniform at u."""
     half = 0.5 * math.log(cond)
     logs = ([-half, half] if n > 1 else []) + [-half + (half - -half) * x for x in u]
-    return np.array([math.exp(x) for x in logs])
+    return [math.exp(x) for x in logs]
 
 
 def _hermitian_unit(g: np.ndarray) -> np.ndarray:
-    """The Hermitian direction of a gaussian matrix, with unit Frobenius norm."""
-    k = (g + g.conj().T) / 2.0
-    norm = math.sqrt(np.vdot(k, k).real)
-    if norm == 0.0:
+    """The Hermitian direction of a gaussian matrix, with unit Frobenius norm,
+    or of each member of a stack (k, n, n)."""
+    k = (g + g.conj().swapaxes(-1, -2)) / 2.0
+    norms = [math.sqrt(np.vdot(m, m).real) for m in k.reshape(-1, *k.shape[-2:])]
+    if 0.0 in norms:
         raise NumericalError("hermitian direction collapsed to zero")
-    return k / norm
+    return k / np.reshape(norms, (*k.shape[:-2], 1, 1))
 
 
-def _drawn_spectrum(q: np.ndarray, lam: np.ndarray) -> HermitianEigen:
-    """The drawn values sorted ascending, with Q's columns permuted to match."""
-    order = np.argsort(lam, kind="stable")
-    return HermitianEigen(frame=q[:, order], eigenvalues=lam[order])
+def _drawn_spectra(q: np.ndarray, lam: np.ndarray) -> list[HermitianEigen]:
+    """Per member of a stack of frames (k, n, n) and values (k, n): the drawn
+    values sorted ascending, with Q's columns permuted to match."""
+    order = np.argsort(lam, axis=-1, kind="stable")
+    member = np.arange(len(lam))[:, None]
+    return list(map(HermitianEigen, q[member[:, None], np.arange(q.shape[-1])[:, None], order[:, None]],
+                    lam[member, order]))
 
 
 def random_hpd(spec: GenSpec) -> tuple[np.ndarray, HermitianEigen]:
     """One Hermitian positive-definite matrix from the given spec, and the
     spectrum it was drawn from."""
-    (u,), (g,) = _draws([spec.seed], [abs(spec.dim - 2)], [spec.dim**2])
-    lam = _eigenvalue_draw(spec.dim, spec.cond_target, u)
-    q = _orthonormal_frame(g.view(np.complex128).reshape(spec.dim, spec.dim))
-    m = _assemble(q, lam)
-    return m, _drawn_spectrum(q, lam)
+    n = spec.dim
+    (u,), (g,) = _draws([spec.seed], [abs(n - 2)], [n**2])
+    lam = np.array(_eigenvalue_draw(n, spec.cond_target, u))
+    q = _orthonormal_frame(g.view(np.complex128).reshape(n, n))
+    return _assemble(q, lam), _drawn_spectra(q[None], lam[None])[0]
 
 
 def near_commuting_pair(spec: GenSpec, epsilon: float = 0.0) -> HpdPair:
@@ -205,45 +227,63 @@ def _drawn_pairs(specs: list[GenSpec], epsilons: list[float]) -> list:
     builder of every generated pair but `random_hpd`'s. The specs share one size.
 
     A spec draws lambda_A, lambda_B and Q, then K at epsilon > 0 only, all
-    specs at once (`_draws`). At epsilon = 0 the pair is (A, B0) with their
-    drawn spectra. Above, the logarithms log B0 + epsilon K = P diag(mu) P*
-    of all the specs are decomposed in one stacked pass, each started from
-    B0's sorted drawn frame, and B = P diag(e^mu) P* carries (P, e^mu);
-    where that pass raises, each logarithm is taken alone.
+    specs at once (`_draws`), and the block is built as one stack: its
+    frames, directions, the sort of its spectra and A, B0 and the
+    logarithms log B0 + epsilon K = P diag(mu) P*, each in (k, n, n)
+    operations that give each member the bits of its lone ones. Where a
+    frame or a direction collapses, which no seed is known to draw, the
+    block is built spec by spec. At epsilon = 0 the pair is (A, B0) with
+    their drawn spectra. Above, the logarithms are decomposed in one
+    stacked pass, each started from B0's sorted drawn frame, and
+    B = P diag(e^mu) P* carries (P, e^mu); where that pass raises, each
+    logarithm is taken alone, and where e^mu or B leaves the double range,
+    that spec's error stands for its pair.
     """
-    seeds, free = [s.seed for s in specs], [abs(s.dim - 2) for s in specs]
-    uniforms, gauss = _draws(seeds, [2 * f for f in free],
-                             [(1 + (e > 0.0)) * s.dim**2 for s, e in zip(specs, epsilons)])
-    pairs = []  # per spec: its pair, the error raised, or at epsilon > 0 (A, eig_a, eig_b0, log B0 + epsilon K)
-    for spec, epsilon, f, u, g in zip(specs, epsilons, free, uniforms, gauss):
-        n, g = spec.dim, g.view(np.complex128).reshape(-1, spec.dim, spec.dim)
-        lam_a, lam_b = (_eigenvalue_draw(n, spec.cond_target, x) for x in (u[:f], u[f:]))
-        try:
-            q = _orthonormal_frame(g[0])
-            a, eig_a, eig_b0 = _assemble(q, lam_a), _drawn_spectrum(q, lam_a), _drawn_spectrum(q, lam_b)
-            if epsilon == 0.0:
-                pairs.append(HpdPair(a, _assemble(q, lam_b), (eig_a, eig_b0)))
+    n, k = specs[0].dim, len(specs)
+    free, bent = abs(n - 2), [i for i, e in enumerate(epsilons) if e > 0.0]
+    uniforms, gauss = _draws([s.seed for s in specs], [2 * free] * k, [(1 + (e > 0.0)) * n * n for e in epsilons])
+    g = [x.view(np.complex128).reshape(-1, n, n) for x in gauss]
+    try:
+        q = _orthonormal_frame(np.stack([x[0] for x in g]))
+        unit = _hermitian_unit(np.stack([g[i][1] for i in bent])) if bent else None
+    except NumericalError as exc:
+        return [exc] if k == 1 else [p for s, e in zip(specs, epsilons) for p in _drawn_pairs([s], [e])]
+    lam = np.array([_eigenvalue_draw(n, s.cond_target, x) for s, u in zip(specs, uniforms)
+                    for x in (u[:free], u[free:])]).reshape(k, 2, n)
+    a, eig_a, eig_b0 = _assemble(q, lam[:, 0]), _drawn_spectra(q, lam[:, 0]), _drawn_spectra(q, lam[:, 1])
+    pairs = [None] * k
+    flat = [i for i, e in enumerate(epsilons) if e == 0.0]
+    for i, b in zip(flat, _assemble(q[flat], lam[flat, 1])):
+        pairs[i] = HpdPair(a[i], b, (eig_a[i], eig_b0[i]))
+    if not bent:
+        return pairs
+    logs = _assemble(q[bent], np.log(lam[bent, 1])) + np.array([epsilons[i] for i in bent])[:, None, None] * unit
+    eig_logs = _each(lambda h, f: hermitian_eigen(h, frame=f), logs, [eig_b0[i].frame for i in bent])
+    live = []
+    for i, eig in zip(bent, eig_logs):
+        if isinstance(eig, NumericalError):
+            pairs[i] = eig
+        else:
+            live.append((i, eig))
+    if live:
+        frames, mu = np.stack([eig.frame for _, eig in live]), np.stack([eig.eigenvalues for _, eig in live])
+        for (i, eig), exp in zip(live, _each(_exponentiated, frames, mu)):
+            if isinstance(exp, NumericalError):
+                pairs[i] = exp
             else:
-                log_b = _assemble(q, np.log(lam_b)) + epsilon * _hermitian_unit(g[1])
-                pairs.append((a, eig_a, eig_b0, log_b))
-        except NumericalError as exc:
-            pairs.append(exc)
-    stack = [i for i, p in enumerate(pairs) if isinstance(p, tuple)]
-    logs = [None] * len(stack)  # None: taken alone, as a stack of one would be
-    if len(stack) > 1:
-        with suppress(NumericalError):
-            logs = hermitian_eigen([pairs[i][3] for i in stack], frame=[pairs[i][2].frame for i in stack])
-    for i, eig_log in zip(stack, logs):
-        a, eig_a, eig_b0, log_b = pairs[i]
-        try:
-            eig_log = eig_log or hermitian_eigen(log_b, frame=eig_b0.frame)
-            eig_b = HermitianEigen(frame=eig_log.frame, eigenvalues=_exp_values(eig_log))
-            with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
-                b = _assemble(eig_b.frame, eig_b.eigenvalues)
-            if not np.isfinite(b).all():
-                raise DomainError(
-                    f"B leaves the double range at its largest eigenvalue {float(eig_b.eigenvalues[-1])!r}")
-            pairs[i] = HpdPair(a, b, (eig_a, eig_b))
-        except NumericalError as exc:
-            pairs[i] = exc
+                values, b = exp
+                pairs[i] = HpdPair(a[i], b, (eig_a[i], HermitianEigen(eig.frame, values)))
     return pairs
+
+
+def _exponentiated(frames: np.ndarray, mu: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(e^mu, B = P diag(e^mu) P*) of each spectrum (P, mu) of a stack, or
+    DomainError where an exponential overflows or an entry of B leaves the
+    double range."""
+    values = _exp_values(mu)
+    with np.errstate(over="ignore", invalid="ignore"):  # entries past DBL_MAX are inf or nan
+        b = _assemble(frames, values)
+    for top, finite in zip(values[:, -1].tolist(), np.isfinite(b).all(axis=(1, 2)).tolist()):
+        if not finite:
+            raise DomainError(f"B leaves the double range at its largest eigenvalue {top!r}")
+    return list(zip(values, b))

@@ -10,6 +10,9 @@ and at epsilon = 0 takes no rotating sweep. A block of rows takes these
 in two passes, the logarithms in the builder, then the cores in the one
 second pass, `means._take_cores`, as a `verify` report does; a large
 stack runs round-robin, whose last digits differ from a lone call's.
+Around the passes a block is one stack too, from its frames to its gap
+terms, built in (k, n, n) operations that give each row the bits of its
+lone ones; a row reads only its norms, gaps and traces alone.
 `verify` on the same matrices read back from `gen` files decomposes A and
 B itself, so its gaps can differ from the row's in the last digits. The
 residual report is not built, since a row does not print it.

@@ -313,7 +313,8 @@ class GapObjective:
     R~0 = W diag((b / nu)^{1/4}) W*, W = Q* Q_B, from the pair's spectrum
     of B0. The core and the gap are the pair's entrywise forms
     (`means._graded`, `means._gap`), whose weights s_i s_j and -w2 are
-    taken once per objective. Q is kept only for `minimize_gap` to return
+    taken once per objective, as are the commutator's a_i - a_j, which
+    each trajectory row reads (`means._commutator`). Q is kept only for `minimize_gap` to return
     B to the original frame. A point is `positive` where the core
     C's eigenvalue ratio clears the positivity floor over cond(A), as it
     does wherever B's clears the floor, since
@@ -330,8 +331,9 @@ class GapObjective:
         self.frame, self.lam_a = pair.eig_a.frame, pair.eig_a.eigenvalues
         self.weights = pair.weights  # lam_a is positive: the weights take root_a
         self.neg_w2 = -self.weights[1]
+        self.diff = self.lam_a[:, None] - self.lam_a  # the commutator's weights a_i - a_j
         self.unit = pair.unit
-        self.norm_a = frobenius_norm(pair.a_u)
+        self.norm_a = pair.norms[0]
         self.n = pair.dim
         self.core_floor = POSITIVITY_FLOOR * float(self.lam_a[0]) / float(self.lam_a[-1])
         eig_b = _positive(pair.eig_b, "b")
@@ -350,7 +352,7 @@ class GapObjective:
             b = sqrt_b @ sqrt_b
             core = _graded(self.weights[2], b)
         eig_core = hermitian_eigen(core)
-        roots = _sqrt_values(eig_core)
+        roots = _sqrt_values(eig_core.eigenvalues)
         diff = _gap(self.weights, sqrt_b, _assemble(eig_core.frame, roots))
         norm_b = frobenius_norm(b)
         if not self.norm_a * norm_b < math.inf:  # the commutator gap's denominator
@@ -447,7 +449,7 @@ def minimize_gap(
     prev_g: np.ndarray | None = None
     prev_move: np.ndarray | None = None
     for step in range(budget + 1):
-        iterates.append((step, pt.gap, _commutator(obj.lam_a, pt.b, obj.norm_a, pt.norm_b), pt.objective))
+        iterates.append((step, pt.gap, _commutator(obj.diff, pt.b, obj.norm_a, pt.norm_b), pt.objective))
         if pt.objective <= OBJECTIVE_FLOOR:
             stop_reason = "converged"
             break

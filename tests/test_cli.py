@@ -1169,6 +1169,30 @@ class TestBytesPinned:
                    "--trials", "3", "--out", str(out)) == 0
         assert self.digest(out) == "24e3837af397105b2a2c3a5ffed30a1c6b4774301700c670dfa90bf1ad819002"
 
+    # sha256 of `sweep --seed 2024` on the benchmark's sweep-small grid
+    # (n = 3-6, cond 10, six epsilons, 4 trials) and on grids whose rows
+    # fail: every row at cond 1e300 (NotPositiveDefinite), the rows at
+    # epsilon 1e308 (DomainError), beside round-robin rows at n = 4, and
+    # n = 1; taken before a sweep block came to be built as one stack
+    SWEEP_SMALL = "--cond 10 --epsilons 0,0.01,0.0316,0.1,0.316,1 --trials 4"
+    SWEEPS = {
+        f"--n 3 {SWEEP_SMALL}": "cddbfde0314ab90501fa18142f7b0b70a6b2d00a6f2c5cae10ecbf83c5598564",
+        f"--n 4 {SWEEP_SMALL}": "8b9cedeefd10e23083043eb13a5443cc8df7ecb618ce61ce59c26b222579d2e7",
+        f"--n 5 {SWEEP_SMALL}": "72cb8f45f1916413ba48c91d869c32db0c25752e7e413de1a3edbe1d7454b31d",
+        f"--n 6 {SWEEP_SMALL}": "5274c59a72d92c2108501e0d65ed2b21452a4c287e2130e283436c50156b8d7e",
+        "--n 4 --cond 1e300 --epsilons 0,0.1 --trials 4":
+            "4e5bbf241dc2035a5684a3fb671ad4d577a6d8e9f311040fe21b7c83c7653984",
+        "--n 2 --epsilons 0,1e308 --trials 3": "96cb7b3de1315c629ce49cfcbe5b5d0e637e81a4203d7f938858b27fcc9b2146",
+        "--n 4 --epsilons 0,0.1,1e308 --trials 4": "a9be7ba80664e1e7ea4217e5fb9df39b2d6927c11eb0f55102db81b4806412a5",
+        "--n 1 --epsilons 0,0.1,1 --trials 3": "83e6926352329f1d61949e55a24c3a996ac75d6a17435a7110f170418e0155b1",
+    }
+
+    @pytest.mark.parametrize("grid", sorted(SWEEPS))
+    def test_sweep_grids(self, tmp_path, grid):
+        out = tmp_path / "s.csv"
+        assert run("sweep", "--seed", "2024", *grid.split(), "--out", str(out)) == 0
+        assert self.digest(out) == self.SWEEPS[grid]
+
     @pytest.mark.parametrize("argv, code, out, err", TEXTS, ids=[" ".join(t[0]) or "none" for t in TEXTS])
     def test_help_and_usage_texts(self, capsys, monkeypatch, argv, code, out, err):
         monkeypatch.setenv("COLUMNS", "80")

@@ -136,7 +136,7 @@ def frame_report(p):
     r6 = frobenius_norm(y - y.conj().T) / frobenius_norm(y)
     return {
         "mean_gap": frobenius_norm(gap) / (4.0 * (frobenius_norm(a) + frobenius_norm(b))),
-        "commutator_gap": means._commutator(lam, bt, frobenius_norm(a), frobenius_norm(b)),
+        "commutator_gap": means._commutator(lam[:, None] - lam, bt, frobenius_norm(a), frobenius_norm(b)),
         "r1": r1, "r2": r2, "r3": r3, "r4": r4, "r6": r6,
         "trace_gap": float(np.trace(x).real - s @ sqrt_b.diagonal().real),
     }
