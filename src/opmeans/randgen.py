@@ -38,9 +38,9 @@ bit for bit, across machines and reruns:
     A nor B, and `random_hpd` returns its drawn spectrum too; `gen`
     writes the frames of these spectra into its files. The matrices are
     assembled in the drawn order, so the sort moves no bit;
-  * a block of specs (`_drawn_pairs`) is one stack (k, n, n) from its
-    frames to its matrices, each step of which gives a member the bits
-    of its lone call.
+  * a block of seeds at one size and condition target (`_drawn_pairs`)
+    is one stack (k, n, n) from its frames to its matrices, each step of
+    which gives a member the bits of its lone call.
 
 Per-trial seeds for batch runs come from `_trial_seeds`, in one pass: trial
 i's is the first word of the stream at master XOR ((i + 1) * golden).
@@ -205,51 +205,48 @@ def near_commuting_pair(spec: GenSpec, epsilon: float = 0.0) -> HpdPair:
     eigenvalues, with B0 perturbed by epsilon (>= 0, finite) in its log chart.
 
     B becomes exp(log(B0) + epsilon * K) for a seeded unit-norm Hermitian
-    direction K, so positivity is structural: the pair `_drawn_pairs`
-    builds for a block of this one draw. epsilon = 0 returns the commuting
-    pair itself, with no log/exp round trip and no K drawn. An eigenvalue
-    whose exponential overflows, or a B with an entry past the double
-    range, raises DomainError.
+    direction K, so positivity is structural: the pair `_drawn_pairs` builds
+    for this one seed. epsilon = 0 returns the commuting pair itself, with
+    no log/exp round trip and no K drawn. An eigenvalue whose exponential
+    overflows, or a B with an entry past the double range, raises DomainError.
     """
     if not epsilon >= 0.0:
         raise InvalidSpec(f"epsilon must be >= 0, got {epsilon!r}")
     if epsilon == math.inf:
         raise InvalidSpec("epsilon must be finite, got inf")
-    (pair,) = _drawn_pairs([spec], [epsilon])
+    (pair,) = _drawn_pairs(spec.dim, spec.cond_target, [spec.seed], [epsilon])
     if isinstance(pair, NumericalError):
         raise pair
     return pair
 
 
-def _drawn_pairs(specs: list[GenSpec], epsilons: list[float]) -> list:
-    """The pair of each spec at its entry of epsilons, commuting at 0 and
-    near-commuting above, or the NumericalError raised in its place: the one
-    builder of every generated pair but `random_hpd`'s. The specs share one size.
+def _drawn_pairs(n: int, cond: float, seeds: list[int], epsilons: list[float]) -> list:
+    """The pair (n, cond) of each seed at its entry of epsilons, commuting at
+    0 and near-commuting above, or the NumericalError raised in its place:
+    the one builder of every generated pair but `random_hpd`'s.
 
-    A spec draws lambda_A, lambda_B and Q, then K at epsilon > 0 only, all
-    specs at once (`_draws`), and the block is built as one stack: its
+    A seed draws lambda_A, lambda_B and Q, then K at epsilon > 0 only, all
+    seeds at once (`_draws`), and the block is built as one stack: its
     frames, directions, the sort of its spectra and A, B0 and the
     logarithms log B0 + epsilon K = P diag(mu) P*, each in (k, n, n)
     operations that give each member the bits of its lone ones. Where a
     frame or a direction collapses, which no seed is known to draw, the
-    block is built spec by spec. At epsilon = 0 the pair is (A, B0) with
+    block is built seed by seed. At epsilon = 0 the pair is (A, B0) with
     their drawn spectra. Above, the logarithms are decomposed in one
     stacked pass, each started from B0's sorted drawn frame, and
     B = P diag(e^mu) P* carries (P, e^mu); where that pass raises, each
     logarithm is taken alone, and where e^mu or B leaves the double range,
-    that spec's error stands for its pair.
+    that seed's error stands for its pair.
     """
-    n, k = specs[0].dim, len(specs)
-    free, bent = abs(n - 2), [i for i, e in enumerate(epsilons) if e > 0.0]
-    uniforms, gauss = _draws([s.seed for s in specs], [2 * free] * k, [(1 + (e > 0.0)) * n * n for e in epsilons])
+    k, free, bent = len(seeds), abs(n - 2), [i for i, e in enumerate(epsilons) if e > 0.0]
+    uniforms, gauss = _draws(seeds, [2 * free] * k, [(1 + (e > 0.0)) * n * n for e in epsilons])
     g = [x.view(np.complex128).reshape(-1, n, n) for x in gauss]
     try:
         q = _orthonormal_frame(np.stack([x[0] for x in g]))
         unit = _hermitian_unit(np.stack([g[i][1] for i in bent])) if bent else None
     except NumericalError as exc:
-        return [exc] if k == 1 else [p for s, e in zip(specs, epsilons) for p in _drawn_pairs([s], [e])]
-    lam = np.array([_eigenvalue_draw(n, s.cond_target, x) for s, u in zip(specs, uniforms)
-                    for x in (u[:free], u[free:])]).reshape(k, 2, n)
+        return [exc] if k == 1 else [p for seed, e in zip(seeds, epsilons) for p in _drawn_pairs(n, cond, [seed], [e])]
+    lam = np.array([_eigenvalue_draw(n, cond, x) for u in uniforms for x in (u[:free], u[free:])]).reshape(k, 2, n)
     a, eig_a, eig_b0 = _assemble(q, lam[:, 0]), _drawn_spectra(q, lam[:, 0]), _drawn_spectra(q, lam[:, 1])
     pairs = [None] * k
     flat = [i for i, e in enumerate(epsilons) if e == 0.0]

@@ -1,28 +1,29 @@
 """Batch sweeps over the near-commuting perturbation size.
 
 A row carries the two gaps and the trace gap of one generated pair, all
-taken from the pair's spectral context, in A's eigenframe. The pairs come
-from the generators' one builder, `randgen._drawn_pairs`, with the
-spectra of A and B they were drawn from, so a row decomposes the
-generator's perturbed logarithm at epsilon > 0, started from B0's drawn
-frame, and the core, which in A's drawn frame is diagonal to O(epsilon)
-and at epsilon = 0 takes no rotating sweep. A block of rows takes these
-in two passes, the logarithms in the builder, then the cores in the one
-second pass, `means._take_cores`, as a `verify` report does; a large
-stack runs round-robin, whose last digits differ from a lone call's.
-Around the passes a block is one stack too, from its frames to its gap
-terms, built in (k, n, n) operations that give each row the bits of its
-lone ones; a row reads only its norms, gaps and traces alone.
-`verify` on the same matrices read back from `gen` files decomposes A and
-B itself, so its gaps can differ from the row's in the last digits. The
-residual report is not built, since a row does not print it.
+taken from the pair's spectral context, in A's eigenframe. The pairs
+come from the generators' one builder, `randgen._drawn_pairs`, at the
+base's dim and cond_target, with the spectra of A and B they were drawn
+from, so a row decomposes the generator's perturbed logarithm at
+epsilon > 0, started from B0's drawn frame, and the core, which in A's
+drawn frame is diagonal to O(epsilon) and at epsilon = 0 takes no
+rotating sweep. A block of rows takes these in two passes, the
+logarithms in the builder, then the cores in the one second pass,
+`means._take_cores`, as a `verify` report does; a large stack runs
+round-robin, whose last digits differ from a lone call's. Around the
+passes a block is one stack too, from its frames to its gap terms, built
+in (k, n, n) operations that give each row the bits of its lone ones; a
+row reads only its norms, gaps and traces alone. `verify` on the same
+matrices read back from `gen` files decomposes A and B itself, so its
+gaps can differ from the row's in the last digits. The residual report
+is not built, since a row does not print it.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import suppress
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .linalg import DEFAULT_CONFIG, NumericalError, ToleranceConfig
 from .means import _take_cores
@@ -81,20 +82,20 @@ _BLOCK = 32
 def run_sweep(spec: SweepSpec, cfg: ToleranceConfig = DEFAULT_CONFIG) -> list[SweepRow]:
     """One row per (epsilon, trial), in deterministic grid order, read from
     the pairs `randgen._drawn_pairs` builds for each block of `_BLOCK`
-    rows, base at the trial's seed and epsilon, commuting at epsilon = 0,
+    rows at base's dim and cond_target, commuting at epsilon = 0,
     whose cores `means._take_cores` then takes in one pass, or, where that
     fails, each alone. Numerical failures are recorded per row rather than
     aborting the batch.
     """
     epsilons = [eps for eps in spec.epsilons for _ in range(spec.trials_per_epsilon)]
-    grid = list(zip(epsilons, _trial_seeds(spec.base.seed, len(epsilons))))
+    seeds = _trial_seeds(spec.base.seed, len(epsilons))
     rows: list[SweepRow] = []
-    for start in range(0, len(grid), _BLOCK):
-        block = grid[start : start + _BLOCK]
-        pairs = _drawn_pairs([replace(spec.base, seed=seed) for _, seed in block], [eps for eps, _ in block])
+    for start in range(0, len(epsilons), _BLOCK):
+        block = slice(start, start + _BLOCK)
+        pairs = _drawn_pairs(spec.base.dim, spec.base.cond_target, seeds[block], epsilons[block])
         with suppress(NumericalError):
             _take_cores([p for p in pairs if not isinstance(p, NumericalError)])
-        for (eps, seed), pair in zip(block, pairs):
+        for eps, seed, pair in zip(epsilons[block], seeds[block], pairs):
             try:
                 if isinstance(pair, NumericalError):
                     raise pair

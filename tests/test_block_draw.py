@@ -1,15 +1,15 @@
 """A block of generated pairs drawn in one pass against the scalar stream,
 and the block's stacked arithmetic against its lone calls.
 
-`randgen._drawn_pairs` takes the words of every spec of a block in one
-uint64 pass over their streams, then one pass of uniforms and one of
-Box-Muller pairs (`randgen._draws`). Each spec must get the eigenvalues
-and gaussian matrices that the scalar `conftest.SplitMix64`, one word at a
-time, gives its seed (`reference_draw`), and each pair must be the one
-`near_commuting_pair` draws alone, bit for bit. The block then builds its
-frames, directions and matrices, and `means._take_cores` its pairs' terms,
-as stacks (k, n, n): each helper's stack form must give every member the
-bytes of the helper's lone call.
+`randgen._drawn_pairs` takes the words of every seed of a block, one size
+and one condition target, in one uint64 pass over their streams, then one
+pass of uniforms and one of Box-Muller pairs (`randgen._draws`). Each seed
+must get the eigenvalues and gaussian matrices that the scalar
+`conftest.SplitMix64`, one word at a time, gives it (`reference_draw`),
+and each pair must be the one `near_commuting_pair` draws alone, bit for
+bit. The block then builds its frames, directions and matrices, and
+`means._take_cores` its pairs' terms, as stacks (k, n, n): each helper's
+stack form must give every member the bytes of the helper's lone call.
 """
 
 import math
@@ -29,13 +29,13 @@ SIZES = (1, 2, 3, 6, 8)
 
 
 def mixed_draws(n, seed):
-    """Specs of one size over cond 1, 10 and 1e6, and their epsilons, 0 and
-    above; six of nine perturbed, so the logarithms' stacked pass stays
-    cyclic and gives each member its lone bits."""
-    grid = [(e, c) for e in (0.0, 1e-3, 0.5) for c in (1.0, 10.0, 1e6)]
-    specs = [GenSpec(dim=n, seed=(seed * 7919 + 31 * i) & MASK64 if i else MASK64 - seed, cond_target=cond)
-             for i, (_, cond) in enumerate(grid)]
-    return specs, [eps for eps, _ in grid]
+    """One block (cond, seeds, epsilons) of size n per cond 1, 10 and 1e6,
+    each over epsilon 0, 1e-3 and 0.5; two of three perturbed, so the
+    logarithms' stacked pass stays cyclic and gives each member its lone
+    bits."""
+    epsilons = [0.0, 1e-3, 0.5]
+    return [(cond, [(seed * 7919 + 31 * i) & MASK64 if i else MASK64 - seed for i in range(c, 9, 3)], epsilons)
+            for c, cond in enumerate((1.0, 10.0, 1e6))]
 
 
 def reference_spectrum(rng, n, cond):
@@ -47,12 +47,12 @@ def reference_spectrum(rng, n, cond):
     return np.array([math.exp(x) for x in logs])
 
 
-def reference_draw(spec, epsilon):
-    """The spec's two spectra, its frame's gaussian matrix and, at epsilon > 0,
+def reference_draw(n, cond, seed, epsilon):
+    """The seed's two spectra, its frame's gaussian matrix and, at epsilon > 0,
     K's, from the scalar stream."""
-    rng = SplitMix64(spec.seed)
-    lam_a, lam_b = (reference_spectrum(rng, spec.dim, spec.cond_target) for _ in range(2))
-    g = [rng.complex_gaussian_matrix(spec.dim) for _ in range(1 + (epsilon > 0.0))]
+    rng = SplitMix64(seed)
+    lam_a, lam_b = (reference_spectrum(rng, n, cond) for _ in range(2))
+    g = [rng.complex_gaussian_matrix(n) for _ in range(1 + (epsilon > 0.0))]
     return lam_a, lam_b, g
 
 
@@ -85,19 +85,18 @@ def test_uniforms_and_pairs_of_many_streams_match_scalar():
 def test_block_draws_the_scalar_stream(seed, monkeypatch):
     # every frame's gaussian matrix, direction K's and spectrum (in the
     # pair's units) that the block draws is the scalar stream's for its
-    # spec: the frames go to one stacked Gram-Schmidt, then the perturbed
-    # specs' directions to one stacked `_hermitian_unit`
+    # seed: the frames go to one stacked Gram-Schmidt, then the perturbed
+    # seeds' directions to one stacked `_hermitian_unit`
     seen = []
     real_frame, real_unit = randgen._orthonormal_frame, randgen._hermitian_unit
     monkeypatch.setattr(randgen, "_orthonormal_frame", lambda g: seen.append(("frame", g.copy())) or real_frame(g))
     monkeypatch.setattr(randgen, "_hermitian_unit", lambda g: seen.append(("k", g.copy())) or real_unit(g))
-    for n in SIZES:
-        specs, epsilons = mixed_draws(n, seed)
+    for n, (cond, seeds, epsilons) in ((n, d) for n in SIZES for d in mixed_draws(n, seed)):
         seen.clear()
-        pairs = randgen._drawn_pairs(specs, epsilons)
+        pairs = randgen._drawn_pairs(n, cond, seeds, epsilons)
         frames, ks = [], []
-        for spec, eps, pair in zip(specs, epsilons, pairs):
-            lam_a, lam_b, g = reference_draw(spec, eps)
+        for s, eps, pair in zip(seeds, epsilons, pairs):
+            lam_a, lam_b, g = reference_draw(n, cond, s, eps)
             frames.append(g[0])
             ks += g[1:]
             q = real_frame(g[0])
@@ -107,8 +106,8 @@ def test_block_draws_the_scalar_stream(seed, monkeypatch):
                 assert pair.b.tobytes() == _assemble(q, lam_b).tobytes()
                 assert pair.eig_b.eigenvalues.tobytes() == (np.sort(lam_b, kind="stable") / pair.unit).tobytes()
         assert [kind for kind, _ in seen] == ["frame", "k"]
-        assert seen[0][1].tobytes() == np.stack(frames).tobytes(), n
-        assert seen[1][1].tobytes() == np.stack(ks).tobytes(), n
+        assert seen[0][1].tobytes() == np.stack(frames).tobytes(), (n, cond)
+        assert seen[1][1].tobytes() == np.stack(ks).tobytes(), (n, cond)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -126,10 +125,10 @@ def test_random_hpd_draws_the_scalar_stream(n):
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_block_pairs_are_the_lone_pairs(seed):
-    for n in SIZES:
-        specs, epsilons = mixed_draws(n, seed)
-        block = randgen._drawn_pairs(specs, epsilons)
-        assert [pair_bits(p) for p in block] == [pair_bits(near_commuting_pair(*d)) for d in zip(specs, epsilons)], n
+    for n, (cond, seeds, epsilons) in ((n, d) for n in SIZES for d in mixed_draws(n, seed)):
+        block = randgen._drawn_pairs(n, cond, seeds, epsilons)
+        lone = [near_commuting_pair(GenSpec(dim=n, seed=s, cond_target=cond), eps) for s, eps in zip(seeds, epsilons)]
+        assert [pair_bits(p) for p in block] == [pair_bits(p) for p in lone], (n, cond)
 
 
 def gaussian_stack(n, k, seed=0):
@@ -153,14 +152,13 @@ def test_stacked_frames_are_the_lone_frames(n):
 @pytest.mark.parametrize("n, column", [(1, 0), (3, 0), (4, 2), (6, 5)])
 def test_collapsed_column_is_its_own_specs_error(n, column, monkeypatch):
     # a stack with a member whose column collapses raises; in a block, that
-    # member's spec alone gets the error, and the others their lone pairs
+    # member's seed alone gets the error, and the others their lone pairs
     g = gaussian_stack(n, 5, seed=n)
     g[3, :, column] = 0.0
     with pytest.raises(NumericalError, match="^gaussian frame column collapsed to zero$"):
         randgen._orthonormal_frame(g)
-    specs = [GenSpec(dim=n, seed=seed) for seed in range(5)]
     epsilons = [0.0, 0.1, 0.0, 0.1, 0.3]
-    lone = [near_commuting_pair(spec, eps) for spec, eps in zip(specs, epsilons)]
+    lone = [near_commuting_pair(GenSpec(dim=n, seed=seed), eps) for seed, eps in enumerate(epsilons)]
     draws = randgen._draws
 
     def collapsed(seeds, uniforms, pairs):
@@ -172,15 +170,15 @@ def test_collapsed_column_is_its_own_specs_error(n, column, monkeypatch):
         return u, z
 
     monkeypatch.setattr(randgen, "_draws", collapsed)
-    block = randgen._drawn_pairs(specs, epsilons)
+    block = randgen._drawn_pairs(n, 10.0, list(range(5)), epsilons)
     assert isinstance(block[3], NumericalError) and str(block[3]) == "gaussian frame column collapsed to zero"
     assert [pair_bits(p) for p in block[:3] + block[4:]] == [pair_bits(p) for p in lone[:3] + lone[4:]]
 
 
 def block_pairs(n, k=24):
-    """A sweep-like block: the pairs of k specs at cond 10 over six epsilons."""
+    """A sweep-like block: the pairs of k seeds at cond 10 over six epsilons."""
     epsilons = [(0.0, 0.01, 0.0316, 0.1, 0.316, 1.0)[i % 6] for i in range(k)]
-    return randgen._drawn_pairs([GenSpec(dim=n, seed=(n << 20) + i) for i in range(k)], epsilons)
+    return randgen._drawn_pairs(n, 10.0, [(n << 20) + i for i in range(k)], epsilons)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 6, 13])

@@ -654,19 +654,19 @@ class TestMatrixFunction:
             sqrtm(mat([[0.0, 2.0], [0.0, 0.0]]))
 
 
-class TestNamedCalculus:
+class TestRootsAndSingularInputs:
     def test_sqrtm_squares_back(self):
         for seed in range(8):
             h = hpd(3 + seed % 4, seed, cond=300.0)
             r = sqrtm(h)
             assert frobenius_norm(r @ r - h) <= 1e-10 * frobenius_norm(h)
 
-    def test_inv_sqrtm_inverts(self):
+    def test_sqrt_and_inv_sqrt_inverts(self):
         h = hpd(4, 3, cond=100.0)
         _, r = sqrt_and_inv_sqrt(h)
         assert frobenius_norm(r @ h @ r - np.eye(4)) <= 1e-10 * 2.0
 
-    def test_inv_sqrtm_rejects_singular(self):
+    def test_validated_pair_rejects_singular_a(self):
         # A^{-1/2} is taken by the pair's context, which refuses a singular A
         with pytest.raises(NotPositiveDefinite, match="^matrix a is not positive definite$"):
             HpdPair.validated(mat([[1.0, 0.0], [0.0, 0.0]]), np.eye(2, dtype=complex))
@@ -682,7 +682,7 @@ class TestNamedCalculus:
         back = obj.nu * obj.unit * np.linalg.matrix_power(obj.start, 4)
         assert frobenius_norm(back - b) <= 1e-14 * frobenius_norm(b)
 
-    def test_logm_rejects_singular(self):
+    def test_minimize_gap_rejects_singular_b0(self):
         # R0, the descent's start, is taken of a B0 validated with A
         with pytest.raises(NotPositiveDefinite, match="^matrix b is not positive definite$"):
             minimize_gap(np.eye(2, dtype=complex), mat([[1.0, 0.0], [0.0, 0.0]]))

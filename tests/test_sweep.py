@@ -2,7 +2,6 @@
 
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -134,11 +133,10 @@ class TestRunSweep:
         # 12 rows, 8 of them perturbed: at n = 4 both passes run round-robin
         spec = SweepSpec(base=base_spec(n=4, seed=17, cond=100.0), epsilons=(0.0, 0.01, 0.5), trials_per_epsilon=4)
         rows = run_sweep(spec)
-        specs = [replace(spec.base, seed=row.seed) for row in rows]
         moved = 0
-        pairs = randgen._drawn_pairs(specs, [row.epsilon for row in rows])
+        pairs = randgen._drawn_pairs(4, 100.0, [row.seed for row in rows], [row.epsilon for row in rows])
         means._take_cores(pairs)
-        for row, pair, gspec in zip(rows, pairs, specs):
+        for row, pair in zip(rows, pairs):
             gaps = (row.mean_gap, row.commutator_gap, row.trace_gap)
             rep = proof_chain_report(pair)
             assert gaps == (rep.mean_gap, rep.commutator_gap, rep.trace_gap)
@@ -147,7 +145,7 @@ class TestRunSweep:
             # benchmark's epsilons and trials) moved by at most 4.4e-16 (mean
             # gap), 1.9e-15 (commutator gap) and 2.8e-15 tr X (trace gap),
             # and no row at epsilon = 0 moved
-            lone_pair = near_commuting_pair(gspec, row.epsilon)
+            lone_pair = near_commuting_pair(GenSpec(dim=4, seed=row.seed, cond_target=100.0), row.epsilon)
             lone = proof_chain_report(lone_pair)
             assert abs(row.mean_gap - lone.mean_gap) <= 1e-14
             assert abs(row.commutator_gap - lone.commutator_gap) <= 1e-14

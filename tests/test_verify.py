@@ -24,9 +24,19 @@ from conftest import (
     uniform,
 )
 
-from opmeans.linalg import POSITIVITY_FLOOR, NotPositiveDefinite, NumericalError, Singular, frobenius_norm, _assemble
+from opmeans.linalg import (
+    POSITIVITY_FLOOR,
+    NotPositiveDefinite,
+    NumericalError,
+    Singular,
+    frobenius_norm,
+    hermitian_eigen,
+    sqrtm,
+    _assemble,
+    _sqrt_from,
+)
 from opmeans.means import HpdPair, _from_frame, heron_mean, wasserstein_mean
-from opmeans.randgen import GenSpec, random_hpd, _orthonormal_frame
+from opmeans.randgen import GenSpec, near_commuting_pair, random_hpd, _orthonormal_frame
 from opmeans.verify import (
     ARMIJO_SLOPE,
     MAX_BACKTRACKS,
@@ -166,6 +176,71 @@ class TestProofChainReport:
         b, _ = random_hpd(GenSpec(dim=3, seed=12, cond_target=3.0))
         with pytest.raises(NumericalError, match="residual r2"):
             proof_chain_report(HpdPair.validated(a * ca, b * cb))
+
+
+def r4_draws(n):
+    """Generic pairs of size n at cond 3, 10 and 100, and near-commuting
+    ones at each cond and epsilon 1e-1, 1e-2 and 1e-3."""
+    for cond in (3.0, 10.0, 100.0):
+        yield random_pair(n, mix_seed(n, int(cond)), cond)
+        for eps in (1e-1, 1e-2, 1e-3):
+            yield near_commuting_pair(GenSpec(dim=n, seed=mix_seed(n, int(cond) + 1), cond_target=cond), eps)
+
+
+def triangle_terms(p):
+    """In A's frame, where A = diag(a): S = |A+Y| from the spectrum of the
+    gram (A+Y)*(A+Y), as the report takes it, with S's eigenvalues;
+    T = A + X; and M = AY + Y*A - AX - XA, r2's left-hand side, which is
+    S^2 - T^2 by r3's identity."""
+    a, x, y = p.eig_a.eigenvalues, p.x, p.y
+    apy = np.diag(a) + y
+    gram = apy.conj().T @ apy
+    eig = hermitian_eigen((gram + gram.conj().T) / 2.0)
+    m = a[:, None] * y + y.conj().T * a - a[:, None] * x - x * a
+    return _sqrt_from(eig), np.sqrt(eig.eigenvalues), np.diag(a) + x, m
+
+
+class TestR4:
+    """r4 = ||S - T||_F / ||T||_F is the square root of r3's identity
+    S^2 - T^2 = M: it reads r2's matrix M through a square root, so it is
+    bounded on both sides by ||M||_F, not a further link of the chain."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_r4_lies_between_the_bounds_from_r2s_matrix(self, n):
+        # S^2 - T^2 = S(S - T) + (S - T)T gives, for S and T positive
+        # definite, ||M||_F / (||S||_2 + ||T||_2) <= ||S - T||_F <=
+        # ||M||_F / (lambda_min(S) + lambda_min(T)) (Bhatia, Matrix
+        # Analysis, ch. X). The bounds hold exactly for S^2 - T^2; the
+        # computed M differs from it by r3's roundoff and S's, at most
+        # 1.4e-15 (||S||_F^2 + ||T||_F^2) on these draws, so each bound
+        # gets a slack of 1e-13 times that scale. ||M||_F is at least
+        # 1.9e-10 of the scale here (n = 2 at epsilon = 1e-3, a ratio tie,
+        # where M is second order), so the slack stays below 1e-3 of
+        # ||M||_F, while the nearer bound holds with 2.2% to spare.
+        for p in r4_draws(n):
+            s, s_values, t, m = triangle_terms(p)
+            t_values = np.linalg.eigvalsh(t)
+            gap, norm_m = frobenius_norm(s - t), frobenius_norm(m)
+            slack = 1e-13 * (frobenius_norm(s) ** 2 + frobenius_norm(t) ** 2)
+            assert slack <= 1e-3 * norm_m
+            assert norm_m - slack <= (s_values[-1] + t_values[-1]) * gap
+            assert (s_values[0] + t_values[0]) * gap <= norm_m + slack
+            # the report's r4 is this ||S - T||_F / ||T||_F, from the same spectrum
+            assert proof_chain_report(p).residuals["r4"] == pytest.approx(gap / frobenius_norm(t), rel=1e-12)
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_triangle_terms_are_roots_of_the_congruent_means(self, n):
+        # A + Y = (A^{1/2} + B^{1/2}) A^{1/2}, so |A+Y| = 2 (A^{1/2} H A^{1/2})^{1/2};
+        # and A^{1/2} W A^{1/2} = ((A + X) / 2)^2, so A + X = 2 (A^{1/2} W A^{1/2})^{1/2}.
+        # In A's frame the congruence is (s_i s_j) H~_ij. Each side is a
+        # square root from its own decomposition: to 1e-13 relative, where
+        # the largest seen on these draws was 2.3e-15, at the default and at
+        # the AVX2 kernels
+        for p in r4_draws(n):
+            s, _, t, _ = triangle_terms(p)
+            ss = np.outer(p.root_a, p.root_a)
+            assert frobenius_norm(s - 2.0 * sqrtm(ss * p.heron)) <= 1e-13 * frobenius_norm(s)
+            assert frobenius_norm(t - 2.0 * sqrtm(ss * p.wasserstein)) <= 1e-13 * frobenius_norm(t)
 
 
 class TestVerdicts:
